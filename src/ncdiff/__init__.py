@@ -7,10 +7,6 @@ from .algebra import (
     FreePoly,
     FuncElem,
     MatElem,
-    alg_add,
-    alg_eq,
-    alg_mul,
-    alg_scale,
     func_as_diagonal,
 )
 from .frame import (

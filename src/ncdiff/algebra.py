@@ -146,21 +146,26 @@ class AlgebraSpec:
     def from_json(doc: Union[str, dict]) -> AlgebraSpec:
         if isinstance(doc, str):
             doc = json.loads(doc)
+        if not isinstance(doc, dict):
+            raise ValueError("algebra spec must be a JSON object")
         backend = doc.get("backend")
         if backend == "free":
             return AlgebraSpec.free(doc.get("symbols", []), bool(doc.get("commutative", False)))
         if backend == "function":
-            values = {
-                sym: [Scalar.from_json(table[pt]) for pt in doc["points"]]
-                for sym, table in doc.get("values", {}).items()
-            }
+            values = {}
+            for sym, table in doc.get("values", {}).items():
+                if not isinstance(table, dict):
+                    raise ValueError(f"value table for {sym!r} must map each point to a scalar")
+                values[sym] = [Scalar.from_json(table[pt]) for pt in doc["points"]]
             return AlgebraSpec.function(doc["points"], values)
         if backend == "matrix":
             matrices = {
                 sym: [[Scalar.from_json(e) for e in row] for row in rows]
                 for sym, rows in doc.get("matrices", {}).items()
             }
-            return AlgebraSpec.matrix(int(doc["dim"]), matrices)
+            if not isinstance(doc["dim"], int):
+                raise ValueError(f"dim must be an integer, not {doc['dim']!r}")
+            return AlgebraSpec.matrix(doc["dim"], matrices)
         raise ValueError(f"unknown backend {backend!r}")
 
     def to_json(self) -> dict:
@@ -467,26 +472,6 @@ class MatElem(AlgElem):
         if name is not None:
             return name
         return "[" + "; ".join(", ".join(str(e) for e in row) for row in self.rows) + "]"
-
-
-# -- uniform operation names ------------------------------------------
-
-
-def alg_mul(a: AlgElem, b: AlgElem) -> AlgElem:
-    return a.mul(b)
-
-
-def alg_add(a: AlgElem, b: AlgElem) -> AlgElem:
-    return a.add(b)
-
-
-def alg_scale(s: Scalar, a: AlgElem) -> AlgElem:
-    return a.scale(s)
-
-
-def alg_eq(a: AlgElem, b: AlgElem) -> bool:
-    _check_same_spec(a, b)
-    return a == b
 
 
 def func_as_diagonal(a: FuncElem) -> MatElem:

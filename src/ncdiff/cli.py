@@ -130,6 +130,9 @@ def cmd_eval(args) -> int:
             parts = tuple(p.strip() for p in text.split(","))
             if len(parts) != arity:
                 raise UsageError(f"tuple {text!r} has {len(parts)} points, expected {arity}")
+            for point in parts:
+                if point not in spec.points:
+                    raise UsageError(f"tuple {text!r} names unknown point {point!r}")
             tuples.append(parts)
     rows = []
     for t in tuples:
@@ -168,8 +171,12 @@ def cmd_generators(args) -> int:
     name = args.symbol or (spec.symbols[0] if spec.symbols else None)
     if name is None:
         raise UsageError("the algebra spec declares no symbols")
+    if name not in spec.symbols:
+        raise UsageError(f"unknown symbol {name!r}")
     f = spec.symbol(name)
     p = args.level
+    if p < 0:
+        raise UsageError(f"--level must be nonnegative, got {p}")
     gens = []
     members_list = []
     for mask in range(1 << p):

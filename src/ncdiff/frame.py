@@ -16,7 +16,7 @@ from typing import Iterable, Sequence, Union
 
 from .algebra import AlgebraMismatchError, AlgebraSpec, AlgElem
 from .scalars import Scalar
-from .tensor import TensorPoly, componentwise_product, mult_map, tensor_concat
+from .tensor import TensorPoly, componentwise_product, mult_map, tensor_concat, tensor_sum
 
 #: levels above this are legal but expand into rapidly growing term lists
 LEVEL_WARN_CAP = 4
@@ -226,10 +226,12 @@ def generator_sum(f: AlgElem, subsets: Sequence[SubsetIndex]) -> FrameElem:
     """Evaluate a unit-coefficient combination of generators."""
     if not subsets:
         raise ValueError("empty generator sum")
-    out = delta_I(f, subsets[0])
-    for ix in subsets[1:]:
-        out = out + delta_I(f, ix)
-    return out
+    return frame_sum(f.spec, subsets[0].p, (delta_I(f, ix) for ix in subsets))
+
+
+def frame_sum(spec: AlgebraSpec, level: int, parts: Iterable[FrameElem]) -> FrameElem:
+    """Sum elements of one level with a single merge over all their terms."""
+    return FrameElem(level, tensor_sum(spec, 2**level, (part.body for part in parts)))
 
 
 def is_universal_one_form(omega: FrameElem) -> bool:

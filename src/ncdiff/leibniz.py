@@ -34,6 +34,7 @@ from .frame import (
     SubsetIndex,
     delta_iter,
     frame_delta,
+    frame_sum,
     lam,
     lift_to,
     rho,
@@ -113,10 +114,6 @@ class LeibnizForm:
     def monomial(coeff: AlgElem, factors: Sequence[Factor]) -> LeibnizForm:
         order = sum(k for k, _ in factors)
         return LeibnizForm.of(coeff.spec, order, [LeibnizMonomial(coeff, tuple(factors))])
-
-    @staticmethod
-    def zero(spec: AlgebraSpec, order: int) -> LeibnizForm:
-        return LeibnizForm.of(spec, order, [])
 
     def add(self, other: LeibnizForm) -> LeibnizForm:
         if self.spec != other.spec:
@@ -211,11 +208,8 @@ def odot(u: LeibnizForm, v: LeibnizForm) -> LeibnizForm:
     """Associative product of Leibniz forms; bilinear over scalars."""
     if u.spec != v.spec:
         raise AlgebraMismatchError("forms over different algebras")
-    out = LeibnizForm.zero(u.spec, u.order + v.order)
-    for mu in u.terms:
-        for mv in v.terms:
-            out = out + _odot_mono(mu, mv)
-    return out
+    parts = (_odot_mono(mu, mv) for mu in u.terms for mv in v.terms)
+    return LeibnizForm.of(u.spec, u.order + v.order, (m for part in parts for m in part.terms))
 
 
 def _odot_mono(mu: LeibnizMonomial, mv: LeibnizMonomial) -> LeibnizForm:
@@ -228,10 +222,8 @@ def _odot_mono(mu: LeibnizMonomial, mv: LeibnizMonomial) -> LeibnizForm:
 
 
 def _odot_power(k: int, g: AlgElem, w: LeibnizForm) -> LeibnizForm:
-    out = LeibnizForm.zero(w.spec, w.order + k)
-    for mono in w.terms:
-        out = out + _odot_power_mono(k, g, mono)
-    return out
+    parts = (_odot_power_mono(k, g, mono) for mono in w.terms)
+    return LeibnizForm.of(w.spec, w.order + k, (m for part in parts for m in part.terms))
 
 
 @lru_cache(maxsize=None)
@@ -257,10 +249,7 @@ def _as_form(mono: LeibnizMonomial) -> LeibnizForm:
 
 def embed(w: LeibnizForm) -> FrameElem:
     """Realize a form of order n inside level n of the frame tower."""
-    out = FrameElem.zero(w.spec, w.order)
-    for mono in w.terms:
-        out = out + _embed_mono(mono)
-    return out
+    return frame_sum(w.spec, w.order, (_embed_mono(mono) for mono in w.terms))
 
 
 @lru_cache(maxsize=None)

@@ -57,9 +57,6 @@ class Scalar:
     def inverse(self) -> Scalar:
         return ONE / self
 
-    def conjugate(self) -> Scalar:
-        return Scalar(self.re, -self.im)
-
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
@@ -82,8 +79,8 @@ class Scalar:
         def part(p) -> Fraction:
             if isinstance(p, int):
                 return Fraction(p)
-            if isinstance(p, (list, tuple)) and len(p) == 2:
-                return Fraction(int(p[0]), int(p[1]))
+            if isinstance(p, (list, tuple)) and [type(x) for x in p] == [int, int] and p[1]:
+                return Fraction(p[0], p[1])
             raise ValueError(f"bad rational: {p!r}")
 
         if isinstance(doc, int):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .algebra import AlgebraMismatchError, AlgebraSpec, AlgElem, func_as_diagonal
 from .scalars import ONE, ZERO, Scalar
@@ -23,52 +23,32 @@ Term = tuple[Scalar, tuple[AlgElem, ...]]
 
 @dataclass(frozen=True)
 class TensorPoly:
+    """Finite linear combination of ``degree``-fold elementary tensors.
+
+    The terms are always canonical, and this module alone keeps them so:
+    every factor is a basis element of the backend (an entry of some
+    ``basis_decomposition``), terms are sorted by their slot keys, and no
+    coefficient is zero.  Then ``==`` is a complete equality test.  The
+    dataclass constructor takes canonical terms only; ``TensorPoly.of``
+    is the entry point for arbitrary elements.
+    """
+
     spec: AlgebraSpec
     degree: int
     terms: tuple[Term, ...]
 
+    def __post_init__(self):
+        if self.degree < 1:
+            raise ValueError("tensor degree must be at least 1")
+
     @staticmethod
     def of(spec: AlgebraSpec, degree: int, terms: Iterable[Term]) -> TensorPoly:
-        """Build in canonical form.
+        """Build in canonical form from arbitrary elements.
 
         Every slot is expanded multilinearly over the backend's spanning
-        family, then equal factor tuples merge and terms sort by slot
-        keys.  The expansion makes ``==`` a complete equality test, not
-        just a sound one: f (x) (a+b) and f (x) a + f (x) b normalize
-        identically.
+        family, so f (x) (a+b) and f (x) a + f (x) b normalize identically.
         """
-        if degree < 1:
-            raise ValueError("tensor degree must be at least 1")
-        acc: dict[tuple, tuple[Scalar, tuple[AlgElem, ...]]] = {}
-        for coeff, factors in terms:
-            factors = tuple(factors)
-            if len(factors) != degree:
-                raise ValueError(f"term has {len(factors)} slots, expected {degree}")
-            for f in factors:
-                if f.spec != spec:
-                    raise AlgebraMismatchError("tensor slot from a different algebra")
-            if coeff.is_zero():
-                continue
-            decomps = [f.basis_decomposition() for f in factors]
-            if any(not d for d in decomps):
-                continue
-            for combo in itertools.product(*decomps):
-                c = coeff
-                for ci, _ in combo:
-                    c = c * ci
-                basis_factors = tuple(b for _, b in combo)
-                key = tuple(b.sort_key() for b in basis_factors)
-                if key in acc:
-                    prev_c, prev_f = acc[key]
-                    total = prev_c + c
-                    if total.is_zero():
-                        del acc[key]
-                    else:
-                        acc[key] = (total, prev_f)
-                else:
-                    acc[key] = (c, basis_factors)
-        ordered = tuple(acc[k] for k in sorted(acc.keys()))
-        return TensorPoly(spec, degree, ordered)
+        return _collect(spec, degree, _expand(spec, degree, terms))
 
     @staticmethod
     def wrap(elem: AlgElem) -> TensorPoly:
@@ -76,11 +56,12 @@ class TensorPoly:
 
     @staticmethod
     def unit(spec: AlgebraSpec, degree: int) -> TensorPoly:
-        return TensorPoly.of(spec, degree, [(ONE, tuple(spec.unit() for _ in range(degree)))])
+        # the unit is a basis element of every backend
+        return TensorPoly(spec, degree, ((ONE, (spec.unit(),) * degree),))
 
     @staticmethod
     def zero(spec: AlgebraSpec, degree: int) -> TensorPoly:
-        return TensorPoly.of(spec, degree, [])
+        return TensorPoly(spec, degree, ())
 
     @staticmethod
     def elementary(spec: AlgebraSpec, factors: Sequence[AlgElem], coeff: Scalar = ONE) -> TensorPoly:
@@ -89,18 +70,19 @@ class TensorPoly:
     # -- linear structure ----------------------------------------------
 
     def add(self, other: TensorPoly) -> TensorPoly:
-        self._check_compatible(other)
-        return TensorPoly.of(self.spec, self.degree, self.terms + other.terms)
+        return tensor_sum(self.spec, self.degree, (self, other))
 
     def sub(self, other: TensorPoly) -> TensorPoly:
-        return self.add(other.scale(Scalar.of(-1)))
+        return self.add(other.neg())
 
     def scale(self, c: Union[Scalar, int]) -> TensorPoly:
         c = c if isinstance(c, Scalar) else Scalar.of(c)
-        return TensorPoly.of(self.spec, self.degree, [(c * k, f) for k, f in self.terms])
+        if c.is_zero():
+            return TensorPoly.zero(self.spec, self.degree)
+        return TensorPoly(self.spec, self.degree, tuple((c * k, f) for k, f in self.terms))
 
     def neg(self) -> TensorPoly:
-        return self.scale(Scalar.of(-1))
+        return TensorPoly(self.spec, self.degree, tuple((-k, f) for k, f in self.terms))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -162,6 +144,50 @@ class TensorPoly:
         return " ".join(out)
 
 
+def _expand(spec: AlgebraSpec, degree: int, terms: Iterable[Term]) -> Iterator[Term]:
+    """Expand arbitrary terms multilinearly over the backend basis."""
+    for coeff, factors in terms:
+        factors = tuple(factors)
+        if len(factors) != degree:
+            raise ValueError(f"term has {len(factors)} slots, expected {degree}")
+        for f in factors:
+            if f.spec != spec:
+                raise AlgebraMismatchError("tensor slot from a different algebra")
+        if coeff.is_zero():
+            continue
+        for combo in itertools.product(*(f.basis_decomposition() for f in factors)):
+            c = coeff
+            for ci, _ in combo:
+                c = c * ci
+            yield c, tuple(b for _, b in combo)
+
+
+def _collect(spec: AlgebraSpec, degree: int, terms: Iterable[Term]) -> TensorPoly:
+    """Merge terms over basis elements by slot keys into canonical form."""
+    acc: dict[tuple, Term] = {}
+    for coeff, factors in terms:
+        key = tuple(b.sort_key() for b in factors)
+        if key in acc:
+            prev_c, prev_f = acc[key]
+            total = prev_c + coeff
+            if total.is_zero():
+                del acc[key]
+            else:
+                acc[key] = (total, prev_f)
+        else:
+            acc[key] = (coeff, factors)
+    return TensorPoly(spec, degree, tuple(acc[k] for k in sorted(acc)))
+
+
+def tensor_sum(spec: AlgebraSpec, degree: int, parts: Iterable[TensorPoly]) -> TensorPoly:
+    """Sum tensors of one degree with a single merge over all their terms."""
+    zero = TensorPoly.zero(spec, degree)
+    parts = list(parts)
+    for part in parts:
+        zero._check_compatible(part)
+    return _collect(spec, degree, (t for part in parts for t in part.terms))
+
+
 def _slot_str(f: AlgElem) -> str:
     s = str(f)
     return f"({s})" if (" + " in s or " - " in s) else s
@@ -183,13 +209,16 @@ def _elem_to_json(f: AlgElem):
 
 
 def tensor_concat(u: TensorPoly, v: TensorPoly) -> TensorPoly:
-    """Bilinear concatenation of factor tuples."""
+    """Bilinear concatenation of factor tuples.
+
+    Needs no normalization: the key of fu + fv is the key of fu followed
+    by that of fv, so nested walks over canonical operands give distinct
+    keys in sorted order, and products of nonzero coefficients are nonzero.
+    """
     if u.spec != v.spec:
         raise AlgebraMismatchError("tensors over different algebras")
-    terms = [
-        (cu * cv, fu + fv) for cu, fu in u.terms for cv, fv in v.terms
-    ]
-    return TensorPoly.of(u.spec, u.degree + v.degree, terms)
+    terms = tuple((cu * cv, fu + fv) for cu, fu in u.terms for cv, fv in v.terms)
+    return TensorPoly(u.spec, u.degree + v.degree, terms)
 
 
 def componentwise_product(u: TensorPoly, v: TensorPoly) -> TensorPoly:
@@ -323,10 +352,6 @@ class OmegaMonomial:
         spec = elems[0].spec
         return OmegaMonomial(spec, 1, tuple(TensorPoly.wrap(e) for e in elems))
 
-    @staticmethod
-    def of_blocks(*blocks: TensorPoly) -> OmegaMonomial:
-        return OmegaMonomial(blocks[0].spec, blocks[0].degree, tuple(blocks))
-
     def scale(self, c: Scalar) -> OmegaMonomial:
         return OmegaMonomial(self.spec, self.width, (self.chain[0].scale(c),) + self.chain[1:])
 
@@ -389,7 +414,4 @@ def omega_product(u: OmegaMonomial, v: OmegaMonomial) -> tuple[OmegaMonomial, ..
 
 
 def omega_sum_to_tensor(monomials: Iterable[OmegaMonomial], spec: AlgebraSpec, degree: int) -> TensorPoly:
-    acc = TensorPoly.zero(spec, degree)
-    for m in monomials:
-        acc = acc + omega_to_tensor(m)
-    return acc
+    return tensor_sum(spec, degree, (omega_to_tensor(m) for m in monomials))

@@ -21,6 +21,7 @@ from .frame import (
     delta_I,
     delta_iter,
     frame_delta,
+    frame_sum,
     generator_sum,
     is_universal_one_form,
     lam,
@@ -164,13 +165,13 @@ def odot_chain(spec: AlgebraSpec, factors: Sequence[tuple[int, str]]) -> Leibniz
 
 
 def generator_table_rhs(spec: AlgebraSpec, order: int, terms: Sequence[GeneratorTerm]) -> FrameElem:
-    total = FrameElem.zero(spec, order)
+    parts = []
     for sign, monomial in terms:
         factors = [
             (SubsetIndex.of(order, levels), spec.symbol(name)) for levels, name in monomial
         ]
-        total = total + generator_monomial_eval(factors, order).scale(sign)
-    return total
+        parts.append(generator_monomial_eval(factors, order).scale(sign))
+    return frame_sum(spec, order, parts)
 
 
 def check_table_row(spec: AlgebraSpec, order: int, row: int) -> bool:
@@ -276,9 +277,7 @@ def suite_generators() -> list[CheckResult]:
         (1, 0): [(1, (3,)), (-1, (2,)), (-1, (1,)), (1, (0,))],
     }
     for members, slots in expected_level2.items():
-        want = FrameElem.zero(spec, 2)
-        for sign, (slot,) in slots:
-            want = want + slot_embed(f, slot, 2).scale(sign)
+        want = frame_sum(spec, 2, (slot_embed(f, slot, 2).scale(sign) for sign, (slot,) in slots))
         index = SubsetIndex.of(2, members)
         out.append(CheckResult(f"level2.d{index}", delta_I(f, index) == want))
     for j in range(4):

@@ -197,3 +197,38 @@ def test_parse_error_exit_code(spec_file, capsys):
     path = spec_file(FREE_DOC)
     code, _, err = run(capsys, "expand", "--algebra", path, "--expr", "d(")
     assert code == 2 and "column 3" in err
+
+
+@pytest.mark.parametrize(
+    "doc, argv",
+    [
+        ([FREE_DOC], ["expand", "--expr", "d(f)"]),
+        (
+            {**TWO_POINT_DOC, "values": {"x": {"L": [[1, 0], [0, 1]], "R": [[0, 1], [0, 1]]}}},
+            ["expand", "--expr", "d(x)"],
+        ),
+        ({**MAT_DOC, "dim": [2]}, ["expand", "--expr", "d(f)"]),
+        (
+            {**TWO_POINT_DOC, "values": {"x": [[[1, 1], [0, 1]], [[0, 1], [0, 1]]]}},
+            ["expand", "--expr", "d(x)"],
+        ),
+        (FREE_DOC, ["generators", "--level", "-1"]),
+        (FREE_DOC, ["generators", "--symbol", "q"]),
+        (TWO_POINT_DOC, ["eval", "--expr", "d(x)", "--tuples", "L,Q"]),
+    ],
+    ids=[
+        "non-object",
+        "zero-denominator",
+        "dim-list",
+        "table-list",
+        "negative-level",
+        "unknown-symbol",
+        "unknown-point",
+    ],
+)
+def test_malformed_input_exits_2_without_traceback(spec_file, capsys, doc, argv):
+    path = spec_file(doc)
+    code, _, err = run(capsys, argv[0], "--algebra", path, *argv[1:])
+    assert code == 2
+    assert any(line.startswith("ncdiff: ") for line in err.splitlines())
+    assert "Traceback" not in err

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from ncdiff.algebra import AlgebraMismatchError, AlgebraSpec
-from ncdiff.scalars import ONE, integer
+from ncdiff.frame import FrameElem, frame_delta, frame_sum, lam, rho
+from ncdiff.scalars import MINUS_ONE, ONE, ZERO, Scalar, integer
 from ncdiff.tensor import (
     OmegaMonomial,
     TensorPoly,
@@ -16,8 +17,10 @@ from ncdiff.tensor import (
     t_algebra_product,
     tensor_concat,
     tensor_eval,
+    tensor_sum,
     universal_d,
 )
+from ncdiff.verify import random_elem
 
 SPEC = AlgebraSpec.free(("f", "g", "h", "k"))
 F, G, H, K = (SPEC.symbol(s) for s in "fghk")
@@ -228,3 +231,59 @@ def test_normalization_merges_and_drops():
         ],
     )
     assert t.is_zero()
+
+
+ORACLE_SPECS = {
+    "free": SPEC,
+    "comm": AlgebraSpec.free(("f", "g", "h"), commutative=True),
+    "func": POINTS,
+    "mat": AlgebraSpec.matrix(2, {"f": [[3, 1], [2, 7]], "g": [[0, 1], [1, 0]]}),
+}
+
+
+def random_canonical(spec, degree, rng):
+    """A canonical tensor whose terms share factors often enough to merge."""
+    pool = [spec.unit(), spec.symbol(spec.symbols[0]), random_elem(spec, rng)]
+    terms = []
+    for _ in range(rng.randint(0, 3)):
+        coeff = Scalar.of(Fraction(rng.randint(-3, 3), rng.choice((1, 2))), rng.choice((0, 0, 1)))
+        terms.append((coeff, tuple(rng.choice(pool) for _ in range(degree))))
+    return TensorPoly.of(spec, degree, terms)
+
+
+def assert_normalizes_to(got, spec, degree, raw_terms):
+    want = TensorPoly.of(spec, degree, raw_terms)
+    assert got == want
+    assert got.terms == want.terms
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS.values(), ids=ORACLE_SPECS.keys())
+def test_canonical_operations_match_full_normalization(spec, rng):
+    """Operations that skip re-expansion equal TensorPoly.of on the raw
+    term list, term order included."""
+    for _ in range(20):
+        d = rng.randint(1, 2)
+        u, v, w = (random_canonical(spec, d, rng) for _ in range(3))
+        c = Scalar.of(rng.randint(-3, 3), rng.randint(-1, 1))
+        assert_normalizes_to(u + v, spec, d, u.terms + v.terms)
+        negated_v = tuple((MINUS_ONE * k, f) for k, f in v.terms)
+        assert_normalizes_to(u - v, spec, d, u.terms + negated_v)
+        assert_normalizes_to(u.scale(c), spec, d, [(c * k, f) for k, f in u.terms])
+        assert_normalizes_to(u.scale(0), spec, d, [(ZERO * k, f) for k, f in u.terms])
+        assert_normalizes_to(-u, spec, d, [(MINUS_ONE * k, f) for k, f in u.terms])
+        concat = [(ku * kv, fu + fv) for ku, fu in u.terms for kv, fv in v.terms]
+        assert_normalizes_to(tensor_concat(u, v), spec, 2 * d, concat)
+        assert_normalizes_to(tensor_sum(spec, d, (u, v, w)), spec, d, u.terms + v.terms + w.terms)
+        assert (u + (-u)).is_zero()
+    for level in (0, 1, 2):
+        width = 2**level
+        a, b = (FrameElem(level, random_canonical(spec, width, rng)) for _ in range(2))
+        pad = (spec.unit(),) * width
+        right = [(k, f + pad) for k, f in a.body.terms]
+        left = [(k, pad + f) for k, f in a.body.terms]
+        assert_normalizes_to(rho(a).body, spec, 2 * width, right)
+        assert_normalizes_to(lam(a).body, spec, 2 * width, left)
+        negated_right = [(MINUS_ONE * k, f) for k, f in right]
+        assert_normalizes_to(frame_delta(a).body, spec, 2 * width, left + negated_right)
+        summed = a.body.terms + b.body.terms
+        assert_normalizes_to(frame_sum(spec, level, (a, b)).body, spec, width, summed)
