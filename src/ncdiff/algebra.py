@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .scalars import ONE, ZERO, Scalar
 
@@ -92,7 +92,7 @@ class AlgebraSpec:
         if self.backend == "free":
             if name not in self.symbols:
                 raise KeyError(f"unknown symbol {name!r}")
-            return FreePoly.of(self, {(name,): ONE})
+            return FreePoly(self, (((name,), ONE),))
         if self.backend == "function":
             for sym, vals in self.values:
                 if sym == name:
@@ -105,7 +105,7 @@ class AlgebraSpec:
 
     def unit(self) -> AlgElem:
         if self.backend == "free":
-            return FreePoly.of(self, {(): ONE})
+            return FreePoly(self, (((), ONE),))
         if self.backend == "function":
             return FuncElem(self, tuple(ONE for _ in self.points))
         return MatElem(
@@ -117,11 +117,7 @@ class AlgebraSpec:
         )
 
     def zero(self) -> AlgElem:
-        if self.backend == "free":
-            return FreePoly.of(self, {})
-        if self.backend == "function":
-            return FuncElem(self, tuple(ZERO for _ in self.points))
-        return MatElem(self, tuple(tuple(ZERO for _ in range(self.dim)) for _ in range(self.dim)))
+        return self.unit().scale(ZERO)
 
     def scalar(self, c: Union[Scalar, int]) -> AlgElem:
         c = c if isinstance(c, Scalar) else Scalar.of(c)
@@ -150,22 +146,26 @@ class AlgebraSpec:
             raise ValueError("algebra spec must be a JSON object")
         backend = doc.get("backend")
         if backend == "free":
-            return AlgebraSpec.free(doc.get("symbols", []), bool(doc.get("commutative", False)))
+            symbols = _json_names(doc, "symbols")
+            return AlgebraSpec.free(symbols, bool(doc.get("commutative", False)))
         if backend == "function":
+            points = _json_names(doc, "points")
             values = {}
-            for sym, table in doc.get("values", {}).items():
+            for sym, table in _json_object(doc, "values").items():
                 if not isinstance(table, dict):
                     raise ValueError(f"value table for {sym!r} must map each point to a scalar")
-                values[sym] = [Scalar.from_json(table[pt]) for pt in doc["points"]]
-            return AlgebraSpec.function(doc["points"], values)
+                values[sym] = [Scalar.from_json(table[pt]) for pt in points]
+            return AlgebraSpec.function(points, values)
         if backend == "matrix":
-            matrices = {
-                sym: [[Scalar.from_json(e) for e in row] for row in rows]
-                for sym, rows in doc.get("matrices", {}).items()
-            }
-            if not isinstance(doc["dim"], int):
-                raise ValueError(f"dim must be an integer, not {doc['dim']!r}")
-            return AlgebraSpec.matrix(doc["dim"], matrices)
+            matrices = {}
+            for sym, rows in _json_object(doc, "matrices").items():
+                if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+                    raise ValueError(f"matrix for {sym!r} must be a list of rows")
+                matrices[sym] = [[Scalar.from_json(e) for e in row] for row in rows]
+            dim = doc["dim"]
+            if not isinstance(dim, int) or isinstance(dim, bool):
+                raise ValueError(f"dim must be an integer, not {dim!r}")
+            return AlgebraSpec.matrix(dim, matrices)
         raise ValueError(f"unknown backend {backend!r}")
 
     def to_json(self) -> dict:
@@ -185,6 +185,20 @@ class AlgebraSpec:
                 sym: [[e.to_json() for e in row] for row in rows] for sym, rows in self.matrices
             }
         return doc
+
+
+def _json_names(doc: dict, key: str) -> list[str]:
+    names = doc.get(key, [])
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise ValueError(f"{key} must be a list of names, not {names!r}")
+    return names
+
+
+def _json_object(doc: dict, key: str) -> dict:
+    obj = doc.get(key, {})
+    if not isinstance(obj, dict):
+        raise ValueError(f"{key} must be a JSON object, not {obj!r}")
+    return obj
 
 
 def _check_same_spec(a: AlgElem, b: AlgElem) -> None:
@@ -220,6 +234,9 @@ class AlgElem:
         """Split into (scalar, primitive) with a 1-normalized leading part."""
         raise NotImplementedError
 
+    def to_json(self):
+        raise NotImplementedError
+
     def basis_decomposition(self) -> tuple[tuple[Scalar, AlgElem], ...]:
         """Expand over the backend's canonical spanning family.
 
@@ -250,46 +267,41 @@ class AlgElem:
 
 @dataclass(frozen=True)
 class FreePoly(AlgElem):
-    """Polynomial in noncommuting (or letter-sorted commuting) symbols."""
+    """Polynomial in noncommuting (or letter-sorted commuting) symbols.
+
+    Terms are canonical, kept so by this module alone: distinct words with
+    nonzero coefficients, sorted by (length, word).  ``FreePoly.of`` is the
+    single merge, fed raw terms by ``mul`` and ``add``; ``scale`` (hence
+    ``neg`` and ``content``) and the spec's ``symbol`` and ``unit`` build
+    canonical terms directly."""
 
     spec: AlgebraSpec
-    terms: tuple[tuple[Word, Scalar], ...]  # sorted by word, no zero coefficients
+    terms: tuple[tuple[Word, Scalar], ...]
 
     @staticmethod
-    def of(spec: AlgebraSpec, terms: Mapping[Word, Scalar]) -> FreePoly:
+    def of(spec: AlgebraSpec, terms: Iterable[tuple[Word, Scalar]]) -> FreePoly:
         acc: dict[Word, Scalar] = {}
-        for word, coeff in terms.items():
+        for word, coeff in terms:
             word = tuple(sorted(word)) if spec.commutative else tuple(word)
-            c = acc.get(word, ZERO) + coeff
-            if c.is_zero():
-                acc.pop(word, None)
-            else:
-                acc[word] = c
-        return FreePoly(spec, tuple(sorted(acc.items(), key=lambda t: (len(t[0]), t[0]))))
-
-    def as_dict(self) -> dict[Word, Scalar]:
-        return dict(self.terms)
+            acc[word] = acc[word] + coeff if word in acc else coeff
+        kept = (t for t in acc.items() if not t[1].is_zero())
+        return FreePoly(spec, tuple(sorted(kept, key=lambda t: (len(t[0]), t[0]))))
 
     def mul(self, other: AlgElem) -> FreePoly:
         _check_same_spec(self, other)
-        acc: dict[Word, Scalar] = {}
-        for w1, c1 in self.terms:
-            for w2, c2 in other.terms:
-                w = w1 + w2
-                if self.spec.commutative:
-                    w = tuple(sorted(w))
-                acc[w] = acc.get(w, ZERO) + c1 * c2
-        return FreePoly.of(self.spec, acc)
+        return FreePoly.of(
+            self.spec, ((w1 + w2, c1 * c2) for w1, c1 in self.terms for w2, c2 in other.terms)
+        )
 
     def add(self, other: AlgElem) -> FreePoly:
         _check_same_spec(self, other)
-        acc = self.as_dict()
-        for w, c in other.terms:
-            acc[w] = acc.get(w, ZERO) + c
-        return FreePoly.of(self.spec, acc)
+        return FreePoly.of(self.spec, self.terms + other.terms)
 
     def scale(self, c: Scalar) -> FreePoly:
-        return FreePoly.of(self.spec, {w: coeff * c for w, coeff in self.terms})
+        # Gaussian rationals have no zero divisors: a nonzero c keeps every term
+        if c.is_zero():
+            return FreePoly(self.spec, ())
+        return FreePoly(self.spec, tuple((w, coeff * c) for w, coeff in self.terms))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -309,6 +321,9 @@ class FreePoly(AlgElem):
             return ZERO, self
         lead = self.terms[0][1]
         return lead, self.scale(lead.inverse())
+
+    def to_json(self) -> dict:
+        return {"words": [[list(w), c.to_json()] for w, c in self.terms]}
 
     def basis_decomposition(self) -> tuple[tuple[Scalar, FreePoly], ...]:
         return tuple((c, FreePoly(self.spec, ((w, ONE),))) for w, c in self.terms)
@@ -364,6 +379,9 @@ class FuncElem(AlgElem):
             if not v.is_zero():
                 return v, self.scale(v.inverse())
         return ZERO, self
+
+    def to_json(self) -> dict:
+        return {"values": [v.to_json() for v in self.values]}
 
     def basis_decomposition(self) -> tuple[tuple[Scalar, FuncElem], ...]:
         # spanning family: the unit plus the indicators of all points but
@@ -439,6 +457,9 @@ class MatElem(AlgElem):
                 if not e.is_zero():
                     return e, self.scale(e.inverse())
         return ZERO, self
+
+    def to_json(self) -> dict:
+        return {"rows": [[e.to_json() for e in row] for row in self.rows]}
 
     def basis_decomposition(self) -> tuple[tuple[Scalar, MatElem], ...]:
         # spanning family: the identity plus all matrix units except the

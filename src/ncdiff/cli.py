@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from .algebra import AlgebraSpec
-from .frame import SubsetIndex, delta_I, generator_str, slot_in_generators
+from .frame import FrameElem, delta_I, generator_str, slot_in_generators
 from .jets import ChangeOfVars2, Jet2, parse_poly2, transform_jet2, delta2_invariance_check
 from .leibniz import LeibnizForm, embed
 from .parser import LoweringError, ParseError, lower, parse
@@ -62,8 +62,7 @@ def _emit(doc, pretty_text: str | None, out_mode: str) -> None:
         print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
 
-def _form_doc(form: LeibnizForm) -> dict:
-    frame = embed(form)
+def _form_doc(form: LeibnizForm, frame: FrameElem) -> dict:
     return {
         "order": form.order,
         "level": frame.level,
@@ -76,15 +75,16 @@ def cmd_expand(args) -> int:
     spec = _load_spec(args.algebra)
     parts = _lower_expr(args.expr, spec)
     if args.split:
-        docs = [_form_doc(f) for _, f in sorted(parts.items())]
+        docs = [_form_doc(f, embed(f)) for _, f in sorted(parts.items())]
         doc: object = {"parts": docs}
         pretty = "\n".join(d["pretty"] for d in docs)
     else:
         form = _single_part(parts)
-        d = _form_doc(form)
+        frame = embed(form)
+        d = _form_doc(form, frame)
         pretty = d["pretty"]
         if args.basis == "generators":
-            d["generators"] = _generator_basis_doc(form)
+            d["generators"] = _generator_basis_doc(frame)
             pretty += "\n" + "\n".join(
                 f"{t['coeff']} x " + " · ".join(t["product"]) for t in d["generators"]
             )
@@ -93,11 +93,10 @@ def cmd_expand(args) -> int:
     return 0
 
 
-def _generator_basis_doc(form: LeibnizForm) -> list[dict]:
+def _generator_basis_doc(frame: FrameElem) -> list[dict]:
     """Factor every elementary tensor of the expansion over the generator
     family: each occupied slot contributes the subset-sum of generators
     that assembles its slot embedding."""
-    frame = embed(form)
     out = []
     for coeff, factors in frame.body.terms:
         slots = []
@@ -151,11 +150,17 @@ def cmd_matrix(args) -> int:
     if spec.backend != "matrix":
         raise UsageError("matrix needs a matrix-backend algebra spec")
     form = _single_part(_lower_expr(args.expr, spec))
-    body = embed(form).body
-    size = spec.dim**body.degree
+    # dim ** 2**order, squared up only until it passes the cap and 2**64
+    size = spec.dim
+    for _ in range(form.order):
+        if size > max(args.max_dim, 2**64):
+            raise UsageError(
+                f"result dimension {spec.dim}^(2^{form.order}) exceeds the cap {args.max_dim}"
+            )
+        size *= size
     if size > args.max_dim:
         raise UsageError(f"result dimension {size} exceeds the cap {args.max_dim}")
-    mat = tensor_to_matrix(body)
+    mat = tensor_to_matrix(embed(form).body)
     doc = {
         "order": form.order,
         "dim": size,
@@ -178,12 +183,9 @@ def cmd_generators(args) -> int:
     if p < 0:
         raise UsageError(f"--level must be nonnegative, got {p}")
     gens = []
-    members_list = []
-    for mask in range(1 << p):
-        members_list.append(tuple(s for s in range(p) if (mask >> s) & 1))
-    members_list.sort(key=lambda ms: (len(ms), ms))
-    for members in members_list:
-        index = SubsetIndex.of(p, members)
+    # every subset of {0..p-1}, smallest first, then by ascending members
+    subsets = slot_in_generators(f, 2**p - 1, p)
+    for index in sorted(subsets, key=lambda ix: (len(ix.members), ix.members[::-1])):
         elem = delta_I(f, index)
         gens.append(
             {

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .algebra import AlgebraMismatchError, AlgebraSpec, AlgElem
 from .frame import (
@@ -63,48 +63,22 @@ class LeibnizMonomial:
 
 @dataclass(frozen=True)
 class LeibnizForm:
+    """Sum of canonical monomials of one order, kept canonical by this
+    module alone: differentiated elements are primitive and no unit
+    multiples, coefficients are nonzero, factor lists are distinct and
+    sorted.  ``LeibnizForm.of`` normalizes monomials with new elements;
+    ``add``, ``sub``, ``odot`` and ``_odot_power`` only merge canonical
+    monomials, and ``scale`` and ``module_mul`` keep their factor lists."""
+
     spec: AlgebraSpec
     order: int
     terms: tuple[LeibnizMonomial, ...]
 
     @staticmethod
     def of(spec: AlgebraSpec, order: int, terms: Iterable[LeibnizMonomial]) -> LeibnizForm:
-        """Normalize: zero or unit-multiple differentiated elements kill a
-        monomial, scalar content moves into the coefficient, and equal
-        factor lists merge."""
-        acc: dict[tuple, tuple[AlgElem, tuple[Factor, ...]]] = {}
-        for mono in terms:
-            if mono.order != order:
-                raise ValueError("inhomogeneous sum of monomials")
-            coeff = mono.coeff
-            factors: list[Factor] = []
-            dead = False
-            for k, g in mono.factors:
-                if k < 1:
-                    raise ValueError("differential powers must be positive")
-                if g.unit_multiple() is not None:
-                    # d^k of a constant vanishes
-                    dead = True
-                    break
-                c, prim = g.content()
-                coeff = coeff.scale(c)
-                factors.append((k, prim))
-            if dead or coeff.is_zero():
-                continue
-            key = tuple((k, g.sort_key()) for k, g in factors)
-            if key in acc:
-                prev_coeff, prev_factors = acc[key]
-                total = prev_coeff.add(coeff)
-                if total.is_zero():
-                    del acc[key]
-                else:
-                    acc[key] = (total, prev_factors)
-            else:
-                acc[key] = (coeff, tuple(factors))
-        ordered = tuple(
-            LeibnizMonomial(acc[k][0], acc[k][1]) for k in sorted(acc.keys())
-        )
-        return LeibnizForm(spec, order, ordered)
+        """Normalize arbitrary monomials, then merge equal factor lists."""
+        normalized = (_normalize(mono, order) for mono in terms)
+        return _collect(spec, order, (mono for mono in normalized if mono is not None))
 
     @staticmethod
     def from_alg(a: AlgElem) -> LeibnizForm:
@@ -120,18 +94,17 @@ class LeibnizForm:
             raise AlgebraMismatchError("forms over different algebras")
         if self.order != other.order:
             raise ValueError(f"order mismatch: {self.order} vs {other.order}")
-        return LeibnizForm.of(self.spec, self.order, self.terms + other.terms)
+        return _collect(self.spec, self.order, self.terms + other.terms)
 
     def sub(self, other: LeibnizForm) -> LeibnizForm:
         return self.add(other.scale(Scalar.of(-1)))
 
     def scale(self, c: Union[Scalar, int]) -> LeibnizForm:
         c = c if isinstance(c, Scalar) else Scalar.of(c)
-        return LeibnizForm.of(
-            self.spec,
-            self.order,
-            [LeibnizMonomial(m.coeff.scale(c), m.factors) for m in self.terms],
-        )
+        if c.is_zero():
+            return LeibnizForm(self.spec, self.order, ())
+        terms = tuple(LeibnizMonomial(m.coeff.scale(c), m.factors) for m in self.terms)
+        return LeibnizForm(self.spec, self.order, terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -146,6 +119,42 @@ class LeibnizForm:
         if not self.terms:
             return "0"
         return " + ".join(str(m) for m in self.terms)
+
+
+def _normalize(mono: LeibnizMonomial, order: int) -> Optional[LeibnizMonomial]:
+    """Move every factor's content into the coefficient; None when a
+    differentiated element is a unit multiple (d^k of a constant vanishes)."""
+    if mono.order != order:
+        raise ValueError("inhomogeneous sum of monomials")
+    coeff = mono.coeff
+    factors: list[Factor] = []
+    for k, g in mono.factors:
+        if k < 1:
+            raise ValueError("differential powers must be positive")
+        if g.unit_multiple() is not None:
+            return None
+        c, prim = g.content()
+        coeff = coeff.scale(c)
+        factors.append((k, prim))
+    return LeibnizMonomial(coeff, tuple(factors))
+
+
+def _collect(spec: AlgebraSpec, order: int, terms: Iterable[LeibnizMonomial]) -> LeibnizForm:
+    """Merge normalized monomials by factor keys into canonical form."""
+    acc: dict[tuple, LeibnizMonomial] = {}
+    for mono in terms:
+        if mono.coeff.is_zero():
+            continue
+        key = tuple((k, g.sort_key()) for k, g in mono.factors)
+        if key in acc:
+            total = acc[key].coeff.add(mono.coeff)
+            if total.is_zero():
+                del acc[key]
+            else:
+                acc[key] = LeibnizMonomial(total, acc[key].factors)
+        else:
+            acc[key] = mono
+    return LeibnizForm(spec, order, tuple(acc[k] for k in sorted(acc)))
 
 
 def _monomial_str(mono: LeibnizMonomial) -> str:
@@ -180,9 +189,9 @@ def module_mul(a: AlgElem, w: LeibnizForm) -> LeibnizForm:
     """Left action of the base algebra: multiply every coefficient."""
     if a.spec != w.spec:
         raise AlgebraMismatchError("coefficient from a different algebra")
-    return LeibnizForm.of(
-        w.spec, w.order, [LeibnizMonomial(a.mul(m.coeff), m.factors) for m in w.terms]
-    )
+    # factor lists keep their order; a·coeff can be zero off the free backend
+    terms = (LeibnizMonomial(a.mul(m.coeff), m.factors) for m in w.terms)
+    return LeibnizForm(w.spec, w.order, tuple(m for m in terms if not m.coeff.is_zero()))
 
 
 def symbolic_delta(w: LeibnizForm) -> LeibnizForm:
@@ -209,7 +218,7 @@ def odot(u: LeibnizForm, v: LeibnizForm) -> LeibnizForm:
     if u.spec != v.spec:
         raise AlgebraMismatchError("forms over different algebras")
     parts = (_odot_mono(mu, mv) for mu in u.terms for mv in v.terms)
-    return LeibnizForm.of(u.spec, u.order + v.order, (m for part in parts for m in part.terms))
+    return _collect(u.spec, u.order + v.order, (m for part in parts for m in part.terms))
 
 
 def _odot_mono(mu: LeibnizMonomial, mv: LeibnizMonomial) -> LeibnizForm:
@@ -223,7 +232,7 @@ def _odot_mono(mu: LeibnizMonomial, mv: LeibnizMonomial) -> LeibnizForm:
 
 def _odot_power(k: int, g: AlgElem, w: LeibnizForm) -> LeibnizForm:
     parts = (_odot_power_mono(k, g, mono) for mono in w.terms)
-    return LeibnizForm.of(w.spec, w.order + k, (m for part in parts for m in part.terms))
+    return _collect(w.spec, w.order + k, (m for part in parts for m in part.terms))
 
 
 @lru_cache(maxsize=None)
@@ -241,7 +250,7 @@ def _odot_power_mono(k: int, g: AlgElem, mono: LeibnizMonomial) -> LeibnizForm:
 
 
 def _as_form(mono: LeibnizMonomial) -> LeibnizForm:
-    return LeibnizForm.of(mono.coeff.spec, mono.order, [mono])
+    return LeibnizForm(mono.coeff.spec, mono.order, (mono,))
 
 
 # -- embedding into the frame tower --------------------------------------
@@ -261,7 +270,7 @@ def _embed_mono(mono: LeibnizMonomial) -> FrameElem:
         k, g = mono.factors[0]
         return lift_to(mono.coeff, n).mul(delta_iter(g, k))
     (k, g), rest = mono.factors[0], mono.factors[1:]
-    sigma = LeibnizForm.monomial(mono.coeff.spec.unit(), rest)
+    sigma = _as_form(LeibnizMonomial(mono.coeff.spec.unit(), rest))
     return lift_to(mono.coeff, n).mul(_embed_power(k, g, sigma))
 
 

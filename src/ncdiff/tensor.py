@@ -120,7 +120,7 @@ class TensorPoly:
         return {
             "degree": self.degree,
             "terms": [
-                {"coeff": c.to_json(), "factors": [_elem_to_json(f) for f in factors]}
+                {"coeff": c.to_json(), "factors": [f.to_json() for f in factors]}
                 for c, factors in self.terms
             ],
         }
@@ -191,18 +191,6 @@ def tensor_sum(spec: AlgebraSpec, degree: int, parts: Iterable[TensorPoly]) -> T
 def _slot_str(f: AlgElem) -> str:
     s = str(f)
     return f"({s})" if (" + " in s or " - " in s) else s
-
-
-def _elem_to_json(f: AlgElem):
-    from .algebra import FreePoly, FuncElem, MatElem
-
-    if isinstance(f, FreePoly):
-        return {"words": [[list(w), c.to_json()] for w, c in f.terms]}
-    if isinstance(f, FuncElem):
-        return {"values": [v.to_json() for v in f.values]}
-    if isinstance(f, MatElem):
-        return {"rows": [[e.to_json() for e in row] for row in f.rows]}
-    raise TypeError(f"unknown element type {type(f)!r}")
 
 
 # -- products and maps --------------------------------------------------
@@ -411,7 +399,3 @@ def omega_product(u: OmegaMonomial, v: OmegaMonomial) -> tuple[OmegaMonomial, ..
             if not prod.is_trivially_zero():
                 out.append(prod)
     return tuple(out)
-
-
-def omega_sum_to_tensor(monomials: Iterable[OmegaMonomial], spec: AlgebraSpec, degree: int) -> TensorPoly:
-    return tensor_sum(spec, degree, (omega_to_tensor(m) for m in monomials))

@@ -69,8 +69,8 @@ def test_commutative_mode_sorts_words():
 
 
 def test_canonical_form_idempotent():
-    e = FreePoly.of(FREE, {("f", "g"): integer(2), ("g",): integer(-1), ("h",): integer(0)})
-    again = FreePoly.of(FREE, dict(e.terms))
+    e = FreePoly.of(FREE, [(("f", "g"), integer(2)), (("g",), integer(-1)), (("h",), integer(0))])
+    again = FreePoly.of(FREE, e.terms)
     assert e == again
     assert all(not c.is_zero() for _, c in e.terms)
 

@@ -144,7 +144,10 @@ def test_matrix_dimension_cap(spec_file, capsys):
     code, _, err = run(
         capsys, "matrix", "--algebra", path, "--expr", "d3(f)", "--max-dim", "100"
     )
-    assert code == 2 and "exceeds" in err
+    assert code == 2 and "result dimension 256 exceeds the cap 100" in err
+    # checked before embedding: level 40 would never finish
+    code, _, err = run(capsys, "matrix", "--algebra", path, "--expr", "d40(f)")
+    assert code == 2 and "result dimension 2^(2^40) exceeds the cap 256" in err
 
 
 def test_generators_table(spec_file, capsys):
@@ -215,6 +218,17 @@ def test_parse_error_exit_code(spec_file, capsys):
         (FREE_DOC, ["generators", "--level", "-1"]),
         (FREE_DOC, ["generators", "--symbol", "q"]),
         (TWO_POINT_DOC, ["eval", "--expr", "d(x)", "--tuples", "L,Q"]),
+        ({**TWO_POINT_DOC, "values": [1]}, ["expand", "--expr", "d(x)"]),
+        ({**MAT_DOC, "matrices": []}, ["expand", "--expr", "d(f)"]),
+        ({**MAT_DOC, "matrices": {"f": [5]}}, ["expand", "--expr", "d(f)"]),
+        ({**FREE_DOC, "symbols": 5}, ["expand", "--expr", "d(f)"]),
+        ({**TWO_POINT_DOC, "points": 5}, ["expand", "--expr", "d(x)"]),
+        ({**FREE_DOC, "symbols": [["f"]]}, ["expand", "--expr", "d(f)"]),
+        (
+            {"backend": "matrix", "dim": True, "matrices": {"f": [[[2, 1]]]}},
+            ["expand", "--expr", "d(f)"],
+        ),
+        ({**FREE_DOC, "symbols": "fg"}, ["expand", "--expr", "d(f)"]),
     ],
     ids=[
         "non-object",
@@ -224,6 +238,14 @@ def test_parse_error_exit_code(spec_file, capsys):
         "negative-level",
         "unknown-symbol",
         "unknown-point",
+        "values-list",
+        "matrices-list",
+        "matrix-row-not-list",
+        "symbols-number",
+        "points-number",
+        "symbol-not-string",
+        "dim-bool",
+        "symbols-string",
     ],
 )
 def test_malformed_input_exits_2_without_traceback(spec_file, capsys, doc, argv):

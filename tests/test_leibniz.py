@@ -13,7 +13,7 @@ from ncdiff.leibniz import (
     odot,
     symbolic_delta,
 )
-from ncdiff.scalars import integer
+from ncdiff.scalars import Scalar, integer
 from ncdiff.tensor import TensorPoly
 from ncdiff.verify import (
     EXPANSION_TABLE,
@@ -227,3 +227,79 @@ def test_odot_is_bilinear(rng):
         w = random_leibniz_form(SPEC, v.order, rng)
         assert embed(odot(u, v + w)) == embed(odot(u, v) + odot(u, w))
         assert embed(odot(v + w, u)) == embed(odot(v, u) + odot(w, u))
+
+
+# (spec, a, b): a·b == 0 for the function and matrix backends
+ORACLE_CASES = {
+    "free": (AlgebraSpec.free(("f", "g", "h")), None, None),
+    "comm": (AlgebraSpec.free(("f", "g", "h"), commutative=True), None, None),
+    "func": (
+        AlgebraSpec.function(("P", "Q", "S"), {"x": (1, 0, 0), "y": (0, 1, 2), "z": (3, -1, 1)}),
+        "x",
+        "y",
+    ),
+    "mat": (
+        AlgebraSpec.matrix(
+            2, {"n": [[0, 1], [0, 0]], "f": [[3, 1], [2, 7]], "g": [[0, 1], [1, 0]]}
+        ),
+        "n",
+        "n",
+    ),
+}
+
+
+def random_canonical_form(spec, order, pool, rng):
+    """A canonical form whose monomials share factors often enough to merge."""
+    monos = []
+    for _ in range(rng.randint(0, 4)):
+        comp = rng.choice(enumerate_types(order)) if order else ()
+        factors = tuple((k, rng.choice(pool)) for k in comp)
+        monos.append(LeibnizMonomial(rng.choice(pool), factors))
+    return LeibnizForm.of(spec, order, monos)
+
+
+def assert_normalizes_to(got, spec, order, raw_monomials):
+    want = LeibnizForm.of(spec, order, raw_monomials)
+    assert got == want
+    assert got.terms == want.terms
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+def test_collect_only_operations_match_full_normalization(case, rng):
+    """Operations that only merge canonical monomials equal LeibnizForm.of
+    on the raw monomials, term order included."""
+    spec, a_name, b_name = case
+    syms = [spec.symbol(s) for s in spec.symbols]
+    two = Scalar.of(2)
+    pool = [spec.unit(), *syms, syms[0].scale(two), syms[1].add(spec.unit()), syms[0].mul(syms[1])]
+    pool.append(random_elem(spec, rng))
+    multipliers = [spec.zero(), syms[0], pool[-1]]
+    if a_name is not None:
+        multipliers.append(spec.symbol(a_name))
+    for _ in range(25):
+        n, m = rng.randint(0, 2), rng.randint(0, 2)
+        u, v = random_canonical_form(spec, n, pool, rng), random_canonical_form(spec, n, pool, rng)
+        w = random_canonical_form(spec, m, pool, rng)
+        c = Scalar.of(rng.randint(-2, 2), rng.randint(-1, 1))
+        assert_normalizes_to(u + v, spec, n, u.terms + v.terms)
+        negated_v = [LeibnizMonomial(t.coeff.neg(), t.factors) for t in v.terms]
+        assert_normalizes_to(u - v, spec, n, u.terms + tuple(negated_v))
+        scaled = [LeibnizMonomial(t.coeff.scale(c), t.factors) for t in u.terms]
+        assert_normalizes_to(u.scale(c), spec, n, scaled)
+        assert u.scale(0).terms == ()
+        assert (u - u).is_zero()
+        one_term = lambda t: LeibnizForm.of(spec, t.order, [t])
+        parts = [odot(one_term(s), one_term(t)).terms for s in u.terms for t in w.terms]
+        assert_normalizes_to(odot(u, w), spec, n + m, [t for part in parts for t in part])
+        for a in multipliers:
+            multiplied = [LeibnizMonomial(a.mul(t.coeff), t.factors) for t in u.terms]
+            assert_normalizes_to(module_mul(a, u), spec, n, multiplied)
+    if a_name is not None:
+        # a·b == 0 kills exactly the monomial whose coefficient is b
+        a, b = spec.symbol(a_name), spec.symbol(b_name)
+        kept = LeibnizMonomial(spec.unit(), ((1, syms[0]),))
+        form = LeibnizForm.of(spec, 1, [LeibnizMonomial(b, ((1, syms[-1]),)), kept])
+        killed = module_mul(a, form)
+        assert len(form.terms) == 2 and len(killed.terms) == 1
+        raw = [LeibnizMonomial(a.mul(t.coeff), t.factors) for t in form.terms]
+        assert_normalizes_to(killed, spec, 1, raw)
