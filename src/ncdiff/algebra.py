@@ -16,6 +16,9 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 from .scalars import ONE, ZERO, Scalar
 
 Word = tuple[str, ...]
+#: a basis element of a backend: a word, or a 0/1 value or entry pattern
+Label = tuple
+Decomposition = tuple[tuple[Scalar, Label], ...]
 
 
 class AlgebraMismatchError(ValueError):
@@ -40,6 +43,8 @@ class AlgebraSpec:
         if self.backend == "function":
             if not self.points:
                 raise ValueError("function backend needs a point list")
+            if len(set(self.points)) != len(self.points):
+                raise ValueError("point names must be unique")
             for name, vals in self.values:
                 if len(vals) != len(self.points):
                     raise ValueError(f"value table for {name!r} does not cover every point")
@@ -104,20 +109,28 @@ class AlgebraSpec:
         raise KeyError(f"unknown symbol {name!r}")
 
     def unit(self) -> AlgElem:
-        if self.backend == "free":
-            return FreePoly(self, (((), ONE),))
-        if self.backend == "function":
-            return FuncElem(self, tuple(ONE for _ in self.points))
-        return MatElem(
-            self,
-            tuple(
-                tuple(ONE if i == j else ZERO for j in range(self.dim))
-                for i in range(self.dim)
-            ),
-        )
+        return self.basis_elem(self.unit_label())
 
     def zero(self) -> AlgElem:
         return self.unit().scale(ZERO)
+
+    def unit_label(self) -> Label:
+        if self.backend == "free":
+            return ()
+        if self.backend == "function":
+            return (1,) * len(self.points)
+        n = self.dim
+        return tuple(int(p % (n + 1) == 0) for p in range(n * n))
+
+    def basis_elem(self, label: Label) -> AlgElem:
+        """The basis element a label names (see ``basis_decomposition``)."""
+        if self.backend == "free":
+            return FreePoly(self, ((label, ONE),))
+        entries = tuple(ONE if b else ZERO for b in label)
+        if self.backend == "function":
+            return FuncElem(self, entries)
+        n = self.dim
+        return MatElem(self, tuple(entries[i * n : i * n + n] for i in range(n)))
 
     def scalar(self, c: Union[Scalar, int]) -> AlgElem:
         c = c if isinstance(c, Scalar) else Scalar.of(c)
@@ -147,7 +160,10 @@ class AlgebraSpec:
         backend = doc.get("backend")
         if backend == "free":
             symbols = _json_names(doc, "symbols")
-            return AlgebraSpec.free(symbols, bool(doc.get("commutative", False)))
+            commutative = doc.get("commutative", False)
+            if not isinstance(commutative, bool):
+                raise ValueError(f"commutative must be true or false, not {commutative!r}")
+            return AlgebraSpec.free(symbols, commutative)
         if backend == "function":
             points = _json_names(doc, "points")
             values = {}
@@ -237,12 +253,16 @@ class AlgElem:
     def to_json(self):
         raise NotImplementedError
 
-    def basis_decomposition(self) -> tuple[tuple[Scalar, AlgElem], ...]:
-        """Expand over the backend's canonical spanning family.
+    def basis_decomposition(self) -> Decomposition:
+        """Expand over the backend's canonical spanning family, as
+        (coefficient, label) pairs; ``spec.basis_elem`` rebuilds the element.
 
         The family contains the unit, so tensor slots padded with units
         stay single components; multilinear expansion over it makes
-        tensor equality complete, not just sound.
+        tensor equality complete, not just sound.  A label is the word of
+        a free basis monomial, or the 0/1 value pattern (function) or
+        row-major entry pattern (matrix) of the basis element, so labels
+        sort exactly as the basis elements' ``sort_key``s do.
         """
         raise NotImplementedError
 
@@ -325,8 +345,8 @@ class FreePoly(AlgElem):
     def to_json(self) -> dict:
         return {"words": [[list(w), c.to_json()] for w, c in self.terms]}
 
-    def basis_decomposition(self) -> tuple[tuple[Scalar, FreePoly], ...]:
-        return tuple((c, FreePoly(self.spec, ((w, ONE),))) for w, c in self.terms)
+    def basis_decomposition(self) -> Decomposition:
+        return tuple((c, w) for w, c in self.terms)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -383,20 +403,9 @@ class FuncElem(AlgElem):
     def to_json(self) -> dict:
         return {"values": [v.to_json() for v in self.values]}
 
-    def basis_decomposition(self) -> tuple[tuple[Scalar, FuncElem], ...]:
-        # spanning family: the unit plus the indicators of all points but
-        # the last (the last indicator is the unit minus the others)
-        n = len(self.values)
-        base = self.values[-1]
-        out = []
-        if not base.is_zero():
-            out.append((base, FuncElem(self.spec, tuple(ONE for _ in range(n)))))
-        for i in range(n - 1):
-            c = self.values[i] - base
-            if not c.is_zero():
-                indicator = FuncElem(self.spec, tuple(ONE if j == i else ZERO for j in range(n)))
-                out.append((c, indicator))
-        return tuple(out)
+    def basis_decomposition(self) -> Decomposition:
+        # the unit plus the indicators of all points but the last
+        return _pattern_decomposition(self.values, self.spec.unit_label())
 
     def __str__(self) -> str:
         c = self.unit_multiple()
@@ -461,29 +470,9 @@ class MatElem(AlgElem):
     def to_json(self) -> dict:
         return {"rows": [[e.to_json() for e in row] for row in self.rows]}
 
-    def basis_decomposition(self) -> tuple[tuple[Scalar, MatElem], ...]:
-        # spanning family: the identity plus all matrix units except the
-        # bottom-right one
-        n = self.spec.dim
-        base = self.rows[-1][-1]
-        out = []
-        if not base.is_zero():
-            out.append((base, self.spec.unit()))
-        for i in range(n):
-            for j in range(n):
-                if i == n - 1 and j == n - 1:
-                    continue
-                c = self.rows[i][j] - (base if i == j else ZERO)
-                if not c.is_zero():
-                    unit_mat = MatElem(
-                        self.spec,
-                        tuple(
-                            tuple(ONE if (r, s) == (i, j) else ZERO for s in range(n))
-                            for r in range(n)
-                        ),
-                    )
-                    out.append((c, unit_mat))
-        return tuple(out)
+    def basis_decomposition(self) -> Decomposition:
+        # the identity plus all matrix units but the bottom-right one
+        return _pattern_decomposition(sum(self.rows, ()), self.spec.unit_label())
 
     def __str__(self) -> str:
         c = self.unit_multiple()
@@ -493,6 +482,21 @@ class MatElem(AlgElem):
         if name is not None:
             return name
         return "[" + "; ".join(", ".join(str(e) for e in row) for row in self.rows) + "]"
+
+
+def _pattern_decomposition(entries: tuple[Scalar, ...], unit_pattern: Label) -> Decomposition:
+    """Expand entries over the unit pattern plus the one-hot patterns of
+    every position but the last, which the unit covers."""
+    m = len(entries)
+    base = entries[-1]
+    out = []
+    if not base.is_zero():
+        out.append((base, unit_pattern))
+    for p in range(m - 1):
+        c = entries[p] - base if unit_pattern[p] else entries[p]
+        if not c.is_zero():
+            out.append((c, (0,) * p + (1,) + (0,) * (m - p - 1)))
+    return tuple(out)
 
 
 def func_as_diagonal(a: FuncElem) -> MatElem:

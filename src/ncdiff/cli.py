@@ -97,12 +97,14 @@ def _generator_basis_doc(frame: FrameElem) -> list[dict]:
     """Factor every elementary tensor of the expansion over the generator
     family: each occupied slot contributes the subset-sum of generators
     that assembles its slot embedding."""
+    spec = frame.spec
     out = []
-    for coeff, factors in frame.body.terms:
+    for coeff, labels in frame.body.terms:
         slots = []
-        for j, elem in enumerate(factors):
-            if elem.unit_multiple() is not None and elem.unit_multiple().is_one():
+        for j, label in enumerate(labels):
+            if label == spec.unit_label():
                 continue
+            elem = spec.basis_elem(label)
             subsets = slot_in_generators(elem, j, frame.level)
             rendered = " + ".join(generator_str(ix, str(elem)) for ix in subsets)
             slots.append(f"({rendered})" if len(subsets) > 1 else rendered)

@@ -9,10 +9,11 @@ multiplication by an upper-triangular 2x2 transfer matrix.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
+
+from .parser import ParseError, TokenStream
 
 Rat = Fraction
 
@@ -87,74 +88,53 @@ class Poly2:
         return total
 
 
-_POLY_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|(\*\*|[-+*^()]))")
-
-
 def parse_poly2(text: str, vars: tuple[str, str]) -> Poly2:
-    """Parse ``+ - * ^`` polynomial syntax over two named variables."""
-    tokens: list[str] = []
-    pos = 0
-    while pos < len(text):
-        m = _POLY_TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            raise ValueError(f"bad polynomial syntax near column {pos + 1}")
-        tokens.append(m.group(0).strip())
-        pos = m.end()
-    tokens.append("<end>")
-    i = 0
-
-    def peek() -> str:
-        return tokens[i]
-
-    def take() -> str:
-        nonlocal i
-        t = tokens[i]
-        i += 1
-        return t
+    """Parse ``+ - * ^`` polynomial syntax over two named variables; ``**``
+    is ``^``.  Errors raise ``ParseError`` (a ``ValueError``) at their line
+    and column."""
+    ts = TokenStream(text)
 
     def atom() -> Poly2:
-        t = take()
-        if t == "(":
+        t = ts.take()
+        if t.text == "(":
             e = expr()
-            if take() != ")":
-                raise ValueError("expected ')'")
-        elif t.isdigit():
-            e = Poly2.const(int(t))
-        elif t == vars[0]:
-            e = Poly2.var(0)
-        elif t == vars[1]:
-            e = Poly2.var(1)
-        elif t == "-":
+            ts.expect(")")
+        elif t.kind == "int":
+            e = Poly2.const(int(t.text))
+        elif t.kind == "name" and t.text in vars:
+            e = Poly2.var(vars.index(t.text))
+        elif t.text == "-":
             return atom().scale(-1)
         else:
-            raise ValueError(f"unexpected token {t!r}")
-        while peek() in ("^", "**"):
-            take()
-            n = take()
-            if not n.isdigit():
-                raise ValueError("exponent must be a nonnegative integer")
-            e = e.pow(int(n))
+            raise ParseError("expected expression", t.line, t.col)
+        while ts.peek().text in ("^", "**"):
+            ts.take()
+            n = ts.take()
+            if n.kind != "int":
+                raise ParseError("exponent must be a nonnegative integer", n.line, n.col)
+            e = e.pow(int(n.text))
         return e
 
     def product() -> Poly2:
         e = atom()
-        while peek() == "*":
-            take()
+        while ts.peek().text == "*":
+            ts.take()
             e = e * atom()
         return e
 
     def expr() -> Poly2:
         e = product()
-        while peek() in ("+", "-"):
-            if take() == "+":
+        while ts.peek().text in ("+", "-"):
+            if ts.take().text == "+":
                 e = e + product()
             else:
                 e = e - product()
         return e
 
     out = expr()
-    if take() != "<end>":
-        raise ValueError("trailing input after polynomial")
+    end = ts.take()
+    if end.kind != "end":
+        raise ParseError("trailing input after polynomial", end.line, end.col)
     return out
 
 

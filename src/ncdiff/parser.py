@@ -87,7 +87,8 @@ class Sub(Node):
 
 FormExpr = Node
 
-_TOKEN = re.compile(r"(\d+)|([A-Za-z_]\w*)|([@*+\-^()/])|(\S)")
+# ``**`` is one token so that forms reject it and polynomials read it as ``^``
+_TOKEN = re.compile(r"(\d+)|([A-Za-z_]\w*)|(\*\*|[@*+\-^()/])|(\S)")
 
 
 @dataclass(frozen=True)
@@ -122,9 +123,11 @@ def _tokenize(text: str) -> list[_Tok]:
     return out
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Tok]):
-        self.tokens = tokens
+class TokenStream:
+    """A cursor over the tokens of a text, shared with ``jets.parse_poly2``."""
+
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
         self.i = 0
 
     def peek(self) -> _Tok:
@@ -141,6 +144,8 @@ class _Parser:
             raise ParseError(f"expected {text!r}", tok.line, tok.col)
         return tok
 
+
+class _Parser(TokenStream):
     def parse_expr(self) -> Node:
         node = self.parse_term()
         while self.peek().text in ("+", "-"):
@@ -172,6 +177,8 @@ class _Parser:
                 den = self.take()
                 if den.kind != "int":
                     raise ParseError("expected denominator", den.line, den.col)
+                if int(den.text) == 0:
+                    raise ParseError("zero denominator", den.line, den.col)
                 value = Fraction(int(tok.text), int(den.text))
             lit = Lit(tok.line, tok.col, value)
             if self.peek().text == "*":
@@ -222,7 +229,7 @@ class _Parser:
 
 
 def parse(text: str) -> FormExpr:
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     node = parser.parse_expr()
     end = parser.take()
     if end.kind != "end":

@@ -11,14 +11,16 @@ map based on d b = 1 (x) b - b (x) 1.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
-from .algebra import AlgebraMismatchError, AlgebraSpec, AlgElem, func_as_diagonal
+from .algebra import AlgebraMismatchError, AlgebraSpec, AlgElem, Decomposition, Label
 from .scalars import ONE, ZERO, Scalar
 
-Term = tuple[Scalar, tuple[AlgElem, ...]]
+Term = tuple[Scalar, tuple[Label, ...]]
+ElemTerm = tuple[Scalar, Sequence[AlgElem]]
 
 
 @dataclass(frozen=True)
@@ -26,11 +28,12 @@ class TensorPoly:
     """Finite linear combination of ``degree``-fold elementary tensors.
 
     The terms are always canonical, and this module alone keeps them so:
-    every factor is a basis element of the backend (an entry of some
-    ``basis_decomposition``), terms are sorted by their slot keys, and no
-    coefficient is zero.  Then ``==`` is a complete equality test.  The
-    dataclass constructor takes canonical terms only; ``TensorPoly.of``
-    is the entry point for arbitrary elements.
+    a term is (coefficient, one basis label per slot; see
+    ``AlgElem.basis_decomposition``), terms are sorted by label tuples,
+    and no coefficient is zero.  Then ``==`` is a complete equality test.
+    Labels sort as the basis elements' ``sort_key``s do, so term order is
+    the same as with element slots.  The dataclass constructor takes
+    canonical terms only; ``TensorPoly.of`` takes arbitrary elements.
     """
 
     spec: AlgebraSpec
@@ -42,8 +45,8 @@ class TensorPoly:
             raise ValueError("tensor degree must be at least 1")
 
     @staticmethod
-    def of(spec: AlgebraSpec, degree: int, terms: Iterable[Term]) -> TensorPoly:
-        """Build in canonical form from arbitrary elements.
+    def of(spec: AlgebraSpec, degree: int, terms: Iterable[ElemTerm]) -> TensorPoly:
+        """Build in canonical form from terms whose slots are elements.
 
         Every slot is expanded multilinearly over the backend's spanning
         family, so f (x) (a+b) and f (x) a + f (x) b normalize identically.
@@ -57,7 +60,7 @@ class TensorPoly:
     @staticmethod
     def unit(spec: AlgebraSpec, degree: int) -> TensorPoly:
         # the unit is a basis element of every backend
-        return TensorPoly(spec, degree, ((ONE, (spec.unit(),) * degree),))
+        return TensorPoly(spec, degree, ((ONE, (spec.unit_label(),) * degree),))
 
     @staticmethod
     def zero(spec: AlgebraSpec, degree: int) -> TensorPoly:
@@ -90,9 +93,8 @@ class TensorPoly:
     def unit_multiple(self) -> Union[Scalar, None]:
         if not self.terms:
             return ZERO
-        if len(self.terms) == 1 and all(
-            f.unit_multiple() is not None and f.unit_multiple().is_one() for f in self.terms[0][1]
-        ):
+        unit = self.spec.unit_label()
+        if len(self.terms) == 1 and all(label == unit for label in self.terms[0][1]):
             return self.terms[0][0]
         return None
 
@@ -117,11 +119,12 @@ class TensorPoly:
     # -- serialization / printing ---------------------------------------
 
     def to_json(self) -> dict:
+        basis = self.spec.basis_elem
         return {
             "degree": self.degree,
             "terms": [
-                {"coeff": c.to_json(), "factors": [f.to_json() for f in factors]}
-                for c, factors in self.terms
+                {"coeff": c.to_json(), "factors": [basis(label).to_json() for label in labels]}
+                for c, labels in self.terms
             ],
         }
 
@@ -129,8 +132,8 @@ class TensorPoly:
         if not self.terms:
             return "0"
         out = []
-        for i, (c, factors) in enumerate(self.terms):
-            body = "⊗".join(_slot_str(f) for f in factors)
+        for i, (c, labels) in enumerate(self.terms):
+            body = "⊗".join(_slot_str(self.spec.basis_elem(label)) for label in labels)
             if c.is_one():
                 sign, mag = "+", body
             elif c == Scalar.of(-1):
@@ -144,8 +147,8 @@ class TensorPoly:
         return " ".join(out)
 
 
-def _expand(spec: AlgebraSpec, degree: int, terms: Iterable[Term]) -> Iterator[Term]:
-    """Expand arbitrary terms multilinearly over the backend basis."""
+def _expand(spec: AlgebraSpec, degree: int, terms: Iterable[ElemTerm]) -> Iterator[Term]:
+    """Expand terms over elements multilinearly over the backend basis."""
     for coeff, factors in terms:
         factors = tuple(factors)
         if len(factors) != degree:
@@ -153,30 +156,26 @@ def _expand(spec: AlgebraSpec, degree: int, terms: Iterable[Term]) -> Iterator[T
         for f in factors:
             if f.spec != spec:
                 raise AlgebraMismatchError("tensor slot from a different algebra")
-        if coeff.is_zero():
-            continue
-        for combo in itertools.product(*(f.basis_decomposition() for f in factors)):
-            c = coeff
-            for ci, _ in combo:
-                c = c * ci
-            yield c, tuple(b for _, b in combo)
+        if not coeff.is_zero():
+            yield from _multilinear(coeff, (), [f.basis_decomposition() for f in factors], ())
+
+
+def _multilinear(coeff: Scalar, head: tuple, slots: list, tail: tuple) -> Iterator[Term]:
+    """Expand coeff * head (x) slots (x) tail; a slot lists (coeff, label) pairs."""
+    for combo in itertools.product(*slots):
+        c = coeff
+        for ci, _ in combo:
+            c = c * ci
+        yield c, head + tuple(label for _, label in combo) + tail
 
 
 def _collect(spec: AlgebraSpec, degree: int, terms: Iterable[Term]) -> TensorPoly:
-    """Merge terms over basis elements by slot keys into canonical form."""
-    acc: dict[tuple, Term] = {}
-    for coeff, factors in terms:
-        key = tuple(b.sort_key() for b in factors)
-        if key in acc:
-            prev_c, prev_f = acc[key]
-            total = prev_c + coeff
-            if total.is_zero():
-                del acc[key]
-            else:
-                acc[key] = (total, prev_f)
-        else:
-            acc[key] = (coeff, factors)
-    return TensorPoly(spec, degree, tuple(acc[k] for k in sorted(acc)))
+    """Merge terms by label tuple into canonical form."""
+    acc: dict[tuple, Scalar] = {}
+    for coeff, labels in terms:
+        acc[labels] = acc[labels] + coeff if labels in acc else coeff
+    kept = sorted(labels for labels, c in acc.items() if not c.is_zero())
+    return TensorPoly(spec, degree, tuple((acc[labels], labels) for labels in kept))
 
 
 def tensor_sum(spec: AlgebraSpec, degree: int, parts: Iterable[TensorPoly]) -> TensorPoly:
@@ -197,7 +196,7 @@ def _slot_str(f: AlgElem) -> str:
 
 
 def tensor_concat(u: TensorPoly, v: TensorPoly) -> TensorPoly:
-    """Bilinear concatenation of factor tuples.
+    """Bilinear concatenation of label tuples.
 
     Needs no normalization: the key of fu + fv is the key of fu followed
     by that of fv, so nested walks over canonical operands give distinct
@@ -209,14 +208,29 @@ def tensor_concat(u: TensorPoly, v: TensorPoly) -> TensorPoly:
     return TensorPoly(u.spec, u.degree + v.degree, terms)
 
 
+def _glue(spec: AlgebraSpec, degree: int, items: Iterable[tuple]) -> TensorPoly:
+    """The one product loop.  An item (coeff, head, pairs, tail) stands for
+    coeff * head (x) a1 b1 (x) ... (x) tail; a product of basis labels may
+    leave the basis (E10 E01 = E11), so it is expanded over it again."""
+
+    @functools.cache
+    def product(pair: tuple[Label, Label]) -> Decomposition:
+        a, b = (spec.basis_elem(label) for label in pair)
+        return a.mul(b).basis_decomposition()
+
+    terms = (
+        term
+        for coeff, head, pairs, tail in items
+        for term in _multilinear(coeff, head, [product(pair) for pair in pairs], tail)
+    )
+    return _collect(spec, degree, terms)
+
+
 def componentwise_product(u: TensorPoly, v: TensorPoly) -> TensorPoly:
     """Slotwise product: the multiplication of the p-fold product algebra."""
     u._check_compatible(v)
-    terms = []
-    for cu, fu in u.terms:
-        for cv, fv in v.terms:
-            terms.append((cu * cv, tuple(a.mul(b) for a, b in zip(fu, fv))))
-    return TensorPoly.of(u.spec, u.degree, terms)
+    items = ((cu * cv, (), zip(fu, fv), ()) for cu, fu in u.terms for cv, fv in v.terms)
+    return _glue(u.spec, u.degree, items)
 
 
 def t_algebra_product(u: TensorPoly, v: TensorPoly, block: int = 1) -> TensorPoly:
@@ -229,12 +243,12 @@ def t_algebra_product(u: TensorPoly, v: TensorPoly, block: int = 1) -> TensorPol
         raise AlgebraMismatchError("tensors over different algebras")
     if u.degree % block or v.degree % block:
         raise ValueError("degrees must be multiples of the block width")
-    terms = []
-    for cu, fu in u.terms:
-        for cv, fv in v.terms:
-            glued = tuple(a.mul(b) for a, b in zip(fu[-block:], fv[:block]))
-            terms.append((cu * cv, fu[:-block] + glued + fv[block:]))
-    return TensorPoly.of(u.spec, u.degree + v.degree - block, terms)
+    items = (
+        (cu * cv, fu[:-block], zip(fu[-block:], fv[:block]), fv[block:])
+        for cu, fu in u.terms
+        for cv, fv in v.terms
+    )
+    return _glue(u.spec, u.degree + v.degree - block, items)
 
 
 def mult_map(p: int, u: TensorPoly) -> TensorPoly:
@@ -242,25 +256,21 @@ def mult_map(p: int, u: TensorPoly) -> TensorPoly:
     as a pair of p-blocks and multiplying them slotwise."""
     if u.degree != 2 * p:
         raise ValueError(f"degree {u.degree} is not 2*{p}")
-    terms = [
-        (c, tuple(f[i].mul(f[p + i]) for i in range(p))) for c, f in u.terms
-    ]
-    return TensorPoly.of(u.spec, p, terms)
+    return _glue(u.spec, p, ((c, (), zip(f[:p], f[p:]), ()) for c, f in u.terms))
 
 
 def tensor_eval(u: TensorPoly, pts: Sequence[str]) -> Scalar:
-    """Evaluate a function-backend tensor at one tuple of points."""
+    """Evaluate a function-backend tensor at one tuple of points: a term
+    counts when the 0/1 pattern of each slot is 1 at its point."""
     if u.spec.backend != "function":
         raise AlgebraMismatchError("tensor_eval needs the function backend")
     if len(pts) != u.degree:
         raise ValueError(f"expected {u.degree} points, got {len(pts)}")
     idx = [u.spec.point_index(p) for p in pts]
     total = ZERO
-    for c, factors in u.terms:
-        prod = c
-        for f, i in zip(factors, idx):
-            prod = prod * f.values[i]
-        total = total + prod
+    for c, labels in u.terms:
+        if all(label[i] for label, i in zip(labels, idx)):
+            total = total + c
     return total
 
 
@@ -278,31 +288,31 @@ def kron(a: list[list[Scalar]], b: list[list[Scalar]]) -> list[list[Scalar]]:
 
 
 def tensor_to_matrix(u: TensorPoly) -> list[list[Scalar]]:
-    """Dense matrix realization via iterated Kronecker products.
+    """Dense matrix realization of the iterated Kronecker products.
 
     Slot 0 indexes the fastest-varying digit, so the last tensor factor
     forms the outermost Kronecker block; this matches the convention of
-    representing 1 (x) f as the block-scaled identity.
+    representing 1 (x) f as the block-scaled identity.  Basis matrices are
+    0/1, so a term adds its coefficient at each index built from one entry
+    of each slot's support: (i, i) on a function pattern, divmod(p, dim)
+    on a matrix pattern.
     """
     if u.spec.backend == "function":
         dim = len(u.spec.points)
-        mats_of = lambda f: [list(r) for r in func_as_diagonal(f).rows]
+        support = lambda label: [(i, i) for i, b in enumerate(label) if b]
     elif u.spec.backend == "matrix":
         dim = u.spec.dim
-        mats_of = lambda f: [list(r) for r in f.rows]
+        support = lambda label: [divmod(p, dim) for p, b in enumerate(label) if b]
     else:
         raise AlgebraMismatchError("dense realization needs the matrix or function backend")
     size = dim**u.degree
     out = [[ZERO] * size for _ in range(size)]
-    for c, factors in u.terms:
-        acc = mats_of(factors[0])
-        for f in factors[1:]:
-            acc = kron(mats_of(f), acc)
-        for i in range(size):
-            row = acc[i]
-            for j in range(size):
-                if not row[j].is_zero():
-                    out[i][j] = out[i][j] + c * row[j]
+    for c, labels in u.terms:
+        for entries in itertools.product(*(support(label) for label in reversed(labels))):
+            i = j = 0
+            for r, s in entries:
+                i, j = i * dim + r, j * dim + s
+            out[i][j] = out[i][j] + c
     return out
 
 

@@ -8,7 +8,7 @@ from ncdiff.tensor import TensorPoly
 
 def flatten(body: TensorPoly) -> dict:
     """Coefficient vector of a tensor over its canonical term basis."""
-    return {tuple(f.sort_key() for f in factors): c for c, factors in body.terms}
+    return {labels: c for c, labels in body.terms}
 
 
 def rank(vectors: list[dict]) -> int:

@@ -1,6 +1,8 @@
+import copy
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ncdiff.cli import main
 
@@ -229,6 +231,11 @@ def test_parse_error_exit_code(spec_file, capsys):
             ["expand", "--expr", "d(f)"],
         ),
         ({**FREE_DOC, "symbols": "fg"}, ["expand", "--expr", "d(f)"]),
+        (FREE_DOC, ["expand", "--expr", "1/0*f"]),
+        ({**FREE_DOC, "commutative": "false"}, ["expand", "--expr", "d(f*g - g*f)"]),
+        ({**FREE_DOC, "commutative": 1}, ["expand", "--expr", "d(f)"]),
+        ({**TWO_POINT_DOC, "points": ["L", "L"]}, ["eval", "--expr", "x", "--all"]),
+        (FREE_DOC, ["expand", "--expr", "f**g"]),
     ],
     ids=[
         "non-object",
@@ -246,6 +253,11 @@ def test_parse_error_exit_code(spec_file, capsys):
         "symbol-not-string",
         "dim-bool",
         "symbols-string",
+        "literal-zero-denominator",
+        "commutative-string",
+        "commutative-number",
+        "duplicate-points",
+        "double-star",
     ],
 )
 def test_malformed_input_exits_2_without_traceback(spec_file, capsys, doc, argv):
@@ -254,3 +266,61 @@ def test_malformed_input_exits_2_without_traceback(spec_file, capsys, doc, argv)
     assert code == 2
     assert any(line.startswith("ncdiff: ") for line in err.splitlines())
     assert "Traceback" not in err
+
+
+# Tokens of the expression grammar, joined with spaces so digits never merge
+# into a large differential power; eight tokens reach order 4 at most.  The
+# text goes in as --expr=TEXT so that argparse never reads it as an option.
+EXPR_TOKENS = ("f", "g", "q", "d", "d2", "(", ")", "+", "-", "*", "@", "/", "^", "0", "1", "2")
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.text("fxL0", max_size=2),
+    lambda inner: st.lists(inner, max_size=2)
+    | st.dictionaries(st.text("fxL", max_size=1), inner, max_size=2),
+    max_leaves=4,
+)
+SPEC_FIELDS = [
+    (FREE_DOC, "d(f)", ("backend",)),
+    (FREE_DOC, "d(f)", ("symbols",)),
+    (FREE_DOC, "d(f)", ("symbols", 0)),
+    (FREE_DOC, "d(f)", ("commutative",)),
+    (TWO_POINT_DOC, "d(x)", ("points",)),
+    (TWO_POINT_DOC, "d(x)", ("points", 1)),
+    (TWO_POINT_DOC, "d(x)", ("values",)),
+    (TWO_POINT_DOC, "d(x)", ("values", "x")),
+    (TWO_POINT_DOC, "d(x)", ("values", "x", "L")),
+    (MAT_DOC, "d(f)", ("dim",)),
+    (MAT_DOC, "d(f)", ("matrices",)),
+    (MAT_DOC, "d(f)", ("matrices", "f")),
+    (MAT_DOC, "d(f)", ("matrices", "f", 0)),
+    (MAT_DOC, "d(f)", ("matrices", "f", 0, 0)),
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_spec(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "spec.json"
+
+    def write(doc):
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    return write
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(tokens=st.lists(st.sampled_from(EXPR_TOKENS), max_size=8))
+@example(tokens=["1/0*f"])
+def test_fuzzed_expressions_exit_0_or_2(fuzz_spec, tokens):
+    assert main(["expand", "--algebra", fuzz_spec(FREE_DOC), "--expr=" + " ".join(tokens)]) in (0, 2)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(field=st.sampled_from(SPEC_FIELDS), value=JSON_VALUES)
+def test_fuzzed_spec_documents_exit_0_or_2(fuzz_spec, field, value):
+    doc, expr, path = field
+    doc = copy.deepcopy(doc)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    assert main(["expand", "--algebra", fuzz_spec(doc), "--expr", expr]) in (0, 2)

@@ -14,6 +14,7 @@ from ncdiff.jets import (
     transfer_compose,
     transform_jet2,
 )
+from ncdiff.parser import ParseError
 from ncdiff.verify import (
     change_of_vars,
     composite_jet_oracle,
@@ -41,6 +42,15 @@ def test_parse_poly2_basic():
         parse_poly2("x ^ y", ("x", "y"))
     with pytest.raises(ValueError):
         parse_poly2("w + 1", ("x", "y"))
+
+
+def test_parse_poly2_shares_the_form_tokenizer():
+    assert parse_poly2("x**2*y", ("x", "y")) == parse_poly2("x^2*y", ("x", "y"))
+    assert parse_poly2("(u+v)**2", ("u", "v")) == parse_poly2("(u+v)^2", ("u", "v"))
+    for text, col in (("x * * 2", 5), ("x/2", 2), ("x**", 4), ("x + $", 5)):
+        with pytest.raises(ParseError) as err:
+            parse_poly2(text, ("x", "y"))
+        assert (err.value.line, err.value.col) == (1, col)
 
 
 def test_identity_change_is_identity():

@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from ncdiff.algebra import AlgebraMismatchError, AlgebraSpec
+from ncdiff.algebra import AlgebraMismatchError, AlgebraSpec, func_as_diagonal
 from ncdiff.frame import FrameElem, frame_delta, frame_sum, lam, rho
 from ncdiff.scalars import MINUS_ONE, ONE, ZERO, Scalar, integer
 from ncdiff.tensor import (
     OmegaMonomial,
     TensorPoly,
     componentwise_product,
+    kron,
     mult_map,
     omega_product,
     omega_to_tensor,
@@ -17,6 +18,7 @@ from ncdiff.tensor import (
     tensor_concat,
     tensor_eval,
     tensor_sum,
+    tensor_to_matrix,
     universal_d,
 )
 from ncdiff.verify import random_elem
@@ -252,8 +254,13 @@ def random_canonical(spec, degree, rng):
     return TensorPoly.of(spec, degree, terms)
 
 
+def materialize(spec, terms):
+    """Terms over labels as terms over the basis elements they name."""
+    return [(k, tuple(map(spec.basis_elem, labels))) for k, labels in terms]
+
+
 def assert_normalizes_to(got, spec, degree, raw_terms):
-    want = TensorPoly.of(spec, degree, raw_terms)
+    want = TensorPoly.of(spec, degree, materialize(spec, raw_terms))
     assert got == want
     assert got.terms == want.terms
 
@@ -279,7 +286,7 @@ def test_canonical_operations_match_full_normalization(spec, rng):
     for level in (0, 1, 2):
         width = 2**level
         a, b = (FrameElem(level, random_canonical(spec, width, rng)) for _ in range(2))
-        pad = (spec.unit(),) * width
+        pad = (spec.unit_label(),) * width
         right = [(k, f + pad) for k, f in a.body.terms]
         left = [(k, pad + f) for k, f in a.body.terms]
         assert_normalizes_to(rho(a).body, spec, 2 * width, right)
@@ -288,3 +295,66 @@ def test_canonical_operations_match_full_normalization(spec, rng):
         assert_normalizes_to(frame_delta(a).body, spec, 2 * width, left + negated_right)
         summed = a.body.terms + b.body.terms
         assert_normalizes_to(frame_sum(spec, level, (a, b)).body, spec, width, summed)
+
+
+def slotwise(u, v, glue):
+    """Terms of u and v paired up, with glue(fu, fv) building the slots."""
+    pairs = itertools.product(materialize(u.spec, u.terms), materialize(v.spec, v.terms))
+    return [(ku * kv, glue(fu, fv)) for (ku, fu), (kv, fv) in pairs]
+
+
+def times(fa, fb):
+    return tuple(a.mul(b) for a, b in zip(fa, fb))
+
+
+def dense_kron(t):
+    """The Kronecker-chain realization over materialized basis elements."""
+    spec = t.spec
+    as_matrix = func_as_diagonal if spec.backend == "function" else (lambda m: m)
+    mats = lambda label: [list(r) for r in as_matrix(spec.basis_elem(label)).rows]
+    size = (spec.dim or len(spec.points)) ** t.degree
+    out = [[ZERO] * size for _ in range(size)]
+    for c, labels in t.terms:
+        acc = mats(labels[0])
+        for label in labels[1:]:
+            acc = kron(mats(label), acc)
+        out = [[o + c * a for o, a in zip(ro, ra)] for ro, ra in zip(out, acc)]
+    return out
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS.values(), ids=ORACLE_SPECS.keys())
+def test_label_products_and_realization_match_materialized_elements(spec, rng):
+    """Products over labels equal TensorPoly.of on the slotwise products of
+    the basis elements, term order included; realization equals the dense
+    Kronecker route and the pointwise product of values."""
+    samples = [[random_canonical(spec, d, rng) for _ in range(2)] for d in (1, 2, 2)]
+    if spec.backend == "matrix":
+        # E10 E01 = E11 leaves the basis; it expands as the identity minus E00
+        e10, e01 = (TensorPoly(spec, 1, ((ONE, (cell,)),)) for cell in ((0, 0, 1, 0), (0, 1, 0, 0)))
+        product = componentwise_product(e10, e01)
+        assert product.terms == ((MINUS_ONE, ((1, 0, 0, 0),)), (ONE, ((1, 0, 0, 1),)))
+        samples.append([e10, e01])
+    for u, v in samples:
+        d = u.degree
+        want = TensorPoly.of(spec, d, slotwise(u, v, times))
+        assert componentwise_product(u, v).terms == want.terms
+        for block in (1, 2) if d % 2 == 0 else (1,):
+            glue = lambda fu, fv: fu[:-block] + times(fu[-block:], fv[:block]) + fv[block:]
+            want = TensorPoly.of(spec, 2 * d - block, slotwise(u, v, glue))
+            assert t_algebra_product(u, v, block).terms == want.terms
+        w = tensor_concat(u, v)
+        halves = [(k, times(f[:d], f[d:])) for k, f in materialize(spec, w.terms)]
+        assert mult_map(d, w).terms == TensorPoly.of(spec, d, halves).terms
+    if spec.backend == "free":
+        return
+    for u in [random_canonical(spec, d, rng) for d in (1, 2, 3, 3)]:
+        assert tensor_to_matrix(u) == dense_kron(u)
+        if spec.backend == "function":
+            for pts in itertools.product(spec.points, repeat=u.degree):
+                idx = [spec.point_index(p) for p in pts]
+                want = ZERO
+                for k, factors in materialize(spec, u.terms):
+                    for f, i in zip(factors, idx):
+                        k = k * f.values[i]
+                    want = want + k
+                assert tensor_eval(u, pts) == want
