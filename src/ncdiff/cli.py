@@ -27,8 +27,25 @@ from .tensor import tensor_eval, tensor_to_matrix
 from .verify import run_suite
 
 
+#: rows ``eval --all`` may list: |points| ** 2**order grows doubly exponentially
+EVAL_ALL_ROW_CAP = 65536
+
+
 class UsageError(ValueError):
     pass
+
+
+def _capped_power(base: int, order: int, cap: int, message: str) -> int:
+    """base ** 2**order if it is at most cap, else a UsageError built by
+    message.format(size, cap); squaring stops once past the cap and 2**64."""
+    size = base
+    for _ in range(order):
+        if size > max(cap, 2**64):
+            raise UsageError(message.format(f"{base}^(2^{order})", cap))
+        size *= size
+    if size > cap:
+        raise UsageError(message.format(size, cap))
+    return size
 
 
 def _load_spec(path: str) -> AlgebraSpec:
@@ -119,9 +136,10 @@ def cmd_eval(args) -> int:
     if spec.backend != "function":
         raise UsageError("eval needs a function-backend algebra spec")
     form = _single_part(_lower_expr(args.expr, spec))
-    body = embed(form).body
-    arity = body.degree
+    arity = 2**form.order
     if args.all:
+        message = "eval --all would list {} rows, over the cap {}; pick rows with --tuples"
+        _capped_power(len(spec.points), form.order, EVAL_ALL_ROW_CAP, message)
         tuples = [tuple(t) for t in itertools.product(spec.points, repeat=arity)]
     else:
         if not args.tuples:
@@ -135,6 +153,7 @@ def cmd_eval(args) -> int:
                 if point not in spec.points:
                     raise UsageError(f"tuple {text!r} names unknown point {point!r}")
             tuples.append(parts)
+    body = embed(form).body
     rows = []
     for t in tuples:
         value = tensor_eval(body, t)
@@ -152,16 +171,8 @@ def cmd_matrix(args) -> int:
     if spec.backend != "matrix":
         raise UsageError("matrix needs a matrix-backend algebra spec")
     form = _single_part(_lower_expr(args.expr, spec))
-    # dim ** 2**order, squared up only until it passes the cap and 2**64
-    size = spec.dim
-    for _ in range(form.order):
-        if size > max(args.max_dim, 2**64):
-            raise UsageError(
-                f"result dimension {spec.dim}^(2^{form.order}) exceeds the cap {args.max_dim}"
-            )
-        size *= size
-    if size > args.max_dim:
-        raise UsageError(f"result dimension {size} exceeds the cap {args.max_dim}")
+    message = "result dimension {} exceeds the cap {}"
+    size = _capped_power(spec.dim, form.order, args.max_dim, message)
     mat = tensor_to_matrix(embed(form).body)
     doc = {
         "order": form.order,
@@ -317,11 +328,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
+        # argparse reads --name=-- as an empty list; only --tuples takes lists
+        for name, value in vars(args).items():
+            if value == [] and name != "tuples":
+                raise UsageError(f"--{name.replace('_', '-')} needs a value")
         return args.func(args)
-    except UsageError as exc:
-        print(f"ncdiff: {exc}", file=sys.stderr)
-        return 2
-    except (ParseError, LoweringError) as exc:
+    except (UsageError, ParseError, LoweringError) as exc:
         print(f"ncdiff: {exc}", file=sys.stderr)
         return 2
 

@@ -17,6 +17,10 @@ from .parser import ParseError, TokenStream
 
 Rat = Fraction
 
+#: the largest exponent and total degree ``parse_poly2`` builds; ``Poly2.pow``
+#: multiplies once per unit of exponent and terms grow with the degree squared
+MAX_DEGREE = 100
+
 
 def _rat(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
@@ -65,6 +69,9 @@ class Poly2:
         c = _rat(c)
         return Poly2.of({k: v * c for k, v in self.coeffs})
 
+    def degree(self) -> int:
+        return max((i + j for (i, j), _ in self.coeffs), default=0)
+
     def pow(self, n: int) -> Poly2:
         out = Poly2.const(1)
         for _ in range(n):
@@ -112,14 +119,20 @@ def parse_poly2(text: str, vars: tuple[str, str]) -> Poly2:
             n = ts.take()
             if n.kind != "int":
                 raise ParseError("exponent must be a nonnegative integer", n.line, n.col)
-            e = e.pow(int(n.text))
+            power = int(n.text)
+            if power > MAX_DEGREE or power * e.degree() > MAX_DEGREE:
+                raise ParseError(f"power exceeds the degree cap {MAX_DEGREE}", n.line, n.col)
+            e = e.pow(power)
         return e
 
     def product() -> Poly2:
         e = atom()
         while ts.peek().text == "*":
-            ts.take()
-            e = e * atom()
+            t = ts.take()
+            rhs = atom()
+            if e.degree() + rhs.degree() > MAX_DEGREE:
+                raise ParseError(f"product exceeds the degree cap {MAX_DEGREE}", t.line, t.col)
+            e = e * rhs
         return e
 
     def expr() -> Poly2:

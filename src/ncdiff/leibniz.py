@@ -18,8 +18,10 @@ which follows from the rules above, so equality of normal forms is
 decidable monomial by monomial.
 
 The embedding realizes a form of order n inside level n of the frame
-tower; it is the single source of truth against which the generator
-tables are verified.
+tower by the same rules read there: g· is the right lift of g, d is
+frame_delta, so d(g) ⊙ σ is frame_delta(g)·lam(σ), and the rest follows
+by folding the monomial from the right.  The generator tables, which
+place every lift explicitly, stay the independent check of it.
 """
 
 from __future__ import annotations
@@ -222,8 +224,6 @@ def odot(u: LeibnizForm, v: LeibnizForm) -> LeibnizForm:
 
 
 def _odot_mono(mu: LeibnizMonomial, mv: LeibnizMonomial) -> LeibnizForm:
-    if not mu.factors:
-        return module_mul(mu.coeff, _as_form(mv))
     acc = _as_form(mv)
     for k, g in reversed(mu.factors):
         acc = _odot_power(k, g, acc)
@@ -263,27 +263,26 @@ def embed(w: LeibnizForm) -> FrameElem:
 
 @lru_cache(maxsize=None)
 def _embed_mono(mono: LeibnizMonomial) -> FrameElem:
-    n = mono.order
     if not mono.factors:
         return FrameElem.from_alg(mono.coeff)
-    if len(mono.factors) == 1:
-        k, g = mono.factors[0]
-        return lift_to(mono.coeff, n).mul(delta_iter(g, k))
-    (k, g), rest = mono.factors[0], mono.factors[1:]
-    sigma = _as_form(LeibnizMonomial(mono.coeff.spec.unit(), rest))
-    return lift_to(mono.coeff, n).mul(_embed_power(k, g, sigma))
+    return lift_to(mono.coeff, mono.order).mul(_embed_factors(mono.factors))
 
 
 @lru_cache(maxsize=None)
-def _embed_power(k: int, g: AlgElem, sigma: LeibnizForm) -> FrameElem:
-    n = k + sigma.order
+def _embed_factors(factors: tuple[Factor, ...]) -> FrameElem:
+    """Image of d^{k1}(g1) ⊙ ... ⊙ d^{kr}(gr), folded from the right."""
+    (k, g), rest = factors[0], factors[1:]
+    if not rest:
+        return delta_iter(g, k)
+    return _embed_power(k, g, _embed_factors(rest))
+
+
+def _embed_power(k: int, g: AlgElem, s: FrameElem) -> FrameElem:
+    """Image of d^k(g) ⊙ σ from the image s of σ; d(gσ) - g·dσ collapses
+    to frame_delta(lift(g))·lam(s) because lam and rho are algebra maps."""
     if k == 1:
-        return frame_delta(embed(module_mul(g, sigma))) - lift_to(g, n).mul(
-            frame_delta(embed(sigma))
-        )
-    return frame_delta(_embed_power(k - 1, g, sigma)) - _embed_power(
-        k - 1, g, symbolic_delta(sigma)
-    )
+        return frame_delta(lift_to(g, s.level)).mul(lam(s))
+    return frame_delta(_embed_power(k - 1, g, s)) - _embed_power(k - 1, g, frame_delta(s))
 
 
 # -- monomial types -------------------------------------------------------

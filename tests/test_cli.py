@@ -110,6 +110,17 @@ def test_eval_all_nonzero(spec_file, capsys):
     assert doc["values"] == [{"args": ["L", "R"], "value": [[-1, 1], [0, 1]]}]
 
 
+def test_eval_all_row_cap(spec_file, capsys):
+    three = {**TWO_POINT_DOC, "points": ["L", "R", "S"]}
+    three["values"] = {"x": {"L": [1, 1], "R": [0, 1], "S": [2, 1]}}
+    # 3^(2^4) = 43046721 rows: refused before anything is embedded or listed
+    code, out, err = run(capsys, "eval", "--algebra", spec_file(three), "--expr", "d4(x)", "--all")
+    assert code == 2 and out == ""
+    assert "eval --all would list 43046721 rows, over the cap 65536" in err and "--tuples" in err
+    code, out, _ = run(capsys, "eval", "--algebra", spec_file(TWO_POINT_DOC), "--expr", "d3(x)", "--all")
+    assert code == 0 and len(json.loads(out)["values"]) == 256
+
+
 def test_eval_arity_mismatch(spec_file, capsys):
     path = spec_file(TWO_POINT_DOC)
     code, _, err = run(
@@ -236,6 +247,10 @@ def test_parse_error_exit_code(spec_file, capsys):
         ({**FREE_DOC, "commutative": 1}, ["expand", "--expr", "d(f)"]),
         ({**TWO_POINT_DOC, "points": ["L", "L"]}, ["eval", "--expr", "x", "--all"]),
         (FREE_DOC, ["expand", "--expr", "f**g"]),
+        (FREE_DOC, ["expand", "--expr=--"]),
+        (None, ["jet", "--f=--", "--x", "u", "--y", "v", "--at", "1,1"]),
+        (None, ["jet", "--f", "x^200000", "--x", "u", "--y", "v", "--at", "1,1"]),
+        (None, ["jet", "--f", "(x+y)^1000", "--x", "u", "--y", "v", "--at", "1,1"]),
     ],
     ids=[
         "non-object",
@@ -258,11 +273,15 @@ def test_parse_error_exit_code(spec_file, capsys):
         "commutative-number",
         "duplicate-points",
         "double-star",
+        "expr-double-dash",
+        "jet-double-dash",
+        "jet-exponent-cap",
+        "jet-binomial-exponent-cap",
     ],
 )
 def test_malformed_input_exits_2_without_traceback(spec_file, capsys, doc, argv):
-    path = spec_file(doc)
-    code, _, err = run(capsys, argv[0], "--algebra", path, *argv[1:])
+    spec = ["--algebra", spec_file(doc)] if doc is not None else []
+    code, _, err = run(capsys, argv[0], *spec, *argv[1:])
     assert code == 2
     assert any(line.startswith("ncdiff: ") for line in err.splitlines())
     assert "Traceback" not in err

@@ -6,6 +6,7 @@ from ncdiff.jets import (
     ChangeOfVars2,
     Jet1,
     Jet2,
+    MAX_DEGREE,
     Poly2,
     TransferMatrix1,
     chain2_1d,
@@ -51,6 +52,26 @@ def test_parse_poly2_shares_the_form_tokenizer():
         with pytest.raises(ParseError) as err:
             parse_poly2(text, ("x", "y"))
         assert (err.value.line, err.value.col) == (1, col)
+
+
+def test_parse_poly2_caps_the_degree_before_multiplying():
+    assert parse_poly2(f"x^{MAX_DEGREE}", ("x", "y")).degree() == MAX_DEGREE
+    assert parse_poly2(f"2^{MAX_DEGREE}", ("x", "y")) == Poly2.const(2**MAX_DEGREE)
+    assert parse_poly2("x^60*y^40", ("x", "y")).degree() == 100
+    cases = (
+        ("x^200000", 3),
+        ("(x+y)^1000", 7),
+        ("2^101", 3),
+        ("-x^101", 4),
+        ("(x+y)^60^2", 10),
+        ("(x^51)^2", 8),
+        ("x^60*y^41", 5),
+    )
+    for text, col in cases:
+        with pytest.raises(ParseError) as err:
+            parse_poly2(text, ("x", "y"))
+        assert (err.value.line, err.value.col) == (1, col)
+        assert f"degree cap {MAX_DEGREE}" in str(err.value)
 
 
 def test_identity_change_is_identity():

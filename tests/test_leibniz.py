@@ -1,7 +1,15 @@
 import pytest
 
 from ncdiff.algebra import AlgebraSpec
-from ncdiff.frame import FrameElem, SubsetIndex, delta_iter, frame_delta, lam, lift_to
+from ncdiff.frame import (
+    FrameElem,
+    SubsetIndex,
+    delta_iter,
+    frame_delta,
+    frame_sum,
+    lam,
+    lift_to,
+)
 from ncdiff.leibniz import (
     LeibnizForm,
     LeibnizMonomial,
@@ -303,3 +311,67 @@ def test_collect_only_operations_match_full_normalization(case, rng):
         assert len(form.terms) == 2 and len(killed.terms) == 1
         raw = [LeibnizMonomial(a.mul(t.coeff), t.factors) for t in form.terms]
         assert_normalizes_to(killed, spec, 1, raw)
+
+
+def recursive_embed(w):
+    """Reference embedding that reads the ⊙ rules in the symbolic layer:
+    d(g) ⊙ σ = d(gσ) - g·dσ and d^k(g) ⊙ σ = d(d^{k-1}(g) ⊙ σ) - d^{k-1}(g) ⊙ dσ,
+    embedding each symbolic result again."""
+    memo = {}
+
+    def embed_form(sigma):
+        return frame_sum(sigma.spec, sigma.order, (embed_mono(m) for m in sigma.terms))
+
+    def embed_mono(mono):
+        n = mono.order
+        if not mono.factors:
+            return FrameElem.from_alg(mono.coeff)
+        if len(mono.factors) == 1:
+            k, g = mono.factors[0]
+            return lift_to(mono.coeff, n).mul(delta_iter(g, k))
+        (k, g), rest = mono.factors[0], mono.factors[1:]
+        spec = mono.coeff.spec
+        sigma = LeibnizForm(spec, n - k, (LeibnizMonomial(spec.unit(), rest),))
+        return lift_to(mono.coeff, n).mul(embed_power(k, g, sigma))
+
+    def embed_power(k, g, sigma):
+        key = (k, g, sigma)
+        if key not in memo:
+            n = k + sigma.order
+            if k == 1:
+                memo[key] = frame_delta(embed_form(module_mul(g, sigma))) - lift_to(g, n).mul(
+                    frame_delta(embed_form(sigma))
+                )
+            else:
+                memo[key] = frame_delta(embed_power(k - 1, g, sigma)) - embed_power(
+                    k - 1, g, symbolic_delta(sigma)
+                )
+        return memo[key]
+
+    return embed_form(w)
+
+
+EMBED_ORACLE_SPECS = {name: case[0] for name, case in ORACLE_CASES.items()}
+EMBED_ORACLE_SPECS["func-complex"] = AlgebraSpec.function(
+    ("L", "R"), {"x": (Scalar.of(1, 2), 0), "y": (1, -3)}
+)
+
+
+@pytest.mark.parametrize("spec", EMBED_ORACLE_SPECS.values(), ids=EMBED_ORACLE_SPECS.keys())
+def test_embed_matches_recursive_symbolic_embedding(spec, rng):
+    """The frame-only fold equals the symbolic recursion, term order included:
+    every type of orders 1-3 (multi-term factors up to order 2), one order-4
+    type, an order-0 form and ⊙ products, all with non-unit coefficients."""
+    syms = [spec.symbol(s) for s in spec.symbols]
+
+    def monomial(comp, factor):
+        return LeibnizForm.monomial(random_elem(spec, rng), [(k, factor()) for k in comp])
+
+    types = enumerate_types(1) + enumerate_types(2)
+    forms = [monomial(c, lambda: random_elem(spec, rng)) for c in types]
+    types = enumerate_types(3) + [(1, 3)]
+    forms += [monomial(c, lambda: rng.choice(syms)) for c in types]
+    a = LeibnizForm.from_alg(random_elem(spec, rng))
+    forms += [a, odot(forms[0], a), odot(forms[0], forms[1]), odot(forms[2], forms[0])]
+    for w in forms:
+        assert embed(w).body.terms == recursive_embed(w).body.terms
