@@ -4,14 +4,18 @@ Three backends share one element interface: free (possibly commutative)
 polynomials over declared symbols, functions on a declared finite point
 set with pointwise operations, and square matrices.  All scalars are
 Gaussian rationals; every element is immutable and stores a canonical
-normal form, so equality is plain ``==``.
+normal form, so equality is plain ``==``.  Each backend is one spec class
+(``FreeSpec``, ``FunctionSpec``, ``MatrixSpec``) that owns its validation,
+symbols, basis labels, dense support and JSON form, so the tensor, frame
+and Leibniz layers never ask which backend they have.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import ClassVar, Iterable, Mapping, Optional, Sequence, Union
 
 from .scalars import ONE, ZERO, Scalar
 
@@ -25,88 +29,48 @@ class AlgebraMismatchError(ValueError):
     """Raised when operands belong to different backends or specs."""
 
 
+def _scalar(v) -> Scalar:
+    return v if isinstance(v, Scalar) else Scalar.of(v)
+
+
 @dataclass(frozen=True)
 class AlgebraSpec:
-    backend: str
-    symbols: tuple[str, ...] = ()
-    commutative: bool = False
-    points: tuple[str, ...] = ()
-    values: tuple[tuple[str, tuple[Scalar, ...]], ...] = ()
-    dim: int = 0
-    matrices: tuple[tuple[str, tuple[tuple[Scalar, ...], ...]], ...] = ()
+    """The declared symbols of one backend algebra.  A subclass per backend
+    adds ``unit_label`` and ``basis_elem`` (the unit's label, and the basis
+    element a label names; see ``basis_decomposition``), the dense ``dim``
+    and ``support``, and ``read_json``/``to_json``."""
+
+    backend: ClassVar[str]
+    symbols: tuple[str, ...]
 
     def __post_init__(self):
-        if self.backend not in ("free", "function", "matrix"):
-            raise ValueError(f"unknown backend {self.backend!r}")
         if len(set(self.symbols)) != len(self.symbols):
             raise ValueError("symbol names must be unique")
-        if self.backend == "function":
-            if not self.points:
-                raise ValueError("function backend needs a point list")
-            if len(set(self.points)) != len(self.points):
-                raise ValueError("point names must be unique")
-            for name, vals in self.values:
-                if len(vals) != len(self.points):
-                    raise ValueError(f"value table for {name!r} does not cover every point")
-        if self.backend == "matrix":
-            if self.dim <= 0:
-                raise ValueError("matrix backend needs a positive dimension")
-            for name, rows in self.matrices:
-                if len(rows) != self.dim or any(len(r) != self.dim for r in rows):
-                    raise ValueError(f"matrix for {name!r} is not {self.dim}x{self.dim}")
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def free(symbols: Sequence[str], commutative: bool = False) -> AlgebraSpec:
-        return AlgebraSpec(backend="free", symbols=tuple(symbols), commutative=commutative)
+    def free(symbols: Sequence[str], commutative: bool = False) -> FreeSpec:
+        return FreeSpec(tuple(symbols), commutative)
 
     @staticmethod
-    def function(points: Sequence[str], values: Mapping[str, Sequence] = ()) -> AlgebraSpec:
+    def function(points: Sequence[str], values: Mapping[str, Sequence] = ()) -> FunctionSpec:
         values = dict(values)
-        tables = tuple(
-            (name, tuple(v if isinstance(v, Scalar) else Scalar.of(v) for v in vals))
-            for name, vals in values.items()
-        )
-        return AlgebraSpec(
-            backend="function",
-            symbols=tuple(values.keys()),
-            commutative=True,
-            points=tuple(points),
-            values=tables,
-        )
+        tables = tuple(tuple(map(_scalar, vals)) for vals in values.values())
+        return FunctionSpec(tuple(values), tuple(points), tables)
 
     @staticmethod
-    def matrix(dim: int, matrices: Mapping[str, Sequence[Sequence]] = ()) -> AlgebraSpec:
+    def matrix(dim: int, matrices: Mapping[str, Sequence[Sequence]] = ()) -> MatrixSpec:
         matrices = dict(matrices)
-        mats = tuple(
-            (
-                name,
-                tuple(
-                    tuple(e if isinstance(e, Scalar) else Scalar.of(e) for e in row)
-                    for row in rows
-                ),
-            )
-            for name, rows in matrices.items()
-        )
-        return AlgebraSpec(backend="matrix", symbols=tuple(matrices.keys()), dim=dim, matrices=mats)
+        tables = tuple(tuple(tuple(map(_scalar, row)) for row in m) for m in matrices.values())
+        return MatrixSpec(tuple(matrices), dim, tables)
 
     # -- element factories --------------------------------------------
 
     def symbol(self, name: str) -> AlgElem:
-        if self.backend == "free":
-            if name not in self.symbols:
-                raise KeyError(f"unknown symbol {name!r}")
-            return FreePoly(self, (((name,), ONE),))
-        if self.backend == "function":
-            for sym, vals in self.values:
-                if sym == name:
-                    return FuncElem(self, vals)
+        if name not in self.symbols:
             raise KeyError(f"unknown symbol {name!r}")
-        for sym, rows in self.matrices:
-            if sym == name:
-                return MatElem(self, rows)
-        raise KeyError(f"unknown symbol {name!r}")
+        return self._symbol(name)
 
     def unit(self) -> AlgElem:
         return self.basis_elem(self.unit_label())
@@ -114,40 +78,11 @@ class AlgebraSpec:
     def zero(self) -> AlgElem:
         return self.unit().scale(ZERO)
 
-    def unit_label(self) -> Label:
-        if self.backend == "free":
-            return ()
-        if self.backend == "function":
-            return (1,) * len(self.points)
-        n = self.dim
-        return tuple(int(p % (n + 1) == 0) for p in range(n * n))
-
-    def basis_elem(self, label: Label) -> AlgElem:
-        """The basis element a label names (see ``basis_decomposition``)."""
-        if self.backend == "free":
-            return FreePoly(self, ((label, ONE),))
-        entries = tuple(ONE if b else ZERO for b in label)
-        if self.backend == "function":
-            return FuncElem(self, entries)
-        n = self.dim
-        return MatElem(self, tuple(entries[i * n : i * n + n] for i in range(n)))
-
     def scalar(self, c: Union[Scalar, int]) -> AlgElem:
-        c = c if isinstance(c, Scalar) else Scalar.of(c)
-        return self.unit().scale(c)
+        return self.unit().scale(_scalar(c))
 
     def point_index(self, point: str) -> int:
-        try:
-            return self.points.index(point)
-        except ValueError:
-            raise KeyError(f"unknown point {point!r}") from None
-
-    def name_of(self, elem: AlgElem) -> Optional[str]:
-        """Declared symbol name of an element, when it matches one exactly."""
-        for name in self.symbols:
-            if self.symbol(name) == elem:
-                return name
-        return None
+        raise AlgebraMismatchError("evaluation at points needs the function backend")
 
     # -- serialization ------------------------------------------------
 
@@ -158,49 +93,10 @@ class AlgebraSpec:
         if not isinstance(doc, dict):
             raise ValueError("algebra spec must be a JSON object")
         backend = doc.get("backend")
-        if backend == "free":
-            symbols = _json_names(doc, "symbols")
-            commutative = doc.get("commutative", False)
-            if not isinstance(commutative, bool):
-                raise ValueError(f"commutative must be true or false, not {commutative!r}")
-            return AlgebraSpec.free(symbols, commutative)
-        if backend == "function":
-            points = _json_names(doc, "points")
-            values = {}
-            for sym, table in _json_object(doc, "values").items():
-                if not isinstance(table, dict):
-                    raise ValueError(f"value table for {sym!r} must map each point to a scalar")
-                values[sym] = [Scalar.from_json(table[pt]) for pt in points]
-            return AlgebraSpec.function(points, values)
-        if backend == "matrix":
-            matrices = {}
-            for sym, rows in _json_object(doc, "matrices").items():
-                if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-                    raise ValueError(f"matrix for {sym!r} must be a list of rows")
-                matrices[sym] = [[Scalar.from_json(e) for e in row] for row in rows]
-            dim = doc["dim"]
-            if not isinstance(dim, int) or isinstance(dim, bool):
-                raise ValueError(f"dim must be an integer, not {dim!r}")
-            return AlgebraSpec.matrix(dim, matrices)
+        for cls in (FreeSpec, FunctionSpec, MatrixSpec):
+            if backend == cls.backend:
+                return cls.read_json(doc)
         raise ValueError(f"unknown backend {backend!r}")
-
-    def to_json(self) -> dict:
-        doc: dict = {"backend": self.backend}
-        if self.backend == "free":
-            doc["symbols"] = list(self.symbols)
-            doc["commutative"] = self.commutative
-        elif self.backend == "function":
-            doc["points"] = list(self.points)
-            doc["values"] = {
-                sym: {pt: v.to_json() for pt, v in zip(self.points, vals)}
-                for sym, vals in self.values
-            }
-        else:
-            doc["dim"] = self.dim
-            doc["matrices"] = {
-                sym: [[e.to_json() for e in row] for row in rows] for sym, rows in self.matrices
-            }
-        return doc
 
 
 def _json_names(doc: dict, key: str) -> list[str]:
@@ -215,6 +111,158 @@ def _json_object(doc: dict, key: str) -> dict:
     if not isinstance(obj, dict):
         raise ValueError(f"{key} must be a JSON object, not {obj!r}")
     return obj
+
+
+@dataclass(frozen=True)
+class FreeSpec(AlgebraSpec):
+    """Words in the symbols, letter-sorted if ``commutative``; a label is a
+    word, and there is no dense form."""
+
+    backend: ClassVar[str] = "free"
+    commutative: bool = False
+
+    def _symbol(self, name: str) -> FreePoly:
+        return self.basis_elem((name,))
+
+    def unit_label(self) -> Label:
+        return ()
+
+    def basis_elem(self, label: Label) -> FreePoly:
+        return FreePoly(self, ((label, ONE),))
+
+    @property
+    def dim(self) -> int:
+        raise AlgebraMismatchError("dense realization needs the matrix or function backend")
+
+    def support(self, label: Label) -> list[tuple[int, int]]:
+        raise AlgebraMismatchError("dense realization needs the matrix or function backend")
+
+    @staticmethod
+    def read_json(doc: dict) -> FreeSpec:
+        symbols = _json_names(doc, "symbols")
+        commutative = doc.get("commutative", False)
+        if not isinstance(commutative, bool):
+            raise ValueError(f"commutative must be true or false, not {commutative!r}")
+        return AlgebraSpec.free(symbols, commutative)
+
+    def to_json(self) -> dict:
+        return {"backend": self.backend, "symbols": list(self.symbols), "commutative": self.commutative}
+
+
+class _DenseSpec(AlgebraSpec):
+    """Function and matrix specs: an element is an array of entries over
+    the dense cells ``_cells`` ((i, i) for the i-th point of a function,
+    divmod(p, dim) for the p-th row-major matrix entry), and a label is a
+    basis element's 0/1 pattern over the cells."""
+
+    def unit_label(self) -> Label:
+        return tuple(int(r == c) for r, c in self._cells)
+
+    def support(self, label: Label) -> list[tuple[int, int]]:
+        """The cells where the label's 0/1 dense matrix is 1."""
+        return [cell for cell, b in zip(self._cells, label) if b]
+
+
+@dataclass(frozen=True)
+class FunctionSpec(_DenseSpec):
+    """Functions on the named points; a symbol's table is its values."""
+
+    backend: ClassVar[str] = "function"
+    points: tuple[str, ...]
+    tables: tuple[tuple[Scalar, ...], ...]
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.points:
+            raise ValueError("function backend needs a point list")
+        if len(set(self.points)) != len(self.points):
+            raise ValueError("point names must be unique")
+        for name, vals in zip(self.symbols, self.tables):
+            if len(vals) != len(self.points):
+                raise ValueError(f"value table for {name!r} does not cover every point")
+
+    @property
+    def dim(self) -> int:
+        return len(self.points)
+
+    @functools.cached_property
+    def _cells(self) -> list[tuple[int, int]]:
+        return [(i, i) for i in range(self.dim)]
+
+    def _symbol(self, name: str) -> FuncElem:
+        return FuncElem(self, self.tables[self.symbols.index(name)])
+
+    def basis_elem(self, label: Label) -> FuncElem:
+        return FuncElem(self, tuple(ONE if b else ZERO for b in label))
+
+    def point_index(self, point: str) -> int:
+        """The index of a point in every value vector and label."""
+        try:
+            return self.points.index(point)
+        except ValueError:
+            raise KeyError(f"unknown point {point!r}") from None
+
+    @staticmethod
+    def read_json(doc: dict) -> FunctionSpec:
+        points = _json_names(doc, "points")
+        values = {}
+        for sym, table in _json_object(doc, "values").items():
+            if not isinstance(table, dict):
+                raise ValueError(f"value table for {sym!r} must map each point to a scalar")
+            values[sym] = [Scalar.from_json(table[pt]) for pt in points]
+        return AlgebraSpec.function(points, values)
+
+    def to_json(self) -> dict:
+        values = {s: dict(zip(self.points, _json_list(t))) for s, t in zip(self.symbols, self.tables)}
+        return {"backend": self.backend, "points": list(self.points), "values": values}
+
+
+@dataclass(frozen=True)
+class MatrixSpec(_DenseSpec):
+    """dim x dim matrices; a symbol's table is its rows."""
+
+    backend: ClassVar[str] = "matrix"
+    dim: int
+    tables: tuple[tuple[tuple[Scalar, ...], ...], ...]
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.dim <= 0:
+            raise ValueError("matrix backend needs a positive dimension")
+        for name, rows in zip(self.symbols, self.tables):
+            if len(rows) != self.dim or any(len(r) != self.dim for r in rows):
+                raise ValueError(f"matrix for {name!r} is not {self.dim}x{self.dim}")
+
+    @functools.cached_property
+    def _cells(self) -> list[tuple[int, int]]:
+        return [divmod(p, self.dim) for p in range(self.dim * self.dim)]
+
+    def _symbol(self, name: str) -> MatElem:
+        return MatElem(self, self.tables[self.symbols.index(name)])
+
+    def basis_elem(self, label: Label) -> MatElem:
+        n, entries = self.dim, tuple(ONE if b else ZERO for b in label)
+        return MatElem(self, tuple(entries[i * n : i * n + n] for i in range(n)))
+
+    @staticmethod
+    def read_json(doc: dict) -> MatrixSpec:
+        matrices = {}
+        for sym, rows in _json_object(doc, "matrices").items():
+            if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+                raise ValueError(f"matrix for {sym!r} must be a list of rows")
+            matrices[sym] = [[Scalar.from_json(e) for e in row] for row in rows]
+        dim = doc["dim"]
+        if not isinstance(dim, int) or isinstance(dim, bool):
+            raise ValueError(f"dim must be an integer, not {dim!r}")
+        return AlgebraSpec.matrix(dim, matrices)
+
+    def to_json(self) -> dict:
+        matrices = {s: list(map(_json_list, t)) for s, t in zip(self.symbols, self.tables)}
+        return {"backend": self.backend, "dim": self.dim, "matrices": matrices}
+
+
+def _json_list(entries: Iterable[Scalar]) -> list:
+    return [e.to_json() for e in entries]
 
 
 def _check_same_spec(a: AlgElem, b: AlgElem) -> None:
@@ -259,10 +307,8 @@ class AlgElem:
 
         The family contains the unit, so tensor slots padded with units
         stay single components; multilinear expansion over it makes
-        tensor equality complete, not just sound.  A label is the word of
-        a free basis monomial, or the 0/1 value pattern (function) or
-        row-major entry pattern (matrix) of the basis element, so labels
-        sort exactly as the basis elements' ``sort_key``s do.
+        tensor equality complete, not just sound.  Labels (see the spec
+        classes) sort exactly as the basis elements' ``sort_key``s do.
         """
         raise NotImplementedError
 
@@ -295,7 +341,7 @@ class FreePoly(AlgElem):
     ``neg`` and ``content``) and the spec's ``symbol`` and ``unit`` build
     canonical terms directly."""
 
-    spec: AlgebraSpec
+    spec: FreeSpec
     terms: tuple[tuple[Word, Scalar], ...]
 
     @staticmethod
@@ -363,12 +409,38 @@ class FreePoly(AlgElem):
         return " + ".join(parts)
 
 
+class _DenseElem(AlgElem):
+    """Shared by ``FuncElem`` and ``MatElem``, whose ``grid()`` lists rows
+    of entries over the spec's dense cells (a function is one row)."""
+
+    def is_zero(self) -> bool:
+        return all(e.is_zero() for row in self.grid() for e in row)
+
+    def unit_multiple(self) -> Optional[Scalar]:
+        entries = sum(self.grid(), ())
+        c = entries[0]
+        unit = self.spec.unit_label()
+        return c if all(e == (c if u else ZERO) for e, u in zip(entries, unit)) else None
+
+    def __str__(self) -> str:
+        c = self.unit_multiple()
+        if c is not None:
+            return str(c)
+        for name in self.spec.symbols:
+            if self.spec.symbol(name) == self:
+                return name
+        return "[" + "; ".join(", ".join(str(e) for e in row) for row in self.grid()) + "]"
+
+
 @dataclass(frozen=True)
-class FuncElem(AlgElem):
+class FuncElem(_DenseElem):
     """Function on the spec's finite point set, stored as a value vector."""
 
-    spec: AlgebraSpec
+    spec: FunctionSpec
     values: tuple[Scalar, ...]
+
+    def grid(self) -> tuple[tuple[Scalar, ...], ...]:
+        return (self.values,)
 
     def value_at(self, point: str) -> Scalar:
         return self.values[self.spec.point_index(point)]
@@ -384,15 +456,8 @@ class FuncElem(AlgElem):
     def scale(self, c: Scalar) -> FuncElem:
         return FuncElem(self.spec, tuple(v * c for v in self.values))
 
-    def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.values)
-
     def sort_key(self):
         return tuple(v.key() for v in self.values)
-
-    def unit_multiple(self) -> Optional[Scalar]:
-        first = self.values[0]
-        return first if all(v == first for v in self.values) else None
 
     def content(self) -> tuple[Scalar, FuncElem]:
         for v in self.values:
@@ -407,20 +472,14 @@ class FuncElem(AlgElem):
         # the unit plus the indicators of all points but the last
         return _pattern_decomposition(self.values, self.spec.unit_label())
 
-    def __str__(self) -> str:
-        c = self.unit_multiple()
-        if c is not None:
-            return str(c)
-        name = self.spec.name_of(self)
-        if name is not None:
-            return name
-        return "[" + ", ".join(str(v) for v in self.values) + "]"
-
 
 @dataclass(frozen=True)
-class MatElem(AlgElem):
-    spec: AlgebraSpec
+class MatElem(_DenseElem):
+    spec: MatrixSpec
     rows: tuple[tuple[Scalar, ...], ...]
+
+    def grid(self) -> tuple[tuple[Scalar, ...], ...]:
+        return self.rows
 
     def mul(self, other: AlgElem) -> MatElem:
         _check_same_spec(self, other)
@@ -446,19 +505,8 @@ class MatElem(AlgElem):
     def scale(self, c: Scalar) -> MatElem:
         return MatElem(self.spec, tuple(tuple(e * c for e in row) for row in self.rows))
 
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.rows for e in row)
-
     def sort_key(self):
         return tuple(tuple(e.key() for e in row) for row in self.rows)
-
-    def unit_multiple(self) -> Optional[Scalar]:
-        c = self.rows[0][0]
-        for i, row in enumerate(self.rows):
-            for j, e in enumerate(row):
-                if e != (c if i == j else ZERO):
-                    return None
-        return c
 
     def content(self) -> tuple[Scalar, MatElem]:
         for row in self.rows:
@@ -473,15 +521,6 @@ class MatElem(AlgElem):
     def basis_decomposition(self) -> Decomposition:
         # the identity plus all matrix units but the bottom-right one
         return _pattern_decomposition(sum(self.rows, ()), self.spec.unit_label())
-
-    def __str__(self) -> str:
-        c = self.unit_multiple()
-        if c is not None:
-            return str(c)
-        name = self.spec.name_of(self)
-        if name is not None:
-            return name
-        return "[" + "; ".join(", ".join(str(e) for e in row) for row in self.rows) + "]"
 
 
 def _pattern_decomposition(entries: tuple[Scalar, ...], unit_pattern: Label) -> Decomposition:
@@ -504,8 +543,7 @@ def func_as_diagonal(a: FuncElem) -> MatElem:
     if not isinstance(a, FuncElem):
         raise AlgebraMismatchError("func_as_diagonal needs a function-backend element")
     n = len(a.values)
-    mat_spec = AlgebraSpec(backend="matrix", dim=n)
     return MatElem(
-        mat_spec,
+        MatrixSpec((), n, ()),
         tuple(tuple(a.values[i] if i == j else ZERO for j in range(n)) for i in range(n)),
     )

@@ -269,8 +269,13 @@ def cmd_jet(args) -> int:
         },
         "invariant": delta2_invariance_check(fj, cv),
     }
-    pretty = "\n".join(f"{k} = {v[0]}/{v[1]}" for k, v in doc["jet"].items())
-    _emit(doc, pretty, args.out)
+    try:
+        pretty = "\n".join(f"{k} = {v[0]}/{v[1]}" for k, v in doc["jet"].items())
+        _emit(doc, pretty, args.out)
+    except ValueError:  # int-to-str conversion refuses integers past a digit limit
+        limit = sys.get_int_max_str_digits()
+        message = f"jet result has an integer over {limit} digits, Python's limit for printing one"
+        raise UsageError(message + " (PYTHONINTMAXSTRDIGITS raises it)") from None
     return 0
 
 

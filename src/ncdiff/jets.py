@@ -20,6 +20,9 @@ Rat = Fraction
 #: the largest exponent and total degree ``parse_poly2`` builds; ``Poly2.pow``
 #: multiplies once per unit of exponent and terms grow with the degree squared
 MAX_DEGREE = 100
+#: the largest coefficient bit length ``parse_poly2`` may build: a constant
+#: has degree 0, so only this bounds nested powers like ((2^100)^100)^100
+MAX_COEFF_BITS = 4096
 
 
 def _rat(x) -> Fraction:
@@ -72,6 +75,13 @@ class Poly2:
     def degree(self) -> int:
         return max((i + j for (i, j), _ in self.coeffs), default=0)
 
+    def coeff_bound(self) -> int:
+        """Bits of the largest integer coefficient plus bits of the term
+        count: a product's coefficient bits are at most the sum of its
+        factors' bounds, and a power's at most the exponent times it."""
+        bits = max((c.numerator.bit_length() for _, c in self.coeffs), default=0)
+        return bits + len(self.coeffs).bit_length()
+
     def pow(self, n: int) -> Poly2:
         out = Poly2.const(1)
         for _ in range(n):
@@ -122,6 +132,8 @@ def parse_poly2(text: str, vars: tuple[str, str]) -> Poly2:
             power = int(n.text)
             if power > MAX_DEGREE or power * e.degree() > MAX_DEGREE:
                 raise ParseError(f"power exceeds the degree cap {MAX_DEGREE}", n.line, n.col)
+            if power * e.coeff_bound() > MAX_COEFF_BITS:
+                raise ParseError(f"power exceeds the coefficient cap {MAX_COEFF_BITS} bits", n.line, n.col)
             e = e.pow(power)
         return e
 
@@ -132,6 +144,8 @@ def parse_poly2(text: str, vars: tuple[str, str]) -> Poly2:
             rhs = atom()
             if e.degree() + rhs.degree() > MAX_DEGREE:
                 raise ParseError(f"product exceeds the degree cap {MAX_DEGREE}", t.line, t.col)
+            if e.coeff_bound() + rhs.coeff_bound() > MAX_COEFF_BITS:
+                raise ParseError(f"product exceeds the coefficient cap {MAX_COEFF_BITS} bits", t.line, t.col)
             e = e * rhs
         return e
 

@@ -262,8 +262,6 @@ def mult_map(p: int, u: TensorPoly) -> TensorPoly:
 def tensor_eval(u: TensorPoly, pts: Sequence[str]) -> Scalar:
     """Evaluate a function-backend tensor at one tuple of points: a term
     counts when the 0/1 pattern of each slot is 1 at its point."""
-    if u.spec.backend != "function":
-        raise AlgebraMismatchError("tensor_eval needs the function backend")
     if len(pts) != u.degree:
         raise ValueError(f"expected {u.degree} points, got {len(pts)}")
     idx = [u.spec.point_index(p) for p in pts]
@@ -293,18 +291,11 @@ def tensor_to_matrix(u: TensorPoly) -> list[list[Scalar]]:
     Slot 0 indexes the fastest-varying digit, so the last tensor factor
     forms the outermost Kronecker block; this matches the convention of
     representing 1 (x) f as the block-scaled identity.  Basis matrices are
-    0/1, so a term adds its coefficient at each index built from one entry
-    of each slot's support: (i, i) on a function pattern, divmod(p, dim)
-    on a matrix pattern.
+    0/1, so a term adds its coefficient at each index built from one cell
+    of each slot's ``support``.
     """
-    if u.spec.backend == "function":
-        dim = len(u.spec.points)
-        support = lambda label: [(i, i) for i, b in enumerate(label) if b]
-    elif u.spec.backend == "matrix":
-        dim = u.spec.dim
-        support = lambda label: [divmod(p, dim) for p, b in enumerate(label) if b]
-    else:
-        raise AlgebraMismatchError("dense realization needs the matrix or function backend")
+    dim = u.spec.dim
+    support = functools.cache(u.spec.support)  # a few labels recur in every term
     size = dim**u.degree
     out = [[ZERO] * size for _ in range(size)]
     for c, labels in u.terms:

@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import random
 from fractions import Fraction
 
@@ -129,3 +131,19 @@ def test_spec_json_documented_shape():
     }
     spec = AlgebraSpec.from_json(doc)
     assert spec.symbol("x").values == (ONE, Scalar.of(0))
+
+
+def test_backend_dispatch_stays_in_the_algebra_module():
+    """The tensor, frame, Leibniz and parser layers never ask which backend
+    a spec has and never name a backend's element class."""
+    src = pathlib.Path(func_as_diagonal.__code__.co_filename).parent
+    for name in ("tensor.py", "frame.py", "leibniz.py", "parser.py"):
+        text = (src / name).read_text(encoding="utf-8")
+        assert ".backend" not in text, name
+        imported = {
+            alias.name
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        assert not imported & {"FreePoly", "FuncElem", "MatElem"}, name

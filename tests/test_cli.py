@@ -129,10 +129,19 @@ def test_eval_arity_mismatch(spec_file, capsys):
     assert code == 2 and "expected 2" in err
 
 
-def test_eval_requires_function_backend(spec_file, capsys):
-    path = spec_file(FREE_DOC)
-    code, _, err = run(capsys, "eval", "--algebra", path, "--expr", "d(f)", "--all")
-    assert code == 2 and "function-backend" in err
+@pytest.mark.parametrize(
+    "doc, argv, needed",
+    [
+        (FREE_DOC, ["eval", "--expr", "d(f)", "--all"], "function-backend"),
+        (MAT_DOC, ["eval", "--expr", "d(f)", "--all"], "function-backend"),
+        (TWO_POINT_DOC, ["matrix", "--expr", "d(x)"], "matrix-backend"),
+        (FREE_DOC, ["matrix", "--expr", "d(f)"], "matrix-backend"),
+    ],
+    ids=["eval-free", "eval-matrix", "matrix-function", "matrix-free"],
+)
+def test_eval_requires_function_backend(spec_file, capsys, doc, argv, needed):
+    code, _, err = run(capsys, argv[0], "--algebra", spec_file(doc), *argv[1:])
+    assert code == 2 and needed in err
 
 
 def test_matrix_of_first_differential(spec_file, capsys):
@@ -251,6 +260,9 @@ def test_parse_error_exit_code(spec_file, capsys):
         (None, ["jet", "--f=--", "--x", "u", "--y", "v", "--at", "1,1"]),
         (None, ["jet", "--f", "x^200000", "--x", "u", "--y", "v", "--at", "1,1"]),
         (None, ["jet", "--f", "(x+y)^1000", "--x", "u", "--y", "v", "--at", "1,1"]),
+        (None, ["jet", "--f", "x^100", "--x", "u", "--y", "v", "--at", "9" * 44 + ",1"]),
+        (None, ["jet", "--f", "x^100", "--x", "u", "--y", "v", "--at", "9" * 44 + ",1", "--out", "pretty"]),
+        (None, ["jet", "--f", "((2^100)^100)^100", "--x", "u", "--y", "v", "--at", "1,1"]),
     ],
     ids=[
         "non-object",
@@ -277,6 +289,9 @@ def test_parse_error_exit_code(spec_file, capsys):
         "jet-double-dash",
         "jet-exponent-cap",
         "jet-binomial-exponent-cap",
+        "jet-digit-limit",
+        "jet-digit-limit-pretty",
+        "jet-coefficient-cap",
     ],
 )
 def test_malformed_input_exits_2_without_traceback(spec_file, capsys, doc, argv):

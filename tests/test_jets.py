@@ -6,6 +6,7 @@ from ncdiff.jets import (
     ChangeOfVars2,
     Jet1,
     Jet2,
+    MAX_COEFF_BITS,
     MAX_DEGREE,
     Poly2,
     TransferMatrix1,
@@ -72,6 +73,13 @@ def test_parse_poly2_caps_the_degree_before_multiplying():
             parse_poly2(text, ("x", "y"))
         assert (err.value.line, err.value.col) == (1, col)
         assert f"degree cap {MAX_DEGREE}" in str(err.value)
+    # a constant has degree 0: only the coefficient cap bounds nested powers
+    assert parse_poly2("(2^100)^30*2^100", ("x", "y")) == Poly2.const(2**3100)
+    for text, col in (("(2^100)^100", 9), ("((2^100)^100)^100", 10), ("(2^100)^40*2^100", 11)):
+        with pytest.raises(ParseError) as err:
+            parse_poly2(text, ("x", "y"))
+        assert (err.value.line, err.value.col) == (1, col)
+        assert f"coefficient cap {MAX_COEFF_BITS} bits" in str(err.value)
 
 
 def test_identity_change_is_identity():

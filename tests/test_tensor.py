@@ -345,8 +345,21 @@ def test_label_products_and_realization_match_materialized_elements(spec, rng):
         w = tensor_concat(u, v)
         halves = [(k, times(f[:d], f[d:])) for k, f in materialize(spec, w.terms)]
         assert mult_map(d, w).terms == TensorPoly.of(spec, d, halves).terms
+    unit = spec.unit_label()
+    assert spec.basis_elem(unit) == spec.unit()
     if spec.backend == "free":
+        with pytest.raises(AlgebraMismatchError):
+            tensor_to_matrix(samples[0][0])
+        with pytest.raises(AlgebraMismatchError):
+            spec.support(unit)
         return
+    # the whole spanning family: the unit and every one-hot pattern
+    one_hots = [tuple(int(q == p) for q in range(len(unit))) for p in range(len(unit))]
+    as_matrix = func_as_diagonal if spec.backend == "function" else (lambda m: m)
+    for label in [unit] + one_hots:
+        rows = as_matrix(spec.basis_elem(label)).rows
+        cells = [(i, j) for i, row in enumerate(rows) for j, e in enumerate(row) if not e.is_zero()]
+        assert spec.support(label) == cells
     for u in [random_canonical(spec, d, rng) for d in (1, 2, 3, 3)]:
         assert tensor_to_matrix(u) == dense_kron(u)
         if spec.backend == "function":
