@@ -318,18 +318,6 @@ class AlgElem:
     def sub(self, other: AlgElem) -> AlgElem:
         return self.add(other.neg())
 
-    def __mul__(self, other: AlgElem) -> AlgElem:
-        return self.mul(other)
-
-    def __add__(self, other: AlgElem) -> AlgElem:
-        return self.add(other)
-
-    def __sub__(self, other: AlgElem) -> AlgElem:
-        return self.sub(other)
-
-    def __neg__(self) -> AlgElem:
-        return self.neg()
-
 
 @dataclass(frozen=True)
 class FreePoly(AlgElem):

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import sys
@@ -72,6 +73,17 @@ def _single_part(parts: dict[int, LeibnizForm]) -> LeibnizForm:
     return next(iter(parts.values()))
 
 
+@contextlib.contextmanager
+def _digit_limit(what: str):
+    """Exit 2 when printing refuses an integer past Python's int-to-str digit limit."""
+    try:
+        yield
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        message = f"{what} has an integer over {limit} digits, Python's limit for printing one"
+        raise UsageError(message + " (PYTHONINTMAXSTRDIGITS raises it)") from None
+
+
 def _emit(doc, pretty_text: str | None, out_mode: str) -> None:
     if out_mode == "pretty" and pretty_text is not None:
         print(pretty_text)
@@ -91,22 +103,18 @@ def _form_doc(form: LeibnizForm, frame: FrameElem) -> dict:
 def cmd_expand(args) -> int:
     spec = _load_spec(args.algebra)
     parts = _lower_expr(args.expr, spec)
-    if args.split:
-        docs = [_form_doc(f, embed(f)) for _, f in sorted(parts.items())]
-        doc: object = {"parts": docs}
+    forms = [f for _, f in sorted(parts.items())] if args.split else [_single_part(parts)]
+    frames = [embed(f) for f in forms]
+    with _digit_limit("expand result"):
+        docs = [_form_doc(f, frame) for f, frame in zip(forms, frames)]
+        doc: object = {"parts": docs} if args.split else docs[0]
         pretty = "\n".join(d["pretty"] for d in docs)
-    else:
-        form = _single_part(parts)
-        frame = embed(form)
-        d = _form_doc(form, frame)
-        pretty = d["pretty"]
-        if args.basis == "generators":
-            d["generators"] = _generator_basis_doc(frame)
+        if args.basis == "generators" and not args.split:
+            docs[0]["generators"] = _generator_basis_doc(frames[0])
             pretty += "\n" + "\n".join(
-                f"{t['coeff']} x " + " · ".join(t["product"]) for t in d["generators"]
+                f"{t['coeff']} x " + " · ".join(t["product"]) for t in docs[0]["generators"]
             )
-        doc = d
-    _emit(doc, pretty, args.out)
+        _emit(doc, pretty, args.out)
     return 0
 
 
@@ -161,8 +169,9 @@ def cmd_eval(args) -> int:
             continue
         rows.append({"args": list(t), "value": value.to_json()})
     doc = {"order": form.order, "arity": arity, "values": rows}
-    pretty = "\n".join(f"[{','.join(r['args'])}] = {Scalar.from_json(r['value'])}" for r in rows)
-    _emit(doc, pretty, args.out)
+    with _digit_limit("eval result"):
+        pretty = "\n".join(f"[{','.join(r['args'])}] = {Scalar.from_json(r['value'])}" for r in rows)
+        _emit(doc, pretty, args.out)
     return 0
 
 
@@ -179,8 +188,9 @@ def cmd_matrix(args) -> int:
         "dim": size,
         "matrix": [[e.to_json() for e in row] for row in mat],
     }
-    pretty = "\n".join("  ".join(str(e) for e in row) for row in mat)
-    _emit(doc, pretty, args.out)
+    with _digit_limit("matrix result"):
+        pretty = "\n".join("  ".join(str(e) for e in row) for row in mat)
+        _emit(doc, pretty, args.out)
     return 0
 
 
@@ -269,13 +279,9 @@ def cmd_jet(args) -> int:
         },
         "invariant": delta2_invariance_check(fj, cv),
     }
-    try:
+    with _digit_limit("jet result"):
         pretty = "\n".join(f"{k} = {v[0]}/{v[1]}" for k, v in doc["jet"].items())
         _emit(doc, pretty, args.out)
-    except ValueError:  # int-to-str conversion refuses integers past a digit limit
-        limit = sys.get_int_max_str_digits()
-        message = f"jet result has an integer over {limit} digits, Python's limit for printing one"
-        raise UsageError(message + " (PYTHONINTMAXSTRDIGITS raises it)") from None
     return 0
 
 

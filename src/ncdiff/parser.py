@@ -256,7 +256,7 @@ def _merge(acc: dict[int, LeibnizForm], form: LeibnizForm, sign: int) -> None:
 
 def _lower(expr: FormExpr, spec: AlgebraSpec) -> dict[int, LeibnizForm]:
     if isinstance(expr, Lit):
-        return {0: LeibnizForm.from_alg(spec.scalar(Scalar(expr.value)))}
+        return {0: LeibnizForm.from_alg(spec.scalar(Scalar.of(expr.value)))}
     if isinstance(expr, Sym):
         try:
             elem = spec.symbol(expr.name)
@@ -275,7 +275,7 @@ def _lower(expr: FormExpr, spec: AlgebraSpec) -> dict[int, LeibnizForm]:
     if isinstance(expr, Mul):
         tail = _lower(expr.tail, spec)
         if isinstance(expr.head, Lit):
-            return {o: f.scale(Scalar(expr.head.value)) for o, f in tail.items()}
+            return {o: f.scale(Scalar.of(expr.head.value)) for o, f in tail.items()}
         head = _lower(expr.head, spec).get(0)
         if head is None or head.is_zero():
             return {}

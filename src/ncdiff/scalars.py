@@ -2,7 +2,11 @@
 
 Every coefficient in this package is a complex number whose real and
 imaginary parts are exact rationals, so algebraic identities can be
-checked with ``==`` instead of tolerances.
+checked with ``==`` instead of tolerances.  A part is an ``int`` when
+it is integral and a ``Fraction`` otherwise, never a ``float``: most
+coefficients are small integers, and ``int`` arithmetic is far cheaper.
+Equality and hashing do not see the difference (``2 == Fraction(2)``),
+so arithmetic does not re-normalize an integral ``Fraction`` result.
 """
 
 from __future__ import annotations
@@ -11,35 +15,38 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"not an exact rational: {x!r}")
+def _frac(x) -> int | Fraction:
+    if not isinstance(x, (int, Fraction, str)):
+        raise TypeError(f"not an exact rational: {x!r}")
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 @dataclass(frozen=True)
 class Scalar:
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    re: int | Fraction = 0
+    im: int | Fraction = 0
 
     @staticmethod
     def of(re=0, im=0) -> Scalar:
         return Scalar(_frac(re), _frac(im))
 
     def __add__(self, other: Scalar) -> Scalar:
+        if not self.im and not other.im:
+            return Scalar(self.re + other.re, self.im)
         return Scalar(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other: Scalar) -> Scalar:
+        if not self.im and not other.im:
+            return Scalar(self.re - other.re, self.im)
         return Scalar(self.re - other.re, self.im - other.im)
 
     def __neg__(self) -> Scalar:
         return Scalar(-self.re, -self.im)
 
     def __mul__(self, other: Scalar) -> Scalar:
+        if not self.im and not other.im:
+            return Scalar(self.re * other.re, self.im)
         return Scalar(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -49,42 +56,37 @@ class Scalar:
         norm = other.re * other.re + other.im * other.im
         if norm == 0:
             raise ZeroDivisionError("division by zero scalar")
-        return Scalar(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
+        if not self.im and not other.im:
+            return Scalar(_frac(Fraction(self.re, other.re)), self.im)
+        re, im = self.re * other.re + self.im * other.im, self.im * other.re - self.re * other.im
+        return Scalar(_frac(Fraction(re, norm)), _frac(Fraction(im, norm)))
 
     def inverse(self) -> Scalar:
         return ONE / self
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.re and not self.im
 
     def is_one(self) -> bool:
-        return self.re == 1 and self.im == 0
+        return self.re == 1 and not self.im
 
     def key(self) -> tuple[int, int, int, int]:
         """Total-order key used for canonical term ordering."""
-        return (
-            self.re.numerator,
-            self.re.denominator,
-            self.im.numerator,
-            self.im.denominator,
-        )
+        return (self.re.numerator, self.re.denominator, self.im.numerator, self.im.denominator)
 
     @staticmethod
     def from_json(doc) -> Scalar:
         """Parse ``[re, im]`` where each part is an int or a ``[num, den]`` pair."""
 
-        def part(p) -> Fraction:
+        def part(p) -> int | Fraction:
             if isinstance(p, int):
-                return Fraction(p)
+                return int(p)
             if isinstance(p, (list, tuple)) and [type(x) for x in p] == [int, int] and p[1]:
-                return Fraction(p[0], p[1])
+                return _frac(Fraction(p[0], p[1]))
             raise ValueError(f"bad rational: {p!r}")
 
         if isinstance(doc, int):
-            return Scalar(Fraction(doc))
+            return Scalar(int(doc))
         if not isinstance(doc, (list, tuple)) or len(doc) != 2:
             raise ValueError(f"bad scalar: {doc!r}")
         return Scalar(part(doc[0]), part(doc[1]))
@@ -105,9 +107,9 @@ class Scalar:
 
 
 ZERO = Scalar()
-ONE = Scalar(Fraction(1))
-MINUS_ONE = Scalar(Fraction(-1))
+ONE = Scalar(1)
+MINUS_ONE = Scalar(-1)
 
 
 def integer(n: int) -> Scalar:
-    return Scalar(Fraction(n))
+    return Scalar.of(n)

@@ -161,11 +161,14 @@ def _expand(spec: AlgebraSpec, degree: int, terms: Iterable[ElemTerm]) -> Iterat
 
 
 def _multilinear(coeff: Scalar, head: tuple, slots: list, tail: tuple) -> Iterator[Term]:
-    """Expand coeff * head (x) slots (x) tail; a slot lists (coeff, label) pairs."""
+    """Expand coeff * head (x) slots (x) tail; a slot lists (coeff, label) pairs.
+    Slot coefficients that are the ``ONE`` singleton (``_glue`` maps unit
+    coefficients to it; most are) are not multiplied in, which is exact."""
     for combo in itertools.product(*slots):
         c = coeff
         for ci, _ in combo:
-            c = c * ci
+            if ci is not ONE:
+                c = c * ci
         yield c, head + tuple(label for _, label in combo) + tail
 
 
@@ -216,7 +219,7 @@ def _glue(spec: AlgebraSpec, degree: int, items: Iterable[tuple]) -> TensorPoly:
     @functools.cache
     def product(pair: tuple[Label, Label]) -> Decomposition:
         a, b = (spec.basis_elem(label) for label in pair)
-        return a.mul(b).basis_decomposition()
+        return tuple((ONE if c == ONE else c, label) for c, label in a.mul(b).basis_decomposition())
 
     terms = (
         term

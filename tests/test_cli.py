@@ -23,6 +23,11 @@ MAT_DOC = {
     "matrices": {"f": [[[[0, 1], [0, 1]], [[1, 1], [0, 1]]], [[[0, 1], [0, 1]], [[0, 1], [0, 1]]]]},
 }
 
+# one value of 601 digits: its eighth power passes Python's 4300-digit limit for printing
+HUGE = [[10**600, 1], [0, 1]]
+HUGE_TWO_POINT_DOC = {**TWO_POINT_DOC, "values": {"x": {"L": HUGE, "R": [[0, 1], [0, 1]]}}}
+HUGE_MAT_DOC = {**MAT_DOC, "matrices": {"f": [[HUGE, [[1, 1], [0, 1]]], [[[0, 1], [0, 1]], [[1, 1], [0, 1]]]]}}
+
 
 @pytest.fixture
 def spec_file(tmp_path):
@@ -263,6 +268,9 @@ def test_parse_error_exit_code(spec_file, capsys):
         (None, ["jet", "--f", "x^100", "--x", "u", "--y", "v", "--at", "9" * 44 + ",1"]),
         (None, ["jet", "--f", "x^100", "--x", "u", "--y", "v", "--at", "9" * 44 + ",1", "--out", "pretty"]),
         (None, ["jet", "--f", "((2^100)^100)^100", "--x", "u", "--y", "v", "--at", "1,1"]),
+        (HUGE_TWO_POINT_DOC, ["eval", "--expr", "x*x*x*x*x*x*x*x", "--all"]),
+        (HUGE_TWO_POINT_DOC, ["expand", "--expr", "x*x*x*x*x*x*x*x", "--out", "pretty"]),
+        (HUGE_MAT_DOC, ["matrix", "--expr", "f*f*f*f*f*f*f*f"]),
     ],
     ids=[
         "non-object",
@@ -292,6 +300,9 @@ def test_parse_error_exit_code(spec_file, capsys):
         "jet-digit-limit",
         "jet-digit-limit-pretty",
         "jet-coefficient-cap",
+        "eval-digit-limit",
+        "expand-digit-limit",
+        "matrix-digit-limit",
     ],
 )
 def test_malformed_input_exits_2_without_traceback(spec_file, capsys, doc, argv):

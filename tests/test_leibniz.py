@@ -375,3 +375,30 @@ def test_embed_matches_recursive_symbolic_embedding(spec, rng):
     forms += [a, odot(forms[0], a), odot(forms[0], forms[1]), odot(forms[2], forms[0])]
     for w in forms:
         assert embed(w).body.terms == recursive_embed(w).body.terms
+
+
+# specs of their own: the embedding caches answer for equal forms, and an
+# equal form built earlier from Fractions may hold Fraction(n, 1) parts
+INT_SPECS = {
+    "free": AlgebraSpec.free(("x", "y")),
+    "function": AlgebraSpec.function(("L", "M", "R"), {"x": (1, -1, 3), "y": (0, 1, -2)}),
+}
+
+
+@pytest.mark.parametrize("spec", INT_SPECS.values(), ids=INT_SPECS.keys())
+def test_integer_forms_embed_with_int_coefficient_parts(spec):
+    """Integral coefficients stay ``int`` through the embedding, the cheap
+    path of ``Scalar``.  The factors are primitive (leading coefficient 1),
+    so normalizing the forms divides by nothing."""
+    x, y = (spec.symbol(s) for s in spec.symbols[:2])
+    a = x.scale(integer(3)).add(y.scale(integer(-2)))
+    b = x.add(y.scale(integer(-2)))
+    forms = [
+        LeibnizForm.monomial(a, [(1, x), (2, b)]),
+        LeibnizForm.monomial(a, [(1, y), (1, b), (1, x)]),
+        LeibnizForm.monomial(a, [(3, b)]),
+    ]
+    for w in forms:
+        terms = embed(w).body.terms
+        assert w.order == 3 and terms
+        assert all(type(part) is int for c, _ in terms for part in (c.re, c.im))
