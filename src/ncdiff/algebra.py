@@ -81,8 +81,17 @@ class AlgebraSpec:
     def scalar(self, c: Union[Scalar, int]) -> AlgElem:
         return self.unit().scale(_scalar(c))
 
-    def point_index(self, point: str) -> int:
+    def point_names(self) -> tuple[str, ...]:
+        """The points that function-backend elements are evaluated at."""
         raise AlgebraMismatchError("evaluation at points needs the function backend")
+
+    def point_index(self, point: str) -> int:
+        """The index of a point in every value vector and label."""
+        names = self.point_names()  # outside the try: AlgebraMismatchError is a ValueError
+        try:
+            return names.index(point)
+        except ValueError:
+            raise KeyError(f"unknown point {point!r}") from None
 
     # -- serialization ------------------------------------------------
 
@@ -195,12 +204,8 @@ class FunctionSpec(_DenseSpec):
     def basis_elem(self, label: Label) -> FuncElem:
         return FuncElem(self, tuple(ONE if b else ZERO for b in label))
 
-    def point_index(self, point: str) -> int:
-        """The index of a point in every value vector and label."""
-        try:
-            return self.points.index(point)
-        except ValueError:
-            raise KeyError(f"unknown point {point!r}") from None
+    def point_names(self) -> tuple[str, ...]:
+        return self.points
 
     @staticmethod
     def read_json(doc: dict) -> FunctionSpec:

@@ -13,18 +13,19 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import sys
 from fractions import Fraction
+from typing import Callable
 
 from .algebra import AlgebraSpec
 from .frame import FrameElem, delta_I, generator_str, slot_in_generators
 from .jets import ChangeOfVars2, Jet2, parse_poly2, transform_jet2, delta2_invariance_check
 from .leibniz import LeibnizForm, embed
 from .parser import LoweringError, ParseError, lower, parse
-from .scalars import Scalar
-from .tensor import tensor_eval, tensor_to_matrix
+from .tensor import tensor_eval, tensor_eval_all, tensor_to_matrix
 from .verify import run_suite
 
 
@@ -84,9 +85,11 @@ def _digit_limit(what: str):
         raise UsageError(message + " (PYTHONINTMAXSTRDIGITS raises it)") from None
 
 
-def _emit(doc, pretty_text: str | None, out_mode: str) -> None:
-    if out_mode == "pretty" and pretty_text is not None:
-        print(pretty_text)
+def _emit(doc, render_pretty: Callable[[], str], out_mode: str) -> None:
+    """Print doc as JSON, or the text render_pretty builds for --out pretty;
+    only the printed form is built."""
+    if out_mode == "pretty":
+        print(render_pretty())
     else:
         print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
@@ -114,7 +117,7 @@ def cmd_expand(args) -> int:
             pretty += "\n" + "\n".join(
                 f"{t['coeff']} x " + " · ".join(t["product"]) for t in docs[0]["generators"]
             )
-        _emit(doc, pretty, args.out)
+        _emit(doc, lambda: pretty, args.out)
     return 0
 
 
@@ -148,7 +151,7 @@ def cmd_eval(args) -> int:
     if args.all:
         message = "eval --all would list {} rows, over the cap {}; pick rows with --tuples"
         _capped_power(len(spec.points), form.order, EVAL_ALL_ROW_CAP, message)
-        tuples = [tuple(t) for t in itertools.product(spec.points, repeat=arity)]
+        tuples = itertools.product(spec.points, repeat=arity)
     else:
         if not args.tuples:
             raise UsageError("pass --tuples or --all")
@@ -162,16 +165,15 @@ def cmd_eval(args) -> int:
                     raise UsageError(f"tuple {text!r} names unknown point {point!r}")
             tuples.append(parts)
     body = embed(form).body
-    rows = []
-    for t in tuples:
-        value = tensor_eval(body, t)
-        if args.nonzero and value.is_zero():
-            continue
-        rows.append({"args": list(t), "value": value.to_json()})
-    doc = {"order": form.order, "arity": arity, "values": rows}
+    values = tensor_eval_all(body) if args.all else [tensor_eval(body, t) for t in tuples]
+    rows = [(t, v) for t, v in zip(tuples, values) if not (args.nonzero and v.is_zero())]
+    doc = {
+        "order": form.order,
+        "arity": arity,
+        "values": [{"args": list(t), "value": v.to_json()} for t, v in rows],
+    }
     with _digit_limit("eval result"):
-        pretty = "\n".join(f"[{','.join(r['args'])}] = {Scalar.from_json(r['value'])}" for r in rows)
-        _emit(doc, pretty, args.out)
+        _emit(doc, lambda: "\n".join(f"[{','.join(t)}] = {v}" for t, v in rows), args.out)
     return 0
 
 
@@ -189,8 +191,7 @@ def cmd_matrix(args) -> int:
         "matrix": [[e.to_json() for e in row] for row in mat],
     }
     with _digit_limit("matrix result"):
-        pretty = "\n".join("  ".join(str(e) for e in row) for row in mat)
-        _emit(doc, pretty, args.out)
+        _emit(doc, lambda: "\n".join("  ".join(str(e) for e in row) for row in mat), args.out)
     return 0
 
 
@@ -225,9 +226,9 @@ def cmd_generators(args) -> int:
             {"slot": j, "sum": [generator_str(ix, name) for ix in subsets]}
         )
     doc = {"level": p, "symbol": name, "generators": gens, "inversion": inversion}
-    pretty_lines = [f"{g['name']} = {g['pretty']}" for g in gens]
-    pretty_lines += [f"slot {r['slot']}: " + " + ".join(r["sum"]) for r in inversion]
-    _emit(doc, "\n".join(pretty_lines), args.out)
+    lines = [f"{g['name']} = {g['pretty']}" for g in gens]
+    lines += [f"slot {r['slot']}: " + " + ".join(r["sum"]) for r in inversion]
+    _emit(doc, lambda: "\n".join(lines), args.out)
     return 0
 
 
@@ -239,8 +240,8 @@ def cmd_verify(args) -> int:
     checks = [{"check": r.name, "ok": r.ok} for r in results]
     ok = all(r.ok for r in results)
     doc = {"suite": args.suite, "ok": ok, "checks": checks}
-    pretty = "\n".join(f"{'PASS' if c['ok'] else 'FAIL'} {c['check']}" for c in checks)
-    _emit(doc, pretty, args.out)
+    lines = (f"{'PASS' if c['ok'] else 'FAIL'} {c['check']}" for c in checks)
+    _emit(doc, lambda: "\n".join(lines), args.out)
     return 0 if ok else 1
 
 
@@ -280,11 +281,12 @@ def cmd_jet(args) -> int:
         "invariant": delta2_invariance_check(fj, cv),
     }
     with _digit_limit("jet result"):
-        pretty = "\n".join(f"{k} = {v[0]}/{v[1]}" for k, v in doc["jet"].items())
-        _emit(doc, pretty, args.out)
+        lines = (f"{k} = {v[0]}/{v[1]}" for k, v in doc["jet"].items())
+        _emit(doc, lambda: "\n".join(lines), args.out)
     return 0
 
 
+@functools.cache  # parse_args only reads the parser, so one serves every call
 def build_arg_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="ncdiff", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)

@@ -5,8 +5,10 @@ imaginary parts are exact rationals, so algebraic identities can be
 checked with ``==`` instead of tolerances.  A part is an ``int`` when
 it is integral and a ``Fraction`` otherwise, never a ``float``: most
 coefficients are small integers, and ``int`` arithmetic is far cheaper.
-Equality and hashing do not see the difference (``2 == Fraction(2)``),
-so arithmetic does not re-normalize an integral ``Fraction`` result.
+Equality and hashing do not see the difference (``2 == Fraction(2)``).
+Only a real product turns an integral ``Fraction`` back into an ``int``:
+content normalization multiplies by inverses (3 * 1/3), and every later
+product would take the slow path otherwise.
 """
 
 from __future__ import annotations
@@ -46,7 +48,10 @@ class Scalar:
 
     def __mul__(self, other: Scalar) -> Scalar:
         if not self.im and not other.im:
-            return Scalar(self.re * other.re, self.im)
+            re = self.re * other.re
+            if type(re) is not int and re.denominator == 1:
+                re = re.numerator
+            return Scalar(re, self.im)
         return Scalar(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,

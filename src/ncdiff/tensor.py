@@ -275,6 +275,32 @@ def tensor_eval(u: TensorPoly, pts: Sequence[str]) -> Scalar:
     return total
 
 
+def tensor_eval_all(u: TensorPoly) -> list[Scalar]:
+    """Evaluate a function-backend tensor at every tuple of points, listed
+    in ``itertools.product(points, repeat=degree)`` order.
+
+    One pass per slot, first to last: a term's label in the slot gives way
+    to each point index where it is 1, folded into a mixed-radix row
+    number, and terms whose (row prefix, remaining labels) keys agree are
+    merged.  After the last slot every key is a whole row.
+    """
+    n = len(u.spec.point_names())
+    ones = functools.cache(lambda label: [i for i, b in enumerate(label) if b])
+    acc = {(0, labels): c for c, labels in u.terms}
+    for _ in range(u.degree):
+        merged: dict[tuple, Scalar] = {}
+        for (row, labels), c in acc.items():
+            rest = labels[1:]
+            for i in ones(labels[0]):
+                key = (row * n + i, rest)
+                merged[key] = merged[key] + c if key in merged else c
+        acc = merged
+    values = [ZERO] * n**u.degree
+    for (row, _), c in acc.items():
+        values[row] = c
+    return values
+
+
 def kron(a: list[list[Scalar]], b: list[list[Scalar]]) -> list[list[Scalar]]:
     n, m = len(a), len(b)
     out = [[ZERO] * (n * m) for _ in range(n * m)]

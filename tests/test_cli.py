@@ -4,7 +4,8 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ncdiff.cli import main
+from ncdiff.cli import build_arg_parser, main
+from ncdiff.scalars import Scalar
 
 TWO_POINT_DOC = {
     "backend": "function",
@@ -271,6 +272,8 @@ def test_parse_error_exit_code(spec_file, capsys):
         (HUGE_TWO_POINT_DOC, ["eval", "--expr", "x*x*x*x*x*x*x*x", "--all"]),
         (HUGE_TWO_POINT_DOC, ["expand", "--expr", "x*x*x*x*x*x*x*x", "--out", "pretty"]),
         (HUGE_MAT_DOC, ["matrix", "--expr", "f*f*f*f*f*f*f*f"]),
+        (HUGE_TWO_POINT_DOC, ["eval", "--expr", "x*x*x*x*x*x*x*x", "--all", "--out", "pretty"]),
+        (HUGE_MAT_DOC, ["matrix", "--expr", "f*f*f*f*f*f*f*f", "--out", "pretty"]),
     ],
     ids=[
         "non-object",
@@ -303,6 +306,8 @@ def test_parse_error_exit_code(spec_file, capsys):
         "eval-digit-limit",
         "expand-digit-limit",
         "matrix-digit-limit",
+        "eval-digit-limit-pretty",
+        "matrix-digit-limit-pretty",
     ],
 )
 def test_malformed_input_exits_2_without_traceback(spec_file, capsys, doc, argv):
@@ -311,6 +316,76 @@ def test_malformed_input_exits_2_without_traceback(spec_file, capsys, doc, argv)
     assert code == 2
     assert any(line.startswith("ncdiff: ") for line in err.splitlines())
     assert "Traceback" not in err
+
+
+# complex and fractional entries, so values print in their (a+bi) and p/q forms
+MIXED_TWO_POINT_DOC = {
+    **TWO_POINT_DOC,
+    "values": {
+        "x": {"L": [[1, 1], [2, 1]], "R": [[-3, 1], [0, 1]]},
+        "y": {"L": [[1, 2], [0, 1]], "R": [[5, 1], [0, 1]]},
+    },
+}
+MIXED_MAT_DOC = {
+    "backend": "matrix",
+    "dim": 2,
+    "matrices": {"f": [[[[1, 2], [0, 1]], [[1, 1], [1, 1]]], [[[-2, 1], [0, 1]], [[3, 1], [0, 1]]]]},
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["--nonzero"]], ids=["all", "nonzero"])
+def test_eval_pretty_prints_each_json_row(spec_file, capsys, flags):
+    argv = ["eval", "--algebra", spec_file(MIXED_TWO_POINT_DOC), "--expr", "x*d(y)@d(x)", "--all"]
+    _, out, _ = run(capsys, *argv, *flags)
+    rows = json.loads(out)["values"]
+    assert 0 < len(rows) <= 16 and (len(rows) < 16) == bool(flags)
+    code, pretty, _ = run(capsys, *argv, *flags, "--out", "pretty")
+    assert code == 0
+    want = [f"[{','.join(r['args'])}] = {Scalar.from_json(r['value'])}" for r in rows]
+    assert pretty.splitlines() == want
+
+
+def test_matrix_pretty_renders_the_json_cells(spec_file, capsys):
+    argv = ["matrix", "--algebra", spec_file(MIXED_MAT_DOC), "--expr", "f*d(f)"]
+    _, out, _ = run(capsys, *argv)
+    cells = json.loads(out)["matrix"]
+    code, pretty, _ = run(capsys, *argv, "--out", "pretty")
+    assert code == 0 and len(cells) == 4
+    assert pretty == "\n".join("  ".join(str(Scalar.from_json(e)) for e in row) for row in cells) + "\n"
+
+
+def test_one_parser_serves_every_call(spec_file, capsys):
+    """main builds its argument parser once per process; no option value
+    of one call reaches the next, so every call prints what it prints on
+    a freshly built parser."""
+    fn, free = spec_file(TWO_POINT_DOC), spec_file(FREE_DOC, "free.json")
+    evaluate = ["eval", "--algebra", fn, "--expr", "d(x)"]
+    calls = [
+        evaluate + ["--all", "--nonzero"],
+        evaluate + ["--all"],
+        evaluate + ["--tuples", "L,R", "R,R"],
+        evaluate + ["--all"],
+        ["expand", "--algebra", free, "--expr=--"],
+        ["eval", "--algebra", fn, "--all"],
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    fresh = []
+    for argv in calls:
+        build_arg_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 2, 2]
+    assert fresh[0][1] != fresh[1][1]
+    build_arg_parser.cache_clear()
+    assert [outcome(argv) for argv in calls] == fresh
+    assert build_arg_parser.cache_info().misses == 1
 
 
 # Tokens of the expression grammar, joined with spaces so digits never merge

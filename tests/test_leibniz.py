@@ -388,8 +388,8 @@ INT_SPECS = {
 @pytest.mark.parametrize("spec", INT_SPECS.values(), ids=INT_SPECS.keys())
 def test_integer_forms_embed_with_int_coefficient_parts(spec):
     """Integral coefficients stay ``int`` through the embedding, the cheap
-    path of ``Scalar``.  The factors are primitive (leading coefficient 1),
-    so normalizing the forms divides by nothing."""
+    path of ``Scalar``, also when normalizing a form divides a factor by
+    its leading coefficient (3x - 2y becomes 3 times x - 2/3 y)."""
     x, y = (spec.symbol(s) for s in spec.symbols[:2])
     a = x.scale(integer(3)).add(y.scale(integer(-2)))
     b = x.add(y.scale(integer(-2)))
@@ -397,6 +397,7 @@ def test_integer_forms_embed_with_int_coefficient_parts(spec):
         LeibnizForm.monomial(a, [(1, x), (2, b)]),
         LeibnizForm.monomial(a, [(1, y), (1, b), (1, x)]),
         LeibnizForm.monomial(a, [(3, b)]),
+        LeibnizForm.monomial(a, [(1, x), (2, a)]),
     ]
     for w in forms:
         terms = embed(w).body.terms

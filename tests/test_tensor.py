@@ -5,6 +5,7 @@ import pytest
 
 from ncdiff.algebra import AlgebraMismatchError, AlgebraSpec, func_as_diagonal
 from ncdiff.frame import FrameElem, frame_delta, frame_sum, lam, rho
+from ncdiff.leibniz import LeibnizForm, embed, odot
 from ncdiff.scalars import MINUS_ONE, ONE, ZERO, Scalar, integer
 from ncdiff.tensor import (
     OmegaMonomial,
@@ -17,6 +18,7 @@ from ncdiff.tensor import (
     t_algebra_product,
     tensor_concat,
     tensor_eval,
+    tensor_eval_all,
     tensor_sum,
     tensor_to_matrix,
     universal_d,
@@ -211,6 +213,41 @@ def test_tensor_eval_errors():
         tensor_eval(elem_t(F, G), ("P", "Q"))
     with pytest.raises(KeyError):
         tensor_eval(body, ("P", "nope"))
+
+
+TWO_COMPLEX = AlgebraSpec.function(
+    ("L", "R"), {"x": (Scalar.of(1, 2), 3), "y": (Fraction(1, 2), Fraction(-1, 3))}
+)
+
+
+@pytest.mark.parametrize("spec, max_order", [(TWO_COMPLEX, 3), (POINTS, 2)], ids=["2pt", "3pt"])
+def test_tensor_eval_all_matches_per_tuple_eval(spec, max_order):
+    """The one-pass table lists tensor_eval at every tuple, in
+    itertools.product order, for embedded forms of orders 0 to max_order."""
+    a, b = (spec.symbol(s) for s in spec.symbols[:2])
+    c = a.scale(Scalar.of(-3, 1)).add(b.scale(Scalar.of(Fraction(2, 5))))
+    one_form = LeibnizForm.monomial(c, [(1, a)]).scale(Scalar.of(Fraction(-7, 2)))
+    forms = [
+        LeibnizForm.from_alg(c),
+        one_form,
+        LeibnizForm.monomial(b, [(2, c)]),
+        odot(one_form, LeibnizForm.monomial(a.scale(integer(5)), [(1, b)])),
+        LeibnizForm.monomial(a, [(3, b)]),
+        odot(one_form, odot(LeibnizForm.from_alg(b), LeibnizForm.monomial(c, [(2, a)]))),
+    ]
+    tensors = [embed(w).body for w in forms if w.order <= max_order]
+    tensors += [TensorPoly.zero(spec, 2)]
+    for u in tensors:
+        want = [tensor_eval(u, t) for t in itertools.product(spec.points, repeat=u.degree)]
+        assert tensor_eval_all(u) == want
+
+
+@pytest.mark.parametrize(
+    "spec", [SPEC, AlgebraSpec.matrix(2, {"f": [[3, 1], [2, 7]]})], ids=["free", "matrix"]
+)
+def test_tensor_eval_all_needs_the_function_backend(spec):
+    with pytest.raises(AlgebraMismatchError):
+        tensor_eval_all(TensorPoly.unit(spec, 2))
 
 
 def test_tensor_json_shape():
