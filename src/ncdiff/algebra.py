@@ -243,11 +243,10 @@ class MatrixSpec(_DenseSpec):
         return [divmod(p, self.dim) for p in range(self.dim * self.dim)]
 
     def _symbol(self, name: str) -> MatElem:
-        return MatElem(self, self.tables[self.symbols.index(name)])
+        return MatElem(self, sum(self.tables[self.symbols.index(name)], ()))
 
     def basis_elem(self, label: Label) -> MatElem:
-        n, entries = self.dim, tuple(ONE if b else ZERO for b in label)
-        return MatElem(self, tuple(entries[i * n : i * n + n] for i in range(n)))
+        return MatElem(self, tuple(ONE if b else ZERO for b in label))
 
     @staticmethod
     def read_json(doc: dict) -> MatrixSpec:
@@ -402,18 +401,57 @@ class FreePoly(AlgElem):
         return " + ".join(parts)
 
 
+@dataclass(frozen=True)
 class _DenseElem(AlgElem):
-    """Shared by ``FuncElem`` and ``MatElem``, whose ``grid()`` lists rows
-    of entries over the spec's dense cells (a function is one row)."""
+    """Shared by ``FuncElem`` and ``MatElem``: ``entries`` lists the entries
+    over the spec's dense cells (a function's values, or a matrix's entries
+    in row-major order), so all entrywise code lives here once."""
+
+    spec: _DenseSpec
+    entries: tuple[Scalar, ...]
+
+    def add(self, other: AlgElem) -> _DenseElem:
+        _check_same_spec(self, other)
+        return type(self)(self.spec, tuple(a + b for a, b in zip(self.entries, other.entries)))
+
+    def scale(self, c: Scalar) -> _DenseElem:
+        return type(self)(self.spec, tuple(e * c for e in self.entries))
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.grid() for e in row)
+        return all(e.is_zero() for e in self.entries)
+
+    def sort_key(self):
+        # rows of equal length compare as their concatenation does
+        return tuple(e.key() for e in self.entries)
 
     def unit_multiple(self) -> Optional[Scalar]:
-        entries = sum(self.grid(), ())
-        c = entries[0]
+        c = self.entries[0]
         unit = self.spec.unit_label()
-        return c if all(e == (c if u else ZERO) for e, u in zip(entries, unit)) else None
+        return c if all(e == (c if u else ZERO) for e, u in zip(self.entries, unit)) else None
+
+    def content(self) -> tuple[Scalar, _DenseElem]:
+        for e in self.entries:
+            if not e.is_zero():
+                return e, self.scale(e.inverse())
+        return ZERO, self
+
+    def basis_decomposition(self) -> Decomposition:
+        # the unit pattern plus the one-hot pattern of every cell but the
+        # last, which the unit covers: a function's point indicators, or
+        # the identity and all matrix units but the bottom-right one
+        entries, unit = self.entries, self.spec.unit_label()
+        m, base = len(entries), entries[-1]
+        out = [] if base.is_zero() else [(base, unit)]
+        for p in range(m - 1):
+            c = entries[p] - base if unit[p] else entries[p]
+            if not c.is_zero():
+                out.append((c, (0,) * p + (1,) + (0,) * (m - p - 1)))
+        return tuple(out)
+
+    def grid(self) -> tuple[tuple[Scalar, ...], ...]:
+        """Rows of ``spec.dim`` entries: one for a function, dim for a matrix."""
+        n = self.spec.dim
+        return tuple(self.entries[i : i + n] for i in range(0, len(self.entries), n))
 
     def __str__(self) -> str:
         c = self.unit_multiple()
@@ -425,118 +463,57 @@ class _DenseElem(AlgElem):
         return "[" + "; ".join(", ".join(str(e) for e in row) for row in self.grid()) + "]"
 
 
-@dataclass(frozen=True)
 class FuncElem(_DenseElem):
-    """Function on the spec's finite point set, stored as a value vector."""
+    """Function on the spec's finite point set; ``entries`` are its values."""
 
     spec: FunctionSpec
-    values: tuple[Scalar, ...]
+    # perfbench/tracing.py wraps members of the class's own body, so bind the shared ones here
+    add, scale, content = _DenseElem.add, _DenseElem.scale, _DenseElem.content
+    sort_key, basis_decomposition = _DenseElem.sort_key, _DenseElem.basis_decomposition
 
-    def grid(self) -> tuple[tuple[Scalar, ...], ...]:
-        return (self.values,)
+    @property
+    def values(self) -> tuple[Scalar, ...]:
+        return self.entries
 
     def value_at(self, point: str) -> Scalar:
-        return self.values[self.spec.point_index(point)]
+        return self.entries[self.spec.point_index(point)]
 
     def mul(self, other: AlgElem) -> FuncElem:
         _check_same_spec(self, other)
-        return FuncElem(self.spec, tuple(a * b for a, b in zip(self.values, other.values)))
-
-    def add(self, other: AlgElem) -> FuncElem:
-        _check_same_spec(self, other)
-        return FuncElem(self.spec, tuple(a + b for a, b in zip(self.values, other.values)))
-
-    def scale(self, c: Scalar) -> FuncElem:
-        return FuncElem(self.spec, tuple(v * c for v in self.values))
-
-    def sort_key(self):
-        return tuple(v.key() for v in self.values)
-
-    def content(self) -> tuple[Scalar, FuncElem]:
-        for v in self.values:
-            if not v.is_zero():
-                return v, self.scale(v.inverse())
-        return ZERO, self
+        return FuncElem(self.spec, tuple(a * b for a, b in zip(self.entries, other.entries)))
 
     def to_json(self) -> dict:
-        return {"values": [v.to_json() for v in self.values]}
-
-    def basis_decomposition(self) -> Decomposition:
-        # the unit plus the indicators of all points but the last
-        return _pattern_decomposition(self.values, self.spec.unit_label())
+        return {"values": _json_list(self.entries)}
 
 
-@dataclass(frozen=True)
 class MatElem(_DenseElem):
-    spec: MatrixSpec
-    rows: tuple[tuple[Scalar, ...], ...]
+    """dim x dim matrix; ``entries`` are its entries in row-major order."""
 
-    def grid(self) -> tuple[tuple[Scalar, ...], ...]:
-        return self.rows
+    spec: MatrixSpec
+    # perfbench/tracing.py wraps members of the class's own body, so bind the shared ones here
+    add, scale, content = _DenseElem.add, _DenseElem.scale, _DenseElem.content
+    sort_key, basis_decomposition = _DenseElem.sort_key, _DenseElem.basis_decomposition
+    rows = property(_DenseElem.grid)
 
     def mul(self, other: AlgElem) -> MatElem:
         _check_same_spec(self, other)
-        n = self.spec.dim
+        n, a, b = self.spec.dim, self.entries, other.entries
         out = []
-        for i in range(n):
-            row = []
+        for i in range(0, n * n, n):
             for j in range(n):
                 acc = ZERO
                 for k in range(n):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
-            out.append(tuple(row))
+                    acc = acc + a[i + k] * b[k * n + j]
+                out.append(acc)
         return MatElem(self.spec, tuple(out))
 
-    def add(self, other: AlgElem) -> MatElem:
-        _check_same_spec(self, other)
-        return MatElem(
-            self.spec,
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)),
-        )
-
-    def scale(self, c: Scalar) -> MatElem:
-        return MatElem(self.spec, tuple(tuple(e * c for e in row) for row in self.rows))
-
-    def sort_key(self):
-        return tuple(tuple(e.key() for e in row) for row in self.rows)
-
-    def content(self) -> tuple[Scalar, MatElem]:
-        for row in self.rows:
-            for e in row:
-                if not e.is_zero():
-                    return e, self.scale(e.inverse())
-        return ZERO, self
-
     def to_json(self) -> dict:
-        return {"rows": [[e.to_json() for e in row] for row in self.rows]}
-
-    def basis_decomposition(self) -> Decomposition:
-        # the identity plus all matrix units but the bottom-right one
-        return _pattern_decomposition(sum(self.rows, ()), self.spec.unit_label())
-
-
-def _pattern_decomposition(entries: tuple[Scalar, ...], unit_pattern: Label) -> Decomposition:
-    """Expand entries over the unit pattern plus the one-hot patterns of
-    every position but the last, which the unit covers."""
-    m = len(entries)
-    base = entries[-1]
-    out = []
-    if not base.is_zero():
-        out.append((base, unit_pattern))
-    for p in range(m - 1):
-        c = entries[p] - base if unit_pattern[p] else entries[p]
-        if not c.is_zero():
-            out.append((c, (0,) * p + (1,) + (0,) * (m - p - 1)))
-    return tuple(out)
+        return {"rows": list(map(_json_list, self.rows))}
 
 
 def func_as_diagonal(a: FuncElem) -> MatElem:
     """Represent a finite function as the diagonal matrix of its values."""
     if not isinstance(a, FuncElem):
         raise AlgebraMismatchError("func_as_diagonal needs a function-backend element")
-    n = len(a.values)
-    return MatElem(
-        MatrixSpec((), n, ()),
-        tuple(tuple(a.values[i] if i == j else ZERO for j in range(n)) for i in range(n)),
-    )
+    spec = MatrixSpec((), len(a.entries), ())
+    return MatElem(spec, tuple(a.entries[i] if i == j else ZERO for i, j in spec._cells))

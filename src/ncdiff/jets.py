@@ -11,11 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Mapping
 
 from .parser import ParseError, TokenStream
-
-Rat = Fraction
 
 #: the largest exponent and total degree ``parse_poly2`` builds; ``Poly2.pow``
 #: multiplies once per unit of exponent and terms grow with the degree squared
@@ -25,8 +23,13 @@ MAX_DEGREE = 100
 MAX_COEFF_BITS = 4096
 
 
-def _rat(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _rat(x) -> int | Fraction:
+    """An exact rational, an ``int`` when integral as in ``scalars``: most
+    jet numbers are small integers, and ``int`` arithmetic is far cheaper."""
+    if type(x) is int:
+        return x
+    x = x if isinstance(x, Fraction) else Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 # -- exact polynomials in two variables (used to build jets) -------------
@@ -36,10 +39,10 @@ def _rat(x) -> Fraction:
 class Poly2:
     """Polynomial with rational coefficients in two named variables."""
 
-    coeffs: tuple[tuple[tuple[int, int], Fraction], ...]
+    coeffs: tuple[tuple[tuple[int, int], int | Fraction], ...]
 
     @staticmethod
-    def of(coeffs: Mapping[tuple[int, int], Union[int, Fraction]]) -> Poly2:
+    def of(coeffs: Mapping[tuple[int, int], int | Fraction]) -> Poly2:
         acc = {k: _rat(v) for k, v in coeffs.items() if v != 0}
         return Poly2(tuple(sorted(acc.items())))
 
@@ -49,23 +52,23 @@ class Poly2:
 
     @staticmethod
     def var(index: int) -> Poly2:
-        return Poly2.of({(1, 0) if index == 0 else (0, 1): Fraction(1)})
+        return Poly2.of({(1, 0) if index == 0 else (0, 1): 1})
 
     def __add__(self, other: Poly2) -> Poly2:
         acc = dict(self.coeffs)
         for k, v in other.coeffs:
-            acc[k] = acc.get(k, Fraction(0)) + v
+            acc[k] = acc.get(k, 0) + v
         return Poly2.of(acc)
 
     def __sub__(self, other: Poly2) -> Poly2:
         return self + other.scale(-1)
 
     def __mul__(self, other: Poly2) -> Poly2:
-        acc: dict[tuple[int, int], Fraction] = {}
+        acc: dict[tuple[int, int], int | Fraction] = {}
         for (i1, j1), c1 in self.coeffs:
             for (i2, j2), c2 in other.coeffs:
                 k = (i1 + i2, j1 + j2)
-                acc[k] = acc.get(k, Fraction(0)) + c1 * c2
+                acc[k] = acc.get(k, 0) + c1 * c2
         return Poly2.of(acc)
 
     def scale(self, c) -> Poly2:
@@ -89,20 +92,20 @@ class Poly2:
         return out
 
     def diff(self, index: int) -> Poly2:
-        acc: dict[tuple[int, int], Fraction] = {}
+        acc: dict[tuple[int, int], int | Fraction] = {}
         for (i, j), c in self.coeffs:
             if index == 0 and i > 0:
-                acc[(i - 1, j)] = acc.get((i - 1, j), Fraction(0)) + c * i
+                acc[(i - 1, j)] = acc.get((i - 1, j), 0) + c * i
             elif index == 1 and j > 0:
-                acc[(i, j - 1)] = acc.get((i, j - 1), Fraction(0)) + c * j
+                acc[(i, j - 1)] = acc.get((i, j - 1), 0) + c * j
         return Poly2.of(acc)
 
-    def eval(self, a, b) -> Fraction:
+    def eval(self, a, b) -> int | Fraction:
         a, b = _rat(a), _rat(b)
-        total = Fraction(0)
+        total = 0
         for (i, j), c in self.coeffs:
             total += c * a**i * b**j
-        return total
+        return _rat(total)
 
 
 def parse_poly2(text: str, vars: tuple[str, str]) -> Poly2:
@@ -173,12 +176,12 @@ class Jet2:
     """Value, first and second derivatives at a point; the mixed second
     derivative is stored once."""
 
-    f: Fraction
-    fx: Fraction
-    fy: Fraction
-    fxx: Fraction
-    fxy: Fraction
-    fyy: Fraction
+    f: int | Fraction
+    fx: int | Fraction
+    fy: int | Fraction
+    fxx: int | Fraction
+    fxy: int | Fraction
+    fyy: int | Fraction
 
     @staticmethod
     def of(f, fx, fy, fxx, fxy, fyy) -> Jet2:
@@ -249,8 +252,8 @@ def transform_jet2(fj: Jet2, cv: ChangeOfVars2) -> Jet2:
 
 @dataclass(frozen=True)
 class Jet1:
-    d1: Fraction
-    d2: Fraction
+    d1: int | Fraction
+    d2: int | Fraction
 
     @staticmethod
     def of(d1, d2) -> Jet1:
@@ -270,15 +273,15 @@ class TransferMatrix1:
     it performs the second-order chain rule in one multiplication.
     """
 
-    a: Fraction  # du/dv
-    b: Fraction  # d2u/dv2
+    a: int | Fraction  # du/dv
+    b: int | Fraction  # d2u/dv2
 
     @staticmethod
     def of_jet(u: Jet1) -> TransferMatrix1:
         return TransferMatrix1(u.d1, u.d2)
 
-    def rows(self) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
-        return ((self.a, self.b), (Fraction(0), self.a**2))
+    def rows(self) -> tuple[tuple[int | Fraction, ...], ...]:
+        return ((self.a, self.b), (0, self.a**2))
 
     def apply(self, phi: Jet1) -> Jet1:
         return Jet1(phi.d1 * self.a, phi.d1 * self.b + phi.d2 * self.a**2)
@@ -295,19 +298,23 @@ def transfer_compose(m1: TransferMatrix1, m2: TransferMatrix1) -> TransferMatrix
 _BASIS = ("du2", "dv2", "dudv", "d2u", "d2v")
 
 
-def _expand_second_differential(fj: Jet2, cv: ChangeOfVars2, include_first_order: bool) -> dict[str, Fraction]:
+def _expand_second_differential(
+    fj: Jet2, cv: ChangeOfVars2, include_first_order: bool
+) -> dict[str, int | Fraction]:
     """Substitute the coordinate differentials into
     fxx dx^2 + fyy dy^2 + 2 fxy dx dy [+ fx d2x + fy d2y]
     and collect over the basis monomials in the new variables."""
     x, y = cv.xj, cv.yj
-    out = {k: Fraction(0) for k in _BASIS}
+    out = {k: 0 for k in _BASIS}
 
-    def add_square(coef: Fraction, au: Fraction, av: Fraction) -> None:
+    def add_square(coef: int | Fraction, au: int | Fraction, av: int | Fraction) -> None:
         out["du2"] += coef * au * au
         out["dv2"] += coef * av * av
         out["dudv"] += coef * 2 * au * av
 
-    def add_cross(coef: Fraction, au: Fraction, av: Fraction, bu: Fraction, bv: Fraction) -> None:
+    def add_cross(
+        coef: int | Fraction, au: int | Fraction, av: int | Fraction, bu: int | Fraction, bv: int | Fraction
+    ) -> None:
         out["du2"] += coef * au * bu
         out["dv2"] += coef * av * bv
         out["dudv"] += coef * (au * bv + av * bu)

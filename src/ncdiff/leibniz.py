@@ -258,14 +258,11 @@ def _as_form(mono: LeibnizMonomial) -> LeibnizForm:
 
 def embed(w: LeibnizForm) -> FrameElem:
     """Realize a form of order n inside level n of the frame tower."""
-    return frame_sum(w.spec, w.order, (_embed_mono(mono) for mono in w.terms))
-
-
-@lru_cache(maxsize=None)
-def _embed_mono(mono: LeibnizMonomial) -> FrameElem:
-    if not mono.factors:
-        return FrameElem.from_alg(mono.coeff)
-    return lift_to(mono.coeff, mono.order).mul(_embed_factors(mono.factors))
+    images = (
+        lift_to(m.coeff, m.order).mul(_embed_factors(m.factors)) if m.factors else FrameElem.from_alg(m.coeff)
+        for m in w.terms
+    )
+    return frame_sum(w.spec, w.order, images)
 
 
 @lru_cache(maxsize=None)

@@ -6,9 +6,9 @@ checked with ``==`` instead of tolerances.  A part is an ``int`` when
 it is integral and a ``Fraction`` otherwise, never a ``float``: most
 coefficients are small integers, and ``int`` arithmetic is far cheaper.
 Equality and hashing do not see the difference (``2 == Fraction(2)``).
-Only a real product turns an integral ``Fraction`` back into an ``int``:
-content normalization multiplies by inverses (3 * 1/3), and every later
-product would take the slow path otherwise.
+A real sum, difference or product turns an integral ``Fraction`` back
+into an ``int`` (1/3 + 2/3, or 3 * 1/3 in content normalization), so
+every later operation stays on the fast path.
 """
 
 from __future__ import annotations
@@ -35,12 +35,18 @@ class Scalar:
 
     def __add__(self, other: Scalar) -> Scalar:
         if not self.im and not other.im:
-            return Scalar(self.re + other.re, self.im)
+            re = self.re + other.re
+            if type(re) is not int and re.denominator == 1:
+                re = re.numerator
+            return Scalar(re, self.im)
         return Scalar(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other: Scalar) -> Scalar:
         if not self.im and not other.im:
-            return Scalar(self.re - other.re, self.im)
+            re = self.re - other.re
+            if type(re) is not int and re.denominator == 1:
+                re = re.numerator
+            return Scalar(re, self.im)
         return Scalar(self.re - other.re, self.im - other.im)
 
     def __neg__(self) -> Scalar:

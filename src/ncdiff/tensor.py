@@ -119,7 +119,8 @@ class TensorPoly:
     # -- serialization / printing ---------------------------------------
 
     def to_json(self) -> dict:
-        basis = self.spec.basis_elem
+        # one element per distinct label, but fresh lists per factor: callers may edit the document
+        basis = functools.cache(self.spec.basis_elem)
         return {
             "degree": self.degree,
             "terms": [
@@ -131,9 +132,10 @@ class TensorPoly:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
+        slot = functools.cache(lambda label: _slot_str(self.spec.basis_elem(label)))  # few distinct labels
         out = []
         for i, (c, labels) in enumerate(self.terms):
-            body = "⊗".join(_slot_str(self.spec.basis_elem(label)) for label in labels)
+            body = "⊗".join(map(slot, labels))
             if c.is_one():
                 sign, mag = "+", body
             elif c == Scalar.of(-1):
@@ -299,19 +301,6 @@ def tensor_eval_all(u: TensorPoly) -> list[Scalar]:
     for (row, _), c in acc.items():
         values[row] = c
     return values
-
-
-def kron(a: list[list[Scalar]], b: list[list[Scalar]]) -> list[list[Scalar]]:
-    n, m = len(a), len(b)
-    out = [[ZERO] * (n * m) for _ in range(n * m)]
-    for i in range(n):
-        for j in range(n):
-            if a[i][j].is_zero():
-                continue
-            for k in range(m):
-                for l in range(m):
-                    out[i * m + k][j * m + l] = a[i][j] * b[k][l]
-    return out
 
 
 def tensor_to_matrix(u: TensorPoly) -> list[list[Scalar]]:

@@ -62,9 +62,6 @@ class CheckResult:
     detail: str = ""
 
 
-Check = tuple[str, Callable[[], bool]]
-
-
 def default_free_spec() -> AlgebraSpec:
     return AlgebraSpec.free(("f", "g", "h", "i", "k"))
 

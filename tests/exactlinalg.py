@@ -1,8 +1,9 @@
-"""Exact linear algebra over Gaussian rationals, for rank witnesses."""
+"""Exact linear algebra over Gaussian rationals, for rank witnesses and
+independent Kronecker products."""
 
 from __future__ import annotations
 
-from ncdiff.scalars import ZERO
+from ncdiff.scalars import ZERO, Scalar
 from ncdiff.tensor import TensorPoly
 
 
@@ -35,3 +36,17 @@ def rank(vectors: list[dict]) -> int:
 
 def in_span(vectors: list[dict], candidate: dict) -> bool:
     return rank(vectors) == rank(vectors + [candidate])
+
+
+def kron(a: list[list[Scalar]], b: list[list[Scalar]]) -> list[list[Scalar]]:
+    """Kronecker product of square matrices, entry by entry."""
+    n, m = len(a), len(b)
+    out = [[ZERO] * (n * m) for _ in range(n * m)]
+    for i in range(n):
+        for j in range(n):
+            if a[i][j].is_zero():
+                continue
+            for k in range(m):
+                for l in range(m):
+                    out[i * m + k][j * m + l] = a[i][j] * b[k][l]
+    return out

@@ -45,7 +45,6 @@ from ncdiff.leibniz import (
 from ncdiff.scalars import ONE, Scalar, integer
 from ncdiff.tensor import (
     TensorPoly,
-    kron,
     omega_to_tensor,
     tensor_eval,
     tensor_to_matrix,
@@ -64,7 +63,7 @@ from ncdiff.verify import (
     two_point_spec,
 )
 
-from exactlinalg import in_span, rank
+from exactlinalg import in_span, kron, rank
 
 SPEC = default_free_spec()
 F, G, H = SPEC.symbol("f"), SPEC.symbol("g"), SPEC.symbol("h")

@@ -33,6 +33,16 @@ def test_poly2_arithmetic_and_diff():
     assert p.diff(0).diff(1).eval(2, 5) == 4
 
 
+def test_integer_polynomials_give_int_jets():
+    p = parse_poly2("x^2*y - 3*x*y^2 + 7", ("x", "y"))
+    for at in ((1, 2), (-2, 3), (Fraction(4, 2), Fraction(-1))):
+        jet = Jet2.of_poly(p, at)
+        fields = (jet.f, jet.fx, jet.fy, jet.fxx, jet.fxy, jet.fyy)
+        assert all(type(v) is int for v in fields), fields
+    assert Jet2.of_poly(parse_poly2("x^2*y", ("x", "y")), (1, 2)) == Jet2(2, 4, 1, 4, 2, 0)
+    assert type(Jet2.of_poly(p, (Fraction(1, 2), 1)).f) is Fraction
+
+
 def test_parse_poly2_basic():
     p = parse_poly2("x^2*y - 2*y + 7", ("x", "y"))
     assert p.eval(3, 2) == 9 * 2 - 4 + 7

@@ -81,3 +81,10 @@ def test_integral_parts_are_ints():
     assert type(integer(5).re) is int and type(ONE.im) is int
     third = Scalar.of(1) / Scalar.of(3)
     assert type(third.re) is Fraction and third.re == Fraction(1, 3)
+
+
+def test_integral_sums_are_ints():
+    third, two_thirds, five_thirds = (Scalar.of(Fraction(k, 3)) for k in (1, 2, 5))
+    assert type((third + two_thirds).re) is int and third + two_thirds == ONE
+    assert type((five_thirds - two_thirds).re) is int and five_thirds - two_thirds == ONE
+    assert type((third + third).re) is Fraction

@@ -11,7 +11,6 @@ from ncdiff.tensor import (
     OmegaMonomial,
     TensorPoly,
     componentwise_product,
-    kron,
     mult_map,
     omega_product,
     omega_to_tensor,
@@ -24,6 +23,8 @@ from ncdiff.tensor import (
     universal_d,
 )
 from ncdiff.verify import random_elem
+
+from exactlinalg import kron
 
 SPEC = AlgebraSpec.free(("f", "g", "h", "k"))
 F, G, H, K = (SPEC.symbol(s) for s in "fghk")
