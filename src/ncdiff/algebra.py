@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, Mapping, Optional, Sequence, Union
 
-from .scalars import ONE, ZERO, Scalar
+from .scalars import MINUS_ONE, ONE, ZERO, Scalar
 
 Word = tuple[str, ...]
 #: a basis element of a backend: a word, or a 0/1 value or entry pattern
@@ -317,7 +317,7 @@ class AlgElem:
         raise NotImplementedError
 
     def neg(self) -> AlgElem:
-        return self.scale(Scalar.of(-1))
+        return self.scale(MINUS_ONE)
 
     def sub(self, other: AlgElem) -> AlgElem:
         return self.add(other.neg())

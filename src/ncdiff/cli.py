@@ -6,7 +6,8 @@ tables, run the built-in verification suites, and transform 2-jets.
 Output is JSON by default and deterministic: identical inputs produce
 byte-identical documents.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 141 the
+reader closed standard output (as a shell reports a tool ended by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import contextlib
 import functools
 import itertools
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Callable
@@ -24,7 +26,7 @@ from .algebra import AlgebraSpec
 from .frame import FrameElem, delta_I, generator_str, slot_in_generators
 from .jets import ChangeOfVars2, Jet2, parse_poly2, transform_jet2, delta2_invariance_check
 from .leibniz import LeibnizForm, embed
-from .parser import LoweringError, ParseError, lower, parse
+from .parser import LoweringError, MAX_ORDER, ParseError, lower, parse
 from .tensor import tensor_eval, tensor_eval_all, tensor_to_matrix
 from .verify import run_suite
 
@@ -87,11 +89,12 @@ def _digit_limit(what: str):
 
 def _emit(doc, render_pretty: Callable[[], str], out_mode: str) -> None:
     """Print doc as JSON, or the text render_pretty builds for --out pretty;
-    only the printed form is built."""
+    only the printed form is built.  Flushing makes a closed pipe fail here,
+    inside ``main``, and not in the interpreter's flush at exit."""
     if out_mode == "pretty":
-        print(render_pretty())
+        print(render_pretty(), flush=True)
     else:
-        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+        print(json.dumps(doc, sort_keys=True, separators=(",", ":")), flush=True)
 
 
 def _form_doc(form: LeibnizForm, frame: FrameElem) -> dict:
@@ -108,16 +111,17 @@ def cmd_expand(args) -> int:
     parts = _lower_expr(args.expr, spec)
     forms = [f for _, f in sorted(parts.items())] if args.split else [_single_part(parts)]
     frames = [embed(f) for f in forms]
+    docs, lines = [], []
     with _digit_limit("expand result"):
-        docs = [_form_doc(f, frame) for f, frame in zip(forms, frames)]
-        doc: object = {"parts": docs} if args.split else docs[0]
-        pretty = "\n".join(d["pretty"] for d in docs)
-        if args.basis == "generators" and not args.split:
-            docs[0]["generators"] = _generator_basis_doc(frames[0])
-            pretty += "\n" + "\n".join(
-                f"{t['coeff']} x " + " · ".join(t["product"]) for t in docs[0]["generators"]
-            )
-        _emit(doc, lambda: pretty, args.out)
+        for form, frame in zip(forms, frames):
+            doc = _form_doc(form, frame)
+            lines.append(doc["pretty"])
+            if args.basis == "generators":
+                doc["generators"] = _generator_basis_doc(frame)
+                rows = (f"{t['coeff']} x " + " · ".join(t["product"]) for t in doc["generators"])
+                lines.append("\n".join(rows))
+            docs.append(doc)
+        _emit({"parts": docs} if args.split else docs[0], lambda: "\n".join(lines), args.out)
     return 0
 
 
@@ -206,6 +210,8 @@ def cmd_generators(args) -> int:
     p = args.level
     if p < 0:
         raise UsageError(f"--level must be nonnegative, got {p}")
+    if p >= MAX_ORDER:  # a level-p table holds 3^p * 2^p slot labels, more than an order-p form
+        raise UsageError(f"--level must be below {MAX_ORDER}, got {p}")
     gens = []
     # every subset of {0..p-1}, smallest first, then by ascending members
     subsets = slot_in_generators(f, 2**p - 1, p)
@@ -349,6 +355,10 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ParseError, LoweringError) as exc:
         print(f"ncdiff: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; let that flush go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

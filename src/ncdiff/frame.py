@@ -10,16 +10,12 @@ at each step, either the differential or the right lift.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 from .algebra import AlgebraMismatchError, AlgebraSpec, AlgElem
 from .scalars import Scalar
 from .tensor import TensorPoly, componentwise_product, mult_map, tensor_concat, tensor_sum
-
-#: levels above this are legal but expand into rapidly growing term lists
-LEVEL_WARN_CAP = 4
 
 
 @dataclass(frozen=True)
@@ -97,24 +93,14 @@ class FrameElem:
         return str(self.body)
 
 
-def _warn_level(level: int) -> None:
-    if level > LEVEL_WARN_CAP:
-        warnings.warn(
-            f"frame level {level} has {2**level} slots; expect term blowup",
-            stacklevel=3,
-        )
-
-
 def rho(alpha: FrameElem) -> FrameElem:
     """Right lift: pad with the unit of the current level."""
-    _warn_level(alpha.level + 1)
     unit = TensorPoly.unit(alpha.spec, 2**alpha.level)
     return FrameElem(alpha.level + 1, tensor_concat(alpha.body, unit))
 
 
 def lam(alpha: FrameElem) -> FrameElem:
     """Left lift: the mirror of rho."""
-    _warn_level(alpha.level + 1)
     unit = TensorPoly.unit(alpha.spec, 2**alpha.level)
     return FrameElem(alpha.level + 1, tensor_concat(unit, alpha.body))
 

@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .parser import ParseError, TokenStream
+from .scalars import rational
 
 #: the largest exponent and total degree ``parse_poly2`` builds; ``Poly2.pow``
 #: multiplies once per unit of exponent and terms grow with the degree squared
@@ -21,15 +22,6 @@ MAX_DEGREE = 100
 #: the largest coefficient bit length ``parse_poly2`` may build: a constant
 #: has degree 0, so only this bounds nested powers like ((2^100)^100)^100
 MAX_COEFF_BITS = 4096
-
-
-def _rat(x) -> int | Fraction:
-    """An exact rational, an ``int`` when integral as in ``scalars``: most
-    jet numbers are small integers, and ``int`` arithmetic is far cheaper."""
-    if type(x) is int:
-        return x
-    x = x if isinstance(x, Fraction) else Fraction(x)
-    return x.numerator if x.denominator == 1 else x
 
 
 # -- exact polynomials in two variables (used to build jets) -------------
@@ -43,12 +35,12 @@ class Poly2:
 
     @staticmethod
     def of(coeffs: Mapping[tuple[int, int], int | Fraction]) -> Poly2:
-        acc = {k: _rat(v) for k, v in coeffs.items() if v != 0}
+        acc = {k: rational(v) for k, v in coeffs.items() if v != 0}
         return Poly2(tuple(sorted(acc.items())))
 
     @staticmethod
     def const(c) -> Poly2:
-        return Poly2.of({(0, 0): _rat(c)})
+        return Poly2.of({(0, 0): rational(c)})
 
     @staticmethod
     def var(index: int) -> Poly2:
@@ -72,7 +64,7 @@ class Poly2:
         return Poly2.of(acc)
 
     def scale(self, c) -> Poly2:
-        c = _rat(c)
+        c = rational(c)
         return Poly2.of({k: v * c for k, v in self.coeffs})
 
     def degree(self) -> int:
@@ -101,11 +93,11 @@ class Poly2:
         return Poly2.of(acc)
 
     def eval(self, a, b) -> int | Fraction:
-        a, b = _rat(a), _rat(b)
+        a, b = rational(a), rational(b)
         total = 0
         for (i, j), c in self.coeffs:
             total += c * a**i * b**j
-        return _rat(total)
+        return rational(total)
 
 
 def parse_poly2(text: str, vars: tuple[str, str]) -> Poly2:
@@ -185,7 +177,7 @@ class Jet2:
 
     @staticmethod
     def of(f, fx, fy, fxx, fxy, fyy) -> Jet2:
-        return Jet2(_rat(f), _rat(fx), _rat(fy), _rat(fxx), _rat(fxy), _rat(fyy))
+        return Jet2(rational(f), rational(fx), rational(fy), rational(fxx), rational(fxy), rational(fyy))
 
     @staticmethod
     def of_poly(p: Poly2, at: tuple) -> Jet2:
@@ -257,7 +249,7 @@ class Jet1:
 
     @staticmethod
     def of(d1, d2) -> Jet1:
-        return Jet1(_rat(d1), _rat(d2))
+        return Jet1(rational(d1), rational(d2))
 
 
 def chain2_1d(phi: Jet1, u: Jet1) -> Jet1:

@@ -41,7 +41,7 @@ from .frame import (
     lift_to,
     rho,
 )
-from .scalars import Scalar
+from .scalars import MINUS_ONE, Scalar
 
 Factor = tuple[int, AlgElem]
 
@@ -99,7 +99,7 @@ class LeibnizForm:
         return _collect(self.spec, self.order, self.terms + other.terms)
 
     def sub(self, other: LeibnizForm) -> LeibnizForm:
-        return self.add(other.scale(Scalar.of(-1)))
+        return self.add(other.scale(MINUS_ONE))
 
     def scale(self, c: Union[Scalar, int]) -> LeibnizForm:
         c = c if isinstance(c, Scalar) else Scalar.of(c)

@@ -25,7 +25,11 @@ from typing import Union
 
 from .algebra import AlgebraSpec
 from .leibniz import LeibnizForm, module_mul, odot, symbolic_delta
-from .scalars import Scalar
+from .scalars import MINUS_ONE, Scalar
+
+#: the highest order a form may reach (``expand d^8(f)`` takes under 1 s, and each order
+#: costs about 4x more); lowering checks it before it applies any ``d`` or ⊙
+MAX_ORDER = 8
 
 
 class ParseError(ValueError):
@@ -247,11 +251,16 @@ def lower(expr: FormExpr, spec: AlgebraSpec) -> dict[int, LeibnizForm]:
 
 
 def _merge(acc: dict[int, LeibnizForm], form: LeibnizForm, sign: int) -> None:
-    form = form if sign > 0 else form.scale(-1)
+    form = form if sign > 0 else form.scale(MINUS_ONE)
     if form.order in acc:
         acc[form.order] = acc[form.order] + form
     else:
         acc[form.order] = form
+
+
+def _check_order(expr: FormExpr, order: int) -> None:
+    if order > MAX_ORDER:
+        raise LoweringError(f"line {expr.line}, column {expr.col}: order {order} exceeds the cap {MAX_ORDER}")
 
 
 def _lower(expr: FormExpr, spec: AlgebraSpec) -> dict[int, LeibnizForm]:
@@ -285,11 +294,13 @@ def _lower(expr: FormExpr, spec: AlgebraSpec) -> dict[int, LeibnizForm]:
         acc = {}
         for lo, lf in _lower(expr.left, spec).items():
             for ro, rf in _lower(expr.right, spec).items():
+                _check_order(expr, lo + ro)
                 _merge(acc, odot(lf, rf), 1)
         return acc
     if isinstance(expr, Delta):
         acc = {}
         for order, form in _lower(expr.inner, spec).items():
+            _check_order(expr, order + expr.power)
             for _ in range(expr.power):
                 form = symbolic_delta(form)
             _merge(acc, form, 1)

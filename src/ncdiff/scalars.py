@@ -6,9 +6,10 @@ checked with ``==`` instead of tolerances.  A part is an ``int`` when
 it is integral and a ``Fraction`` otherwise, never a ``float``: most
 coefficients are small integers, and ``int`` arithmetic is far cheaper.
 Equality and hashing do not see the difference (``2 == Fraction(2)``).
-A real sum, difference or product turns an integral ``Fraction`` back
-into an ``int`` (1/3 + 2/3, or 3 * 1/3 in content normalization), so
-every later operation stays on the fast path.
+``rational`` owns that normal form: every constructor and every sum,
+difference, product and quotient passes its parts through it, so an
+integral result (1/3 + 2/3, or 3 * 1/3 in content normalization) is an
+``int`` again and every later operation stays on the fast path.
 """
 
 from __future__ import annotations
@@ -17,10 +18,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-def _frac(x) -> int | Fraction:
-    if not isinstance(x, (int, Fraction, str)):
+def rational(x) -> int | Fraction:
+    """The normal form of an ``int``, ``Fraction`` or string like "3/4": an
+    ``int`` when integral; anything else, a ``float`` too, raises ``TypeError``."""
+    if type(x) is int:
+        return x
+    if isinstance(x, (int, str)):
+        x = Fraction(x)
+    elif not isinstance(x, Fraction):
         raise TypeError(f"not an exact rational: {x!r}")
-    x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
 
 
@@ -31,36 +37,27 @@ class Scalar:
 
     @staticmethod
     def of(re=0, im=0) -> Scalar:
-        return Scalar(_frac(re), _frac(im))
+        return Scalar(rational(re), rational(im))
 
     def __add__(self, other: Scalar) -> Scalar:
         if not self.im and not other.im:
-            re = self.re + other.re
-            if type(re) is not int and re.denominator == 1:
-                re = re.numerator
-            return Scalar(re, self.im)
-        return Scalar(self.re + other.re, self.im + other.im)
+            return Scalar(rational(self.re + other.re), self.im)
+        return Scalar(rational(self.re + other.re), rational(self.im + other.im))
 
     def __sub__(self, other: Scalar) -> Scalar:
         if not self.im and not other.im:
-            re = self.re - other.re
-            if type(re) is not int and re.denominator == 1:
-                re = re.numerator
-            return Scalar(re, self.im)
-        return Scalar(self.re - other.re, self.im - other.im)
+            return Scalar(rational(self.re - other.re), self.im)
+        return Scalar(rational(self.re - other.re), rational(self.im - other.im))
 
     def __neg__(self) -> Scalar:
         return Scalar(-self.re, -self.im)
 
     def __mul__(self, other: Scalar) -> Scalar:
         if not self.im and not other.im:
-            re = self.re * other.re
-            if type(re) is not int and re.denominator == 1:
-                re = re.numerator
-            return Scalar(re, self.im)
+            return Scalar(rational(self.re * other.re), self.im)
         return Scalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
+            rational(self.re * other.re - self.im * other.im),
+            rational(self.re * other.im + self.im * other.re),
         )
 
     def __truediv__(self, other: Scalar) -> Scalar:
@@ -68,9 +65,9 @@ class Scalar:
         if norm == 0:
             raise ZeroDivisionError("division by zero scalar")
         if not self.im and not other.im:
-            return Scalar(_frac(Fraction(self.re, other.re)), self.im)
+            return Scalar(rational(Fraction(self.re, other.re)), self.im)
         re, im = self.re * other.re + self.im * other.im, self.im * other.re - self.re * other.im
-        return Scalar(_frac(Fraction(re, norm)), _frac(Fraction(im, norm)))
+        return Scalar(rational(Fraction(re, norm)), rational(Fraction(im, norm)))
 
     def inverse(self) -> Scalar:
         return ONE / self
@@ -93,7 +90,7 @@ class Scalar:
             if isinstance(p, int):
                 return int(p)
             if isinstance(p, (list, tuple)) and [type(x) for x in p] == [int, int] and p[1]:
-                return _frac(Fraction(p[0], p[1]))
+                return rational(Fraction(p[0], p[1]))
             raise ValueError(f"bad rational: {p!r}")
 
         if isinstance(doc, int):

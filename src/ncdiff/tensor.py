@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
 from .algebra import AlgebraMismatchError, AlgebraSpec, AlgElem, Decomposition, Label
-from .scalars import ONE, ZERO, Scalar
+from .scalars import MINUS_ONE, ONE, ZERO, Scalar
 
 Term = tuple[Scalar, tuple[Label, ...]]
 ElemTerm = tuple[Scalar, Sequence[AlgElem]]
@@ -138,7 +138,7 @@ class TensorPoly:
             body = "⊗".join(map(slot, labels))
             if c.is_one():
                 sign, mag = "+", body
-            elif c == Scalar.of(-1):
+            elif c == MINUS_ONE:
                 sign, mag = "-", body
             else:
                 sign, mag = "+", f"{c}·{body}"
@@ -410,7 +410,7 @@ def omega_product(u: OmegaMonomial, v: OmegaMonomial) -> tuple[OmegaMonomial, ..
     m1 = OmegaMonomial(u.spec, u.width, (unit, glued) + v.chain[1:])
     m2 = OmegaMonomial(u.spec, u.width, (last, v.chain[0]) + v.chain[1:])
     out: list[OmegaMonomial] = []
-    for piece, sign in ((m1, ONE), (m2, Scalar.of(-1))):
+    for piece, sign in ((m1, ONE), (m2, MINUS_ONE)):
         if piece.is_trivially_zero():
             continue
         for prod in omega_product(u_head, piece):

@@ -1,9 +1,13 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import ncdiff
 from ncdiff.cli import build_arg_parser, main
 from ncdiff.scalars import Scalar
 
@@ -173,9 +177,9 @@ def test_matrix_dimension_cap(spec_file, capsys):
         capsys, "matrix", "--algebra", path, "--expr", "d3(f)", "--max-dim", "100"
     )
     assert code == 2 and "result dimension 256 exceeds the cap 100" in err
-    # checked before embedding: level 40 would never finish
-    code, _, err = run(capsys, "matrix", "--algebra", path, "--expr", "d40(f)")
-    assert code == 2 and "result dimension 2^(2^40) exceeds the cap 256" in err
+    # checked before embedding, and without squaring past 2^64
+    code, _, err = run(capsys, "matrix", "--algebra", path, "--expr", "d8(f)")
+    assert code == 2 and "result dimension 2^(2^8) exceeds the cap 256" in err
 
 
 def test_generators_table(spec_file, capsys):
@@ -274,6 +278,12 @@ def test_parse_error_exit_code(spec_file, capsys):
         (HUGE_MAT_DOC, ["matrix", "--expr", "f*f*f*f*f*f*f*f"]),
         (HUGE_TWO_POINT_DOC, ["eval", "--expr", "x*x*x*x*x*x*x*x", "--all", "--out", "pretty"]),
         (HUGE_MAT_DOC, ["matrix", "--expr", "f*f*f*f*f*f*f*f", "--out", "pretty"]),
+        (FREE_DOC, ["expand", "--expr", "d^40(f)"]),
+        (FREE_DOC, ["expand", "--expr", "d^1000000000(f)"]),
+        (FREE_DOC, ["expand", "--expr", "d^5(f)@d^5(g)"]),
+        (TWO_POINT_DOC, ["eval", "--expr", "d^9(x)", "--tuples", ",".join(["L", "R"] * 256)]),
+        (FREE_DOC, ["generators", "--level", "8"]),
+        (FREE_DOC, ["generators", "--level", "40"]),
     ],
     ids=[
         "non-object",
@@ -308,6 +318,12 @@ def test_parse_error_exit_code(spec_file, capsys):
         "matrix-digit-limit",
         "eval-digit-limit-pretty",
         "matrix-digit-limit-pretty",
+        "order-40",
+        "order-billion",
+        "odot-order-10",
+        "eval-order-9",
+        "generators-level-8",
+        "generators-level-40",
     ],
 )
 def test_malformed_input_exits_2_without_traceback(spec_file, capsys, doc, argv):
@@ -316,6 +332,43 @@ def test_malformed_input_exits_2_without_traceback(spec_file, capsys, doc, argv)
     assert code == 2
     assert any(line.startswith("ncdiff: ") for line in err.splitlines())
     assert "Traceback" not in err
+
+
+def test_order_cap_admits_order_8(spec_file, capsys):
+    args = ["L" if i % 3 == 0 else "R" for i in range(256)]
+    argv = ["eval", "--algebra", spec_file(TWO_POINT_DOC), "--expr", "d^8(x)", "--tuples", ",".join(args)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    want = sum((-1) ** (8 - bin(j).count("1")) for j in range(256) if args[j] == "L")
+    assert json.loads(out)["values"] == [{"args": args, "value": [[want, 1], [0, 1]]}]
+
+
+def test_split_prints_each_parts_generator_basis(spec_file, capsys):
+    """Split generator output is each part's own unsplit expansion, in order."""
+    expand = ["expand", "--algebra", spec_file(FREE_DOC), "--basis", "generators"]
+    pieces = ["f", "2*d(f)", "d(f)@d(g)"]
+    for mode in ("json", "pretty"):
+        code, whole, _ = run(capsys, *expand, "--expr", " + ".join(pieces), "--split", "--out", mode)
+        alone = [run(capsys, *expand, "--expr", p, "--out", mode)[1] for p in pieces]
+        assert code == 0
+        if mode == "json":
+            parts = json.loads(whole)["parts"]
+            assert parts == [json.loads(a) for a in alone] and all(p["generators"] for p in parts)
+        else:
+            assert whole == "".join(alone) and len(whole.splitlines()) > 2 * len(pieces)
+
+
+def test_closed_pipe_exits_141_without_traceback(spec_file):
+    src = os.path.dirname(os.path.dirname(ncdiff.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    # about 300 kB of JSON, more than a pipe buffers
+    argv = [sys.executable, "-m", "ncdiff.cli", "generators", "--algebra", spec_file(FREE_DOC), "--level", "5"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(20)) == 20
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert b"Traceback" not in err and b"Error" not in err
 
 
 # complex and fractional entries, so values print in their (a+bi) and p/q forms

@@ -1,5 +1,3 @@
-import warnings
-
 import pytest
 
 from ncdiff.algebra import AlgebraSpec
@@ -216,9 +214,7 @@ def test_high_level_evaluation_is_lazy_per_tuple():
     # tuple evaluates directly and matches the alternating-sum formula
     spec = AlgebraSpec.function(("L", "R"), {"x": (1, 0), "y": (0, 1)})
     x = spec.symbol("x")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        elem = delta_iter(x, 5)
+    elem = delta_iter(x, 5)
     args = tuple("L" if i % 3 == 0 else "R" for i in range(32))
     got = tensor_eval(elem.body, args)
     want = 0
@@ -227,13 +223,3 @@ def test_high_level_evaluation_is_lazy_per_tuple():
         want += sign * (1 if args[j] == "L" else 0)
     assert got == integer(want)
 
-
-def test_high_levels_warn_about_blowup():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        lift_to(F, 5)
-    assert any("blowup" in str(w.message) for w in caught)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        lift_to(F, 4)
-    assert not caught

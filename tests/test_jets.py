@@ -43,6 +43,13 @@ def test_integer_polynomials_give_int_jets():
     assert type(Jet2.of_poly(p, (Fraction(1, 2), 1)).f) is Fraction
 
 
+def test_jets_reject_floats():
+    x = Poly2.var(0)
+    for build in (lambda: Jet1.of(0.5, 1), lambda: Poly2.const(0.5), lambda: x.scale(0.5), lambda: x.eval(0.5, 1)):
+        with pytest.raises(TypeError):
+            build()
+
+
 def test_parse_poly2_basic():
     p = parse_poly2("x^2*y - 2*y + 7", ("x", "y"))
     assert p.eval(3, 2) == 9 * 2 - 4 + 7

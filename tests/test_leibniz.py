@@ -377,11 +377,12 @@ def test_embed_matches_recursive_symbolic_embedding(spec, rng):
         assert embed(w).body.terms == recursive_embed(w).body.terms
 
 
-# specs of their own: the embedding caches answer for equal forms, and an
-# equal form built earlier from Fractions may hold Fraction(n, 1) parts
 INT_SPECS = {
     "free": AlgebraSpec.free(("x", "y")),
     "function": AlgebraSpec.function(("L", "M", "R"), {"x": (1, -1, 3), "y": (0, 1, -2)}),
+    "function-complex": AlgebraSpec.function(
+        ("L", "M", "R"), {"x": (Scalar.of(1, 2), -1, 3), "y": (0, Scalar.of(1, -1), -2)}
+    ),
 }
 
 
@@ -389,7 +390,8 @@ INT_SPECS = {
 def test_integer_forms_embed_with_int_coefficient_parts(spec):
     """Integral coefficients stay ``int`` through the embedding, the cheap
     path of ``Scalar``, also when normalizing a form divides a factor by
-    its leading coefficient (3x - 2y becomes 3 times x - 2/3 y)."""
+    its leading coefficient (3x - 2y becomes 3 times x - 2/3 y), and for
+    Gaussian integers, whose products and sums are complex."""
     x, y = (spec.symbol(s) for s in spec.symbols[:2])
     a = x.scale(integer(3)).add(y.scale(integer(-2)))
     b = x.add(y.scale(integer(-2)))

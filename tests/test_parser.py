@@ -9,6 +9,7 @@ from ncdiff.parser import (
     Delta,
     Lit,
     LoweringError,
+    MAX_ORDER,
     Mul,
     Odot,
     ParseError,
@@ -99,6 +100,14 @@ def test_unknown_symbol_reported_at_lowering():
     with pytest.raises(LoweringError) as err:
         lowered("nope")
     assert "unknown symbol" in str(err.value)
+
+
+def test_order_cap_reported_at_lowering_before_any_differential():
+    assert max(lowered("d^4(f)@d^4(g)")) == MAX_ORDER == 8
+    for text, col in (("f + d^9(g)", 5), ("d(f) + d^1000000000(g)", 8), ("d^5(f)@d^5(g)", 1)):
+        with pytest.raises(LoweringError) as err:
+            lowered(text)
+        assert str(err.value).startswith(f"line 1, column {col}: order ") and "exceeds the cap 8" in str(err.value)
 
 
 def test_zero_and_empty_results():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from ncdiff.scalars import ONE, ZERO, Scalar, integer
+from ncdiff.scalars import ONE, ZERO, Scalar, integer, rational
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 scalars = st.builds(Scalar, rationals, rationals)
@@ -88,3 +88,23 @@ def test_integral_sums_are_ints():
     assert type((third + two_thirds).re) is int and third + two_thirds == ONE
     assert type((five_thirds - two_thirds).re) is int and five_thirds - two_thirds == ONE
     assert type((third + third).re) is Fraction
+
+
+def test_integral_complex_results_are_ints():
+    half_one, half_half = Scalar.of(Fraction(1, 2), 1), Scalar.of(Fraction(1, 2), Fraction(1, 2))
+    results = [
+        (half_one + half_one, Scalar.of(1, 2)),
+        (Scalar.of(Fraction(3, 2), Fraction(1, 3)) - Scalar.of(Fraction(1, 2), Fraction(4, 3)), Scalar.of(1, -1)),
+        (half_half * Scalar.of(1, 1), Scalar.of(0, 1)),
+    ]
+    for got, want in results:
+        assert got == want and type(got.re) is int and type(got.im) is int
+
+
+def test_rational_normal_form():
+    cases = [(3, 3), (True, 1), (Fraction(4, 2), 2), ("6/3", 2), (Fraction(1, 2), Fraction(1, 2)), ("-3/4", Fraction(-3, 4))]
+    for x, want in cases:
+        assert rational(x) == want and type(rational(x)) is type(want)
+    for bad in (0.5, 1j, None, Scalar.of(1)):
+        with pytest.raises(TypeError):
+            rational(bad)
