@@ -18,17 +18,20 @@ which follows from the rules above, so equality of normal forms is
 decidable monomial by monomial.
 
 The embedding realizes a form of order n inside level n of the frame
-tower by the same rules read there: g· is the right lift of g, d is
-frame_delta, so d(g) ⊙ σ is frame_delta(g)·lam(σ), and the rest follows
-by folding the monomial from the right.  The generator tables, which
-place every lift explicitly, stay the independent check of it.
+tower by the same recursion read there, folding the monomial from the
+right: d is frame_delta and g· multiplies the first slot, so for the
+image s of σ, d(g) ⊙ σ = d(gσ) - g·dσ is 1⊗(g·s) - (g⊗1⊗...⊗1)⊗s (the
+right-lift terms cancel).  One step, ``_power``, serves both layers.
+The generator tables, which place every lift explicitly, stay the
+independent check of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Union
+from functools import partial
+from math import comb
+from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
 
 from .algebra import AlgebraMismatchError, AlgebraSpec, AlgElem
 from .frame import (
@@ -42,8 +45,10 @@ from .frame import (
     rho,
 )
 from .scalars import MINUS_ONE, Scalar
+from .tensor import TensorPoly, t_algebra_product, tensor_concat
 
 Factor = tuple[int, AlgElem]
+_Elem = TypeVar("_Elem", "LeibnizForm", FrameElem)
 
 
 @dataclass(frozen=True)
@@ -69,8 +74,8 @@ class LeibnizForm:
     module alone: differentiated elements are primitive and no unit
     multiples, coefficients are nonzero, factor lists are distinct and
     sorted.  ``LeibnizForm.of`` normalizes monomials with new elements;
-    ``add``, ``sub``, ``odot`` and ``_odot_power`` only merge canonical
-    monomials, and ``scale`` and ``module_mul`` keep their factor lists."""
+    ``add``, ``sub`` and ``odot`` only merge canonical monomials, and
+    ``scale`` and ``module_mul`` keep their factor lists."""
 
     spec: AlgebraSpec
     order: int
@@ -224,33 +229,31 @@ def odot(u: LeibnizForm, v: LeibnizForm) -> LeibnizForm:
 
 
 def _odot_mono(mu: LeibnizMonomial, mv: LeibnizMonomial) -> LeibnizForm:
-    acc = _as_form(mv)
+    acc = LeibnizForm(mv.coeff.spec, mv.order, (mv,))
     for k, g in reversed(mu.factors):
-        acc = _odot_power(k, g, acc)
+        acc = _power(k, partial(_odot_one, g), symbolic_delta, acc)
     return module_mul(mu.coeff, acc)
 
 
-def _odot_power(k: int, g: AlgElem, w: LeibnizForm) -> LeibnizForm:
-    parts = (_odot_power_mono(k, g, mono) for mono in w.terms)
-    return _collect(w.spec, w.order + k, (m for part in parts for m in part.terms))
+def _odot_one(g: AlgElem, w: LeibnizForm) -> LeibnizForm:
+    """d(g) ⊙ w by d(g) ⊙ b·N = d(gb) ⊙ N - g·(d(b) ⊙ N) on every monomial;
+    a unit-multiple b makes the subtracted monomial vanish in normalization."""
+    unit, neg_g = w.spec.unit(), g.neg()
+    out: list[LeibnizMonomial] = []
+    for m in w.terms:
+        out.append(LeibnizMonomial(unit, ((1, g.mul(m.coeff)),) + m.factors))
+        out.append(LeibnizMonomial(neg_g, ((1, m.coeff),) + m.factors))
+    return LeibnizForm.of(w.spec, w.order + 1, out)
 
 
-@lru_cache(maxsize=None)
-def _odot_power_mono(k: int, g: AlgElem, mono: LeibnizMonomial) -> LeibnizForm:
-    spec = g.spec
-    if k == 1:
-        b, rest = mono.coeff, mono.factors
-        # d(g) ⊙ b·N = d(gb) ⊙ N - g·(d(b) ⊙ N); a unit-multiple b makes
-        # the subtracted monomial vanish during normalization.
-        first = LeibnizMonomial(spec.unit(), ((1, g.mul(b)),) + rest)
-        second = LeibnizMonomial(g.neg(), ((1, b),) + rest)
-        return LeibnizForm.of(spec, mono.order + 1, [first, second])
-    lower = _odot_power_mono(k - 1, g, mono)
-    return symbolic_delta(lower) - _odot_power(k - 1, g, symbolic_delta(_as_form(mono)))
-
-
-def _as_form(mono: LeibnizMonomial) -> LeibnizForm:
-    return LeibnizForm(mono.coeff.spec, mono.order, (mono,))
+def _power(k: int, one: Callable[[_Elem], _Elem], delta: Callable[[_Elem], _Elem], s: _Elem) -> _Elem:
+    """d^k(g) ⊙ σ = d(d^{k-1}(g) ⊙ σ) - d^{k-1}(g) ⊙ dσ, unrolled (d is linear) to the
+    sum over i < k of (-1)^i C(k-1, i) d^{k-1-i}(d(g) ⊙ d^i σ), so each d^i σ is built once."""
+    acc = one(s)
+    for i in range(1, k):
+        s = delta(s)
+        acc = delta(acc) + one(s).scale((-1) ** i * comb(k - 1, i))
+    return acc
 
 
 # -- embedding into the frame tower --------------------------------------
@@ -258,28 +261,25 @@ def _as_form(mono: LeibnizMonomial) -> LeibnizForm:
 
 def embed(w: LeibnizForm) -> FrameElem:
     """Realize a form of order n inside level n of the frame tower."""
-    images = (
-        lift_to(m.coeff, m.order).mul(_embed_factors(m.factors)) if m.factors else FrameElem.from_alg(m.coeff)
-        for m in w.terms
-    )
-    return frame_sum(w.spec, w.order, images)
+    return frame_sum(w.spec, w.order, (_embed_mono(m) for m in w.terms))
 
 
-@lru_cache(maxsize=None)
-def _embed_factors(factors: tuple[Factor, ...]) -> FrameElem:
-    """Image of d^{k1}(g1) ⊙ ... ⊙ d^{kr}(gr), folded from the right."""
-    (k, g), rest = factors[0], factors[1:]
-    if not rest:
-        return delta_iter(g, k)
-    return _embed_power(k, g, _embed_factors(rest))
+def _embed_mono(m: LeibnizMonomial) -> FrameElem:
+    """Image of a·d^{k1}(g1) ⊙ ... ⊙ d^{kr}(gr), folded from the right."""
+    if not m.factors:
+        return FrameElem.from_alg(m.coeff)
+    k, g = m.factors[-1]
+    s = delta_iter(g, k)
+    for k, g in reversed(m.factors[:-1]):
+        s = _power(k, partial(_embed_one, g), frame_delta, s)
+    return FrameElem(s.level, t_algebra_product(TensorPoly.wrap(m.coeff), s.body))
 
 
-def _embed_power(k: int, g: AlgElem, s: FrameElem) -> FrameElem:
-    """Image of d^k(g) ⊙ σ from the image s of σ; d(gσ) - g·dσ collapses
-    to frame_delta(lift(g))·lam(s) because lam and rho are algebra maps."""
-    if k == 1:
-        return frame_delta(lift_to(g, s.level)).mul(lam(s))
-    return frame_delta(_embed_power(k - 1, g, s)) - _embed_power(k - 1, g, frame_delta(s))
+def _embed_one(g: AlgElem, s: FrameElem) -> FrameElem:
+    """Image of d(g) ⊙ σ = d(gσ) - g·dσ from the image s of σ; g· multiplies slot 0."""
+    gs = t_algebra_product(TensorPoly.wrap(g), s.body)
+    lifted = tensor_concat(lift_to(g, s.level).body, s.body)
+    return FrameElem(s.level + 1, tensor_concat(TensorPoly.unit(s.spec, gs.degree), gs) - lifted)
 
 
 # -- monomial types -------------------------------------------------------

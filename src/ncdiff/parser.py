@@ -291,9 +291,9 @@ def _lower(expr: FormExpr, spec: AlgebraSpec) -> dict[int, LeibnizForm]:
         coeff = head.terms[0].coeff  # the grammar restricts the head to one symbol
         return {o: module_mul(coeff, f) for o, f in tail.items()}
     if isinstance(expr, Odot):
-        acc = {}
-        for lo, lf in _lower(expr.left, spec).items():
-            for ro, rf in _lower(expr.right, spec).items():
+        acc, left, right = {}, _lower(expr.left, spec), _lower(expr.right, spec)
+        for lo, lf in left.items():
+            for ro, rf in right.items():
                 _check_order(expr, lo + ro)
                 _merge(acc, odot(lf, rf), 1)
         return acc

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from ncdiff.algebra import AlgebraSpec
@@ -102,6 +105,16 @@ def test_odot_against_its_defining_rule():
     out2 = odot(d(form_of(G), 2), sigma)
     want2 = d(odot(d(form_of(G)), sigma)) - odot(d(form_of(G)), d(sigma))
     assert embed(out2) == embed(want2)
+    # and as forms, term order included, against the rules applied monomial
+    # by monomial, for k = 1-4 and a two-monomial σ with non-unit coefficients
+    for spec, _, _ in ORACLE_CASES.values():
+        s0, s1, s2 = (spec.symbol(s) for s in spec.symbols[:3])
+        sigma = module_mul(s2, odot(d(form_of(s0)), d(form_of(s1))))
+        sigma += module_mul(s0.add(s1), d(form_of(s2), 2))
+        assert len(sigma.terms) == 2
+        for k in range(1, 5):
+            u = module_mul(s1, d(form_of(s0.add(s2)), k))
+            assert odot(u, sigma).terms == recursive_odot(u, sigma).terms
 
 
 def test_embed_displayed_expansions():
@@ -311,6 +324,44 @@ def test_collect_only_operations_match_full_normalization(case, rng):
         assert len(form.terms) == 2 and len(killed.terms) == 1
         raw = [LeibnizMonomial(a.mul(t.coeff), t.factors) for t in form.terms]
         assert_normalizes_to(killed, spec, 1, raw)
+
+
+def recursive_odot(u, v):
+    """Reference ⊙ that reads the rules monomial by monomial, folding the
+    factors of u from the right: d(g) ⊙ b·N = d(gb) ⊙ N - g·(d(b) ⊙ N) and
+    d^k(g) ⊙ m = d(d^{k-1}(g) ⊙ m) - d^{k-1}(g) ⊙ dm."""
+
+    def power(k, g, sigma):
+        spec = sigma.spec
+        out = []
+        for mono in sigma.terms:
+            if k == 1:
+                out.append(LeibnizMonomial(spec.unit(), ((1, g.mul(mono.coeff)),) + mono.factors))
+                out.append(LeibnizMonomial(g.neg(), ((1, mono.coeff),) + mono.factors))
+            else:
+                m = LeibnizForm(spec, mono.order, (mono,))
+                out += (symbolic_delta(power(k - 1, g, m)) - power(k - 1, g, symbolic_delta(m))).terms
+        return LeibnizForm.of(spec, sigma.order + k, out)
+
+    parts = []
+    for mu in u.terms:
+        acc = v
+        for k, g in reversed(mu.factors):
+            acc = power(k, g, acc)
+        parts += module_mul(mu.coeff, acc).terms
+    return LeibnizForm.of(u.spec, u.order + v.order, parts)
+
+
+def test_no_library_state_keeps_user_data():
+    """⊙ and the embedding keep nothing of their inputs once they return."""
+    spec = AlgebraSpec.free(("p", "q"))
+    p, q = spec.symbol("p"), spec.symbol("q")
+    w = odot(module_mul(q, d(form_of(p), 2)), d(form_of(q)))
+    assert embed(w).level == 3
+    ref = weakref.ref(spec)
+    del spec, p, q, w
+    gc.collect()
+    assert ref() is None
 
 
 def recursive_embed(w):

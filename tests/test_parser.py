@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import ncdiff.parser
 from ncdiff.algebra import AlgebraSpec
 from ncdiff.leibniz import LeibnizForm, embed, module_mul, odot, symbolic_delta
 from ncdiff.parser import (
@@ -125,3 +126,24 @@ def test_print_parse_round_trip():
         printed = str(parts[order])
         reparsed = lowered(printed)
         assert reparsed == parts, text
+
+
+def test_nested_odot_lowers_each_subtree_once(monkeypatch):
+    """The right operand of ⊙ is lowered once, not once per homogeneous
+    part of the left operand, so nesting costs 7 calls per level."""
+    calls = 0
+    inner = ncdiff.parser._lower
+
+    def counting(expr, spec):
+        nonlocal calls
+        calls += 1
+        return inner(expr, spec)
+
+    monkeypatch.setattr(ncdiff.parser, "_lower", counting)
+    text = "f"
+    for depth in range(1, 5):
+        text = f"(f + d(f) + g)@({text})"
+        calls = 0
+        parts = lowered(text)
+        assert calls == 7 * depth + 1
+        assert sorted(parts) == list(range(depth + 1))
