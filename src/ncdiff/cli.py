@@ -27,7 +27,8 @@ from .frame import FrameElem, delta_I, generator_str, slot_in_generators
 from .jets import ChangeOfVars2, Jet2, parse_poly2, transform_jet2, delta2_invariance_check
 from .leibniz import LeibnizForm, embed
 from .parser import LoweringError, MAX_ORDER, ParseError, lower, parse
-from .tensor import tensor_eval, tensor_eval_all, tensor_to_matrix
+from .scalars import ZERO
+from .tensor import dumps, tensor_eval, tensor_eval_all, tensor_to_matrix
 from .verify import run_suite
 
 
@@ -87,23 +88,27 @@ def _digit_limit(what: str):
         raise UsageError(message + " (PYTHONINTMAXSTRDIGITS raises it)") from None
 
 
-def _emit(doc, render_pretty: Callable[[], str], out_mode: str) -> None:
-    """Print doc as JSON, or the text render_pretty builds for --out pretty;
-    only the printed form is built.  Flushing makes a closed pipe fail here,
-    inside ``main``, and not in the interpreter's flush at exit."""
-    if out_mode == "pretty":
-        print(render_pretty(), flush=True)
-    else:
-        print(json.dumps(doc, sort_keys=True, separators=(",", ":")), flush=True)
+class Encoded(str):
+    """JSON text that ``_dumps`` writes as it is."""
 
 
-def _form_doc(form: LeibnizForm, frame: FrameElem) -> dict:
-    return {
-        "order": form.order,
-        "level": frame.level,
-        "tensor": frame.body.to_json(),
-        "pretty": str(frame.body),
-    }
+def _dumps(doc) -> str:
+    """``tensor.dumps(doc)``, except that ``Encoded`` values are spliced in."""
+    if isinstance(doc, Encoded):
+        return doc
+    if isinstance(doc, dict):
+        return "{" + ",".join(f"{dumps(k)}:{_dumps(v)}" for k, v in sorted(doc.items())) + "}"
+    if isinstance(doc, list):
+        return "[" + ",".join(map(_dumps, doc)) + "]"
+    return dumps(doc)
+
+
+def _emit(build_doc: Callable[[], dict], render_pretty: Callable[[], str], out_mode: str) -> None:
+    """Print the document build_doc makes as JSON, or the text render_pretty
+    builds for --out pretty; only the printed form is built.  Flushing makes
+    a closed pipe fail here, inside ``main``, and not in the interpreter's
+    flush at exit."""
+    print(render_pretty() if out_mode == "pretty" else _dumps(build_doc()), flush=True)
 
 
 def cmd_expand(args) -> int:
@@ -114,14 +119,19 @@ def cmd_expand(args) -> int:
     docs, lines = [], []
     with _digit_limit("expand result"):
         for form, frame in zip(forms, frames):
-            doc = _form_doc(form, frame)
+            doc = {"order": form.order, "level": frame.level, "pretty": str(frame.body)}
             lines.append(doc["pretty"])
             if args.basis == "generators":
                 doc["generators"] = _generator_basis_doc(frame)
                 rows = (f"{t['coeff']} x " + " · ".join(t["product"]) for t in doc["generators"])
                 lines.append("\n".join(rows))
             docs.append(doc)
-        _emit({"parts": docs} if args.split else docs[0], lambda: "\n".join(lines), args.out)
+
+        def document() -> dict:
+            parts = [dict(d, tensor=Encoded(f.body.json_text())) for d, f in zip(docs, frames)]
+            return {"parts": parts} if args.split else parts[0]
+
+        _emit(document, lambda: "\n".join(lines), args.out)
     return 0
 
 
@@ -171,13 +181,15 @@ def cmd_eval(args) -> int:
     body = embed(form).body
     values = tensor_eval_all(body) if args.all else [tensor_eval(body, t) for t in tuples]
     rows = [(t, v) for t, v in zip(tuples, values) if not (args.nonzero and v.is_zero())]
-    doc = {
-        "order": form.order,
-        "arity": arity,
-        "values": [{"args": list(t), "value": v.to_json()} for t, v in rows],
-    }
+
+    def document() -> dict:
+        name = {p: dumps(p) for p in spec.points}
+        value = functools.cache(lambda v: dumps(v.to_json()))  # tables repeat a few values
+        cells = (f'{{"args":[{",".join(name[p] for p in t)}],"value":{value(v)}}}' for t, v in rows)
+        return {"order": form.order, "arity": arity, "values": Encoded(f"[{','.join(cells)}]")}
+
     with _digit_limit("eval result"):
-        _emit(doc, lambda: "\n".join(f"[{','.join(t)}] = {v}" for t, v in rows), args.out)
+        _emit(document, lambda: "\n".join(f"[{','.join(t)}] = {v}" for t, v in rows), args.out)
     return 0
 
 
@@ -189,13 +201,15 @@ def cmd_matrix(args) -> int:
     message = "result dimension {} exceeds the cap {}"
     size = _capped_power(spec.dim, form.order, args.max_dim, message)
     mat = tensor_to_matrix(embed(form).body)
-    doc = {
-        "order": form.order,
-        "dim": size,
-        "matrix": [[e.to_json() for e in row] for row in mat],
-    }
+
+    def document() -> dict:
+        cell = functools.cache(lambda e: dumps(e.to_json()))
+        zero = cell(ZERO)  # cells never written are the ZERO singleton; most are
+        rows = (f"[{','.join(zero if e is ZERO else cell(e) for e in row)}]" for row in mat)
+        return {"order": form.order, "dim": size, "matrix": Encoded(f"[{','.join(rows)}]")}
+
     with _digit_limit("matrix result"):
-        _emit(doc, lambda: "\n".join("  ".join(str(e) for e in row) for row in mat), args.out)
+        _emit(document, lambda: "\n".join("  ".join(str(e) for e in row) for row in mat), args.out)
     return 0
 
 
@@ -212,29 +226,27 @@ def cmd_generators(args) -> int:
         raise UsageError(f"--level must be nonnegative, got {p}")
     if p >= MAX_ORDER:  # a level-p table holds 3^p * 2^p slot labels, more than an order-p form
         raise UsageError(f"--level must be below {MAX_ORDER}, got {p}")
-    gens = []
+    gens, bodies = [], []
     # every subset of {0..p-1}, smallest first, then by ascending members
     subsets = slot_in_generators(f, 2**p - 1, p)
     for index in sorted(subsets, key=lambda ix: (len(ix.members), ix.members[::-1])):
-        elem = delta_I(f, index)
-        gens.append(
-            {
-                "index": str(index),
-                "name": generator_str(index, name),
-                "tensor": elem.body.to_json(),
-                "pretty": str(elem.body),
-            }
-        )
+        body = delta_I(f, index).body
+        bodies.append(body)
+        gens.append({"index": str(index), "name": generator_str(index, name), "pretty": str(body)})
     inversion = []
     for j in range(2**p):
         subsets = slot_in_generators(f, j, p)
         inversion.append(
             {"slot": j, "sum": [generator_str(ix, name) for ix in subsets]}
         )
-    doc = {"level": p, "symbol": name, "generators": gens, "inversion": inversion}
     lines = [f"{g['name']} = {g['pretty']}" for g in gens]
     lines += [f"slot {r['slot']}: " + " + ".join(r["sum"]) for r in inversion]
-    _emit(doc, lambda: "\n".join(lines), args.out)
+
+    def document() -> dict:
+        tables = [dict(g, tensor=Encoded(b.json_text())) for g, b in zip(gens, bodies)]
+        return {"level": p, "symbol": name, "generators": tables, "inversion": inversion}
+
+    _emit(document, lambda: "\n".join(lines), args.out)
     return 0
 
 
@@ -247,7 +259,7 @@ def cmd_verify(args) -> int:
     ok = all(r.ok for r in results)
     doc = {"suite": args.suite, "ok": ok, "checks": checks}
     lines = (f"{'PASS' if c['ok'] else 'FAIL'} {c['check']}" for c in checks)
-    _emit(doc, lambda: "\n".join(lines), args.out)
+    _emit(lambda: doc, lambda: "\n".join(lines), args.out)
     return 0 if ok else 1
 
 
@@ -288,7 +300,7 @@ def cmd_jet(args) -> int:
     }
     with _digit_limit("jet result"):
         lines = (f"{k} = {v[0]}/{v[1]}" for k, v in doc["jet"].items())
-        _emit(doc, lambda: "\n".join(lines), args.out)
+        _emit(lambda: doc, lambda: "\n".join(lines), args.out)
     return 0
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -21,6 +22,11 @@ from .scalars import MINUS_ONE, ONE, ZERO, Scalar
 
 Term = tuple[Scalar, tuple[Label, ...]]
 ElemTerm = tuple[Scalar, Sequence[AlgElem]]
+
+
+def dumps(doc) -> str:
+    """Compact JSON with sorted keys: the one form ncdiff writes."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -118,16 +124,19 @@ class TensorPoly:
 
     # -- serialization / printing ---------------------------------------
 
+    def json_text(self) -> str:
+        """``dumps(self.to_json())``, with each distinct label's element and
+        each distinct coefficient encoded once (most slots hold the unit)."""
+        factor = functools.cache(lambda label: dumps(self.spec.basis_elem(label).to_json()))
+        coeff = functools.cache(lambda c: dumps(c.to_json()))
+        terms = (
+            f'{{"coeff":{coeff(c)},"factors":[{",".join(map(factor, labels))}]}}'
+            for c, labels in self.terms
+        )
+        return f'{{"degree":{self.degree},"terms":[{",".join(terms)}]}}'
+
     def to_json(self) -> dict:
-        # one element per distinct label, but fresh lists per factor: callers may edit the document
-        basis = functools.cache(self.spec.basis_elem)
-        return {
-            "degree": self.degree,
-            "terms": [
-                {"coeff": c.to_json(), "factors": [basis(label).to_json() for label in labels]}
-                for c, labels in self.terms
-            ],
-        }
+        return json.loads(self.json_text())  # fresh lists: callers may edit the document
 
     def __str__(self) -> str:
         if not self.terms:
@@ -163,15 +172,19 @@ def _expand(spec: AlgebraSpec, degree: int, terms: Iterable[ElemTerm]) -> Iterat
 
 
 def _multilinear(coeff: Scalar, head: tuple, slots: list, tail: tuple) -> Iterator[Term]:
-    """Expand coeff * head (x) slots (x) tail; a slot lists (coeff, label) pairs.
-    Slot coefficients that are the ``ONE`` singleton (``_glue`` maps unit
-    coefficients to it; most are) are not multiplied in, which is exact."""
+    """Expand coeff * head (x) slots (x) tail; a slot lists (coeff, label) pairs."""
     for combo in itertools.product(*slots):
         c = coeff
         for ci, _ in combo:
-            if ci is not ONE:
-                c = c * ci
+            c = _times(c, ci)
         yield c, head + tuple(label for _, label in combo) + tail
+
+
+def _times(a: Scalar, b: Scalar) -> Scalar:
+    """a * b, where a factor that is the ``ONE`` singleton is not multiplied
+    in (``_glue``, ``TensorPoly.unit`` and ``wrap`` give most unit
+    coefficients as it)."""
+    return b if a is ONE else a if b is ONE else a * b
 
 
 def _collect(spec: AlgebraSpec, degree: int, terms: Iterable[Term]) -> TensorPoly:
@@ -209,7 +222,7 @@ def tensor_concat(u: TensorPoly, v: TensorPoly) -> TensorPoly:
     """
     if u.spec != v.spec:
         raise AlgebraMismatchError("tensors over different algebras")
-    terms = tuple((cu * cv, fu + fv) for cu, fu in u.terms for cv, fv in v.terms)
+    terms = tuple((_times(cu, cv), fu + fv) for cu, fu in u.terms for cv, fv in v.terms)
     return TensorPoly(u.spec, u.degree + v.degree, terms)
 
 
@@ -234,7 +247,7 @@ def _glue(spec: AlgebraSpec, degree: int, items: Iterable[tuple]) -> TensorPoly:
 def componentwise_product(u: TensorPoly, v: TensorPoly) -> TensorPoly:
     """Slotwise product: the multiplication of the p-fold product algebra."""
     u._check_compatible(v)
-    items = ((cu * cv, (), zip(fu, fv), ()) for cu, fu in u.terms for cv, fv in v.terms)
+    items = ((_times(cu, cv), (), zip(fu, fv), ()) for cu, fu in u.terms for cv, fv in v.terms)
     return _glue(u.spec, u.degree, items)
 
 
@@ -249,7 +262,7 @@ def t_algebra_product(u: TensorPoly, v: TensorPoly, block: int = 1) -> TensorPol
     if u.degree % block or v.degree % block:
         raise ValueError("degrees must be multiples of the block width")
     items = (
-        (cu * cv, fu[:-block], zip(fu[-block:], fv[:block]), fv[block:])
+        (_times(cu, cv), fu[:-block], zip(fu[-block:], fv[:block]), fv[block:])
         for cu, fu in u.terms
         for cv, fv in v.terms
     )

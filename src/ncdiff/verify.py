@@ -66,10 +66,6 @@ def default_free_spec() -> AlgebraSpec:
     return AlgebraSpec.free(("f", "g", "h", "i", "k"))
 
 
-def two_point_spec() -> AlgebraSpec:
-    return AlgebraSpec.function(("L", "R"), {"x": (1, 0), "y": (0, 1)})
-
-
 # -- expansion tables -------------------------------------------------------
 #
 # Right-hand sides are written over the generator family with the lifts

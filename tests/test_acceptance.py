@@ -60,7 +60,6 @@ from ncdiff.verify import (
     random_jet_instance,
     random_leibniz_form,
     random_omega_monomial,
-    two_point_spec,
 )
 
 from exactlinalg import in_span, kron, rank
@@ -221,7 +220,7 @@ def test_criterion_06_function_algebra_closed_forms():
 
 
 def test_criterion_07_two_point_algebra():
-    spec = two_point_spec()
+    spec = AlgebraSpec.function(("L", "R"), {"x": (1, 0), "y": (0, 1)})
     x, y = spec.symbol("x"), spec.symbol("y")
     form = lambda e: LeibnizForm.from_alg(e)
     d = symbolic_delta

@@ -8,8 +8,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import ncdiff
+from ncdiff import cli
+from ncdiff.algebra import AlgebraSpec
 from ncdiff.cli import build_arg_parser, main
+from ncdiff.leibniz import embed
+from ncdiff.parser import lower, parse
 from ncdiff.scalars import Scalar
+from ncdiff.tensor import TensorPoly
 
 TWO_POINT_DOC = {
     "backend": "function",
@@ -358,12 +363,17 @@ def test_split_prints_each_parts_generator_basis(spec_file, capsys):
             assert whole == "".join(alone) and len(whole.splitlines()) > 2 * len(pieces)
 
 
-def test_closed_pipe_exits_141_without_traceback(spec_file):
+def child(*argv, **kwargs) -> subprocess.Popen:
+    """Start ``python -m ncdiff.cli argv`` in a child process that imports this ncdiff."""
     src = os.path.dirname(os.path.dirname(ncdiff.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.Popen([sys.executable, "-m", "ncdiff.cli", *argv], env=env, **kwargs)
+
+
+def test_closed_pipe_exits_141_without_traceback(spec_file):
     # about 300 kB of JSON, more than a pipe buffers
-    argv = [sys.executable, "-m", "ncdiff.cli", "generators", "--algebra", spec_file(FREE_DOC), "--level", "5"]
-    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    argv = ["generators", "--algebra", spec_file(FREE_DOC), "--level", "5"]
+    proc = child(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     assert len(proc.stdout.read(20)) == 20
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
@@ -439,6 +449,62 @@ def test_one_parser_serves_every_call(spec_file, capsys):
     build_arg_parser.cache_clear()
     assert [outcome(argv) for argv in calls] == fresh
     assert build_arg_parser.cache_info().misses == 1
+
+
+def test_large_expansion_prints_in_bounded_time_and_memory(spec_file, tmp_path):
+    """d^4(f)⊙d^4(g) has 752 terms of 256 slots; each distinct slot label is
+    encoded once, not once per slot (which took 2.2 s of CPU and 162 MB)."""
+    path, out = spec_file(FREE_DOC), tmp_path / "out.json"
+    with out.open("wb") as fh:
+        proc = child("expand", "--algebra", path, "--expr", "d4(f)@d4(g)", stdout=fh)
+        _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    assert usage.ru_maxrss < 100 * 1024  # kilobytes on Linux
+    assert usage.ru_utime + usage.ru_stime < 1.5
+    spec = AlgebraSpec.from_json(FREE_DOC)
+    (form,) = lower(parse("d4(f)@d4(g)"), spec).values()
+    tensor = json.loads(out.read_text())["tensor"]  # compared as text: to_json() would parse it again
+    assert json.dumps(tensor, sort_keys=True, separators=(",", ":")) == embed(form).body.json_text()
+
+
+@pytest.mark.parametrize(
+    "doc, argv",
+    [
+        (FREE_DOC, ["expand", "--expr", "d(f)@d2(g) + f*d3(h)"]),
+        (FREE_DOC, ["expand", "--expr", "f + d(f)", "--split", "--basis", "generators"]),
+        (FREE_DOC, ["generators", "--level", "3"]),
+        (MIXED_TWO_POINT_DOC, ["eval", "--expr", "x*d(y)@d(x)", "--all"]),
+        (MIXED_TWO_POINT_DOC, ["eval", "--expr", "d(x)", "--tuples", "L,R"]),
+        (MIXED_MAT_DOC, ["matrix", "--expr", "f*d(f)"]),
+        (MIXED_MAT_DOC, ["expand", "--expr", "f*d(f)"]),
+    ],
+    ids=["expand", "split-generators", "generators", "eval-all", "eval-tuples", "matrix", "expand-matrix"],
+)
+def test_pretty_output_encodes_no_json(spec_file, capsys, monkeypatch, doc, argv):
+    def refuse(*args):
+        raise AssertionError("JSON encoded for --out pretty")
+
+    argv = [*argv, "--algebra", spec_file(doc)]
+    _, out, _ = run(capsys, *argv)
+    assert json.loads(out)
+    for target, name in [(TensorPoly, "json_text"), (Scalar, "to_json"), (cli, "dumps")]:
+        monkeypatch.setattr(target, name, refuse)
+    code, pretty, _ = run(capsys, *argv, "--out", "pretty")
+    assert code == 0 and pretty.strip()
+
+
+JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(doc=JSON_DOCS)
+def test_dumps_writes_sorted_compact_json(doc):
+    assert cli._dumps(doc) == json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 # Tokens of the expression grammar, joined with spaces so digits never merge

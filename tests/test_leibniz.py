@@ -1,5 +1,7 @@
 import gc
+import json
 import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -426,6 +428,40 @@ def test_embed_matches_recursive_symbolic_embedding(spec, rng):
     forms += [a, odot(forms[0], a), odot(forms[0], forms[1]), odot(forms[2], forms[0])]
     for w in forms:
         assert embed(w).body.terms == recursive_embed(w).body.terms
+
+
+def oracle_json(u: TensorPoly) -> dict:
+    """A tensor's document built anew for every slot of every term."""
+    terms = [
+        {"coeff": c.to_json(), "factors": [u.spec.basis_elem(label).to_json() for label in labels]}
+        for c, labels in u.terms
+    ]
+    return {"degree": u.degree, "terms": terms}
+
+
+JSON_ORACLE_SPECS = {**EMBED_ORACLE_SPECS, "free-unicode": AlgebraSpec.free(("φ", "g"))}
+
+
+@pytest.mark.parametrize("spec", JSON_ORACLE_SPECS.values(), ids=JSON_ORACLE_SPECS.keys())
+def test_tensor_json_text_matches_a_slot_by_slot_oracle(spec, rng):
+    """``json_text`` encodes each distinct label and coefficient once; the
+    text and ``to_json`` equal the document built slot by slot."""
+    syms = [spec.symbol(s) for s in spec.symbols]
+    half, complex_ = Scalar.of(Fraction(1, 2)), Scalar.of(Fraction(-2, 3), 1)
+    tensors = [
+        TensorPoly.zero(spec, 2),
+        TensorPoly.unit(spec, 4),
+        TensorPoly.elementary(spec, syms[:2], complex_),
+    ]
+    for k, c in [(1, half), (2, complex_), (3, integer(-4))]:
+        factors = [(k, rng.choice(syms)), (1, random_elem(spec, rng))]
+        tensors.append(embed(LeibnizForm.monomial(random_elem(spec, rng).scale(c), factors)).body)
+    coeffs = [c for u in tensors for c, _ in u.terms]
+    assert any(c.im for c in coeffs) and any(type(c.re) is Fraction for c in coeffs)
+    for u in tensors:
+        want = oracle_json(u)
+        assert u.json_text() == json.dumps(want, sort_keys=True, separators=(",", ":"))
+        assert u.to_json() == want
 
 
 INT_SPECS = {
