@@ -255,10 +255,10 @@ def cmd_verify(args) -> int:
         results = run_suite(args.suite)
     except KeyError:
         raise UsageError(f"unknown suite {args.suite!r}") from None
-    checks = [{"check": r.name, "ok": r.ok} for r in results]
+    checks = [{"check": r.name, "ok": r.ok} | ({} if r.ok else {"detail": r.detail}) for r in results]
     ok = all(r.ok for r in results)
     doc = {"suite": args.suite, "ok": ok, "checks": checks}
-    lines = (f"{'PASS' if c['ok'] else 'FAIL'} {c['check']}" for c in checks)
+    lines = (f"PASS {r.name}" if r.ok else f"FAIL {r.name}: {r.detail}" for r in results)
     _emit(lambda: doc, lambda: "\n".join(lines), args.out)
     return 0 if ok else 1
 

@@ -297,31 +297,15 @@ def _expand_second_differential(
     fxx dx^2 + fyy dy^2 + 2 fxy dx dy [+ fx d2x + fy d2y]
     and collect over the basis monomials in the new variables."""
     x, y = cv.xj, cv.yj
-    out = {k: 0 for k in _BASIS}
-
-    def add_square(coef: int | Fraction, au: int | Fraction, av: int | Fraction) -> None:
-        out["du2"] += coef * au * au
-        out["dv2"] += coef * av * av
-        out["dudv"] += coef * 2 * au * av
-
-    def add_cross(
-        coef: int | Fraction, au: int | Fraction, av: int | Fraction, bu: int | Fraction, bv: int | Fraction
-    ) -> None:
-        out["du2"] += coef * au * bu
-        out["dv2"] += coef * av * bv
-        out["dudv"] += coef * (au * bv + av * bu)
-
-    add_square(fj.fxx, x.fx, x.fy)
-    add_square(fj.fyy, y.fx, y.fy)
-    add_cross(2 * fj.fxy, x.fx, x.fy, y.fx, y.fy)
+    dx, dy = Poly2.of({(1, 0): x.fx, (0, 1): x.fy}), Poly2.of({(1, 0): y.fx, (0, 1): y.fy})
+    quad = (dx * dx).scale(fj.fxx) + (dx * dy).scale(2 * fj.fxy) + (dy * dy).scale(fj.fyy)
+    d2u = d2v = 0
     if include_first_order:
         for coef, j in ((fj.fx, x), (fj.fy, y)):
-            out["du2"] += coef * j.fxx
-            out["dv2"] += coef * j.fyy
-            out["dudv"] += coef * 2 * j.fxy
-            out["d2u"] += coef * j.fx
-            out["d2v"] += coef * j.fy
-    return out
+            quad = quad + Poly2.of({(2, 0): j.fxx, (1, 1): 2 * j.fxy, (0, 2): j.fyy}).scale(coef)
+        d2u, d2v = fj.fx * x.fx + fj.fy * y.fx, fj.fx * x.fy + fj.fy * y.fy
+    du2, dudv, dv2 = (dict(quad.coeffs).get(e, 0) for e in ((2, 0), (1, 1), (0, 2)))
+    return {"du2": du2, "dv2": dv2, "dudv": dudv, "d2u": d2u, "d2v": d2v}
 
 
 def delta2_invariance_check(

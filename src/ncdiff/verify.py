@@ -1,10 +1,12 @@
 """Built-in verification suites.
 
-Each suite is a list of named exact checks over fixed or seeded-random
-data: the generator tables and their inversion, the product rule for
-the level differentials, nilpotency of the universal differential
-inside one level, the order 1..4 expansion tables of the ⊙ product in
-the generator basis, ⊙ associativity, and the jet transformation laws.
+Each suite yields instances ``(check name, lhs, rhs)`` of exact
+identities over fixed or seeded-random data: the generator tables and
+their inversion, the product rule for the level differentials,
+nilpotency of the universal differential inside one level, the order
+1..4 expansion tables of the ⊙ product in the generator basis, ⊙
+associativity, and the jet transformation laws.  ``run_suite`` judges
+the instances and names the first failing instance of a failing check.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .algebra import AlgebraSpec, AlgElem
 from .frame import (
@@ -53,6 +55,10 @@ from .leibniz import (
 )
 from .scalars import Scalar
 from .tensor import OmegaMonomial, TensorPoly, omega_to_tensor, universal_d
+
+
+#: one instance of a named check: (check name, lhs, rhs)
+Instance = tuple[str, object, object]
 
 
 @dataclass(frozen=True)
@@ -167,9 +173,15 @@ def generator_table_rhs(spec: AlgebraSpec, order: int, terms: Sequence[Generator
     return frame_sum(spec, order, parts)
 
 
-def check_table_row(spec: AlgebraSpec, order: int, row: int) -> bool:
+def table_row(spec: AlgebraSpec, order: int, row: int) -> Instance:
+    """The row's ⊙ monomial, embedded, and the generator sum recorded for it."""
     factors, rhs = EXPANSION_TABLE[(order, row)]
-    return embed(odot_chain(spec, factors)) == generator_table_rhs(spec, order, rhs)
+    return f"order{order}.row{row}", embed(odot_chain(spec, factors)), generator_table_rhs(spec, order, rhs)
+
+
+def check_table_row(spec: AlgebraSpec, order: int, row: int) -> bool:
+    _, lhs, rhs = table_row(spec, order, row)
+    return lhs == rhs
 
 
 # -- random data -----------------------------------------------------------
@@ -259,10 +271,9 @@ def change_of_vars(x: Poly2, y: Poly2, at: tuple) -> ChangeOfVars2:
 # -- suites ------------------------------------------------------------
 
 
-def suite_generators() -> list[CheckResult]:
+def suite_generators() -> Iterator[Instance]:
     spec = default_free_spec()
     f = spec.symbol("f")
-    out = []
     expected_level2 = {
         (): [(1, (0,))],
         (0,): [(1, (1,)), (-1, (0,))],
@@ -272,151 +283,99 @@ def suite_generators() -> list[CheckResult]:
     for members, slots in expected_level2.items():
         want = frame_sum(spec, 2, (slot_embed(f, slot, 2).scale(sign) for sign, (slot,) in slots))
         index = SubsetIndex.of(2, members)
-        out.append(CheckResult(f"level2.d{index}", delta_I(f, index) == want))
-    for j in range(4):
-        subsets = slot_in_generators(f, j, 2)
-        out.append(
-            CheckResult(f"level2.slot{j}.inversion", generator_sum(f, subsets) == slot_embed(f, j, 2))
-        )
-    for j in range(8):
-        subsets = slot_in_generators(f, j, 3)
-        out.append(
-            CheckResult(f"level3.slot{j}.inversion", generator_sum(f, subsets) == slot_embed(f, j, 3))
-        )
-    return out
+        yield f"level2.d{index}", delta_I(f, index), want
+    for level in (2, 3):
+        for j in range(2**level):
+            subsets = slot_in_generators(f, j, level)
+            yield f"level{level}.slot{j}.inversion", generator_sum(f, subsets), slot_embed(f, j, level)
 
 
-def suite_leibniz() -> list[CheckResult]:
+def suite_leibniz() -> Iterator[Instance]:
     spec = default_free_spec()
     g, h = spec.symbol("g"), spec.symbol("h")
     rng = random.Random(7)
-    out = []
     one_form = module_left(FrameElem.from_alg(g), delta_iter(h, 1))
-    lhs = frame_delta(one_form)
     term1 = module_right(frame_delta(rho(FrameElem.from_alg(g))), delta_iter(h, 1))
     term2 = module_left(lift_to(g, 1), frame_delta(delta_iter(h, 1)))
-    out.append(CheckResult("product.rule.split", lhs == term1 + term2))
-    out.append(
-        CheckResult(
-            "lam.generator.identity",
-            lam(delta_iter(h, 1))
-            == delta_I(h, SubsetIndex.of(2, (1, 0))) + delta_I(h, SubsetIndex.of(2, (0,))),
-        )
+    yield "product.rule.split", frame_delta(one_form), term1 + term2
+    yield (
+        "lam.generator.identity",
+        lam(delta_iter(h, 1)),
+        delta_I(h, SubsetIndex.of(2, (1, 0))) + delta_I(h, SubsetIndex.of(2, (0,))),
     )
     for level in range(4):
-        ok = True
         for _ in range(5):
             a = random_frame_elem(spec, level, rng)
             b = random_frame_elem(spec, level, rng)
-            lhs = frame_delta(a.mul(b))
             rhs = frame_delta(a).mul(lam(b)) + rho(a).mul(frame_delta(b))
-            ok = ok and lhs == rhs
-        out.append(CheckResult(f"derivation.level{level}", ok))
-    return out
+            yield f"derivation.level{level}", frame_delta(a.mul(b)), rhs
 
 
-def suite_d2() -> list[CheckResult]:
+def suite_d2() -> Iterator[Instance]:
     spec = default_free_spec()
     rng = random.Random(11)
-    out = []
-    ok = True
     for _ in range(30):
         level = rng.randint(0, 2)
         degree = rng.randint(0, 2)
         m = random_omega_monomial(spec, level, degree, rng)
-        expanded = omega_to_tensor(universal_d(universal_d(m)))
-        ok = ok and expanded.is_zero()
-    out.append(CheckResult("universal.d.squares.to.zero", ok))
-    out.append(CheckResult("iterated.delta.nonzero", not delta_iter(spec.symbol("f"), 2).is_zero()))
-    kernel_ok = True
+        yield "universal.d.squares.to.zero", omega_to_tensor(universal_d(universal_d(m))).is_zero(), True
+    yield "iterated.delta.nonzero", delta_iter(spec.symbol("f"), 2).is_zero(), False
     for level in (0, 1):
         for _ in range(5):
             omega = frame_delta(random_frame_elem(spec, level, rng))
-            kernel_ok = kernel_ok and is_universal_one_form(omega)
-    out.append(CheckResult("image.in.kernel.of.mult", kernel_ok))
-    return out
+            yield "image.in.kernel.of.mult", is_universal_one_form(omega), True
 
 
-def suite_tables() -> list[CheckResult]:
+def suite_tables() -> Iterator[Instance]:
     spec = default_free_spec()
-    return [
-        CheckResult(f"order{order}.row{row}", check_table_row(spec, order, row))
-        for (order, row) in sorted(EXPANSION_TABLE)
-    ]
+    return (table_row(spec, order, row) for order, row in sorted(EXPANSION_TABLE))
 
 
-def suite_odot() -> list[CheckResult]:
+def suite_odot() -> Iterator[Instance]:
     spec = default_free_spec()
     rng = random.Random(23)
-    assoc_ok = True
-    derivation_ok = True
     for _ in range(12):
         orders = [rng.randint(0, 2) for _ in range(3)]
         while sum(orders) > 4:
             i = rng.randrange(3)
             orders[i] = max(0, orders[i] - 1)
         u, v, w = (random_leibniz_form(spec, o, rng) for o in orders)
-        assoc_ok = assoc_ok and odot(odot(u, v), w) == odot(u, odot(v, w))
+        yield "odot.associative", odot(odot(u, v), w), odot(u, odot(v, w))
         if u.order + v.order <= 3:
-            lhs = symbolic_delta(odot(u, v))
             rhs = odot(symbolic_delta(u), v) + odot(u, symbolic_delta(v))
-            derivation_ok = derivation_ok and embed(lhs) == embed(rhs)
-    intertwine_ok = True
+            yield "delta.is.derivation", embed(symbolic_delta(odot(u, v))), embed(rhs)
     for _ in range(10):
         w = random_leibniz_form(spec, rng.randint(0, 3), rng)
-        intertwine_ok = intertwine_ok and embed(symbolic_delta(w)) == frame_delta(embed(w))
-    return [
-        CheckResult("odot.associative", assoc_ok),
-        CheckResult("delta.is.derivation", derivation_ok),
-        CheckResult("embed.intertwines.delta", intertwine_ok),
-    ]
+        yield "embed.intertwines.delta", embed(symbolic_delta(w)), frame_delta(embed(w))
 
 
-def suite_jets() -> list[CheckResult]:
+def suite_jets() -> Iterator[Instance]:
     rng = random.Random(31)
-    out = []
-    formulas_ok = True
-    invariance_ok = True
     for _ in range(25):
         f, x, y, at = random_jet_instance(rng)
         cv = change_of_vars(x, y, at)
         fj = Jet2.of_poly(f, (x.eval(*at), y.eval(*at)))
-        formulas_ok = formulas_ok and transform_jet2(fj, cv) == composite_jet_oracle(f, x, y, at)
-        invariance_ok = invariance_ok and delta2_invariance_check(fj, cv)
-    out.append(CheckResult("chain.rule.vs.composition", formulas_ok))
-    out.append(CheckResult("second.differential.invariant", invariance_ok))
-    nonlinear = ChangeOfVars2(
-        Jet2.of(3, 1, 2, 2, 0, 0), Jet2.of(5, 0, 1, 0, 0, 2)
-    )
-    fj = Jet2.of(1, 2, 3, 4, 5, 6)
-    out.append(
-        CheckResult(
-            "truncation.detected",
-            not delta2_invariance_check(fj, nonlinear, drop_first_derivative_terms=True),
-        )
-    )
+        yield "chain.rule.vs.composition", transform_jet2(fj, cv), composite_jet_oracle(f, x, y, at)
+        yield "second.differential.invariant", delta2_invariance_check(fj, cv), True
+    nonlinear = ChangeOfVars2(Jet2.of(3, 1, 2, 2, 0, 0), Jet2.of(5, 0, 1, 0, 0, 2))
     linear = ChangeOfVars2(Jet2.of(0, 1, 2, 0, 0, 0), Jet2.of(0, 3, 1, 0, 0, 0))
-    out.append(
-        CheckResult(
-            "truncation.safe.for.linear",
-            delta2_invariance_check(fj, linear, drop_first_derivative_terms=True),
-        )
-    )
-    transfer_ok = True
+    fj = Jet2.of(1, 2, 3, 4, 5, 6)
+    truncated = delta2_invariance_check(fj, nonlinear, drop_first_derivative_terms=True)
+    yield "truncation.detected", truncated, False
+    truncated = delta2_invariance_check(fj, linear, drop_first_derivative_terms=True)
+    yield "truncation.safe.for.linear", truncated, True
     for _ in range(25):
         phi = Jet1.of(rng.randint(-4, 4), rng.randint(-4, 4))
         u = Jet1.of(rng.randint(-4, 4), rng.randint(-4, 4))
         v = Jet1.of(rng.randint(-4, 4), rng.randint(-4, 4))
         m_u, m_v = TransferMatrix1.of_jet(u), TransferMatrix1.of_jet(v)
-        transfer_ok = transfer_ok and m_u.apply(phi) == chain2_1d(phi, u)
         composed = transfer_compose(m_u, m_v)
-        transfer_ok = transfer_ok and composed.rows()[1][0] == 0
-        transfer_ok = transfer_ok and composed.apply(phi) == chain2_1d(chain2_1d(phi, u), v)
-    out.append(CheckResult("transfer.matrix.multiplicative", transfer_ok))
-    return out
+        yield "transfer.matrix.multiplicative", m_u.apply(phi), chain2_1d(phi, u)
+        yield "transfer.matrix.multiplicative", composed.rows()[1][0], 0
+        yield "transfer.matrix.multiplicative", composed.apply(phi), chain2_1d(chain2_1d(phi, u), v)
 
 
-SUITES: dict[str, Callable[[], list[CheckResult]]] = {
+SUITES: dict[str, Callable[[], Iterator[Instance]]] = {
     "generators": suite_generators,
     "leibniz": suite_leibniz,
     "d2": suite_d2,
@@ -427,11 +386,16 @@ SUITES: dict[str, Callable[[], list[CheckResult]]] = {
 
 
 def run_suite(name: str) -> list[CheckResult]:
-    if name == "all":
-        out = []
-        for suite in SUITES.values():
-            out.extend(suite())
-        return out
-    if name not in SUITES:
-        raise KeyError(name)
-    return SUITES[name]()
+    """Judge the named suite, or every suite for ``all``.  A check passes when
+    each of its instances has lhs == rhs, else its detail names the first
+    failing instance, counted from 0; checks keep their first-appearance order."""
+    suites = SUITES.values() if name == "all" else (SUITES[name],)
+    counts: dict[str, int] = {}
+    failures: dict[str, str] = {}
+    for suite in suites:
+        for check, lhs, rhs in suite():
+            k = counts.get(check, 0)
+            counts[check] = k + 1
+            if check not in failures and lhs != rhs:
+                failures[check] = f"instance {k}: {lhs} != {rhs}"
+    return [CheckResult(check, check not in failures, failures.get(check, "")) for check in counts]

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import os
 import subprocess
@@ -8,9 +9,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import ncdiff
-from ncdiff import cli
+from ncdiff import cli, verify
 from ncdiff.algebra import AlgebraSpec
 from ncdiff.cli import build_arg_parser, main
+from ncdiff.frame import rho
 from ncdiff.leibniz import embed
 from ncdiff.parser import lower, parse
 from ncdiff.scalars import Scalar
@@ -205,6 +207,64 @@ def test_verify_suites(spec_file, capsys):
     assert code == 2 and "unknown suite" in err
 
 
+# SHA-256 of the full stdout of `verify <suite> --out <mode>`
+VERIFY_DIGESTS = {
+    ("generators", "json"): "aef4f9f448ac9b34041f2d03b04f493d02f49392a0f502a7c73ae215d5f6c97f",
+    ("generators", "pretty"): "148907da77037eb5bc6c8f7061a8f2b42e2029e3737d153de957f34476d3b982",
+    ("leibniz", "json"): "038e36ff222548e0e8d26ab8de9ce2de4fa18bd7478a4c68a4c5c2a8a3d1fff5",
+    ("leibniz", "pretty"): "14dfd28e0216c521fa1ff1118ed4689f97f25287d12532aba10fdf9ba80e1b23",
+    ("d2", "json"): "5de3cffcb07edd5530136973ba2f51941bfb722e2b415c954c0b851707188075",
+    ("d2", "pretty"): "926e25e0198c2d6e1d7e2113d35d2a6e62b0fa88c249f8d18cb8b394519d3e5a",
+    ("tables", "json"): "8a3584a5e303a440befe8264d706358af547391c2b15cca4c8e4fd37088b6a4d",
+    ("tables", "pretty"): "433e123f40c83c1706ea0fd04bb4218bd80d6002e8be58f162254e37a54f1f35",
+    ("odot", "json"): "01ddc765be19cc140d3bd9c6db4e963086f8432fcbc4a05f553bbf832f5d0163",
+    ("odot", "pretty"): "0bd17e2c18efc36c78ffc4797ea187c4d52435978d07e9437390255a4bd5371f",
+    ("jets", "json"): "36c90619719e0f1c815829af0d54236530a4ccafb2b9a1bdc30693ef4251a46d",
+    ("jets", "pretty"): "a70aaa53b23a45dec122a280292b1d50d79aa8cc3cbf1982de20601beb0ef4b6",
+    ("all", "json"): "f80b80320101fd556e07dbc9429c41de8d712972bef6680234f28bb9c5b5d48a",
+    ("all", "pretty"): "cb96a394020b36e46dc0ac5a366ac3a49663bde1f9f97f8246746cb2639187f2",
+}
+
+
+@pytest.mark.parametrize("suite, mode", list(VERIFY_DIGESTS), ids=[f"{s}-{m}" for s, m in VERIFY_DIGESTS])
+def test_verify_output_is_pinned(capsys, suite, mode):
+    code, out, err = run(capsys, "verify", suite, "--out", mode)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[suite, mode]
+
+
+@pytest.mark.parametrize("mode", ["json", "pretty"])
+def test_verify_names_the_failing_instance(capsys, monkeypatch, mode):
+    """With lam replaced by rho, only the checks that use lam fail; each
+    FAIL line names its check and first failing instance, and every other
+    line is unchanged."""
+    _, good, _ = run(capsys, "verify", "all", "--out", mode)
+    monkeypatch.setattr(verify, "lam", rho)
+    code, bad, _ = run(capsys, "verify", "all", "--out", mode)
+    assert code == 1
+    # first failing instance of each broken check; rho(d(h)) is the lhs of the first
+    broken = {"lam.generator.identity": "instance 0: 1⊗h⊗1⊗1 - h⊗1⊗1⊗1 != "}
+    broken.update({f"derivation.level{n}": f"instance {int(n == 1)}: " for n in range(4)})
+    failed = {}
+    if mode == "json":
+        good, bad = json.loads(good)["checks"], json.loads(bad)["checks"]
+        for before, after in zip(good, bad, strict=True):
+            if after["ok"]:
+                assert after == before
+            else:
+                assert after.keys() == {"check", "ok", "detail"} and after["check"] == before["check"]
+                failed[after["check"]] = after["detail"]
+    else:
+        for before, after in zip(good.splitlines(), bad.splitlines(), strict=True):
+            if after != before:
+                name = before.removeprefix("PASS ")
+                assert after.startswith(f"FAIL {name}: ")
+                failed[name] = after.removeprefix(f"FAIL {name}: ")
+    assert list(failed) == list(broken)
+    for name, detail in failed.items():
+        assert detail.startswith(broken[name]) and " != " in detail
+
+
 def test_jet_command(capsys):
     code, out, _ = run(
         capsys, "jet", "--f", "x^2*y", "--x", "u+v", "--y", "u*v", "--at", "1,2"
@@ -363,11 +423,35 @@ def test_split_prints_each_parts_generator_basis(spec_file, capsys):
             assert whole == "".join(alone) and len(whole.splitlines()) > 2 * len(pieces)
 
 
-def child(*argv, **kwargs) -> subprocess.Popen:
-    """Start ``python -m ncdiff.cli argv`` in a child process that imports this ncdiff."""
+def child(*argv, program=("-m", "ncdiff.cli"), **kwargs) -> subprocess.Popen:
+    """Start ``python <program> argv``, the CLI by default, in a child process
+    that imports this ncdiff."""
     src = os.path.dirname(os.path.dirname(ncdiff.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.Popen([sys.executable, "-m", "ncdiff.cli", *argv], env=env, **kwargs)
+    return subprocess.Popen([sys.executable, *program, *argv], env=env, **kwargs)
+
+
+# Run by a child in place of the CLI: fork, exec the CLI on the same
+# arguments, and report its exit code, CPU seconds and peak RSS on stderr.
+SPAWN_AND_MEASURE = """import os, sys
+pid = os.fork()
+if pid == 0:
+    os.execv(sys.executable, [sys.executable, "-m", "ncdiff.cli", *sys.argv[1:]])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_utime + usage.ru_stime, usage.ru_maxrss, file=sys.stderr)
+"""
+
+
+def measured_child(*argv, stdout) -> tuple[int, bytes | None, float, int]:
+    """Run ``ncdiff argv`` in a fresh process and return its exit code, its
+    stdout if piped, its CPU seconds and its peak RSS in kilobytes.  The
+    process is a grandchild, forked from a small interpreter: exec keeps the
+    peak RSS of the image it replaces, so a child started straight from the
+    test runner would report the runner's peak."""
+    proc = child(*argv, program=("-c", SPAWN_AND_MEASURE), stdout=stdout, stderr=subprocess.PIPE)
+    out, err = proc.communicate(timeout=120)
+    code, cpu, rss = err.splitlines()[-1].split()  # the CLI's own stderr comes first
+    return int(code), out, float(cpu), int(rss)
 
 
 def test_closed_pipe_exits_141_without_traceback(spec_file):
@@ -456,16 +540,24 @@ def test_large_expansion_prints_in_bounded_time_and_memory(spec_file, tmp_path):
     encoded once, not once per slot (which took 2.2 s of CPU and 162 MB)."""
     path, out = spec_file(FREE_DOC), tmp_path / "out.json"
     with out.open("wb") as fh:
-        proc = child("expand", "--algebra", path, "--expr", "d4(f)@d4(g)", stdout=fh)
-        _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0
-    assert usage.ru_maxrss < 100 * 1024  # kilobytes on Linux
-    assert usage.ru_utime + usage.ru_stime < 1.5
+        code, _, cpu, rss = measured_child("expand", "--algebra", path, "--expr", "d4(f)@d4(g)", stdout=fh)
+    assert code == 0
+    assert rss < 100 * 1024  # kilobytes on Linux
+    assert cpu < 1.5
     spec = AlgebraSpec.from_json(FREE_DOC)
     (form,) = lower(parse("d4(f)@d4(g)"), spec).values()
     tensor = json.loads(out.read_text())["tensor"]  # compared as text: to_json() would parse it again
     assert json.dumps(tensor, sort_keys=True, separators=(",", ":")) == embed(form).body.json_text()
+
+
+def test_cold_verify_all_runs_in_bounded_time_and_memory():
+    """The whole check battery in one fresh process: about 0.3 s of CPU and
+    19 MB on Python 3.11."""
+    code, out, cpu, rss = measured_child("verify", "all", stdout=subprocess.PIPE)
+    assert code == 0
+    assert out.startswith(b'{"checks":') and out.endswith(b'"ok":true,"suite":"all"}\n')
+    assert cpu < 1.5
+    assert rss < 60 * 1024  # kilobytes on Linux
 
 
 @pytest.mark.parametrize(
