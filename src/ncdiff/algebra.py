@@ -165,6 +165,10 @@ class _DenseSpec(AlgebraSpec):
     basis element's 0/1 pattern over the cells."""
 
     def unit_label(self) -> Label:
+        return self._unit_label
+
+    @functools.cached_property
+    def _unit_label(self) -> Label:
         return tuple(int(r == c) for r, c in self._cells)
 
     def support(self, label: Label) -> list[tuple[int, int]]:

@@ -207,6 +207,17 @@ def test_verify_suites(spec_file, capsys):
     assert code == 2 and "unknown suite" in err
 
 
+def test_key_error_inside_a_check_is_not_an_unknown_suite(monkeypatch, capsys):
+    def broken():
+        yield "broken.lookup", {}["missing"], None
+
+    monkeypatch.setitem(verify.SUITES, "jets", broken)
+    for suite in ("jets", "all"):
+        with pytest.raises(KeyError, match="missing"):
+            main(["verify", suite])
+        assert "unknown suite" not in capsys.readouterr().err
+
+
 # SHA-256 of the full stdout of `verify <suite> --out <mode>`
 VERIFY_DIGESTS = {
     ("generators", "json"): "aef4f9f448ac9b34041f2d03b04f493d02f49392a0f502a7c73ae215d5f6c97f",

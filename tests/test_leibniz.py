@@ -27,7 +27,7 @@ from ncdiff.leibniz import (
     symbolic_delta,
 )
 from ncdiff.scalars import Scalar, integer
-from ncdiff.tensor import TensorPoly
+from ncdiff.tensor import TensorPoly, t_algebra_product, tensor_concat
 from ncdiff.verify import (
     EXPANSION_TABLE,
     check_table_row,
@@ -404,6 +404,34 @@ def recursive_embed(w):
     return embed_form(w)
 
 
+def frame_fold_embed(w):
+    """Reference embedding that folds each monomial from the right in frame
+    operations on whole 2^n-slot tensors: d is frame_delta, the last factor
+    is delta_iter, d(g) ⊙ σ is 1⊗(g·s) - lift_to(g)⊗s for the image s of σ,
+    d^k(g) ⊙ σ = d(d^{k-1}(g) ⊙ σ) - d^{k-1}(g) ⊙ dσ, and the coefficient
+    and g· multiply the first slot through t_algebra_product."""
+
+    def times(a, s):
+        return FrameElem(s.level, t_algebra_product(TensorPoly.wrap(a), s.body))
+
+    def power(k, g, s):
+        if k > 1:
+            return frame_delta(power(k - 1, g, s)) - power(k - 1, g, frame_delta(s))
+        unit = TensorPoly.unit(s.spec, 2**s.level)
+        lifted = tensor_concat(lift_to(g, s.level).body, s.body)
+        return FrameElem(s.level + 1, tensor_concat(unit, times(g, s).body) - lifted)
+
+    def fold(m):
+        if not m.factors:
+            return FrameElem.from_alg(m.coeff)
+        s = delta_iter(m.factors[-1][1], m.factors[-1][0])
+        for k, g in reversed(m.factors[:-1]):
+            s = power(k, g, s)
+        return times(m.coeff, s)
+
+    return frame_sum(w.spec, w.order, (fold(m) for m in w.terms))
+
+
 EMBED_ORACLE_SPECS = {name: case[0] for name, case in ORACLE_CASES.items()}
 EMBED_ORACLE_SPECS["func-complex"] = AlgebraSpec.function(
     ("L", "R"), {"x": (Scalar.of(1, 2), 0), "y": (1, -3)}
@@ -412,9 +440,12 @@ EMBED_ORACLE_SPECS["func-complex"] = AlgebraSpec.function(
 
 @pytest.mark.parametrize("spec", EMBED_ORACLE_SPECS.values(), ids=EMBED_ORACLE_SPECS.keys())
 def test_embed_matches_recursive_symbolic_embedding(spec, rng):
-    """The frame-only fold equals the symbolic recursion, term order included:
-    every type of orders 1-3 (multi-term factors up to order 2), one order-4
-    type, an order-0 form and ⊙ products, all with non-unit coefficients."""
+    """``embed`` equals the symbolic recursion and the frame fold, term order
+    included, and its terms are canonical (re-normalizing them through
+    ``TensorPoly.of`` changes nothing): every type of orders 1-3 (multi-term
+    factors up to order 2), one order-4 type, an order-0 form, ⊙ products,
+    and sums of two or three monomials of each order 0-5, all with non-unit
+    coefficients."""
     syms = [spec.symbol(s) for s in spec.symbols]
 
     def monomial(comp, factor):
@@ -426,8 +457,41 @@ def test_embed_matches_recursive_symbolic_embedding(spec, rng):
     forms += [monomial(c, lambda: rng.choice(syms)) for c in types]
     a = LeibnizForm.from_alg(random_elem(spec, rng))
     forms += [a, odot(forms[0], a), odot(forms[0], forms[1]), odot(forms[2], forms[0])]
+    for n in range(6):
+        factor = (lambda: random_elem(spec, rng)) if n < 3 else (lambda: rng.choice(syms))
+        comps = [rng.choice(enumerate_types(n)) if n else () for _ in range(rng.randint(2, 3))]
+        forms.append(sum((monomial(c, factor) for c in comps), LeibnizForm(spec, n, ())))
     for w in forms:
-        assert embed(w).body.terms == recursive_embed(w).body.terms
+        body = embed(w).body
+        assert body.terms == recursive_embed(w).body.terms == frame_fold_embed(w).body.terms
+        raw = [(c, [spec.basis_elem(label) for label in labels]) for c, labels in body.terms]
+        assert body.terms == TensorPoly.of(spec, body.degree, raw).terms
+
+
+def test_embed_matches_the_frame_fold_on_every_type():
+    """Every type of orders 1-6 over distinct symbols, each factor used once."""
+    spec = AlgebraSpec.free(tuple(f"s{i}" for i in range(6)))
+    syms = [spec.symbol(s) for s in spec.symbols]
+    for n in range(1, 7):
+        for comp in enumerate_types(n):
+            w = LeibnizForm.monomial(spec.unit(), [(k, syms[j]) for j, k in enumerate(comp)])
+            assert embed(w).body.terms == frame_fold_embed(w).body.terms
+
+
+def test_embed_never_enters_the_frame_layer(monkeypatch):
+    """The embedding works on occupied-slot keys alone: no lift, level
+    differential or tensor product of the frame and tensor layers runs."""
+
+    w = module_mul(H, odot(d(form_of(F.add(G)), 2), d(form_of(G.mul(H)))))
+    want = frame_fold_embed(w)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("embed entered the frame layer")
+
+    for module in ("ncdiff.frame", "ncdiff.leibniz", "ncdiff.tensor"):
+        for name in ("rho", "lam", "frame_delta", "tensor_concat", "t_algebra_product"):
+            monkeypatch.setattr(f"{module}.{name}", forbidden, raising=False)
+    assert embed(w) == want
 
 
 def oracle_json(u: TensorPoly) -> dict:
