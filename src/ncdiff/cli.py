@@ -59,7 +59,9 @@ def _load_spec(path: str) -> AlgebraSpec:
             return AlgebraSpec.from_json(json.load(fh))
     except FileNotFoundError:
         raise UsageError(f"algebra spec not found: {path}") from None
-    except (ValueError, KeyError) as exc:
+    except OSError as exc:
+        raise UsageError(f"cannot read algebra spec {path}: {exc.strerror}") from None
+    except (ValueError, KeyError, RecursionError) as exc:
         raise UsageError(f"bad algebra spec {path}: {exc}") from None
 
 

@@ -107,16 +107,16 @@ def parse_poly2(text: str, vars: tuple[str, str]) -> Poly2:
     ts = TokenStream(text)
 
     def atom() -> Poly2:
-        t = ts.take()
+        t, negate = ts.take(), False
+        while t.text == "-":  # unary minus binds looser than "^": -x^2 is -(x^2)
+            t, negate = ts.take(), not negate
         if t.text == "(":
             e = expr()
             ts.expect(")")
         elif t.kind == "int":
-            e = Poly2.const(int(t.text))
+            e = Poly2.const(t.value())
         elif t.kind == "name" and t.text in vars:
             e = Poly2.var(vars.index(t.text))
-        elif t.text == "-":
-            return atom().scale(-1)
         else:
             raise ParseError("expected expression", t.line, t.col)
         while ts.peek().text in ("^", "**"):
@@ -124,13 +124,13 @@ def parse_poly2(text: str, vars: tuple[str, str]) -> Poly2:
             n = ts.take()
             if n.kind != "int":
                 raise ParseError("exponent must be a nonnegative integer", n.line, n.col)
-            power = int(n.text)
+            power = n.value()
             if power > MAX_DEGREE or power * e.degree() > MAX_DEGREE:
                 raise ParseError(f"power exceeds the degree cap {MAX_DEGREE}", n.line, n.col)
             if power * e.coeff_bound() > MAX_COEFF_BITS:
                 raise ParseError(f"power exceeds the coefficient cap {MAX_COEFF_BITS} bits", n.line, n.col)
             e = e.pow(power)
-        return e
+        return e.scale(-1) if negate else e
 
     def product() -> Poly2:
         e = atom()
@@ -276,15 +276,18 @@ class TransferMatrix1:
         return ((self.a, self.b), (0, self.a**2))
 
     def apply(self, phi: Jet1) -> Jet1:
-        return Jet1(phi.d1 * self.a, phi.d1 * self.b + phi.d2 * self.a**2)
+        return Jet1(*_row_times((phi.d1, phi.d2), self.rows()))
 
 
 def transfer_compose(m1: TransferMatrix1, m2: TransferMatrix1) -> TransferMatrix1:
-    """Matrix product; the composite stays upper triangular with the
-    squared top-left entry in the corner."""
-    a = m1.a * m2.a
-    b = m1.a * m2.b + m1.b * m2.a**2
-    return TransferMatrix1(a, b)
+    """Matrix product m1 m2; the composite stays upper triangular with the
+    squared top-left entry in the corner, so its top row determines it."""
+    return TransferMatrix1(*_row_times(m1.rows()[0], m2.rows()))
+
+
+def _row_times(row: tuple, rows: tuple) -> tuple[int | Fraction, ...]:
+    """The row vector ``row`` times the matrix ``rows``, each entry in normal form."""
+    return tuple(rational(sum(x * c for x, c in zip(row, col))) for col in zip(*rows))
 
 
 _BASIS = ("du2", "dv2", "dudv", "d2u", "d2v")

@@ -1,17 +1,14 @@
 """Expression parser for Leibniz forms.
 
-Grammar (the ⊙ product is spelled ``@`` and binds tighter than ``+``
-but looser than ``*``):
+Grammar (``@`` spells the ⊙ product, which binds tighter than ``+``):
 
     expr := term (("+" | "-") term)*
-    term := atom ("@" atom)*
-    atom := SCALAR
-          | SYMBOL
-          | SCALAR "*" atom
-          | SYMBOL "*" atom
-          | "d" ("^" INT)? "(" expr ")"
-          | "(" expr ")"
+    term := atom (("@" | "*") atom)*
+    atom := SCALAR | SYMBOL | "d" ("^" INT)? "(" expr ")" | "(" expr ")"
 
+``*`` is ⊙ too but may follow only a scalar or a symbol, so ``x*d(x)``
+is ``x @ d(x)`` (an order-0 left factor is the module product) while
+``(f)*g`` and ``d(f)*g`` are errors.  Sums and chains parse flat.
 ``d2(f)`` and ``d3(f)`` are sugar for ``d^2(f)`` and ``d^3(f)``.
 Scalars are integers or integer ratios like ``3/4``.
 """
@@ -19,17 +16,21 @@ Scalars are integers or integer ratios like ``3/4``.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 from .algebra import AlgebraSpec
-from .leibniz import LeibnizForm, module_mul, odot, symbolic_delta
+from .leibniz import LeibnizForm, odot, symbolic_delta
 from .scalars import MINUS_ONE, Scalar
 
 #: the highest order a form may reach (``expand d^8(f)`` takes under 1 s, and each order
 #: costs about 4x more); lowering checks it before it applies any ``d`` or ⊙
 MAX_ORDER = 8
+#: the deepest nesting of parentheses either grammar reads; each level costs the
+#: parser a few interpreter frames, so this keeps it far from the recursion limit
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -60,15 +61,8 @@ class Sym(Node):
 
 
 @dataclass(frozen=True)
-class Mul(Node):
-    head: Node  # Lit or Sym
-    tail: Node
-
-
-@dataclass(frozen=True)
 class Odot(Node):
-    left: Node
-    right: Node
+    factors: tuple[Node, ...]
 
 
 @dataclass(frozen=True)
@@ -78,15 +72,8 @@ class Delta(Node):
 
 
 @dataclass(frozen=True)
-class Add(Node):
-    left: Node
-    right: Node
-
-
-@dataclass(frozen=True)
-class Sub(Node):
-    left: Node
-    right: Node
+class Sum(Node):
+    terms: tuple[tuple[int, Node], ...]  # (sign, term); the first sign is 1
 
 
 FormExpr = Node
@@ -101,6 +88,14 @@ class _Tok:
     text: str
     line: int
     col: int
+
+    def value(self, digits: Union[str, None] = None) -> int:
+        """The integer ``digits`` (this token's text by default), read at this token."""
+        try:
+            return int(digits or self.text)
+        except ValueError:  # past Python's digit limit for int(str)
+            limit = sys.get_int_max_str_digits()
+            raise ParseError(f"integer literal longer than {limit} digits", self.line, self.col) from None
 
 
 def _tokenize(text: str) -> list[_Tok]:
@@ -128,11 +123,13 @@ def _tokenize(text: str) -> list[_Tok]:
 
 
 class TokenStream:
-    """A cursor over the tokens of a text, shared with ``jets.parse_poly2``."""
+    """A cursor over the tokens of a text, shared with ``jets.parse_poly2``;
+    it bounds how deep the taken parentheses nest."""
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Tok:
         return self.tokens[self.i]
@@ -140,6 +137,9 @@ class TokenStream:
     def take(self) -> _Tok:
         tok = self.tokens[self.i]
         self.i += 1
+        self.depth += (tok.text == "(") - (tok.text == ")")
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", tok.line, tok.col)
         return tok
 
     def expect(self, text: str) -> _Tok:
@@ -151,20 +151,21 @@ class TokenStream:
 
 class _Parser(TokenStream):
     def parse_expr(self) -> Node:
-        node = self.parse_term()
+        terms = [(1, self.parse_term())]
         while self.peek().text in ("+", "-"):
-            op = self.take()
-            rhs = self.parse_term()
-            node = (Add if op.text == "+" else Sub)(node.line, node.col, node, rhs)
-        return node
+            sign = 1 if self.take().text == "+" else -1
+            terms.append((sign, self.parse_term()))
+        first = terms[0][1]
+        return first if len(terms) == 1 else Sum(first.line, first.col, tuple(terms))
 
     def parse_term(self) -> Node:
-        node = self.parse_atom()
-        while self.peek().text == "@":
+        factors = [self.parse_atom()]
+        # ``*`` may follow only a bare scalar or symbol, so never an atom ending in ")"
+        while self.peek().text == "@" or (self.peek().text == "*" and self.tokens[self.i - 1].text != ")"):
             self.take()
-            rhs = self.parse_atom()
-            node = Odot(node.line, node.col, node, rhs)
-        return node
+            factors.append(self.parse_atom())
+        first = factors[0]
+        return first if len(factors) == 1 else Odot(first.line, first.col, tuple(factors))
 
     def parse_atom(self) -> Node:
         tok = self.peek()
@@ -175,30 +176,22 @@ class _Parser(TokenStream):
             return inner
         if tok.kind == "int":
             self.take()
-            value = Fraction(int(tok.text))
+            value = Fraction(tok.value())
             if self.peek().text == "/":
                 self.take()
                 den = self.take()
                 if den.kind != "int":
                     raise ParseError("expected denominator", den.line, den.col)
-                if int(den.text) == 0:
+                if den.value() == 0:
                     raise ParseError("zero denominator", den.line, den.col)
-                value = Fraction(int(tok.text), int(den.text))
-            lit = Lit(tok.line, tok.col, value)
-            if self.peek().text == "*":
-                self.take()
-                return Mul(tok.line, tok.col, lit, self.parse_atom())
-            return lit
+                value /= den.value()
+            return Lit(tok.line, tok.col, value)
         if tok.kind == "name":
             delta = self._try_delta(tok)
             if delta is not None:
                 return delta
             self.take()
-            sym = Sym(tok.line, tok.col, tok.text)
-            if self.peek().text == "*":
-                self.take()
-                return Mul(tok.line, tok.col, sym, self.parse_atom())
-            return sym
+            return Sym(tok.line, tok.col, tok.text)
         raise ParseError("expected expression", tok.line, tok.col)
 
     def _try_delta(self, tok: _Tok) -> Union[Delta, None]:
@@ -206,30 +199,24 @@ class _Parser(TokenStream):
         m = re.fullmatch(r"d(\d*)", tok.text)
         if not m:
             return None
-        power = int(m.group(1)) if m.group(1) else None
         save = self.i
         self.take()
-        explicit = False
-        if power is None and self.peek().text == "^":
+        power = None  # the token after "^"
+        if not m.group(1) and self.peek().text == "^":
             self.take()
-            p = self.take()
-            if p.kind != "int":
-                raise ParseError("expected integer power", p.line, p.col)
-            power = int(p.text)
-            explicit = True
-        if self.peek().text != "(":
-            if explicit:
-                nxt = self.peek()
-                raise ParseError("expected '('", nxt.line, nxt.col)
-            # a plain symbol that happens to start with the letter d
-            self.i = save
+            power = self.take()
+            if power.kind != "int":
+                raise ParseError("expected integer power", power.line, power.col)
+        elif self.peek().text != "(":
+            self.i = save  # a plain symbol that happens to start with the letter d
             return None
-        if power is not None and power < 1:
-            raise ParseError("differential power must be at least 1", tok.line, tok.col)
         self.expect("(")
+        k = power.value() if power is not None else tok.value(m.group(1) or "1")
+        if k < 1:
+            raise ParseError("differential power must be at least 1", tok.line, tok.col)
         inner = self.parse_expr()
         self.expect(")")
-        return Delta(tok.line, tok.col, 1 if power is None else power, inner)
+        return Delta(tok.line, tok.col, k, inner)
 
 
 def parse(text: str) -> FormExpr:
@@ -252,10 +239,7 @@ def lower(expr: FormExpr, spec: AlgebraSpec) -> dict[int, LeibnizForm]:
 
 def _merge(acc: dict[int, LeibnizForm], form: LeibnizForm, sign: int) -> None:
     form = form if sign > 0 else form.scale(MINUS_ONE)
-    if form.order in acc:
-        acc[form.order] = acc[form.order] + form
-    else:
-        acc[form.order] = form
+    acc[form.order] = acc[form.order] + form if form.order in acc else form
 
 
 def _check_order(expr: FormExpr, order: int) -> None:
@@ -270,32 +254,24 @@ def _lower(expr: FormExpr, spec: AlgebraSpec) -> dict[int, LeibnizForm]:
         try:
             elem = spec.symbol(expr.name)
         except KeyError:
-            raise LoweringError(
-                f"line {expr.line}, column {expr.col}: unknown symbol {expr.name!r}"
-            ) from None
-        return {0: LeibnizForm.from_alg(elem)}
-    if isinstance(expr, (Add, Sub)):
+            raise LoweringError(f"line {expr.line}, column {expr.col}: unknown symbol {expr.name!r}") from None
+        form = LeibnizForm.from_alg(elem)
+        # a symbol valued zero has no part, so no product with it meets the order cap
+        return {} if form.is_zero() else {0: form}
+    if isinstance(expr, Sum):
         acc: dict[int, LeibnizForm] = {}
-        for order, form in _lower(expr.left, spec).items():
-            _merge(acc, form, 1)
-        for order, form in _lower(expr.right, spec).items():
-            _merge(acc, form, 1 if isinstance(expr, Add) else -1)
+        for sign, term in expr.terms:
+            for form in _lower(term, spec).values():
+                _merge(acc, form, sign)
         return acc
-    if isinstance(expr, Mul):
-        tail = _lower(expr.tail, spec)
-        if isinstance(expr.head, Lit):
-            return {o: f.scale(Scalar.of(expr.head.value)) for o, f in tail.items()}
-        head = _lower(expr.head, spec).get(0)
-        if head is None or head.is_zero():
-            return {}
-        coeff = head.terms[0].coeff  # the grammar restricts the head to one symbol
-        return {o: module_mul(coeff, f) for o, f in tail.items()}
     if isinstance(expr, Odot):
-        acc, left, right = {}, _lower(expr.left, spec), _lower(expr.right, spec)
-        for lo, lf in left.items():
-            for ro, rf in right.items():
-                _check_order(expr, lo + ro)
-                _merge(acc, odot(lf, rf), 1)
+        acc = _lower(expr.factors[0], spec)
+        for factor in expr.factors[1:]:
+            left, right, acc = acc, _lower(factor, spec), {}
+            for lo, lf in left.items():
+                for ro, rf in right.items():
+                    _check_order(expr, lo + ro)
+                    _merge(acc, odot(lf, rf), 1)
         return acc
     if isinstance(expr, Delta):
         acc = {}

@@ -310,6 +310,40 @@ def test_parse_error_exit_code(spec_file, capsys):
     assert code == 2 and "column 3" in err
 
 
+JET_AT = ["--x", "u", "--y", "v", "--at", "1,1"]
+TOO_LONG = "1" * (sys.get_int_max_str_digits() + 1)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["expand", "--expr", "(" * 330 + "f" + ")" * 330], "line 1, column 101: parentheses nest deeper than 100"),
+        (["expand", "--expr", "d(" * 250 + "f" + ")" * 250], "line 1, column 202: parentheses nest deeper than 100"),
+        (["jet", "--f", "(" * 400 + "x" + ")" * 400, *JET_AT], "line 1, column 101: parentheses nest deeper than 100"),
+        (["jet", "--f=" + "-" * 2000, *JET_AT], "line 1, column 2001: expected expression"),
+        (["expand", "--expr", TOO_LONG + "*d(f)"], "line 1, column 1: integer literal longer than"),
+        (["expand", "--expr", "d^" + TOO_LONG + "(f)"], "line 1, column 3: integer literal longer than"),
+        (["jet", "--f", "x + " + TOO_LONG, *JET_AT], "line 1, column 5: integer literal longer than"),
+        (["jet", "--f", "x^" + TOO_LONG, *JET_AT], "line 1, column 3: integer literal longer than"),
+    ],
+    ids=["parens", "differentials", "jet-parens", "jet-minus-signs", "literal", "power", "jet-literal", "jet-exponent"],
+)
+def test_deep_or_long_input_is_a_parse_error_at_its_position(spec_file, capsys, argv, message):
+    spec = ["--algebra", spec_file(FREE_DOC)] if argv[0] == "expand" else []
+    code, out, err = run(capsys, argv[0], *spec, *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"ncdiff: {message}") and "Traceback" not in err
+
+
+def test_unreadable_spec_exits_2(tmp_path, capsys):
+    code, _, err = run(capsys, "expand", "--algebra", str(tmp_path), "--expr", "d(f)")
+    assert code == 2 and err == f"ncdiff: cannot read algebra spec {tmp_path}: Is a directory\n"
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code, _, err = run(capsys, "expand", "--algebra", str(deep), "--expr", "d(f)")
+    assert code == 2 and err.startswith(f"ncdiff: bad algebra spec {deep}: maximum recursion depth exceeded")
+
+
 @pytest.mark.parametrize(
     "doc, argv",
     [

@@ -63,6 +63,13 @@ def test_parse_poly2_basic():
         parse_poly2("w + 1", ("x", "y"))
 
 
+def test_parse_poly2_reads_unary_minus_in_a_loop():
+    xy = ("x", "y")
+    assert parse_poly2("-x^2", xy) == parse_poly2("x^2", xy).scale(-1)
+    assert parse_poly2("--x - -y", xy) == parse_poly2("x + y", xy)
+    assert parse_poly2("-" * 2001 + "(x + y)^2", xy) == parse_poly2("-(x + y)^2", xy)
+
+
 def test_parse_poly2_shares_the_form_tokenizer():
     assert parse_poly2("x**2*y", ("x", "y")) == parse_poly2("x^2*y", ("x", "y"))
     assert parse_poly2("(u+v)**2", ("u", "v")) == parse_poly2("(u+v)^2", ("u", "v"))
@@ -182,6 +189,14 @@ def test_transfer_matrix_equation(rng):
         phi = Jet1.of(rng.randint(-5, 5), rng.randint(-5, 5))
         u = Jet1.of(rng.randint(-5, 5), rng.randint(-5, 5))
         assert TransferMatrix1.of_jet(u).apply(phi) == chain2_1d(phi, u)
+
+
+def test_transfer_products_keep_the_rational_normal_form():
+    m = TransferMatrix1(Fraction(2), Fraction(1, 2))
+    out = m.apply(Jet1(Fraction(3), Fraction(1)))
+    assert out == Jet1(6, Fraction(11, 2)) and type(out.d1) is int
+    composed = transfer_compose(m, TransferMatrix1(Fraction(1, 2), Fraction(4)))
+    assert composed == TransferMatrix1(1, Fraction(65, 8)) and type(composed.a) is int
 
 
 def test_transfer_compose_example():

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,14 +7,15 @@ import ncdiff.parser
 from ncdiff.algebra import AlgebraSpec
 from ncdiff.leibniz import LeibnizForm, embed, module_mul, odot, symbolic_delta
 from ncdiff.parser import (
-    Add,
     Delta,
     Lit,
     LoweringError,
+    MAX_NESTING,
     MAX_ORDER,
-    Mul,
     Odot,
     ParseError,
+    Sum,
+    Sym,
     lower,
     parse,
 )
@@ -30,11 +32,15 @@ def lowered(text, spec=SPEC):
 def test_ast_shapes():
     tree = parse("d2(f) @ d(g)")
     assert isinstance(tree, Odot)
-    assert isinstance(tree.left, Delta) and tree.left.power == 2
-    assert isinstance(tree.right, Delta) and tree.right.power == 1
-    tree = parse("f + 2*g")
-    assert isinstance(tree, Add)
-    assert isinstance(tree.right, Mul) and isinstance(tree.right.head, Lit)
+    left, right = tree.factors
+    assert isinstance(left, Delta) and left.power == 2
+    assert isinstance(right, Delta) and right.power == 1
+    tree = parse("f + 2*g - h@d(f)@g")
+    assert isinstance(tree, Sum) and [sign for sign, _ in tree.terms] == [1, 1, -1]
+    (_, f), (_, scaled), (_, chain) = tree.terms
+    assert isinstance(f, Sym) and isinstance(scaled, Odot)
+    assert [type(n) for n in scaled.factors] == [Lit, Sym]
+    assert [type(n) for n in chain.factors] == [Sym, Delta, Sym] and (chain.line, chain.col) == (1, 11)
 
 
 def test_sugar_matches_caret_power():
@@ -103,6 +109,71 @@ def test_unknown_symbol_reported_at_lowering():
     assert "unknown symbol" in str(err.value)
 
 
+def test_leftmost_unknown_symbol_is_reported():
+    """Sums and chains lower left to right, ``*`` chains included."""
+    for text in ("nope*nada", "nope*nada*d(f)", "nope@nada", "nope + nada", "f*nope*d(nada)"):
+        with pytest.raises(LoweringError) as err:
+            lowered(text)
+        assert "unknown symbol 'nope'" in str(err.value), text
+
+
+def test_star_joins_the_odot_chain_only_after_a_scalar_or_symbol():
+    assert lowered("2*f*g@d(h)") == lowered("2@f@g@d(h)")
+    assert lowered("d(f)@g*d(h)") == lowered("d(f)@g@d(h)")
+    assert lowered("3/4*d(f)") == lowered("3/4@d(f)")
+    for text, col in (("(f)*g", 4), ("d(f)*g", 5), ("f*(g)*h", 6), ("2*d(f)*g", 7)):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"line 1, column {col}: unexpected '*'"
+
+
+def test_a_symbol_valued_zero_has_no_part():
+    """No product with it reaches the order cap, whichever product joins it."""
+    spec = AlgebraSpec.function(("L", "R"), {"x": (1, 0), "z": (0, 0)})
+    for text in ("z", "z*d^4(x)@d^5(x)", "z@d^4(x)@d^5(x)", "d^4(x)@z*d^5(x)", "d^5(z)@d^4(x)"):
+        assert lowered(text, spec) == {}, text
+    with pytest.raises(LoweringError):
+        lowered("0*d^4(x)@d^5(x)", spec)
+
+
+def test_long_sums_and_chains_lower_without_recursion():
+    """Sums and chains are flat nodes folded in loops, so their length is not
+    bounded by the interpreter's recursion limit."""
+    assert lowered(" + ".join(["d(f) - d(g)"] * 5_000)) == lowered("5000*d(f) - 5000*d(g)")
+    assert lowered("@".join(["x"] * 5_000 + ["d(y)"]), TWO_POINT) == lowered("x@d(y)", TWO_POINT)
+    assert lowered("2*" * 5_000 + "d(f)") == lowered(f"{2**5_000}*d(f)")
+
+
+def test_nesting_is_capped_where_a_parenthesis_is_taken():
+    assert lowered("(" * MAX_NESTING + "f" + ")" * MAX_NESTING) == lowered("f")
+    assert lowered("(" * (MAX_NESTING - 1) + "d(f)" + ")" * (MAX_NESTING - 1)) == lowered("d(f)")
+    assert lowered("d(" * 8 + "f" + ")" * 8) == lowered("d^8(f)")
+    for text, col in (
+        ("(" * (MAX_NESTING + 1) + "f" + ")" * (MAX_NESTING + 1), MAX_NESTING + 1),
+        ("(" * 330 + "f", MAX_NESTING + 1),
+        ("d(" * 250 + "f" + ")" * 250, 2 * MAX_NESTING + 2),
+        ("(f) + " + "(" * MAX_NESTING + "d(f" + ")" * (MAX_NESTING + 1), 6 + MAX_NESTING + 2),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"line 1, column {col}: parentheses nest deeper than {MAX_NESTING}"
+
+
+def test_long_integer_literals_are_parse_errors_at_the_literal():
+    limit = sys.get_int_max_str_digits()
+    digits = "1" * (limit + 1)
+    for text, col in (
+        (f"{digits}*d(f)", 1),
+        (f"f + 1/{digits}*d(f)", 7),
+        (f"d^{digits}(f)", 3),
+        (f"f@d{digits}(f)", 3),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"line 1, column {col}: integer literal longer than {limit} digits"
+    assert lowered(f"{'1' * limit}*d(f)") == lowered(f"{int('1' * limit)}*d(f)")
+
+
 def test_order_cap_reported_at_lowering_before_any_differential():
     assert max(lowered("d^4(f)@d^4(g)")) == MAX_ORDER == 8
     for text, col in (("f + d^9(g)", 5), ("d(f) + d^1000000000(g)", 8), ("d^5(f)@d^5(g)", 1)):
@@ -130,7 +201,8 @@ def test_print_parse_round_trip():
 
 def test_nested_odot_lowers_each_subtree_once(monkeypatch):
     """The right operand of ⊙ is lowered once, not once per homogeneous
-    part of the left operand, so nesting costs 7 calls per level."""
+    part of the left operand, so nesting costs 6 calls per level: the
+    chain, the three-term sum, f, d(f) and its f, and g."""
     calls = 0
     inner = ncdiff.parser._lower
 
@@ -145,5 +217,5 @@ def test_nested_odot_lowers_each_subtree_once(monkeypatch):
         text = f"(f + d(f) + g)@({text})"
         calls = 0
         parts = lowered(text)
-        assert calls == 7 * depth + 1
+        assert calls == 6 * depth + 1
         assert sorted(parts) == list(range(depth + 1))
