@@ -141,14 +141,11 @@ def _generator_basis_doc(frame: FrameElem) -> list[dict]:
     """Factor every elementary tensor of the expansion over the generator
     family: each occupied slot contributes the subset-sum of generators
     that assembles its slot embedding."""
-    spec = frame.spec
     out = []
-    for coeff, labels in frame.body.terms:
+    for coeff, key in frame.body.print_order():
         slots = []
-        for j, label in enumerate(labels):
-            if label == spec.unit_label():
-                continue
-            elem = spec.basis_elem(label)
+        for j, label in key:
+            elem = frame.spec.basis_elem(label)
             subsets = slot_in_generators(elem, j, frame.level)
             rendered = " + ".join(generator_str(ix, str(elem)) for ix in subsets)
             slots.append(f"({rendered})" if len(subsets) > 1 else rendered)

@@ -94,9 +94,8 @@ class FrameElem:
 
 
 def rho(alpha: FrameElem) -> FrameElem:
-    """Right lift: pad with the unit of the current level."""
-    unit = TensorPoly.unit(alpha.spec, 2**alpha.level)
-    return FrameElem(alpha.level + 1, tensor_concat(alpha.body, unit))
+    """Right lift: pad with the unit of the current level; no key changes."""
+    return FrameElem(alpha.level + 1, TensorPoly(alpha.spec, 2 * alpha.body.degree, alpha.body.terms))
 
 
 def lam(alpha: FrameElem) -> FrameElem:
@@ -117,8 +116,13 @@ def lift_to(alpha: Union[FrameElem, AlgElem], p: int) -> FrameElem:
 
 
 def frame_delta(omega: FrameElem) -> FrameElem:
-    """The degree-one universal differential of the current level."""
-    return lam(omega) - rho(omega)
+    """The degree-one universal differential of the current level, lam - rho:
+    the unit's empty key cancels, and every rho key (slots below 2^p) sorts
+    before every lam key (each slot moved up by 2^p), so no merge is needed."""
+    width, terms = 2**omega.level, [term for term in omega.body.terms if term[1]]
+    minus_rho = tuple((-c, key) for c, key in terms)
+    lam_terms = tuple((c, tuple((slot + width, label) for slot, label in key)) for c, key in terms)
+    return FrameElem(omega.level + 1, TensorPoly(omega.spec, 2 * width, minus_rho + lam_terms))
 
 
 def delta_iter(f: AlgElem, n: int) -> FrameElem:

@@ -14,8 +14,12 @@ defined by the recursion
 extended by associativity and bilinearity; d raises the order by one
 and is a (non-graded) derivation for ⊙.  Interior coefficients are
 eliminated eagerly through d(f) ⊙ (b·N) = d(fb) ⊙ N - f·(d(b) ⊙ N),
-which follows from the rules above, so equality of normal forms is
-decidable monomial by monomial.
+which follows from the rules above.  On the free backend the normal
+form is unique, so equality of forms is decided monomial by monomial.
+On function and matrix specs it is not: ``((d2(x) ⊙ x) ⊙ x) ⊙ d(y)``
+and ``d2(x) ⊙ (x·x) ⊙ d(y)`` over x = (1, 0), y = (0, 3) give unequal
+normal forms with equal embeddings, and there only the embeddings
+decide equality (ROADMAP item 3).
 
 The embedding realizes a form of order n inside level n of the frame
 tower by the same recursion read there, folding each monomial from the
@@ -24,11 +28,10 @@ first slot, so for the image s of σ, d(g) ⊙ σ = d(gσ) - g·dσ is
 1⊗(g·s) - (g⊗1⊗...⊗1)⊗s (the right-lift terms cancel).  One step,
 ``_power``, serves both layers.  A term of the image of
 a·d^{k1}(g1) ⊙ ... ⊙ d^{kr}(gr) has at most r + 1 non-unit slots out of
-2^n, so the fold keys a term by its occupied slots alone, the sorted
-(slot, label) pairs of its non-unit slots: rho keeps a key, lam adds
-2^p to every slot, 1⊗(g·s) rewrites slot 0 and shifts, and the 2^n-slot
-label tuples are built once, at the end.  The generator tables, which
-place every lift explicitly, stay the independent check of it.
+2^n, and a ``TensorPoly`` keys a term by those alone, so the fold's
+frame_delta shifts and negates keys, and 1⊗(g·s) rewrites slot 0 of a
+key and shifts the rest.  The generator tables, which place every lift
+explicitly, stay the independent check of it.
 """
 
 from __future__ import annotations
@@ -36,16 +39,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, partial
 from math import comb
-from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
 
 from .algebra import AlgebraMismatchError, AlgebraSpec, AlgElem, Decomposition, Label
 from .frame import FrameElem, SubsetIndex, frame_delta, lam, rho
 from .scalars import MINUS_ONE, ONE, Scalar
-from .tensor import TensorPoly
+from .tensor import Key, TensorPoly, Term, tensor_collect, tensor_sum
 
 Factor = tuple[int, AlgElem]
-_Elem = TypeVar("_Elem", "LeibnizForm", "_Slots")
+_Elem = TypeVar("_Elem", "LeibnizForm", FrameElem)
 
 
 @dataclass(frozen=True)
@@ -256,46 +258,11 @@ def _power(k: int, one: Callable[[_Elem], _Elem], delta: Callable[[_Elem], _Elem
 # -- embedding into the frame tower --------------------------------------
 
 
-@dataclass(frozen=True)
-class _Slots:
-    """A tensor of level ``level`` keyed by its occupied slots: ``terms`` maps
-    the sorted (slot, label) pairs of the non-unit slots to a coefficient,
-    so the unit is the empty key at every level."""
-
-    level: int
-    terms: dict
-
-    def __add__(self, other: _Slots) -> _Slots:
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            _put(out, key, c)
-        return _Slots(self.level, out)
-
-    def scale(self, c: int) -> _Slots:
-        c = Scalar.of(c)
-        return _Slots(self.level, {key: v * c for key, v in self.terms.items()})
-
-
-def _put(acc: dict, key: tuple, c: Scalar) -> None:
-    acc[key] = acc[key] + c if key in acc else c
-
-
-def _slots_delta(s: _Slots) -> _Slots:
-    """frame_delta = lam - rho: lam moves every slot by 2^p, rho keeps the key;
-    the empty key is the unit, whose differential vanishes."""
-    shift, out = 2**s.level, {}
-    for key, c in s.terms.items():
-        if key:
-            out[tuple((slot + shift, label) for slot, label in key)] = c
-            out[key] = -c
-    return _Slots(s.level + 1, out)
-
-
 def embed(w: LeibnizForm) -> FrameElem:
     """Realize a form of order n inside level n of the frame tower: each
-    monomial is folded from the unit of level 0 by ``_power`` on ``_Slots``,
-    its coefficient multiplies slot 0, and one sort builds the tensor."""
-    spec, unit, width = w.spec, w.spec.unit_label(), 2**w.order
+    monomial is folded from the unit of level 0 by ``_power``, and its
+    coefficient multiplies slot 0."""
+    spec, unit = w.spec, w.spec.unit_label()
 
     def times(g: AlgElem) -> Callable[[Label], Decomposition]:
         """label -> g·label over the basis, memoized for this call; unit
@@ -304,43 +271,34 @@ def embed(w: LeibnizForm) -> FrameElem:
             (ONE if c == ONE else c, lp) for c, lp in g.mul(spec.basis_elem(label)).basis_decomposition()
         ))
 
-    def left_mul(out: dict, g: Callable, key: tuple, c: Scalar, shift: int) -> None:
-        """Add c·(g·key), g multiplying slot 0, with every slot moved by shift."""
-        head, rest = (key[0][1], key[1:]) if key and key[0][0] == 0 else (unit, key)
-        rest = tuple((slot + shift, label) for slot, label in rest)
+    def left_mul(out: list[Term], g: Callable, c: Scalar, key: Key, at: int) -> None:
+        """Append c·(g·key), g multiplying slot ``at``, the lowest slot the key may name."""
+        head, rest = (key[0][1], key[1:]) if key and key[0][0] == at else (unit, key)
         for cp, label in g(head):
-            _put(out, rest if label == unit else ((shift, label),) + rest, c if cp is ONE else c * cp)
+            out.append((c if cp is ONE else c * cp, rest if label == unit else ((at, label),) + rest))
 
-    def one(g: Callable, s: _Slots) -> _Slots:
+    def one(g: Callable, s: FrameElem) -> FrameElem:
         """d(g) ⊙ σ ↦ 1⊗(g·s) - (g⊗1⊗...⊗1)⊗s for the image s of σ."""
-        shift, out = 2**s.level, {}
-        for key, c in s.terms.items():
-            left_mul(out, g, key, c, shift)
-            moved = tuple((slot + shift, label) for slot, label in key)
-            for cg, lg in g(unit):
-                _put(out, moved if lg == unit else ((0, lg),) + moved, -c if cg is ONE else -(c * cg))
-        return _Slots(s.level + 1, out)
+        width, lifted, out = 2**s.level, [], []
+        for c, key in s.body.terms:
+            moved = tuple((slot + width, label) for slot, label in key)
+            left_mul(lifted, g, -c, moved, 0)
+            left_mul(out, g, c, moved, width)
+        # the lifted terms hold slot 0: first, they make the merge meet two nearly sorted runs
+        return FrameElem(s.level + 1, tensor_collect(spec, 2 * width, lifted + out))
 
-    acc: dict = {}
-    for m in w.terms:
-        s = _Slots(0, {(): ONE})
+    def monomial(m: LeibnizMonomial) -> TensorPoly:
+        s = FrameElem.unit(spec, 0)
         for k, g in reversed(m.factors):
-            s = _power(k, partial(one, times(g)), _slots_delta, s)
-        coeff = None if m.coeff.unit_multiple() == ONE else times(m.coeff)
-        for key, c in s.terms.items():
-            if coeff is None:  # most coefficients are the unit: keys stay as they are
-                _put(acc, key, c)
-            else:
-                left_mul(acc, coeff, key, c, 0)
+            s = _power(k, partial(one, times(g)), frame_delta, s)
+        if m.coeff.unit_multiple() == ONE:  # most coefficients are the unit: keys stay as they are
+            return s.body
+        out, coeff = [], times(m.coeff)
+        for c, key in s.body.terms:
+            left_mul(out, coeff, c, key, 0)
+        return tensor_collect(spec, s.body.degree, out)
 
-    def dense(key: tuple) -> tuple[Label, ...]:
-        labels = [unit] * width
-        for slot, label in key:
-            labels[slot] = label
-        return tuple(labels)
-
-    terms = sorted(((c, dense(key)) for key, c in acc.items() if not c.is_zero()), key=itemgetter(1))
-    return FrameElem(w.order, TensorPoly(spec, width, tuple(terms)))
+    return FrameElem(w.order, tensor_sum(spec, 2**w.order, map(monomial, w.terms)))
 
 
 # -- monomial types -------------------------------------------------------

@@ -1,7 +1,8 @@
 """Formal tensor polynomials and universal differential forms.
 
 A :class:`TensorPoly` of degree p is a finite linear combination of
-p-fold elementary tensors of backend elements.  The same vector space
+p-fold elementary tensors of backend elements, each term keyed by its
+non-unit slots alone.  The same vector space
 carries two different products: the slotwise one (the product algebra)
 and the glued graded one (last slot of the left factor multiplies the
 first slot of the right factor).  Universal forms a0 d a1 ... d aq are
@@ -15,12 +16,15 @@ import functools
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar, Union
 
 from .algebra import AlgebraMismatchError, AlgebraSpec, AlgElem, Decomposition, Label
 from .scalars import MINUS_ONE, ONE, ZERO, Scalar
 
-Term = tuple[Scalar, tuple[Label, ...]]
+Key = tuple[tuple[int, Label], ...]
+Term = tuple[Scalar, Key]
+T = TypeVar("T")
 ElemTerm = tuple[Scalar, Sequence[AlgElem]]
 
 
@@ -33,13 +37,13 @@ def dumps(doc) -> str:
 class TensorPoly:
     """Finite linear combination of ``degree``-fold elementary tensors.
 
-    The terms are always canonical, and this module alone keeps them so:
-    a term is (coefficient, one basis label per slot; see
-    ``AlgElem.basis_decomposition``), terms are sorted by label tuples,
-    and no coefficient is zero.  Then ``==`` is a complete equality test.
-    Labels sort as the basis elements' ``sort_key``s do, so term order is
-    the same as with element slots.  The dataclass constructor takes
-    canonical terms only; ``TensorPoly.of`` takes arbitrary elements.
+    A term is (coefficient, key): the key holds the (slot, basis label)
+    pairs of its non-unit slots, sorted by slot (see
+    ``AlgElem.basis_decomposition``), so the unit of every degree is
+    (ONE, ()).  Terms are canonical: sorted by key, keys distinct, no
+    coefficient zero; then ``==`` is a complete equality test.  The
+    constructor takes canonical terms only, ``TensorPoly.of`` arbitrary
+    elements and ``tensor_collect`` raw keyed terms.
     """
 
     spec: AlgebraSpec
@@ -57,7 +61,7 @@ class TensorPoly:
         Every slot is expanded multilinearly over the backend's spanning
         family, so f (x) (a+b) and f (x) a + f (x) b normalize identically.
         """
-        return _collect(spec, degree, _expand(spec, degree, terms))
+        return tensor_collect(spec, degree, _expand(spec, degree, terms))
 
     @staticmethod
     def wrap(elem: AlgElem) -> TensorPoly:
@@ -65,8 +69,7 @@ class TensorPoly:
 
     @staticmethod
     def unit(spec: AlgebraSpec, degree: int) -> TensorPoly:
-        # the unit is a basis element of every backend
-        return TensorPoly(spec, degree, ((ONE, (spec.unit_label(),) * degree),))
+        return TensorPoly(spec, degree, ((ONE, ()),))
 
     @staticmethod
     def zero(spec: AlgebraSpec, degree: int) -> TensorPoly:
@@ -99,8 +102,7 @@ class TensorPoly:
     def unit_multiple(self) -> Union[Scalar, None]:
         if not self.terms:
             return ZERO
-        unit = self.spec.unit_label()
-        if len(self.terms) == 1 and all(label == unit for label in self.terms[0][1]):
+        if len(self.terms) == 1 and not self.terms[0][1]:
             return self.terms[0][0]
         return None
 
@@ -124,15 +126,33 @@ class TensorPoly:
 
     # -- serialization / printing ---------------------------------------
 
+    def print_order(self) -> list[Term]:
+        """The terms as output lists them: as their tuples of one label per
+        slot sort.  Two such tuples first differ at the lowest slot where
+        the keys differ, so a pair whose label sorts below the unit ranks by
+        rising slot, one above it by falling slot, and a key's end between."""
+        unit = self.spec.unit_label()
+        rank = lambda term: tuple((0, s, l) if l < unit else (2, -s, l) for s, l in term[1]) + ((1,),)
+        return sorted(self.terms, key=rank)
+
+    def _per_slot(self, f: Callable[[Label], T]) -> Iterator[tuple[Scalar, list[T]]]:
+        """(coefficient, f of every slot's label) in print order, f of the
+        unit where a key names none; f runs once per distinct label (a few
+        recur in every term, and most slots hold the unit)."""
+        f = functools.cache(f)
+        unit = f(self.spec.unit_label())
+        for c, key in self.print_order():
+            slots = [unit] * self.degree
+            for slot, label in key:
+                slots[slot] = f(label)
+            yield c, slots
+
     def json_text(self) -> str:
         """``dumps(self.to_json())``, with each distinct label's element and
-        each distinct coefficient encoded once (most slots hold the unit)."""
-        factor = functools.cache(lambda label: dumps(self.spec.basis_elem(label).to_json()))
+        each distinct coefficient encoded once."""
         coeff = functools.cache(lambda c: dumps(c.to_json()))
-        terms = (
-            f'{{"coeff":{coeff(c)},"factors":[{",".join(map(factor, labels))}]}}'
-            for c, labels in self.terms
-        )
+        rows = self._per_slot(lambda label: dumps(self.spec.basis_elem(label).to_json()))
+        terms = (f'{{"coeff":{coeff(c)},"factors":[{",".join(slots)}]}}' for c, slots in rows)
         return f'{{"degree":{self.degree},"terms":[{",".join(terms)}]}}'
 
     def to_json(self) -> dict:
@@ -141,10 +161,9 @@ class TensorPoly:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        slot = functools.cache(lambda label: _slot_str(self.spec.basis_elem(label)))  # few distinct labels
         out = []
-        for i, (c, labels) in enumerate(self.terms):
-            body = "⊗".join(map(slot, labels))
+        for i, (c, slots) in enumerate(self._per_slot(lambda label: _slot_str(self.spec.basis_elem(label)))):
+            body = "⊗".join(slots)
             if c.is_one():
                 sign, mag = "+", body
             elif c == MINUS_ONE:
@@ -160,6 +179,7 @@ class TensorPoly:
 
 def _expand(spec: AlgebraSpec, degree: int, terms: Iterable[ElemTerm]) -> Iterator[Term]:
     """Expand terms over elements multilinearly over the backend basis."""
+    unit = spec.unit_label()
     for coeff, factors in terms:
         factors = tuple(factors)
         if len(factors) != degree:
@@ -168,16 +188,20 @@ def _expand(spec: AlgebraSpec, degree: int, terms: Iterable[ElemTerm]) -> Iterat
             if f.spec != spec:
                 raise AlgebraMismatchError("tensor slot from a different algebra")
         if not coeff.is_zero():
-            yield from _multilinear(coeff, (), [f.basis_decomposition() for f in factors], ())
+            slots = [(slot, f.basis_decomposition()) for slot, f in enumerate(factors)]
+            yield from _multilinear(coeff, [], slots, unit)
 
 
-def _multilinear(coeff: Scalar, head: tuple, slots: list, tail: tuple) -> Iterator[Term]:
-    """Expand coeff * head (x) slots (x) tail; a slot lists (coeff, label) pairs."""
-    for combo in itertools.product(*slots):
-        c = coeff
-        for ci, _ in combo:
+def _multilinear(coeff: Scalar, fixed: list, slots: list, unit: Label) -> Iterator[Term]:
+    """Expand coeff * fixed (x) slots: fixed holds (slot, label) pairs, and
+    each of slots is (slot, decomposition); unit labels stay out of keys."""
+    for combo in itertools.product(*(decomposition for _, decomposition in slots)):
+        c, key = coeff, fixed[:]
+        for (slot, _), (ci, label) in zip(slots, combo):
             c = _times(c, ci)
-        yield c, head + tuple(label for _, label in combo) + tail
+            if label != unit:
+                key.append((slot, label))
+        yield c, tuple(sorted(key))
 
 
 def _times(a: Scalar, b: Scalar) -> Scalar:
@@ -187,13 +211,13 @@ def _times(a: Scalar, b: Scalar) -> Scalar:
     return b if a is ONE else a if b is ONE else a * b
 
 
-def _collect(spec: AlgebraSpec, degree: int, terms: Iterable[Term]) -> TensorPoly:
-    """Merge terms by label tuple into canonical form."""
-    acc: dict[tuple, Scalar] = {}
-    for coeff, labels in terms:
-        acc[labels] = acc[labels] + coeff if labels in acc else coeff
-    kept = sorted(labels for labels, c in acc.items() if not c.is_zero())
-    return TensorPoly(spec, degree, tuple((acc[labels], labels) for labels in kept))
+def tensor_collect(spec: AlgebraSpec, degree: int, terms: Iterable[Term]) -> TensorPoly:
+    """Merge terms with canonical keys (sorted by slot, no unit label)."""
+    acc: dict[Key, Scalar] = {}
+    for coeff, key in terms:
+        acc[key] = acc[key] + coeff if key in acc else coeff
+    kept = sorted(((c, key) for key, c in acc.items() if not c.is_zero()), key=itemgetter(1))
+    return TensorPoly(spec, degree, tuple(kept))
 
 
 def tensor_sum(spec: AlgebraSpec, degree: int, parts: Iterable[TensorPoly]) -> TensorPoly:
@@ -202,7 +226,9 @@ def tensor_sum(spec: AlgebraSpec, degree: int, parts: Iterable[TensorPoly]) -> T
     parts = list(parts)
     for part in parts:
         zero._check_compatible(part)
-    return _collect(spec, degree, (t for part in parts for t in part.terms))
+    if len(parts) == 1:  # already canonical
+        return parts[0]
+    return tensor_collect(spec, degree, (t for part in parts for t in part.terms))
 
 
 def _slot_str(f: AlgElem) -> str:
@@ -210,44 +236,58 @@ def _slot_str(f: AlgElem) -> str:
     return f"({s})" if (" + " in s or " - " in s) else s
 
 
+def _shift(key: Key, by: int) -> Key:
+    return tuple((slot + by, label) for slot, label in key)
+
+
 # -- products and maps --------------------------------------------------
 
 
 def tensor_concat(u: TensorPoly, v: TensorPoly) -> TensorPoly:
-    """Bilinear concatenation of label tuples.
+    """Bilinear concatenation: the right key moves past the left's slots.
 
-    Needs no normalization: the key of fu + fv is the key of fu followed
-    by that of fv, so nested walks over canonical operands give distinct
-    keys in sorted order, and products of nonzero coefficients are nonzero.
+    Needs no merge: the key of fu + fv is the key of fu followed by that
+    of fv, so distinct pairs give distinct keys, and products of nonzero
+    coefficients are nonzero.  One sort restores key order; ``lam`` gives
+    it sorted input, on which it is linear.
     """
     if u.spec != v.spec:
         raise AlgebraMismatchError("tensors over different algebras")
-    terms = tuple((_times(cu, cv), fu + fv) for cu, fu in u.terms for cv, fv in v.terms)
-    return TensorPoly(u.spec, u.degree + v.degree, terms)
+    moved = [(cv, _shift(fv, u.degree)) for cv, fv in v.terms]
+    terms = sorted(((_times(cu, cv), fu + fv) for cu, fu in u.terms for cv, fv in moved), key=itemgetter(1))
+    return TensorPoly(u.spec, u.degree + v.degree, tuple(terms))
 
 
 def _glue(spec: AlgebraSpec, degree: int, items: Iterable[tuple]) -> TensorPoly:
-    """The one product loop.  An item (coeff, head, pairs, tail) stands for
-    coeff * head (x) a1 b1 (x) ... (x) tail; a product of basis labels may
-    leave the basis (E10 E01 = E11), so it is expanded over it again."""
+    """The one product loop.  An item (coeff, left, right) holds two keys
+    already moved to output slots; where both hold a slot, the labels
+    multiply.  A product of basis labels may leave the basis
+    (E10 E01 = E11), so it is expanded over it again."""
+    unit = spec.unit_label()
 
     @functools.cache
     def product(pair: tuple[Label, Label]) -> Decomposition:
         a, b = (spec.basis_elem(label) for label in pair)
         return tuple((ONE if c == ONE else c, label) for c, label in a.mul(b).basis_decomposition())
 
-    terms = (
-        term
-        for coeff, head, pairs, tail in items
-        for term in _multilinear(coeff, head, [product(pair) for pair in pairs], tail)
-    )
-    return _collect(spec, degree, terms)
+    def terms() -> Iterator[Term]:
+        for coeff, left, right in items:
+            fixed, meets = dict(left), []
+            for slot, b in right:
+                if slot in fixed:
+                    meets.append((slot, product((fixed.pop(slot), b))))
+                else:
+                    fixed[slot] = b
+            rest = list(fixed.items())
+            yield from _multilinear(coeff, rest, meets, unit) if meets else [(coeff, tuple(sorted(rest)))]
+
+    return tensor_collect(spec, degree, terms())
 
 
 def componentwise_product(u: TensorPoly, v: TensorPoly) -> TensorPoly:
     """Slotwise product: the multiplication of the p-fold product algebra."""
     u._check_compatible(v)
-    items = ((_times(cu, cv), (), zip(fu, fv), ()) for cu, fu in u.terms for cv, fv in v.terms)
+    items = ((_times(cu, cv), fu, fv) for cu, fu in u.terms for cv, fv in v.terms)
     return _glue(u.spec, u.degree, items)
 
 
@@ -261,31 +301,31 @@ def t_algebra_product(u: TensorPoly, v: TensorPoly, block: int = 1) -> TensorPol
         raise AlgebraMismatchError("tensors over different algebras")
     if u.degree % block or v.degree % block:
         raise ValueError("degrees must be multiples of the block width")
-    items = (
-        (_times(cu, cv), fu[:-block], zip(fu[-block:], fv[:block]), fv[block:])
-        for cu, fu in u.terms
-        for cv, fv in v.terms
-    )
+    moved = [(cv, _shift(fv, u.degree - block)) for cv, fv in v.terms]
+    items = ((_times(cu, cv), fu, fv) for cu, fu in u.terms for cv, fv in moved)
     return _glue(u.spec, u.degree + v.degree - block, items)
 
 
 def mult_map(p: int, u: TensorPoly) -> TensorPoly:
     """Multiplication map of the p-fold product algebra, reading the input
-    as a pair of p-blocks and multiplying them slotwise."""
+    as a pair of p-blocks and multiplying them slotwise: slot s meets
+    slot s + p."""
     if u.degree != 2 * p:
         raise ValueError(f"degree {u.degree} is not 2*{p}")
-    return _glue(u.spec, p, ((c, (), zip(f[:p], f[p:]), ()) for c, f in u.terms))
+    items = ((c, [(s, l) for s, l in f if s < p], [(s - p, l) for s, l in f if s >= p]) for c, f in u.terms)
+    return _glue(u.spec, p, items)
 
 
 def tensor_eval(u: TensorPoly, pts: Sequence[str]) -> Scalar:
     """Evaluate a function-backend tensor at one tuple of points: a term
-    counts when the 0/1 pattern of each slot is 1 at its point."""
+    counts when the 0/1 pattern of each slot is 1 at its point (the unit's
+    is 1 everywhere)."""
     if len(pts) != u.degree:
         raise ValueError(f"expected {u.degree} points, got {len(pts)}")
     idx = [u.spec.point_index(p) for p in pts]
     total = ZERO
-    for c, labels in u.terms:
-        if all(label[i] for label, i in zip(labels, idx)):
+    for c, key in u.terms:
+        if all(label[idx[slot]] for slot, label in key):
             total = total + c
     return total
 
@@ -294,21 +334,25 @@ def tensor_eval_all(u: TensorPoly) -> list[Scalar]:
     """Evaluate a function-backend tensor at every tuple of points, listed
     in ``itertools.product(points, repeat=degree)`` order.
 
-    One pass per slot, first to last: a term's label in the slot gives way
-    to each point index where it is 1, folded into a mixed-radix row
-    number, and terms whose (row prefix, remaining labels) keys agree are
-    merged.  After the last slot every key is a whole row.
+    One pass per slot, first to last: a term's label in the slot (the
+    unit, 1 at every point, where its key names none) gives way to each
+    point index where it is 1, folded into a mixed-radix row number, and
+    terms whose (row prefix, remaining key) agree are merged.  After the
+    last slot every key is a whole row.
     """
     n = len(u.spec.point_names())
     ones = functools.cache(lambda label: [i for i, b in enumerate(label) if b])
-    acc = {(0, labels): c for c, labels in u.terms}
-    for _ in range(u.degree):
+    acc = {(0, key): c for c, key in u.terms}
+    for slot in range(u.degree):
         merged: dict[tuple, Scalar] = {}
-        for (row, labels), c in acc.items():
-            rest = labels[1:]
-            for i in ones(labels[0]):
-                key = (row * n + i, rest)
-                merged[key] = merged[key] + c if key in merged else c
+        for (row, key), c in acc.items():
+            if key and key[0][0] == slot:
+                points, key = ones(key[0][1]), key[1:]
+            else:
+                points = range(n)
+            for i in points:
+                k = (row * n + i, key)
+                merged[k] = merged[k] + c if k in merged else c
         acc = merged
     values = [ZERO] * n**u.degree
     for (row, _), c in acc.items():
@@ -326,11 +370,10 @@ def tensor_to_matrix(u: TensorPoly) -> list[list[Scalar]]:
     of each slot's ``support``.
     """
     dim = u.spec.dim
-    support = functools.cache(u.spec.support)  # a few labels recur in every term
     size = dim**u.degree
     out = [[ZERO] * size for _ in range(size)]
-    for c, labels in u.terms:
-        for entries in itertools.product(*(support(label) for label in reversed(labels))):
+    for c, supports in u._per_slot(u.spec.support):
+        for entries in itertools.product(*reversed(supports)):
             i = j = 0
             for r, s in entries:
                 i, j = i * dim + r, j * dim + s

@@ -179,11 +179,6 @@ def table_row(spec: AlgebraSpec, order: int, row: int) -> Instance:
     return f"order{order}.row{row}", embed(odot_chain(spec, factors)), generator_table_rhs(spec, order, rhs)
 
 
-def check_table_row(spec: AlgebraSpec, order: int, row: int) -> bool:
-    _, lhs, rhs = table_row(spec, order, row)
-    return lhs == rhs
-
-
 # -- random data -----------------------------------------------------------
 
 

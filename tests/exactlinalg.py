@@ -1,5 +1,5 @@
 """Exact linear algebra over Gaussian rationals, for rank witnesses and
-independent Kronecker products."""
+independent Kronecker products, and the dense view of tensor terms."""
 
 from __future__ import annotations
 
@@ -7,9 +7,22 @@ from ncdiff.scalars import ZERO, Scalar
 from ncdiff.tensor import TensorPoly
 
 
+def dense_labels(body: TensorPoly, key: tuple) -> tuple:
+    """A label for every slot of a term: the unit where its key names none."""
+    labels = [body.spec.unit_label()] * body.degree
+    for slot, label in key:
+        labels[slot] = label
+    return tuple(labels)
+
+
+def dense_terms(body: TensorPoly) -> list[tuple[Scalar, tuple]]:
+    """The terms with a label in every slot, sorted by label tuple."""
+    return sorted(((c, dense_labels(body, key)) for c, key in body.terms), key=lambda term: term[1])
+
+
 def flatten(body: TensorPoly) -> dict:
     """Coefficient vector of a tensor over its canonical term basis."""
-    return {labels: c for c, labels in body.terms}
+    return {key: c for c, key in body.terms}
 
 
 def rank(vectors: list[dict]) -> int:

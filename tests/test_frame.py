@@ -17,9 +17,11 @@ from ncdiff.frame import (
     slot_embed,
     slot_in_generators,
 )
-from ncdiff.scalars import integer
+from ncdiff.scalars import ONE, integer
 from ncdiff.tensor import TensorPoly, mult_map, tensor_eval
 from ncdiff.verify import random_frame_elem
+
+from exactlinalg import dense_terms
 
 SPEC = AlgebraSpec.free(("f", "g", "h"))
 F, G, H = (SPEC.symbol(s) for s in "fgh")
@@ -44,7 +46,7 @@ def test_rho_pads_right_and_lam_pads_left():
 def test_four_fold_lift_is_f_followed_by_fifteen_units():
     lifted = lift_to(F, 4)
     assert lifted == slot_embed(F, 0, 4)
-    assert len(lifted.body.terms[0][1]) == 16
+    assert dense_terms(lifted.body) == [(ONE, (("f",),) + ((),) * 15)]
 
 
 def test_lift_to_is_identity_at_own_level_and_multiplicative(rng):

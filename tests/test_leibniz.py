@@ -26,18 +26,18 @@ from ncdiff.leibniz import (
     odot,
     symbolic_delta,
 )
-from ncdiff.scalars import Scalar, integer
+from ncdiff.scalars import ONE, Scalar, integer
 from ncdiff.tensor import TensorPoly, t_algebra_product, tensor_concat
 from ncdiff.verify import (
     EXPANSION_TABLE,
-    check_table_row,
     default_free_spec,
     odot_chain,
     random_elem,
     random_leibniz_form,
+    table_row,
 )
 
-from exactlinalg import flatten, rank
+from exactlinalg import dense_terms, flatten, rank
 
 SPEC = default_free_spec()
 F, G, H, I, K = (SPEC.symbol(s) for s in "fghik")
@@ -164,7 +164,8 @@ def test_single_factor_embedding_is_iterated_delta():
 
 @pytest.mark.parametrize("key", sorted(EXPANSION_TABLE), ids=lambda k: f"order{k[0]}row{k[1]}")
 def test_expansion_table_rows(key):
-    assert check_table_row(SPEC, *key)
+    _, lhs, rhs = table_row(SPEC, *key)
+    assert lhs == rhs
 
 
 def test_generator_monomial_examples():
@@ -464,7 +465,7 @@ def test_embed_matches_recursive_symbolic_embedding(spec, rng):
     for w in forms:
         body = embed(w).body
         assert body.terms == recursive_embed(w).body.terms == frame_fold_embed(w).body.terms
-        raw = [(c, [spec.basis_elem(label) for label in labels]) for c, labels in body.terms]
+        raw = [(c, [spec.basis_elem(label) for label in labels]) for c, labels in dense_terms(body)]
         assert body.terms == TensorPoly.of(spec, body.degree, raw).terms
 
 
@@ -478,27 +479,57 @@ def test_embed_matches_the_frame_fold_on_every_type():
             assert embed(w).body.terms == frame_fold_embed(w).body.terms
 
 
-def test_embed_never_enters_the_frame_layer(monkeypatch):
-    """The embedding works on occupied-slot keys alone: no lift, level
-    differential or tensor product of the frame and tensor layers runs."""
+def test_embed_multiplies_no_whole_tensors(monkeypatch):
+    """The embedding folds with level differentials on occupied-slot keys:
+    its label products go through its own memo, and no slotwise or glued
+    tensor product, frame product or re-expansion by ``TensorPoly.of`` runs."""
 
     w = module_mul(H, odot(d(form_of(F.add(G)), 2), d(form_of(G.mul(H)))))
     want = frame_fold_embed(w)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("embed entered the frame layer")
+        raise AssertionError("embed multiplied whole tensors")
 
     for module in ("ncdiff.frame", "ncdiff.leibniz", "ncdiff.tensor"):
-        for name in ("rho", "lam", "frame_delta", "tensor_concat", "t_algebra_product"):
+        for name in ("componentwise_product", "t_algebra_product", "mult_map"):
             monkeypatch.setattr(f"{module}.{name}", forbidden, raising=False)
+    monkeypatch.setattr(FrameElem, "mul", forbidden)
+    monkeypatch.setattr(TensorPoly, "of", staticmethod(forbidden))
     assert embed(w) == want
+
+
+def assert_occupied_slot_keys(t):
+    unit = t.spec.unit_label()
+    for _, key in t.terms:
+        slots = [slot for slot, _ in key]
+        assert slots == sorted(set(slots)) and all(0 <= slot < t.degree for slot in slots)
+        assert all(label != unit for _, label in key)
+
+
+@pytest.mark.parametrize("spec", EMBED_ORACLE_SPECS.values(), ids=EMBED_ORACLE_SPECS.keys())
+def test_keys_name_the_occupied_slots_alone(spec, rng):
+    """Every key is sorted by slot, holds no unit label and names slots below
+    the degree; the unit of every degree is the one empty key; and each term
+    of the image of an r-factor monomial occupies at most r + 1 slots."""
+    for degree in range(1, 9):
+        assert TensorPoly.unit(spec, degree).terms == ((ONE, ()),)
+    syms = [spec.symbol(s) for s in spec.symbols]
+    for n in range(1, 5):
+        for comp in enumerate_types(n):
+            w = LeibnizForm.monomial(random_elem(spec, rng), [(k, rng.choice(syms)) for k in comp])
+            frame = embed(w)
+            assert all(len(key) <= len(comp) + 1 for _, key in frame.body.terms)
+            a = lift_to(random_elem(spec, rng), n)
+            for t in (frame, frame_delta(frame), frame.mul(a), a.mul(frame)):
+                assert_occupied_slot_keys(t.body)
+            assert_occupied_slot_keys(t_algebra_product(frame.body, a.body, 2 ** (n - 1)))
 
 
 def oracle_json(u: TensorPoly) -> dict:
     """A tensor's document built anew for every slot of every term."""
     terms = [
         {"coeff": c.to_json(), "factors": [u.spec.basis_elem(label).to_json() for label in labels]}
-        for c, labels in u.terms
+        for c, labels in dense_terms(u)
     ]
     return {"degree": u.degree, "terms": terms}
 

@@ -5,7 +5,7 @@ import pytest
 
 from ncdiff.algebra import AlgebraMismatchError, AlgebraSpec, func_as_diagonal
 from ncdiff.frame import FrameElem, frame_delta, frame_sum, lam, rho
-from ncdiff.leibniz import LeibnizForm, embed, odot
+from ncdiff.leibniz import LeibnizForm, embed, enumerate_types, odot
 from ncdiff.scalars import MINUS_ONE, ONE, ZERO, Scalar, integer
 from ncdiff.tensor import (
     OmegaMonomial,
@@ -24,7 +24,7 @@ from ncdiff.tensor import (
 )
 from ncdiff.verify import random_elem
 
-from exactlinalg import kron
+from exactlinalg import dense_labels, dense_terms, kron
 
 SPEC = AlgebraSpec.free(("f", "g", "h", "k"))
 F, G, H, K = (SPEC.symbol(s) for s in "fghk")
@@ -311,33 +311,50 @@ def test_canonical_operations_match_full_normalization(spec, rng):
         d = rng.randint(1, 2)
         u, v, w = (random_canonical(spec, d, rng) for _ in range(3))
         c = Scalar.of(rng.randint(-3, 3), rng.randint(-1, 1))
-        assert_normalizes_to(u + v, spec, d, u.terms + v.terms)
-        negated_v = tuple((MINUS_ONE * k, f) for k, f in v.terms)
-        assert_normalizes_to(u - v, spec, d, u.terms + negated_v)
-        assert_normalizes_to(u.scale(c), spec, d, [(c * k, f) for k, f in u.terms])
-        assert_normalizes_to(u.scale(0), spec, d, [(ZERO * k, f) for k, f in u.terms])
-        assert_normalizes_to(-u, spec, d, [(MINUS_ONE * k, f) for k, f in u.terms])
-        concat = [(ku * kv, fu + fv) for ku, fu in u.terms for kv, fv in v.terms]
+        du, dv, dw = dense_terms(u), dense_terms(v), dense_terms(w)
+        assert_normalizes_to(u + v, spec, d, du + dv)
+        negated_v = [(MINUS_ONE * k, f) for k, f in dv]
+        assert_normalizes_to(u - v, spec, d, du + negated_v)
+        assert_normalizes_to(u.scale(c), spec, d, [(c * k, f) for k, f in du])
+        assert_normalizes_to(u.scale(0), spec, d, [(ZERO * k, f) for k, f in du])
+        assert_normalizes_to(-u, spec, d, [(MINUS_ONE * k, f) for k, f in du])
+        concat = [(ku * kv, fu + fv) for ku, fu in du for kv, fv in dv]
         assert_normalizes_to(tensor_concat(u, v), spec, 2 * d, concat)
-        assert_normalizes_to(tensor_sum(spec, d, (u, v, w)), spec, d, u.terms + v.terms + w.terms)
+        assert_normalizes_to(tensor_sum(spec, d, (u, v, w)), spec, d, du + dv + dw)
         assert (u + (-u)).is_zero()
     for level in (0, 1, 2):
         width = 2**level
         a, b = (FrameElem(level, random_canonical(spec, width, rng)) for _ in range(2))
         pad = (spec.unit_label(),) * width
-        right = [(k, f + pad) for k, f in a.body.terms]
-        left = [(k, pad + f) for k, f in a.body.terms]
+        right = [(k, f + pad) for k, f in dense_terms(a.body)]
+        left = [(k, pad + f) for k, f in dense_terms(a.body)]
         assert_normalizes_to(rho(a).body, spec, 2 * width, right)
         assert_normalizes_to(lam(a).body, spec, 2 * width, left)
         negated_right = [(MINUS_ONE * k, f) for k, f in right]
         assert_normalizes_to(frame_delta(a).body, spec, 2 * width, left + negated_right)
-        summed = a.body.terms + b.body.terms
+        summed = dense_terms(a.body) + dense_terms(b.body)
         assert_normalizes_to(frame_sum(spec, level, (a, b)).body, spec, width, summed)
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS.values(), ids=ORACLE_SPECS.keys())
+def test_print_order_is_the_order_of_dense_label_tuples(spec, rng):
+    """Output lists terms as their tuples of one label per slot sort, unit
+    slots included, for labels below the unit (dense specs) and above it
+    (free specs), keys that end early, and slots met in any order."""
+    syms = [spec.symbol(s) for s in spec.symbols]
+    tensors = [random_canonical(spec, rng.randint(1, 4), rng) for _ in range(20)]
+    for n in (1, 2, 3):
+        for comp in enumerate_types(n):
+            factors = [(k, random_elem(spec, rng) if k == 1 else rng.choice(syms)) for k in comp]
+            tensors.append(embed(LeibnizForm.monomial(random_elem(spec, rng), factors)).body)
+    assert max(len(u.terms) for u in tensors) > 8
+    for u in tensors:
+        assert [(c, dense_labels(u, key)) for c, key in u.print_order()] == dense_terms(u)
 
 
 def slotwise(u, v, glue):
     """Terms of u and v paired up, with glue(fu, fv) building the slots."""
-    pairs = itertools.product(materialize(u.spec, u.terms), materialize(v.spec, v.terms))
+    pairs = itertools.product(materialize(u.spec, dense_terms(u)), materialize(v.spec, dense_terms(v)))
     return [(ku * kv, glue(fu, fv)) for (ku, fu), (kv, fv) in pairs]
 
 
@@ -352,7 +369,7 @@ def dense_kron(t):
     mats = lambda label: [list(r) for r in as_matrix(spec.basis_elem(label)).rows]
     size = (spec.dim or len(spec.points)) ** t.degree
     out = [[ZERO] * size for _ in range(size)]
-    for c, labels in t.terms:
+    for c, labels in dense_terms(t):
         acc = mats(labels[0])
         for label in labels[1:]:
             acc = kron(mats(label), acc)
@@ -368,9 +385,9 @@ def test_label_products_and_realization_match_materialized_elements(spec, rng):
     samples = [[random_canonical(spec, d, rng) for _ in range(2)] for d in (1, 2, 2)]
     if spec.backend == "matrix":
         # E10 E01 = E11 leaves the basis; it expands as the identity minus E00
-        e10, e01 = (TensorPoly(spec, 1, ((ONE, (cell,)),)) for cell in ((0, 0, 1, 0), (0, 1, 0, 0)))
+        e10, e01 = (TensorPoly(spec, 1, ((ONE, ((0, cell),)),)) for cell in ((0, 0, 1, 0), (0, 1, 0, 0)))
         product = componentwise_product(e10, e01)
-        assert product.terms == ((MINUS_ONE, ((1, 0, 0, 0),)), (ONE, ((1, 0, 0, 1),)))
+        assert dense_terms(product) == [(MINUS_ONE, ((1, 0, 0, 0),)), (ONE, ((1, 0, 0, 1),))]
         samples.append([e10, e01])
     for u, v in samples:
         d = u.degree
@@ -381,7 +398,7 @@ def test_label_products_and_realization_match_materialized_elements(spec, rng):
             want = TensorPoly.of(spec, 2 * d - block, slotwise(u, v, glue))
             assert t_algebra_product(u, v, block).terms == want.terms
         w = tensor_concat(u, v)
-        halves = [(k, times(f[:d], f[d:])) for k, f in materialize(spec, w.terms)]
+        halves = [(k, times(f[:d], f[d:])) for k, f in materialize(spec, dense_terms(w))]
         assert mult_map(d, w).terms == TensorPoly.of(spec, d, halves).terms
     unit = spec.unit_label()
     assert spec.basis_elem(unit) == spec.unit()
@@ -404,7 +421,7 @@ def test_label_products_and_realization_match_materialized_elements(spec, rng):
             for pts in itertools.product(spec.points, repeat=u.degree):
                 idx = [spec.point_index(p) for p in pts]
                 want = ZERO
-                for k, factors in materialize(spec, u.terms):
+                for k, factors in materialize(spec, dense_terms(u)):
                     for f, i in zip(factors, idx):
                         k = k * f.values[i]
                     want = want + k
