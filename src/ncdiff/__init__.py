@@ -15,6 +15,7 @@ from .frame import (
     delta_I,
     delta_iter,
     frame_delta,
+    generator_monomial_eval,
     is_universal_one_form,
     lam,
     lift_to,
@@ -40,7 +41,6 @@ from .leibniz import (
     LeibnizMonomial,
     embed,
     enumerate_types,
-    generator_monomial_eval,
     module_mul,
     odot,
     symbolic_delta,

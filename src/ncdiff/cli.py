@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .algebra import AlgebraSpec
-from .frame import FrameElem, delta_I, generator_str, slot_in_generators
+from .frame import FrameElem, SubsetIndex, delta_I, generator_str, slot_in_generators
 from .jets import ChangeOfVars2, Jet2, parse_poly2, transform_jet2, delta2_invariance_check
 from .leibniz import LeibnizForm, embed
 from .parser import LoweringError, MAX_ORDER, ParseError, lower, parse
@@ -227,8 +227,7 @@ def cmd_generators(args) -> int:
         raise UsageError(f"--level must be below {MAX_ORDER}, got {p}")
     gens, bodies = [], []
     # every subset of {0..p-1}, smallest first, then by ascending members
-    subsets = slot_in_generators(f, 2**p - 1, p)
-    for index in sorted(subsets, key=lambda ix: (len(ix.members), ix.members[::-1])):
+    for index in (SubsetIndex(p, c) for r in range(p + 1) for c in itertools.combinations(range(p), r)):
         body = delta_I(f, index).body
         bodies.append(body)
         gens.append({"index": str(index), "name": generator_str(index, name), "pretty": str(body)})

@@ -3,19 +3,22 @@
 Level p holds tensors of degree 2**p over the base algebra.  The two
 elementary lifts pad an element with units on the right (rho) or on
 the left (lam); the degree-one differential of level p is their
-difference, landing in level p+1.  Subsets of {0..p-1} index a
-generator family obtained by scanning the levels upward and choosing,
-at each step, either the differential or the right lift.
+difference, ``tensor_d`` of the body, landing in level p+1.  A
+generator monomial at level n is a product of factors (subset of
+{0..n-1}, g) with disjoint subsets, evaluated by one scan of the levels
+upward; the generators ``delta_I`` are its one-factor case, choosing at
+each level either the differential or the right lift.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence, Union
 
 from .algebra import AlgebraMismatchError, AlgebraSpec, AlgElem
 from .scalars import Scalar
-from .tensor import TensorPoly, componentwise_product, mult_map, tensor_concat, tensor_sum
+from .tensor import TensorPoly, componentwise_product, mult_map, tensor_concat, tensor_d, tensor_sum
 
 
 @dataclass(frozen=True)
@@ -117,22 +120,8 @@ def lift_to(alpha: Union[FrameElem, AlgElem], p: int) -> FrameElem:
 
 def frame_delta(omega: FrameElem) -> FrameElem:
     """The degree-one universal differential of the current level, lam - rho:
-    the unit's empty key cancels, and every rho key (slots below 2^p) sorts
-    before every lam key (each slot moved up by 2^p), so no merge is needed."""
-    width, terms = 2**omega.level, [term for term in omega.body.terms if term[1]]
-    minus_rho = tuple((-c, key) for c, key in terms)
-    lam_terms = tuple((c, tuple((slot + width, label) for slot, label in key)) for c, key in terms)
-    return FrameElem(omega.level + 1, TensorPoly(omega.spec, 2 * width, minus_rho + lam_terms))
-
-
-def delta_iter(f: AlgElem, n: int) -> FrameElem:
-    """Apply the level differentials n times starting from the base algebra."""
-    if n < 1:
-        raise ValueError("delta_iter needs n >= 1")
-    out = FrameElem.from_alg(f)
-    for _ in range(n):
-        out = frame_delta(out)
-    return out
+    ``tensor_d`` of the body."""
+    return FrameElem(omega.level + 1, tensor_d(omega.body))
 
 
 def module_left(a: FrameElem, omega: FrameElem) -> FrameElem:
@@ -166,19 +155,59 @@ class SubsetIndex:
     def of(p: int, members: Iterable[int]) -> SubsetIndex:
         return SubsetIndex(p, tuple(members))
 
-    def contains(self, s: int) -> bool:
-        return s in self.members
-
     def __str__(self) -> str:
         return "{" + ",".join(str(m) for m in self.members) + "}"
 
 
-def delta_I(f: AlgElem, index: SubsetIndex) -> FrameElem:
-    """Generator: scan levels upward, differentiating at the chosen ones."""
-    out = FrameElem.from_alg(f)
-    for s in range(index.p):
-        out = frame_delta(out) if index.contains(s) else rho(out)
+def generator_monomial_eval(
+    factors: Sequence[tuple[SubsetIndex, AlgElem]], n: int
+) -> FrameElem:
+    """Evaluate a product of generators with the lifts left implicit.
+
+    Each level is owned by at most one factor.  Scanning levels upward,
+    the owner is differentiated while factors to its left are padded on
+    the right (rho) and factors to its right on the left (lam); levels
+    owned by nobody pad every factor on the right.  This is forced by
+    the product rule, under which differentiating a product at level s
+    right-pads everything left of the differentiated factor and
+    left-pads everything right of it.
+    """
+    if not factors:
+        raise ValueError("empty generator monomial")
+    owners: dict[int, int] = {}
+    for pos, (index, _) in enumerate(factors):
+        if index.p != n:
+            raise ValueError(f"index {index} is not at level {n}")
+        for s in index.members:
+            if s in owners:
+                raise ValueError(f"level {s} owned by two factors")
+            owners[s] = pos
+    out = None
+    for pos, (index, g) in enumerate(factors):
+        elem = FrameElem.from_alg(g)
+        for s in range(n):
+            owner = owners.get(s)
+            if owner == pos:
+                elem = frame_delta(elem)
+            elif owner is None or pos < owner:
+                elem = rho(elem)
+            else:
+                elem = lam(elem)
+        out = elem if out is None else out.mul(elem)
     return out
+
+
+def delta_I(f: AlgElem, index: SubsetIndex) -> FrameElem:
+    """Generator: the one-factor generator monomial, differentiating at the
+    chosen levels and lifting on the right at the others."""
+    return generator_monomial_eval(((index, f),), index.p)
+
+
+def delta_iter(f: AlgElem, n: int) -> FrameElem:
+    """Apply the level differentials n times starting from the base algebra."""
+    if n < 1:
+        raise ValueError("delta_iter needs n >= 1")
+    return delta_I(f, SubsetIndex.of(n, range(n)))
 
 
 def generator_str(index: SubsetIndex, symbol: str) -> str:
@@ -200,16 +229,14 @@ def slot_in_generators(f: AlgElem, j: int, p: int) -> tuple[SubsetIndex, ...]:
 
     Slot j, read in binary with bit s marking a left-lift step at level
     s, decomposes as the unit-coefficient sum of the generators indexed
-    by all subsets of its bit set.
+    by all subsets of its bit set, listed smallest first, then by their
+    members read from the highest down.
     """
-    width = 2**p
-    if not 0 <= j < width:
+    if not 0 <= j < 2**p:
         raise ValueError(f"slot {j} out of range for level {p}")
-    bits = [s for s in range(p) if (j >> s) & 1]
-    subsets = []
-    for mask in range(1 << len(bits)):
-        subsets.append(SubsetIndex.of(p, (bits[i] for i in range(len(bits)) if (mask >> i) & 1)))
-    return tuple(sorted(subsets, key=lambda ix: (len(ix.members), ix.members)))
+    bits = [s for s in range(p - 1, -1, -1) if (j >> s) & 1]
+    # combinations of the falling bits list each size's subsets falling: reverse them
+    return tuple(SubsetIndex(p, c) for r in range(len(bits) + 1) for c in reversed([*combinations(bits, r)]))
 
 
 def generator_sum(f: AlgElem, subsets: Sequence[SubsetIndex]) -> FrameElem:

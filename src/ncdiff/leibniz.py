@@ -31,18 +31,21 @@ a·d^{k1}(g1) ⊙ ... ⊙ d^{kr}(gr) has at most r + 1 non-unit slots out of
 2^n, and a ``TensorPoly`` keys a term by those alone, so the fold's
 frame_delta shifts and negates keys, and 1⊗(g·s) rewrites slot 0 of a
 key and shifts the rest.  The generator tables, which place every lift
-explicitly, stay the independent check of it.
+explicitly, stay the independent check of it; generator monomials are
+evaluated in the frame layer (``frame.generator_monomial_eval``, which
+this module re-exports).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, partial
+from itertools import combinations
 from math import comb
 from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
 
 from .algebra import AlgebraMismatchError, AlgebraSpec, AlgElem, Decomposition, Label
-from .frame import FrameElem, SubsetIndex, frame_delta, lam, rho
+from .frame import FrameElem, SubsetIndex, frame_delta, generator_monomial_eval, generator_str
 from .scalars import MINUS_ONE, ONE, Scalar
 from .tensor import Key, TensorPoly, Term, tensor_collect, tensor_sum
 
@@ -182,9 +185,7 @@ def generator_form_str(mono: LeibnizMonomial) -> str:
     c = mono.coeff.unit_multiple()
     if c is None or not c.is_one():
         parts.append(str(mono.coeff))
-    for k, g in mono.factors:
-        levels = "{" + ",".join(str(s) for s in range(k - 1, -1, -1)) + "}"
-        parts.append(f"d{levels}({g})")
+    parts.extend(generator_str(SubsetIndex.of(k, range(k)), str(g)) for k, g in mono.factors)
     return "·".join(parts)
 
 
@@ -312,57 +313,6 @@ def enumerate_types(n: int) -> list[tuple[int, ...]]:
     """
     if n < 1:
         raise ValueError("order must be at least 1")
-
-    def go(m: int) -> list[tuple[int, ...]]:
-        if m == 0:
-            return [()]
-        out = []
-        for first in range(m, 0, -1):
-            out.extend((first,) + tail for tail in go(m - first))
-        return out
-
-    return go(n)
-
-
-# -- generator monomials ---------------------------------------------------
-
-
-def generator_monomial_eval(
-    factors: Sequence[tuple[SubsetIndex, AlgElem]], n: int
-) -> FrameElem:
-    """Evaluate a product of generators with the lifts left implicit.
-
-    Each level is owned by at most one factor.  Scanning levels upward,
-    the owner is differentiated while factors to its left are padded on
-    the right (rho) and factors to its right on the left (lam); levels
-    owned by nobody pad every factor on the right.  This is forced by
-    the product rule, under which differentiating a product at level s
-    right-pads everything left of the differentiated factor and
-    left-pads everything right of it.
-    """
-    if not factors:
-        raise ValueError("empty generator monomial")
-    owners: dict[int, int] = {}
-    for pos, (index, _) in enumerate(factors):
-        if index.p != n:
-            raise ValueError(f"index {index} is not at level {n}")
-        for s in index.members:
-            if s in owners:
-                raise ValueError(f"level {s} owned by two factors")
-            owners[s] = pos
-    built: list[FrameElem] = []
-    for pos, (index, g) in enumerate(factors):
-        elem = FrameElem.from_alg(g)
-        for s in range(n):
-            owner = owners.get(s)
-            if owner == pos:
-                elem = frame_delta(elem)
-            elif owner is None or pos < owner:
-                elem = rho(elem)
-            else:
-                elem = lam(elem)
-        built.append(elem)
-    out = built[0]
-    for elem in built[1:]:
-        out = out.mul(elem)
-    return out
+    # the parts between consecutive cut points of {1..n-1}, with 0 and n added
+    bounds = ((0, *cuts, n) for r in range(n) for cuts in combinations(range(1, n), r))
+    return sorted((tuple(b - a for a, b in zip(t, t[1:])) for t in bounds), reverse=True)

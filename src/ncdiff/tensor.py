@@ -7,7 +7,8 @@ carries two different products: the slotwise one (the product algebra)
 and the glued graded one (last slot of the left factor multiplies the
 first slot of the right factor).  Universal forms a0 d a1 ... d aq are
 kept as a secondary chain representation with an explicit expansion
-map based on d b = 1 (x) b - b (x) 1.
+map based on d b = 1 (x) b - b (x) 1, written once as ``tensor_d``,
+which is also the frame tower's level differential.
 """
 
 from __future__ import annotations
@@ -206,9 +207,12 @@ def _multilinear(coeff: Scalar, fixed: list, slots: list, unit: Label) -> Iterat
 
 def _times(a: Scalar, b: Scalar) -> Scalar:
     """a * b, where a factor that is the ``ONE`` singleton is not multiplied
-    in (``_glue``, ``TensorPoly.unit`` and ``wrap`` give most unit
-    coefficients as it)."""
-    return b if a is ONE else a if b is ONE else a * b
+    in and one that is ``MINUS_ONE`` negates (``_glue``, ``TensorPoly.unit``
+    and ``wrap`` give most unit coefficients as ``ONE``, and negating it
+    gives ``MINUS_ONE``)."""
+    if a is ONE or a is MINUS_ONE:
+        return b if a is ONE else -b
+    return a if b is ONE else -a if b is MINUS_ONE else a * b
 
 
 def tensor_collect(spec: AlgebraSpec, degree: int, terms: Iterable[Term]) -> TensorPoly:
@@ -256,6 +260,19 @@ def tensor_concat(u: TensorPoly, v: TensorPoly) -> TensorPoly:
     moved = [(cv, _shift(fv, u.degree)) for cv, fv in v.terms]
     terms = sorted(((_times(cu, cv), fu + fv) for cu, fu in u.terms for cv, fv in moved), key=itemgetter(1))
     return TensorPoly(u.spec, u.degree + v.degree, tuple(terms))
+
+
+def tensor_d(u: TensorPoly) -> TensorPoly:
+    """The universal differential 1⊗u - u⊗1 of a degree-d tensor.
+
+    The unit's empty key cancels; the keys of u⊗1 are u's, negated, and
+    those of 1⊗u are u's moved up by d.  Every key of u⊗1 (slots below d)
+    sorts before every key of 1⊗u, so no merge is needed.
+    """
+    d, terms = u.degree, [term for term in u.terms if term[1]]
+    minus = tuple((-c, key) for c, key in terms)
+    moved = tuple((c, tuple((slot + d, label) for slot, label in key)) for c, key in terms)
+    return TensorPoly(u.spec, 2 * d, minus + moved)
 
 
 def _glue(spec: AlgebraSpec, degree: int, items: Iterable[tuple]) -> TensorPoly:
@@ -437,13 +454,10 @@ def universal_d(m: OmegaMonomial) -> OmegaMonomial:
 
 
 def omega_to_tensor(m: OmegaMonomial) -> TensorPoly:
-    """Expand with d b = 1 (x) b - b (x) 1 in every differentiated slot."""
-    w = m.width
-    unit = TensorPoly.unit(m.spec, w)
+    """Expand with d b = 1 (x) b - b (x) 1 (``tensor_d``) in every differentiated slot."""
     acc = m.chain[0]
     for letter in m.chain[1:]:
-        d_letter = tensor_concat(unit, letter) - tensor_concat(letter, unit)
-        acc = t_algebra_product(acc, d_letter, block=w)
+        acc = t_algebra_product(acc, tensor_d(letter), block=m.width)
     return acc
 
 

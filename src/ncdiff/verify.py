@@ -24,6 +24,7 @@ from .frame import (
     delta_iter,
     frame_delta,
     frame_sum,
+    generator_monomial_eval,
     generator_sum,
     is_universal_one_form,
     lam,
@@ -49,7 +50,6 @@ from .leibniz import (
     LeibnizForm,
     embed,
     enumerate_types,
-    generator_monomial_eval,
     odot,
     symbolic_delta,
 )

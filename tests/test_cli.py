@@ -196,6 +196,12 @@ def test_generators_table(spec_file, capsys):
     doc = json.loads(out)
     assert [g["index"] for g in doc["generators"]] == ["{}", "{0}", "{1}", "{1,0}"]
     assert doc["inversion"][3]["sum"] == ["d{}(f)", "d{0}(f)", "d{1}(f)", "d{1,0}(f)"]
+    # every level lists its subsets smallest first, then by rising members
+    for p in range(6):
+        code, out, _ = run(capsys, "generators", "--algebra", path, "--level", str(p))
+        rising = [tuple(s for s in range(p) if (mask >> s) & 1) for mask in range(2**p)]
+        want = ["{" + ",".join(map(str, reversed(m))) + "}" for m in sorted(rising, key=lambda m: (len(m), m))]
+        assert code == 0 and [g["index"] for g in json.loads(out)["generators"]] == want
 
 
 def test_verify_suites(spec_file, capsys):

@@ -155,6 +155,40 @@ def test_full_subset_scan_equals_iterated_delta():
         assert delta_I(F, SubsetIndex.of(n, tuple(range(n)))) == delta_iter(F, n)
 
 
+def level_scan(f, p, members):
+    """The generator scan written out: differentiate at the chosen levels,
+    lift on the right at the others."""
+    out = FrameElem.from_alg(f)
+    for s in range(p):
+        out = frame_delta(out) if s in members else rho(out)
+    return out
+
+
+def test_generators_are_the_level_scan():
+    """delta_I and delta_iter, both one-factor generator monomials, equal
+    the scan for every subset at levels 0-4."""
+    for f in (F, G.mul(H).add(F.scale(integer(-2)))):
+        for p in range(5):
+            for mask in range(2**p):
+                members = [s for s in range(p) if (mask >> s) & 1]
+                assert delta_I(f, SubsetIndex.of(p, members)) == level_scan(f, p, members)
+            if p:
+                assert delta_iter(f, p) == level_scan(f, p, range(p))
+
+
+def bitmask_subsets(j, p):
+    """Every subset of slot j's bits, smallest first, then by falling members."""
+    bits = [s for s in range(p) if (j >> s) & 1]
+    subsets = [SubsetIndex.of(p, (b for i, b in enumerate(bits) if (mask >> i) & 1)) for mask in range(1 << len(bits))]
+    return sorted(subsets, key=lambda ix: (len(ix.members), ix.members))
+
+
+def test_slot_in_generators_lists_subsets_in_bitmask_order():
+    for p in range(6):
+        for j in range(2**p):
+            assert slot_in_generators(F, j, p) == tuple(bitmask_subsets(j, p))
+
+
 def test_slot_embed_examples():
     assert slot_embed(F, 0, 2).body == TensorPoly.elementary(
         SPEC, (F, SPEC.unit(), SPEC.unit(), SPEC.unit())

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import ncdiff.frame
 from ncdiff.algebra import AlgebraSpec
 from ncdiff.frame import (
     FrameElem,
@@ -181,6 +182,8 @@ def test_generator_monomial_examples():
 
     single = generator_monomial_eval([(SubsetIndex.of(2, (1, 0)), F)], 2)
     assert single == delta_iter(F, 2)
+    # evaluated in the frame layer; the leibniz name is the same function
+    assert generator_monomial_eval is ncdiff.frame.generator_monomial_eval
 
 
 def test_generator_monomial_errors():
@@ -222,6 +225,12 @@ def test_enumerate_types_counts_and_order():
         assert all(sum(t) == n for t in types)
     with pytest.raises(ValueError):
         enumerate_types(0)
+
+    def first_part_first(m):
+        return [(first,) + tail for first in range(m, 0, -1) for tail in first_part_first(m - first)] if m else [()]
+
+    for n in range(1, 11):
+        assert enumerate_types(n) == first_part_first(n)
 
 
 def test_generic_forms_normalize_onto_the_type_monomials(rng):

@@ -16,13 +16,14 @@ from ncdiff.tensor import (
     omega_to_tensor,
     t_algebra_product,
     tensor_concat,
+    tensor_d,
     tensor_eval,
     tensor_eval_all,
     tensor_sum,
     tensor_to_matrix,
     universal_d,
 )
-from ncdiff.verify import random_elem
+from ncdiff.verify import random_elem, random_omega_monomial
 
 from exactlinalg import dense_labels, dense_terms, kron
 
@@ -350,6 +351,43 @@ def test_print_order_is_the_order_of_dense_label_tuples(spec, rng):
     assert max(len(u.terms) for u in tensors) > 8
     for u in tensors:
         assert [(c, dense_labels(u, key)) for c, key in u.print_order()] == dense_terms(u)
+
+
+DIFFERENTIAL_SPECS = {
+    **ORACLE_SPECS,
+    "func-complex": AlgebraSpec.function(("L", "R"), {"x": (Scalar.of(1, 2), 0), "y": (1, -3)}),
+}
+
+
+@pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS.values(), ids=DIFFERENTIAL_SPECS.keys())
+def test_tensor_d_is_the_two_concatenations(spec, rng):
+    """tensor_d(u) is 1⊗u - u⊗1 merged through tensor_sum, term order
+    included, on tensors that hold a unit-key term."""
+    with_unit = 0
+    for d in range(1, 9):
+        unit = TensorPoly.unit(spec, d)
+        for _ in range(3):
+            u = random_canonical(spec, d, rng) + unit.scale(Scalar.of(rng.choice((1, -1, 2)), rng.randint(0, 1)))
+            want = tensor_sum(spec, 2 * d, (tensor_concat(unit, u), -tensor_concat(u, unit)))
+            assert tensor_d(u) == want
+            with_unit += any(not key for _, key in u.terms)
+    assert with_unit >= 20
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS.values(), ids=ORACLE_SPECS.keys())
+def test_omega_to_tensor_is_the_two_concatenation_formula(spec, rng):
+    def two_concatenations(m):
+        unit = TensorPoly.unit(m.spec, m.width)
+        acc = m.chain[0]
+        for letter in m.chain[1:]:
+            d_letter = tensor_concat(unit, letter) - tensor_concat(letter, unit)
+            acc = t_algebra_product(acc, d_letter, block=m.width)
+        return acc
+
+    for level in (0, 1, 2):
+        for degree in (0, 1, 2):
+            m = random_omega_monomial(spec, level, degree, rng)
+            assert omega_to_tensor(m) == two_concatenations(m)
 
 
 def slotwise(u, v, glue):
