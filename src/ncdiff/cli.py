@@ -20,14 +20,13 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable
 
 from .algebra import AlgebraSpec
 from .frame import FrameElem, SubsetIndex, delta_I, generator_str, slot_in_generators
 from .jets import ChangeOfVars2, Jet2, parse_poly2, transform_jet2, delta2_invariance_check
 from .leibniz import LeibnizForm, embed
 from .parser import LoweringError, MAX_ORDER, ParseError, lower, parse
-from .scalars import ZERO
 from .tensor import dumps, tensor_eval, tensor_eval_all, tensor_to_matrix
 from .verify import SUITES, run_suite
 
@@ -103,6 +102,14 @@ def _dumps(doc) -> str:
     if isinstance(doc, list):
         return "[" + ",".join(map(_dumps, doc)) + "]"
     return dumps(doc)
+
+
+def _render_once(values: Iterable, render: Callable[[object], str]) -> dict[int, str]:
+    """render(v) for each distinct object v among values, keyed by id(v): the
+    realization kernels give one object per distinct value, so a table of
+    thousands of cells renders a few values, and no Fraction is hashed."""
+    values = list(values)
+    return {key: render(v) for key, v in dict(zip(map(id, values), values)).items()}
 
 
 def _emit(build_doc: Callable[[], dict], render_pretty: Callable[[], str], out_mode: str) -> None:
@@ -181,14 +188,18 @@ def cmd_eval(args) -> int:
     values = tensor_eval_all(body) if args.all else [tensor_eval(body, t) for t in tuples]
     rows = [(t, v) for t, v in zip(tuples, values) if not (args.nonzero and v.is_zero())]
 
+    def rendered(render: Callable) -> Iterable[tuple[tuple, str]]:
+        text = _render_once([v for _, v in rows], render)
+        return ((t, text[id(v)]) for t, v in rows)
+
     def document() -> dict:
         name = {p: dumps(p) for p in spec.points}
-        value = functools.cache(lambda v: dumps(v.to_json()))  # tables repeat a few values
-        cells = (f'{{"args":[{",".join(name[p] for p in t)}],"value":{value(v)}}}' for t, v in rows)
+        json_rows = rendered(lambda v: dumps(v.to_json()))
+        cells = (f'{{"args":[{",".join(map(name.get, t))}],"value":{v}}}' for t, v in json_rows)
         return {"order": form.order, "arity": arity, "values": Encoded(f"[{','.join(cells)}]")}
 
     with _digit_limit("eval result"):
-        _emit(document, lambda: "\n".join(f"[{','.join(t)}] = {v}" for t, v in rows), args.out)
+        _emit(document, lambda: "\n".join(f"[{','.join(t)}] = {v}" for t, v in rendered(str)), args.out)
     return 0
 
 
@@ -201,14 +212,16 @@ def cmd_matrix(args) -> int:
     size = _capped_power(spec.dim, form.order, args.max_dim, message)
     mat = tensor_to_matrix(embed(form).body)
 
+    def render(cell: Callable) -> list[Iterable[str]]:
+        text = _render_once(itertools.chain.from_iterable(mat), cell)
+        return [map(text.__getitem__, map(id, row)) for row in mat]
+
     def document() -> dict:
-        cell = functools.cache(lambda e: dumps(e.to_json()))
-        zero = cell(ZERO)  # cells never written are the ZERO singleton; most are
-        rows = (f"[{','.join(zero if e is ZERO else cell(e) for e in row)}]" for row in mat)
+        rows = (f"[{','.join(row)}]" for row in render(lambda e: dumps(e.to_json())))
         return {"order": form.order, "dim": size, "matrix": Encoded(f"[{','.join(rows)}]")}
 
     with _digit_limit("matrix result"):
-        _emit(document, lambda: "\n".join("  ".join(str(e) for e in row) for row in mat), args.out)
+        _emit(document, lambda: "\n".join("  ".join(row) for row in render(str)), args.out)
     return 0
 
 

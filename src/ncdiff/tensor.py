@@ -16,12 +16,14 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass
-from operator import itemgetter
+from fractions import Fraction
+from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar, Union
 
 from .algebra import AlgebraMismatchError, AlgebraSpec, AlgElem, Decomposition, Label
-from .scalars import MINUS_ONE, ONE, ZERO, Scalar
+from .scalars import MINUS_ONE, ONE, ZERO, Scalar, rational
 
 Key = tuple[tuple[int, Label], ...]
 Term = tuple[Scalar, Key]
@@ -89,10 +91,12 @@ class TensorPoly:
         return self.add(other.neg())
 
     def scale(self, c: Union[Scalar, int]) -> TensorPoly:
+        """c times every coefficient; a factor of 1 or -1 keeps or negates them."""
         c = c if isinstance(c, Scalar) else Scalar.of(c)
         if c.is_zero():
             return TensorPoly.zero(self.spec, self.degree)
-        return TensorPoly(self.spec, self.degree, tuple((c * k, f) for k, f in self.terms))
+        c = ONE if c == ONE else MINUS_ONE if c == MINUS_ONE else c
+        return TensorPoly(self.spec, self.degree, tuple((_times(c, k), f) for k, f in self.terms))
 
     def neg(self) -> TensorPoly:
         return TensorPoly(self.spec, self.degree, tuple((-k, f) for k, f in self.terms))
@@ -347,34 +351,63 @@ def tensor_eval(u: TensorPoly, pts: Sequence[str]) -> Scalar:
     return total
 
 
+def _common_denominator(terms: Sequence[Term]) -> tuple[int, Callable[[Union[int, Fraction]], int]]:
+    """d, the least common multiple of every coefficient part's denominator,
+    and the map of a part p to the integer p * d."""
+    d = math.lcm(*(p.denominator for c, _ in terms for p in (c.re, c.im)))
+    return d, lambda p: p.numerator * (d // p.denominator)
+
+
+def _scalars(d: int, re: list[int], im: Union[list[int], None]) -> list[Scalar]:
+    """The Scalar (re + im·i) / d of every cell, built once per distinct value,
+    with the ``ZERO`` singleton for zero; im is None when every part is 0."""
+    part = (lambda x: x) if d == 1 else (lambda x: rational(Fraction(x, d)))
+    if im is None:
+        made = {x: Scalar(part(x)) for x in set(re)}
+        made[0] = ZERO
+        return list(map(made.__getitem__, re))
+    made = {x: Scalar(part(x[0]), part(x[1])) for x in set(zip(re, im))}
+    made[0, 0] = ZERO
+    return list(map(made.__getitem__, zip(re, im)))
+
+
 def tensor_eval_all(u: TensorPoly) -> list[Scalar]:
     """Evaluate a function-backend tensor at every tuple of points, listed
     in ``itertools.product(points, repeat=degree)`` order.
 
-    One pass per slot, first to last: a term's label in the slot (the
-    unit, 1 at every point, where its key names none) gives way to each
-    point index where it is 1, folded into a mixed-radix row number, and
-    terms whose (row prefix, remaining key) agree are merged.  After the
-    last slot every key is a whole row.
+    Coefficients are scaled to integers over one common denominator, and
+    each part's table is folded densely, slot by slot: slot s is the digit
+    of weight n^(degree-1-s), so a label that is 1 at point i adds the
+    table of the remaining slots into block i, and the unit (every point)
+    tiles it.  Values agree with ``tensor_eval`` at every tuple.
     """
-    n = len(u.spec.point_names())
+    n, degree = len(u.spec.point_names()), u.degree
     ones = functools.cache(lambda label: [i for i, b in enumerate(label) if b])
-    acc = {(0, key): c for c, key in u.terms}
-    for slot in range(u.degree):
-        merged: dict[tuple, Scalar] = {}
-        for (row, key), c in acc.items():
+
+    def fold(terms: list[tuple[int, Key]], slot: int) -> list[int]:
+        """The table over slots slot.. of terms whose keys start at slot or later."""
+        if not any(key for _, key in terms):
+            return [sum(c for c, _ in terms)] * n ** (degree - slot)
+        here: dict[Label, list] = {}
+        rest = []
+        for c, key in terms:
             if key and key[0][0] == slot:
-                points, key = ones(key[0][1]), key[1:]
+                here.setdefault(key[0][1], []).append((c, key[1:]))
             else:
-                points = range(n)
-            for i in points:
-                k = (row * n + i, key)
-                merged[k] = merged[k] + c if k in merged else c
-        acc = merged
-    values = [ZERO] * n**u.degree
-    for (row, _), c in acc.items():
-        values[row] = c
-    return values
+                rest.append((c, key))
+        block = n ** (degree - slot - 1)
+        out = fold(rest, slot + 1) * n if rest else [0] * (block * n)
+        for label, group in here.items():
+            sub = fold(group, slot + 1)
+            for i in ones(label):
+                at = slice(i * block, (i + 1) * block)
+                out[at] = map(add, out[at], sub)
+        return out
+
+    d, scaled = _common_denominator(u.terms)
+    re = [(scaled(c.re), key) for c, key in u.terms if c.re]
+    im = [(scaled(c.im), key) for c, key in u.terms if c.im]
+    return _scalars(d, fold(re, 0), fold(im, 0) if im else None)
 
 
 def tensor_to_matrix(u: TensorPoly) -> list[list[Scalar]]:
@@ -383,19 +416,32 @@ def tensor_to_matrix(u: TensorPoly) -> list[list[Scalar]]:
     Slot 0 indexes the fastest-varying digit, so the last tensor factor
     forms the outermost Kronecker block; this matches the convention of
     representing 1 (x) f as the block-scaled identity.  Basis matrices are
-    0/1, so a term adds its coefficient at each index built from one cell
-    of each slot's ``support``.
+    0/1, so a term adds its coefficient, scaled to an integer over one
+    common denominator, at each cell built from one cell of each slot's
+    ``support``: cell (r, s) of slot k moves the row-major index by
+    (r * size + s) * dim^k.
     """
-    dim = u.spec.dim
-    size = dim**u.degree
-    out = [[ZERO] * size for _ in range(size)]
-    for c, supports in u._per_slot(u.spec.support):
-        for entries in itertools.product(*reversed(supports)):
-            i = j = 0
-            for r, s in entries:
-                i, j = i * dim + r, j * dim + s
-            out[i][j] = out[i][j] + c
-    return out
+    dim, degree = u.spec.dim, u.degree
+    size = dim**degree
+    unit = u.spec.unit_label()
+    offsets = functools.cache(
+        lambda slot, label: [(r * size + s) * dim**slot for r, s in u.spec.support(label)]
+    )
+    d, scaled = _common_denominator(u.terms)
+    re, im = [0] * (size * size), [0] * (size * size)
+    for c, key in u.terms:
+        occupied = dict(key)
+        at = [0]
+        for slot in range(degree):
+            moves = offsets(slot, occupied.get(slot, unit))
+            at = [a + b for a in at for b in moves]
+        for part, out in ((c.re, re), (c.im, im)):
+            if part:
+                part = scaled(part)
+                for i in at:
+                    out[i] += part
+    flat = _scalars(d, re, im if any(im) else None)
+    return [flat[i : i + size] for i in range(0, size * size, size)]
 
 
 # -- universal forms ----------------------------------------------------

@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncdiff.algebra import AlgebraMismatchError, AlgebraSpec, func_as_diagonal
 from ncdiff.frame import FrameElem, frame_delta, frame_sum, lam, rho
@@ -464,3 +465,109 @@ def test_label_products_and_realization_match_materialized_elements(spec, rng):
                         k = k * f.values[i]
                     want = want + k
                 assert tensor_eval(u, pts) == want
+
+
+def test_scale_by_one_or_minus_one_multiplies_nothing(monkeypatch, rng):
+    """Scaling by 1 keeps every coefficient object and scaling by -1 negates
+    them, with no Scalar product; other factors still multiply."""
+    u = TensorPoly.zero(TWO_COMPLEX, 2)
+    while len(u.terms) < 3:
+        u = random_canonical(TWO_COMPLEX, 2, rng) + random_canonical(TWO_COMPLEX, 2, rng)
+    mul, calls = Scalar.__mul__, []
+    monkeypatch.setattr(Scalar, "__mul__", lambda a, b: calls.append((a, b)) or mul(a, b))
+    for one in (1, ONE, Scalar.of(Fraction(3, 3))):
+        scaled = u.scale(one)
+        assert scaled == u and all(a is b for (a, _), (b, _) in zip(scaled.terms, u.terms))
+    for minus_one in (-1, MINUS_ONE, Scalar.of(-1, 0)):
+        assert u.scale(minus_one) == u.neg()
+    assert calls == []
+    assert u.scale(2) == u + u and len(calls) == len(u.terms)
+
+
+PRIMES = [p for p in range(2, 98) if all(p % q for q in range(2, p))]
+# (backend, points or matrix dimension, highest order): the orders stop where
+# the oracle's dense table would pass 256 rows or a 16 x 16 matrix
+REALIZATION_KINDS = [("function", 2, 3), ("function", 3, 2), ("matrix", 2, 2), ("matrix", 3, 1)]
+
+
+@st.composite
+def realization_cases(draw):
+    """A function or matrix spec whose values are Gaussian rationals with
+    distinct prime denominators up to 97 (integers once the primes run out),
+    and a list of embedded forms of orders 0 up to the kind's highest."""
+    backend, size, top = draw(st.sampled_from(REALIZATION_KINDS))
+    primes = iter(draw(st.permutations(PRIMES)))
+
+    def part():
+        num = draw(st.integers(-4, 4))
+        return Fraction(num, next(primes, 1)) if num else 0
+
+    def value():
+        return Scalar.of(part(), part() if draw(st.booleans()) else 0)
+
+    if backend == "function":
+        points = ("P", "Q", "S")[:size]
+        spec = AlgebraSpec.function(points, {s: tuple(value() for _ in points) for s in "xy"})
+    else:
+        rows = lambda: [[value() for _ in range(size)] for _ in range(size)]
+        spec = AlgebraSpec.matrix(size, {"x": rows(), "y": rows()})
+    x, y, unit = spec.symbol("x"), spec.symbol("y"), spec.unit()
+
+    def elem():
+        k = draw(st.lists(st.integers(-2, 2), min_size=3, max_size=3))
+        return x.scale(integer(k[0])).add(y.scale(integer(k[1]))).add(unit.scale(integer(k[2])))
+
+    def form(order):
+        cuts = sorted(draw(st.sets(st.integers(1, order - 1)))) if order > 1 else []
+        parts = [b - a for a, b in zip([0, *cuts], [*cuts, order])] if order else []
+        return LeibnizForm.monomial(elem(), [(k, elem()) for k in parts])
+
+    tensors = [embed(form(order)).body for order in range(top + 1)]
+    u, v = (embed(form(draw(st.integers(0, top)))).body for _ in range(2))
+    if u.degree == v.degree:
+        tensors.append(u + v)
+    return spec, tensors + [u - u]  # u - u cancels to the zero tensor
+
+
+def assert_shared_cells(cells):
+    """Every zero cell is the ZERO singleton, and equal cells are one object."""
+    first = {}
+    for c in cells:
+        assert c is ZERO or not c.is_zero()
+        assert first.setdefault(c, c) is c
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(case=realization_cases())
+def test_integer_realization_matches_the_scalar_oracles(case):
+    """tensor_eval_all and tensor_to_matrix, which sum over one common
+    denominator, equal tensor_eval at every tuple and the dense Kronecker
+    route, and share one object per distinct cell value."""
+    spec, tensors = case
+    for u in tensors:
+        if spec.backend == "function":
+            table = tensor_eval_all(u)
+            assert table == [tensor_eval(u, t) for t in itertools.product(spec.points, repeat=u.degree)]
+            assert_shared_cells(table)
+        if spec.dim**u.degree <= 16:
+            mat = tensor_to_matrix(u)
+            assert mat == dense_kron(u)
+            assert_shared_cells([c for row in mat for c in row])
+
+
+def test_realization_kernels_add_and_multiply_no_scalars(monkeypatch):
+    """The kernels sum integers over one common denominator: no Scalar is
+    added or multiplied per cell, whatever the table's size."""
+    spec = TWO_COMPLEX
+    x, y = spec.symbol("x"), spec.symbol("y")
+    u = embed(LeibnizForm.monomial(y, [(1, x), (2, y)])).body
+    mat = AlgebraSpec.matrix(2, {"f": [[Fraction(1, 3), Scalar.of(0, Fraction(2, 5))], [1, Fraction(-3, 7)]]})
+    v = embed(LeibnizForm.monomial(mat.symbol("f"), [(2, mat.symbol("f"))])).body
+    want = tensor_eval_all(u), tensor_to_matrix(v)
+
+    def refuse(*args):
+        raise AssertionError("Scalar arithmetic in a realization kernel")
+
+    for name in ("__add__", "__sub__", "__mul__", "__neg__"):
+        monkeypatch.setattr(Scalar, name, refuse)
+    assert (tensor_eval_all(u), tensor_to_matrix(v)) == want
