@@ -4,29 +4,26 @@ A form of order n is a finite sum of canonical monomials
 
     a · d^{k1}(g1) ⊙ ... ⊙ d^{kr}(gr),        k1 + ... + kr = n,
 
-with the algebra coefficient kept at the far left.  The ⊙ product is
-defined by the recursion
+with the algebra coefficient kept at the far left.  d raises the order
+by one and is a (non-graded) derivation for ⊙, so the Leibniz rule
+d^k(gc) = Σ_j C(k,j) d^{k-j}(g) ⊙ d^j(c), solved for its j = 0 term,
+moves a coefficient left past one factor in closed form:
 
-    f ⊙ s            = f s
-    d(f) ⊙ s         = d(f s) - f d(s)
-    d^k(f) ⊙ s       = d(d^{k-1}(f) ⊙ s) - d^{k-1}(f) ⊙ d(s)    (k >= 2)
+    d^k(g) ⊙ c·N = d^k(gc) ⊙ N - Σ_{0<j<k} C(k,j) d^{k-j}(g) ⊙ d^j(c) ⊙ N - g·(d^k(c) ⊙ N).
 
-extended by associativity and bilinearity; d raises the order by one
-and is a (non-graded) derivation for ⊙.  Interior coefficients are
-eliminated eagerly through d(f) ⊙ (b·N) = d(fb) ⊙ N - f·(d(b) ⊙ N),
-which follows from the rules above.  On the free backend the normal
-form is unique, so equality of forms is decided monomial by monomial.
-On function and matrix specs it is not: ``((d2(x) ⊙ x) ⊙ x) ⊙ d(y)``
-and ``d2(x) ⊙ (x·x) ⊙ d(y)`` over x = (1, 0), y = (0, 3) give unequal
-normal forms with equal embeddings, and there only the embeddings
-decide equality (ROADMAP item 3).
+Normal forms are unique on no backend, since normalization moves only
+content into the coefficient: d is linear, but a differentiated sum stays
+one factor, so over the free algebra d(f + g) and d(f) + d(g) are unequal
+forms, and on function and matrix specs so are ``((d2(x) ⊙ x) ⊙ x) ⊙ d(y)``
+and ``d2(x) ⊙ (x·x) ⊙ d(y)`` over x = (1, 0), y = (0, 3).  Only the
+embeddings decide equality (ROADMAP item 3).
 
 The embedding realizes a form of order n inside level n of the frame
-tower by the same recursion read there, folding each monomial from the
-right, starting at the unit: d is frame_delta and g· multiplies the
-first slot, so for the image s of σ, d(g) ⊙ σ = d(gσ) - g·dσ is
-1⊗(g·s) - (g⊗1⊗...⊗1)⊗s (the right-lift terms cancel).  One step,
-``_power``, serves both layers.  A term of the image of
+tower, folding each monomial from the right, starting at the unit, by
+d^k(g) ⊙ σ = d(d^{k-1}(g) ⊙ σ) - d^{k-1}(g) ⊙ dσ read there (``_power``,
+the fold step): d is frame_delta and g· multiplies the first slot, so for
+the image s of σ, d(g) ⊙ σ = d(gσ) - g·dσ is 1⊗(g·s) - (g⊗1⊗...⊗1)⊗s
+(the right-lift terms cancel).  A term of the image of
 a·d^{k1}(g1) ⊙ ... ⊙ d^{kr}(gr) has at most r + 1 non-unit slots out of
 2^n, and a ``TensorPoly`` keys a term by those alone, so the fold's
 frame_delta shifts and negates keys, and 1⊗(g·s) rewrites slot 0 of a
@@ -42,15 +39,14 @@ from dataclasses import dataclass
 from functools import cache, partial
 from itertools import combinations
 from math import comb
-from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .algebra import AlgebraMismatchError, AlgebraSpec, AlgElem, Decomposition, Label
 from .frame import FrameElem, SubsetIndex, frame_delta, generator_monomial_eval, generator_str
 from .scalars import MINUS_ONE, ONE, Scalar
-from .tensor import Key, TensorPoly, Term, tensor_collect, tensor_sum
+from .tensor import Key, TensorPoly, Term, _times, tensor_collect, tensor_sum, unit_singleton
 
 Factor = tuple[int, AlgElem]
-_Elem = TypeVar("_Elem", "LeibnizForm", FrameElem)
 
 
 @dataclass(frozen=True)
@@ -221,42 +217,43 @@ def symbolic_delta(w: LeibnizForm) -> LeibnizForm:
 
 
 def odot(u: LeibnizForm, v: LeibnizForm) -> LeibnizForm:
-    """Associative product of Leibniz forms; bilinear over scalars."""
+    """Associative product of Leibniz forms; bilinear over scalars.  On
+    monomials (a·F) ⊙ (b·G) = a·((F ⊙ b) ⊙ G): F ⊙ b folds F's factors from
+    the right over b, and ⊙ G appends G's factors (G's coefficient is the unit)."""
     if u.spec != v.spec:
         raise AlgebraMismatchError("forms over different algebras")
-    parts = (_odot_mono(mu, mv) for mu in u.terms for mv in v.terms)
-    return _collect(u.spec, u.order + v.order, (m for part in parts for m in part.terms))
+    out = (LeibnizMonomial(mu.coeff.mul(m.coeff), m.factors + mv.factors)
+           for mu in u.terms for mv in v.terms for m in _move_left(mu.factors, mv.coeff))
+    return _collect(u.spec, u.order + v.order, out)
 
 
-def _odot_mono(mu: LeibnizMonomial, mv: LeibnizMonomial) -> LeibnizForm:
-    acc = LeibnizForm(mv.coeff.spec, mv.order, (mv,))
-    for k, g in reversed(mu.factors):
-        acc = _power(k, partial(_odot_one, g), symbolic_delta, acc)
-    return module_mul(mu.coeff, acc)
-
-
-def _odot_one(g: AlgElem, w: LeibnizForm) -> LeibnizForm:
-    """d(g) ⊙ w by d(g) ⊙ b·N = d(gb) ⊙ N - g·(d(b) ⊙ N) on every monomial;
-    a unit-multiple b makes the subtracted monomial vanish in normalization."""
-    unit, neg_g = w.spec.unit(), g.neg()
-    out: list[LeibnizMonomial] = []
-    for m in w.terms:
-        out.append(LeibnizMonomial(unit, ((1, g.mul(m.coeff)),) + m.factors))
-        out.append(LeibnizMonomial(neg_g, ((1, m.coeff),) + m.factors))
-    return LeibnizForm.of(w.spec, w.order + 1, out)
-
-
-def _power(k: int, one: Callable[[_Elem], _Elem], delta: Callable[[_Elem], _Elem], s: _Elem) -> _Elem:
-    """d^k(g) ⊙ σ = d(d^{k-1}(g) ⊙ σ) - d^{k-1}(g) ⊙ dσ, unrolled (d is linear) to the
-    sum over i < k of (-1)^i C(k-1, i) d^{k-1-i}(d(g) ⊙ d^i σ), so each d^i σ is built once."""
-    acc = one(s)
-    for i in range(1, k):
-        s = delta(s)
-        acc = delta(acc) + one(s).scale((-1) ** i * comb(k - 1, i))
-    return acc
+def _move_left(factors: tuple[Factor, ...], b: AlgElem) -> tuple[LeibnizMonomial, ...]:
+    """F ⊙ b for b of order 0, one closed Leibniz step per factor of F from the
+    right, normalized once per factor (which drops the d^j(c) of a unit-multiple c)."""
+    spec, unit, form = b.spec, b.spec.unit(), LeibnizForm.from_alg(b)
+    for k, g in reversed(factors):
+        out, neg_g = [], g.neg()
+        for m in form.terms:
+            c, n = m.coeff, m.factors
+            out.append(LeibnizMonomial(unit, ((k, g.mul(c)),) + n))
+            out += (LeibnizMonomial(spec.scalar(-comb(k, j)), ((k - j, g), (j, c)) + n) for j in range(1, k))
+            out.append(LeibnizMonomial(neg_g, ((k, c),) + n))
+        form = LeibnizForm.of(spec, form.order + k, out)
+    return form.terms
 
 
 # -- embedding into the frame tower --------------------------------------
+
+
+def _power(k: int, one: Callable[[FrameElem], FrameElem], s: FrameElem) -> FrameElem:
+    """embed's fold step: the image of d^k(g) ⊙ σ from the image s of σ and one = d(g) ⊙ ·,
+    by d^k(g) ⊙ σ = d(d^{k-1}(g) ⊙ σ) - d^{k-1}(g) ⊙ dσ unrolled (d is linear) to the
+    sum over i < k of (-1)^i C(k-1, i) d^{k-1-i}(d(g) ⊙ d^i σ), so each d^i σ is built once."""
+    acc = one(s)
+    for i in range(1, k):
+        s = frame_delta(s)
+        acc = frame_delta(acc) + one(s).scale((-1) ** i * comb(k - 1, i))
+    return acc
 
 
 def embed(w: LeibnizForm) -> FrameElem:
@@ -266,17 +263,17 @@ def embed(w: LeibnizForm) -> FrameElem:
     spec, unit = w.spec, w.spec.unit_label()
 
     def times(g: AlgElem) -> Callable[[Label], Decomposition]:
-        """label -> g·label over the basis, memoized for this call; unit
-        coefficients are the ``ONE`` singleton, which products skip."""
+        """label -> g·label over the basis, memoized for this call; ±1
+        coefficients are the ``ONE`` and ``MINUS_ONE`` singletons, which products skip."""
         return cache(lambda label: tuple(
-            (ONE if c == ONE else c, lp) for c, lp in g.mul(spec.basis_elem(label)).basis_decomposition()
+            (unit_singleton(c), lp) for c, lp in g.mul(spec.basis_elem(label)).basis_decomposition()
         ))
 
     def left_mul(out: list[Term], g: Callable, c: Scalar, key: Key, at: int) -> None:
         """Append c·(g·key), g multiplying slot ``at``, the lowest slot the key may name."""
         head, rest = (key[0][1], key[1:]) if key and key[0][0] == at else (unit, key)
         for cp, label in g(head):
-            out.append((c if cp is ONE else c * cp, rest if label == unit else ((at, label),) + rest))
+            out.append((_times(c, cp), rest if label == unit else ((at, label),) + rest))
 
     def one(g: Callable, s: FrameElem) -> FrameElem:
         """d(g) ⊙ σ ↦ 1⊗(g·s) - (g⊗1⊗...⊗1)⊗s for the image s of σ."""
@@ -291,7 +288,7 @@ def embed(w: LeibnizForm) -> FrameElem:
     def monomial(m: LeibnizMonomial) -> TensorPoly:
         s = FrameElem.unit(spec, 0)
         for k, g in reversed(m.factors):
-            s = _power(k, partial(one, times(g)), frame_delta, s)
+            s = _power(k, partial(one, times(g)), s)
         if m.coeff.unit_multiple() == ONE:  # most coefficients are the unit: keys stay as they are
             return s.body
         out, coeff = [], times(m.coeff)

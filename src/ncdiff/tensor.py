@@ -95,7 +95,7 @@ class TensorPoly:
         c = c if isinstance(c, Scalar) else Scalar.of(c)
         if c.is_zero():
             return TensorPoly.zero(self.spec, self.degree)
-        c = ONE if c == ONE else MINUS_ONE if c == MINUS_ONE else c
+        c = unit_singleton(c)
         return TensorPoly(self.spec, self.degree, tuple((_times(c, k), f) for k, f in self.terms))
 
     def neg(self) -> TensorPoly:
@@ -209,6 +209,11 @@ def _multilinear(coeff: Scalar, fixed: list, slots: list, unit: Label) -> Iterat
         yield c, tuple(sorted(key))
 
 
+def unit_singleton(c: Scalar) -> Scalar:
+    """c, or the ``ONE`` or ``MINUS_ONE`` singleton equal to it, which ``_times`` skips."""
+    return ONE if c == ONE else MINUS_ONE if c == MINUS_ONE else c
+
+
 def _times(a: Scalar, b: Scalar) -> Scalar:
     """a * b, where a factor that is the ``ONE`` singleton is not multiplied
     in and one that is ``MINUS_ONE`` negates (``_glue``, ``TensorPoly.unit``
@@ -289,7 +294,7 @@ def _glue(spec: AlgebraSpec, degree: int, items: Iterable[tuple]) -> TensorPoly:
     @functools.cache
     def product(pair: tuple[Label, Label]) -> Decomposition:
         a, b = (spec.basis_elem(label) for label in pair)
-        return tuple((ONE if c == ONE else c, label) for c, label in a.mul(b).basis_decomposition())
+        return tuple((unit_singleton(c), label) for c, label in a.mul(b).basis_decomposition())
 
     def terms() -> Iterator[Term]:
         for coeff, left, right in items:
@@ -510,27 +515,20 @@ def omega_to_tensor(m: OmegaMonomial) -> TensorPoly:
 def omega_product(u: OmegaMonomial, v: OmegaMonomial) -> tuple[OmegaMonomial, ...]:
     """Product of universal-form monomials as a sum of monomials.
 
-    The head coefficient of the right factor is moved left through the
-    differentials: d(a) b = d(ab) - a d(b).
+    The head b0 of the right factor moves left through every differential
+    in one pass, by d(a) b = d(ab) - a d(b):
+
+        (a0 da1 ... daq) b0 = Σ_{i=0}^{q} (-1)^{q-i} a0 da1 ... d(a_i a_{i+1}) ... daq db0,
+
+    with a_{q+1} = b0 (the i = 0 term is a0a1 da2 ... db0), and v's
+    db1 ... dbr follow every term.  Trivially zero monomials are dropped.
     """
     if u.spec != v.spec or u.width != v.width:
         raise AlgebraMismatchError("universal forms over different algebras")
-    if u.degree == 0:
-        head = componentwise_product(u.chain[0], v.chain[0])
-        out = OmegaMonomial(u.spec, u.width, (head,) + v.chain[1:])
-        return () if out.is_trivially_zero() else (out,)
-    u_head = OmegaMonomial(u.spec, u.width, u.chain[:-1])
-    last = u.chain[-1]
-    glued = componentwise_product(last, v.chain[0])
-    unit = TensorPoly.unit(u.spec, u.width)
-    m1 = OmegaMonomial(u.spec, u.width, (unit, glued) + v.chain[1:])
-    m2 = OmegaMonomial(u.spec, u.width, (last, v.chain[0]) + v.chain[1:])
-    out: list[OmegaMonomial] = []
-    for piece, sign in ((m1, ONE), (m2, MINUS_ONE)):
-        if piece.is_trivially_zero():
-            continue
-        for prod in omega_product(u_head, piece):
-            prod = prod if sign.is_one() else prod.scale(sign)
-            if not prod.is_trivially_zero():
-                out.append(prod)
+    chain, out = u.chain + v.chain[:1], []
+    for i in range(u.degree, -1, -1):
+        glued = componentwise_product(chain[i], chain[i + 1])
+        m = OmegaMonomial(u.spec, u.width, chain[:i] + (glued,) + chain[i + 2 :] + v.chain[1:])
+        if not m.is_trivially_zero():
+            out.append(m.scale(MINUS_ONE) if (u.degree - i) % 2 else m)
     return tuple(out)

@@ -156,21 +156,33 @@ def test_omega_product_examples():
     assert out[0].chain == (TensorPoly.unit(SPEC, 1), TensorPoly.wrap(G), TensorPoly.wrap(H))
 
 
+# frame level of the letters -> degrees (q, r) of the factors; the total
+# falls with the width, as one dense letter of width 4 can have hundreds of terms
+OMEGA_DEGREES = {0: [(0, 3), (1, 2), (2, 1), (3, 0)], 1: [(0, 2), (1, 1), (2, 0)], 2: [(1, 0), (0, 1)]}
+
+
 def test_omega_product_matches_glued_tensor_product(rng):
+    """The closed product expands to the glued product of the expansions,
+    over width-1 letters with unit parts and over random frame letters of
+    widths 1, 2 and 4 on every backend."""
+
     def rand_monomial(degree):
         letters = [rng.choice((F, G, H, K)) for _ in range(degree + 1)]
         if rng.random() < 0.4:
             letters[0] = letters[0].add(U.scale(integer(rng.randint(1, 2))))
         return OmegaMonomial.of_elems(*letters)
 
+    def check(u, v):
+        degree = (u.degree + v.degree + 1) * u.width
+        got = tensor_sum(u.spec, degree, (omega_to_tensor(m) for m in omega_product(u, v)))
+        assert got == t_algebra_product(omega_to_tensor(u), omega_to_tensor(v), block=u.width)
+
     for _ in range(20):
-        u = rand_monomial(rng.randint(0, 2))
-        v = rand_monomial(rng.randint(0, 2))
-        got = tensor_sum(
-            SPEC, u.degree + v.degree + 1, (omega_to_tensor(m) for m in omega_product(u, v))
-        )
-        want = t_algebra_product(omega_to_tensor(u), omega_to_tensor(v))
-        assert got == want
+        check(rand_monomial(rng.randint(0, 2)), rand_monomial(rng.randint(0, 2)))
+    for spec in ORACLE_SPECS.values():
+        for level, degrees in OMEGA_DEGREES.items():
+            for q, r in degrees:
+                check(random_omega_monomial(spec, level, q, rng), random_omega_monomial(spec, level, r, rng))
 
 
 POINTS = AlgebraSpec.function(
