@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence, Union
 
-from .algebra import AlgebraMismatchError, AlgebraSpec, AlgElem
+from .algebra import AlgebraSpec, AlgElem
 from .scalars import Scalar
 from .tensor import TensorPoly, componentwise_product, mult_map, tensor_concat, tensor_d, tensor_sum
 
@@ -50,22 +50,14 @@ class FrameElem:
     def zero(spec: AlgebraSpec, level: int) -> FrameElem:
         return FrameElem(level, TensorPoly.zero(spec, 2**level))
 
-    def _check(self, other: FrameElem) -> None:
-        if self.level != other.level:
-            raise ValueError(f"level mismatch: {self.level} vs {other.level}")
-        if self.spec != other.spec:
-            raise AlgebraMismatchError("frame elements over different algebras")
-
+    # operands are checked once, by the tensor layer: the same spec and degree, so the same level
     def mul(self, other: FrameElem) -> FrameElem:
-        self._check(other)
         return FrameElem(self.level, componentwise_product(self.body, other.body))
 
     def add(self, other: FrameElem) -> FrameElem:
-        self._check(other)
         return FrameElem(self.level, self.body + other.body)
 
     def sub(self, other: FrameElem) -> FrameElem:
-        self._check(other)
         return FrameElem(self.level, self.body - other.body)
 
     def scale(self, c: Union[Scalar, int]) -> FrameElem:

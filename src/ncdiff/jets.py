@@ -52,9 +52,6 @@ class Poly2:
             acc[k] = acc.get(k, 0) + v
         return Poly2.of(acc)
 
-    def __sub__(self, other: Poly2) -> Poly2:
-        return self + other.scale(-1)
-
     def __mul__(self, other: Poly2) -> Poly2:
         acc: dict[tuple[int, int], int | Fraction] = {}
         for (i1, j1), c1 in self.coeffs:
@@ -145,13 +142,14 @@ def parse_poly2(text: str, vars: tuple[str, str]) -> Poly2:
         return e
 
     def expr() -> Poly2:
-        e = product()
-        while ts.peek().text in ("+", "-"):
-            if ts.take().text == "+":
-                e = e + product()
-            else:
-                e = e - product()
-        return e
+        acc: dict[tuple[int, int], int | Fraction] = {}  # every signed product's coefficients, built once
+        sign = 1
+        while True:
+            for k, c in product().coeffs:
+                acc[k] = acc.get(k, 0) + sign * c
+            if ts.peek().text not in ("+", "-"):
+                return Poly2.of(acc)
+            sign = 1 if ts.take().text == "+" else -1
 
     out = expr()
     end = ts.take()

@@ -6,11 +6,11 @@ Grammar (``@`` spells the ⊙ product, which binds tighter than ``+``):
     term := atom (("@" | "*") atom)*
     atom := SCALAR | SYMBOL | "d" ("^" INT)? "(" expr ")" | "(" expr ")"
 
-``*`` is ⊙ too but may follow only a scalar or a symbol, so ``x*d(x)``
-is ``x @ d(x)`` (an order-0 left factor is the module product) while
-``(f)*g`` and ``d(f)*g`` are errors.  Sums and chains parse flat.
-``d2(f)`` and ``d3(f)`` are sugar for ``d^2(f)`` and ``d^3(f)``.
-Scalars are integers or integer ratios like ``3/4``.
+``*`` is ⊙ too but may follow only a scalar or a symbol, so ``x*d(x)`` is
+``x @ d(x)`` (an order-0 left factor is the module product) while ``(f)*g``
+and ``d(f)*g`` are errors.  Sums and chains parse flat, and lowering merges
+each order of a node once.  ``d2(f)`` and ``d3(f)`` are sugar for ``d^2(f)``
+and ``d^3(f)``; scalars are integers or integer ratios like ``3/4``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Union
 
 from .algebra import AlgebraSpec
 from .leibniz import LeibnizForm, odot, symbolic_delta
@@ -237,9 +237,15 @@ def lower(expr: FormExpr, spec: AlgebraSpec) -> dict[int, LeibnizForm]:
     return {order: form for order, form in sorted(parts.items()) if not form.is_zero()}
 
 
-def _merge(acc: dict[int, LeibnizForm], form: LeibnizForm, sign: int) -> None:
-    form = form if sign > 0 else form.scale(MINUS_ONE)
-    acc[form.order] = acc[form.order] + form if form.order in acc else form
+def _sum(parts: Iterable[LeibnizForm]) -> dict[int, LeibnizForm]:
+    """Each order's parts added in one merge (a zero part if they cancel); a lone part is kept."""
+    orders: dict[int, list[LeibnizForm]] = {}
+    for form in parts:
+        orders.setdefault(form.order, []).append(form)
+    return {
+        order: fs[0] if len(fs) == 1 else LeibnizForm.of(fs[0].spec, order, (m for f in fs for m in f.terms))
+        for order, fs in orders.items()
+    }
 
 
 def _check_order(expr: FormExpr, order: int) -> None:
@@ -259,26 +265,24 @@ def _lower(expr: FormExpr, spec: AlgebraSpec) -> dict[int, LeibnizForm]:
         # a symbol valued zero has no part, so no product with it meets the order cap
         return {} if form.is_zero() else {0: form}
     if isinstance(expr, Sum):
-        acc: dict[int, LeibnizForm] = {}
-        for sign, term in expr.terms:
-            for form in _lower(term, spec).values():
-                _merge(acc, form, sign)
-        return acc
+        parts = ((sign, form) for sign, term in expr.terms for form in _lower(term, spec).values())
+        return _sum(form if sign > 0 else form.scale(MINUS_ONE) for sign, form in parts)
     if isinstance(expr, Odot):
         acc = _lower(expr.factors[0], spec)
         for factor in expr.factors[1:]:
-            left, right, acc = acc, _lower(factor, spec), {}
-            for lo, lf in left.items():
+            right, products = _lower(factor, spec), []
+            for lo, lf in acc.items():
                 for ro, rf in right.items():
                     _check_order(expr, lo + ro)
-                    _merge(acc, odot(lf, rf), 1)
+                    products.append(odot(lf, rf))
+            acc = _sum(products)
         return acc
     if isinstance(expr, Delta):
         acc = {}
-        for order, form in _lower(expr.inner, spec).items():
+        for order, form in _lower(expr.inner, spec).items():  # distinct orders, so nothing to merge
             _check_order(expr, order + expr.power)
             for _ in range(expr.power):
                 form = symbolic_delta(form)
-            _merge(acc, form, 1)
+            acc[form.order] = form
         return acc
     raise TypeError(f"unknown node {expr!r}")

@@ -228,9 +228,13 @@ def random_leibniz_form(spec: AlgebraSpec, order: int, rng: random.Random) -> Le
 
 
 def random_omega_monomial(spec: AlgebraSpec, level: int, degree: int, rng: random.Random) -> OmegaMonomial:
-    width = 2**level
-    blocks = tuple(random_frame_elem(spec, level, rng).body for _ in range(degree + 1))
-    return OmegaMonomial(spec, width, blocks)
+    """Never trivially zero: a zero letter or a unit-multiple differentiated letter is drawn again."""
+    letters: list[TensorPoly] = []
+    while len(letters) <= degree:
+        letter = random_frame_elem(spec, level, rng).body
+        if not letter.is_zero() and (not letters or letter.unit_multiple() is None):
+            letters.append(letter)
+    return OmegaMonomial(spec, 2**level, tuple(letters))
 
 
 def random_poly2(rng: random.Random, max_degree: int = 2) -> Poly2:

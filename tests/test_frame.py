@@ -1,6 +1,6 @@
 import pytest
 
-from ncdiff.algebra import AlgebraSpec
+from ncdiff.algebra import AlgebraMismatchError, AlgebraSpec
 from ncdiff.frame import (
     FrameElem,
     SubsetIndex,
@@ -41,6 +41,17 @@ def test_rho_pads_right_and_lam_pads_left():
     assert lam(f0).body == TensorPoly.elementary(SPEC, (SPEC.unit(), F))
     assert rho(FrameElem.unit(SPEC, 1)) == FrameElem.unit(SPEC, 2)
     assert lam(FrameElem.unit(SPEC, 1)) == FrameElem.unit(SPEC, 2)
+
+
+@pytest.mark.parametrize("op", [FrameElem.mul, FrameElem.add, FrameElem.sub])
+def test_operands_of_another_level_or_spec_are_refused(op):
+    """The tensor layer's check is the only one: a level is a body degree."""
+    f0 = FrameElem.from_alg(F)
+    with pytest.raises(ValueError) as err:
+        op(f0, rho(f0))
+    assert not isinstance(err.value, AlgebraMismatchError)
+    with pytest.raises(AlgebraMismatchError):
+        op(f0, FrameElem.from_alg(AlgebraSpec.free(("f", "g")).symbol("f")))
 
 
 def test_four_fold_lift_is_f_followed_by_fifteen_units():

@@ -70,6 +70,31 @@ def test_parse_poly2_reads_unary_minus_in_a_loop():
     assert parse_poly2("-" * 2001 + "(x + y)^2", xy) == parse_poly2("-(x + y)^2", xy)
 
 
+def test_parse_poly2_builds_a_sum_once(monkeypatch):
+    """An n-term sum passes at most 4n terms through ``Poly2.of`` beyond what
+    its terms pass when parsed alone, not the running sum once per term (n²/2)."""
+    seen = 0
+    inner = Poly2.of
+
+    def counting(coeffs):
+        nonlocal seen
+        seen += len(coeffs)
+        return inner(coeffs)
+
+    def passed(text):
+        nonlocal seen
+        seen = 0
+        poly = parse_poly2(text, ("x", "y"))
+        return poly, seen
+
+    monkeypatch.setattr(Poly2, "of", staticmethod(counting))
+    terms = [f"{i + j + 1}*x^{i}*y^{j}" for i in range(24) for j in range(24 - i)]
+    n = len(terms)  # 300 distinct monomials, 150 of them subtracted
+    poly, total = passed(" + ".join(terms).replace("+", "-", n // 2))
+    assert len(poly.coeffs) == n
+    assert total <= 4 * n + sum(passed(term)[1] for term in terms)
+
+
 def test_parse_poly2_shares_the_form_tokenizer():
     assert parse_poly2("x**2*y", ("x", "y")) == parse_poly2("x^2*y", ("x", "y"))
     assert parse_poly2("(u+v)**2", ("u", "v")) == parse_poly2("(u+v)^2", ("u", "v"))

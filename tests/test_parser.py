@@ -1,8 +1,12 @@
+import functools
+import random
+import re
 import sys
 from fractions import Fraction
 
 import pytest
 
+import ncdiff.leibniz
 import ncdiff.parser
 from ncdiff.algebra import AlgebraSpec
 from ncdiff.leibniz import LeibnizForm, embed, module_mul, odot, symbolic_delta
@@ -219,3 +223,94 @@ def test_nested_odot_lowers_each_subtree_once(monkeypatch):
         parts = lowered(text)
         assert calls == 6 * depth + 1
         assert sorted(parts) == list(range(depth + 1))
+
+
+def test_lowering_a_sum_merges_each_order_once(monkeypatch):
+    """A sum of n distinct monomials passes a bounded number of monomials per
+    term through the merge, not the whole running sum once per term (n²/2)."""
+    n = 300
+    spec = AlgebraSpec.free(tuple(f"s{i}" for i in range(n)))
+    seen = 0
+    inner = ncdiff.leibniz._collect
+
+    def counting(spec, order, terms):
+        nonlocal seen
+        terms = list(terms)
+        seen += len(terms)
+        return inner(spec, order, terms)
+
+    monkeypatch.setattr(ncdiff.leibniz, "_collect", counting)
+    parts = lowered(" - ".join(f"d{i % 2 + 1}(s{i})" for i in range(n)), spec)
+    assert [len(parts[order].terms) for order in (1, 2)] == [n // 2, n // 2]
+    assert seen <= 4 * n
+
+
+def pairwise_lower(expr, spec):
+    """The oracle: each order of a node adds its parts one at a time by
+    ``LeibnizForm.add``; leaves lower as ``_lower`` lowers them."""
+
+    def per_order(parts):
+        orders = {}
+        for order, form in parts:
+            orders.setdefault(order, []).append(form)
+        return {order: functools.reduce(LeibnizForm.add, forms) for order, forms in orders.items()}
+
+    if isinstance(expr, Sum):
+        return per_order(
+            (order, form if sign > 0 else form.scale(-1))
+            for sign, term in expr.terms
+            for order, form in pairwise_lower(term, spec).items()
+        )
+    if isinstance(expr, Odot):
+        acc = pairwise_lower(expr.factors[0], spec)
+        for factor in expr.factors[1:]:
+            right, products = pairwise_lower(factor, spec), []
+            for lo, lf in acc.items():
+                for ro, rf in right.items():
+                    ncdiff.parser._check_order(expr, lo + ro)
+                    products.append((lo + ro, odot(lf, rf)))
+            acc = per_order(products)
+        return acc
+    if isinstance(expr, Delta):
+        acc = {}
+        for order, form in pairwise_lower(expr.inner, spec).items():
+            ncdiff.parser._check_order(expr, order + expr.power)
+            for _ in range(expr.power):
+                form = symbolic_delta(form)
+            acc[order + expr.power] = form
+        return acc
+    return ncdiff.parser._lower(expr, spec)
+
+
+def random_form_text(rng, symbols, depth):
+    """Sums (some with a cancelling copy of a term), ⊙ chains and powers of d."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(symbols + ["2", "3/4"])
+    kind = rng.random()
+    if kind < 0.45:
+        terms = [random_form_text(rng, symbols, depth - 1) for _ in range(rng.randint(2, 4))]
+        text = " + ".join(terms)
+        return f"{text} - ({rng.choice(terms)})" if rng.random() < 0.4 else text.replace(" + ", " - ", 1)
+    if kind < 0.8:
+        factors = [random_form_text(rng, symbols, depth - 1) for _ in range(rng.randint(2, 3))]
+        return "@".join(f"({f})" for f in factors)
+    return f"d^{rng.randint(1, 3)}({random_form_text(rng, symbols, depth - 1)})"
+
+
+@pytest.mark.parametrize("spec_name", ["free_spec", "comm_spec", "three_point", "mat_spec"])
+def test_lowering_matches_pairwise_addition(spec_name, request):
+    """Same orders, zero parts included, same forms term for term, and the same
+    order-cap errors as adding each part to a running sum."""
+    spec = request.getfixturevalue(spec_name)
+    symbols = sorted(spec.symbols)
+    rng = random.Random(20)
+    for _ in range(60):
+        expr = parse(random_form_text(rng, symbols, 4))
+        try:
+            want = pairwise_lower(expr, spec)
+        except LoweringError as err:
+            with pytest.raises(LoweringError, match=re.escape(str(err))):
+                ncdiff.parser._lower(expr, spec)
+            continue
+        got = ncdiff.parser._lower(expr, spec)
+        assert list(got) == list(want) and got == want

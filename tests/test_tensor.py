@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -183,6 +184,17 @@ def test_omega_product_matches_glued_tensor_product(rng):
         for level, degrees in OMEGA_DEGREES.items():
             for q, r in degrees:
                 check(random_omega_monomial(spec, level, q, rng), random_omega_monomial(spec, level, r, rng))
+
+
+def test_random_omega_monomials_are_never_trivially_zero(free_spec, comm_spec, three_point, mat_spec):
+    """No letter is zero and no differentiated letter is a unit multiple, so a
+    random check built on them never compares two zero tensors by construction."""
+    rng = random.Random(5)
+    for spec in (free_spec, comm_spec, three_point, mat_spec):
+        for level in range(3):
+            for degree in range(4):
+                for _ in range(5):
+                    assert not random_omega_monomial(spec, level, degree, rng).is_trivially_zero()
 
 
 POINTS = AlgebraSpec.function(
