@@ -273,9 +273,10 @@ def _json_list(entries: Iterable[Scalar]) -> list:
     return [e.to_json() for e in entries]
 
 
-def _check_same_spec(a: AlgElem, b: AlgElem) -> None:
-    if a.spec != b.spec:
-        raise AlgebraMismatchError("operands come from different algebras")
+def _check_same_spec(a: AlgElem, *others: AlgElem) -> None:
+    for b in others:
+        if b.spec is not a.spec and b.spec != a.spec:
+            raise AlgebraMismatchError("operands come from different algebras")
 
 
 class AlgElem:
@@ -286,7 +287,8 @@ class AlgElem:
     def mul(self, other: AlgElem) -> AlgElem:
         raise NotImplementedError
 
-    def add(self, other: AlgElem) -> AlgElem:
+    def add(self, *others: AlgElem) -> AlgElem:
+        """The sum of this element and any number of others, merged once."""
         raise NotImplementedError
 
     def scale(self, c: Scalar) -> AlgElem:
@@ -333,9 +335,9 @@ class FreePoly(AlgElem):
 
     Terms are canonical, kept so by this module alone: distinct words with
     nonzero coefficients, sorted by (length, word).  ``FreePoly.of`` is the
-    single merge, fed raw terms by ``mul`` and ``add``; ``scale`` (hence
-    ``neg`` and ``content``) and the spec's ``symbol`` and ``unit`` build
-    canonical terms directly."""
+    single merge, fed raw terms by ``mul`` and by ``add`` (all its summands
+    at once); ``scale`` (hence ``neg`` and ``content``) and the spec's
+    ``symbol`` and ``unit`` build canonical terms directly."""
 
     spec: FreeSpec
     terms: tuple[tuple[Word, Scalar], ...]
@@ -355,9 +357,9 @@ class FreePoly(AlgElem):
             self.spec, ((w1 + w2, c1 * c2) for w1, c1 in self.terms for w2, c2 in other.terms)
         )
 
-    def add(self, other: AlgElem) -> FreePoly:
-        _check_same_spec(self, other)
-        return FreePoly.of(self.spec, self.terms + other.terms)
+    def add(self, *others: AlgElem) -> FreePoly:
+        _check_same_spec(self, *others)
+        return FreePoly.of(self.spec, (t for b in (self, *others) for t in b.terms))
 
     def scale(self, c: Scalar) -> FreePoly:
         # Gaussian rationals have no zero divisors: a nonzero c keeps every term
@@ -414,9 +416,10 @@ class _DenseElem(AlgElem):
     spec: _DenseSpec
     entries: tuple[Scalar, ...]
 
-    def add(self, other: AlgElem) -> _DenseElem:
-        _check_same_spec(self, other)
-        return type(self)(self.spec, tuple(a + b for a, b in zip(self.entries, other.entries)))
+    def add(self, *others: AlgElem) -> _DenseElem:
+        _check_same_spec(self, *others)
+        columns = zip(self.entries, *(b.entries for b in others))
+        return type(self)(self.spec, tuple(sum(rest, a) for a, *rest in columns))
 
     def scale(self, c: Scalar) -> _DenseElem:
         return type(self)(self.spec, tuple(e * c for e in self.entries))

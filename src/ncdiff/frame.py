@@ -81,9 +81,6 @@ class FrameElem:
     def __neg__(self) -> FrameElem:
         return self.neg()
 
-    def to_json(self) -> dict:
-        return {"level": self.level, "body": self.body.to_json()}
-
     def __str__(self) -> str:
         return str(self.body)
 

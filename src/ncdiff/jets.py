@@ -199,12 +199,6 @@ class ChangeOfVars2:
     xj: Jet2
     yj: Jet2
 
-    def is_linear(self) -> bool:
-        return all(
-            d == 0
-            for d in (self.xj.fxx, self.xj.fxy, self.xj.fyy, self.yj.fxx, self.yj.fxy, self.yj.fyy)
-        )
-
 
 def transform_jet2(fj: Jet2, cv: ChangeOfVars2) -> Jet2:
     """Second-order chain rule in two variables.

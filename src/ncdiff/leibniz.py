@@ -16,7 +16,8 @@ content into the coefficient: d is linear, but a differentiated sum stays
 one factor, so over the free algebra d(f + g) and d(f) + d(g) are unequal
 forms, and on function and matrix specs so are ``((d2(x) ⊙ x) ⊙ x) ⊙ d(y)``
 and ``d2(x) ⊙ (x·x) ⊙ d(y)`` over x = (1, 0), y = (0, 3).  Only the
-embeddings decide equality (ROADMAP item 3).
+embeddings decide equality (ROADMAP item "Equality of forms is equality in
+F_n 𝒜").
 
 The embedding realizes a form of order n inside level n of the frame
 tower, folding each monomial from the right, starting at the unit, by
@@ -145,20 +146,24 @@ def _normalize(mono: LeibnizMonomial, order: int) -> Optional[LeibnizMonomial]:
 
 
 def _collect(spec: AlgebraSpec, order: int, terms: Iterable[LeibnizMonomial]) -> LeibnizForm:
-    """Merge normalized monomials by factor keys into canonical form."""
+    """Merge normalized monomials by factor keys into canonical form, adding
+    the coefficients of a key's later monomials to its first in one ``add``."""
     acc: dict[tuple, LeibnizMonomial] = {}
+    more: dict[tuple, list[AlgElem]] = {}
     for mono in terms:
         if mono.coeff.is_zero():
             continue
         key = tuple((k, g.sort_key()) for k, g in mono.factors)
         if key in acc:
-            total = acc[key].coeff.add(mono.coeff)
-            if total.is_zero():
-                del acc[key]
-            else:
-                acc[key] = LeibnizMonomial(total, acc[key].factors)
+            more.setdefault(key, []).append(mono.coeff)
         else:
             acc[key] = mono
+    for key, coeffs in more.items():
+        total = acc[key].coeff.add(*coeffs)
+        if total.is_zero():
+            del acc[key]
+        else:
+            acc[key] = LeibnizMonomial(total, acc[key].factors)
     return LeibnizForm(spec, order, tuple(acc[k] for k in sorted(acc)))
 
 

@@ -1,4 +1,5 @@
 import ast
+import functools
 import pathlib
 import random
 from fractions import Fraction
@@ -49,6 +50,25 @@ def test_algebra_laws(spec):
         assert a.add(a.scale(integer(-1))).is_zero()
 
     check()
+
+
+@pytest.mark.parametrize("spec", [FREE, COMM, TWO_POINT, MAT], ids=["free", "comm", "func", "mat"])
+def test_add_takes_any_number_of_summands(spec):
+    @settings(max_examples=40, deadline=None)
+    @given(elems(spec), st.lists(elems(spec), max_size=6))
+    def check(x, ys):
+        assert x.add(*ys) == functools.reduce(lambda a, b: a.add(b), ys, x)
+        assert x.add(*ys, *(y.neg() for y in ys)) == x
+
+    check()
+    x = spec.symbol(spec.symbols[0])
+    assert x.add() == x
+    foreign = (COMM if spec is FREE else FREE).unit()
+    for at in range(4):
+        operands = [x] * 4
+        operands[at] = foreign
+        with pytest.raises(AlgebraMismatchError):
+            operands[0].add(*operands[1:])
 
 
 def test_two_point_relations():

@@ -20,6 +20,7 @@ from ncdiff.frame import (
 from ncdiff.leibniz import (
     LeibnizForm,
     LeibnizMonomial,
+    _normalize,
     embed,
     enumerate_types,
     generator_form_str,
@@ -340,6 +341,58 @@ def test_collect_only_operations_match_full_normalization(case, rng):
         assert_normalizes_to(killed, spec, 1, raw)
 
 
+def pairwise_collect(spec, order, terms):
+    """The oracle for ``_collect``: each later coefficient of a factor list is
+    added to the running sum by a two-summand ``add``, and a zero sum drops it."""
+    acc = {}
+    for mono in terms:
+        if mono.coeff.is_zero():
+            continue
+        key = tuple((k, g.sort_key()) for k, g in mono.factors)
+        if key in acc:
+            total = acc[key].coeff.add(mono.coeff)
+            if total.is_zero():
+                del acc[key]
+            else:
+                acc[key] = LeibnizMonomial(total, acc[key].factors)
+        else:
+            acc[key] = mono
+    return LeibnizForm(spec, order, tuple(acc[k] for k in sorted(acc)))
+
+
+def cancelling_copy(mono, c):
+    """A raw monomial that normalizes to minus ``mono``, its first factor scaled by c."""
+    if not mono.factors:
+        return LeibnizMonomial(mono.coeff.neg(), ())
+    (k, g), *rest = mono.factors
+    return LeibnizMonomial(mono.coeff.scale(-c.inverse()), ((k, g.scale(c)), *rest))
+
+
+@pytest.mark.parametrize("spec", ["free_spec", "comm_spec", "three_point", "mat_spec"])
+def test_merging_equals_the_pairwise_fold(spec, request, rng):
+    """Seeded: monomials on a few repeated factor lists, some cancelled by
+    rescaled copies, merge as the pairwise fold merges them, term order and
+    empty forms included."""
+    spec = request.getfixturevalue(spec)
+    pool = [random_elem(spec, rng) for _ in range(4)]
+    sizes = []
+    for _ in range(80):
+        order = rng.randint(0, 3)
+        comps = [rng.choice(enumerate_types(order)) if order else () for _ in range(rng.randint(1, 3))]
+        lists = [tuple((k, rng.choice(pool)) for k in comp) for comp in comps]
+        monos = [LeibnizMonomial(random_elem(spec, rng), rng.choice(lists)) for _ in range(rng.randint(1, 8))]
+        c = Scalar.of(Fraction(rng.choice((-3, -1, 2, 5)), rng.choice((1, 2))))
+        monos += [cancelling_copy(m, c) for m in monos if rng.random() < 0.7]
+        rng.shuffle(monos)
+        got = LeibnizForm.of(spec, order, monos)
+        normalized = (_normalize(m, order) for m in monos)
+        want = pairwise_collect(spec, order, [m for m in normalized if m is not None])
+        assert got == want
+        assert got.terms == want.terms
+        sizes.append(len(got.terms))
+    assert 0 in sizes and max(sizes) > 1
+
+
 def recursive_odot(u, v):
     """Reference ⊙ that reads the rules monomial by monomial, folding the
     factors of u from the right: d(g) ⊙ b·N = d(gb) ⊙ N - g·(d(b) ⊙ N) and
@@ -419,7 +472,11 @@ def test_forms_of_one_element_embed_equally_on_the_free_backend(lhs, rhs):
     assert embed(u) == embed(v)
 
 
-@pytest.mark.xfail(strict=True, reason="normal forms are not unique on the free backend (ROADMAP item 3)")
+@pytest.mark.xfail(
+    strict=True,
+    reason="normal forms are not unique on the free backend "
+    "(ROADMAP item 'Equality of forms is equality in F_n 𝒜')",
+)
 @pytest.mark.parametrize("lhs, rhs", ONE_ELEMENT_TWO_FORMS)
 def test_forms_of_one_element_are_equal_on_the_free_backend(lhs, rhs):
     (u,), (v,) = (lower(parse(text), FREE_FG).values() for text in (lhs, rhs))

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 import re
 import sys
@@ -8,7 +9,7 @@ import pytest
 
 import ncdiff.leibniz
 import ncdiff.parser
-from ncdiff.algebra import AlgebraSpec
+from ncdiff.algebra import AlgebraSpec, FreePoly
 from ncdiff.leibniz import LeibnizForm, embed, module_mul, odot, symbolic_delta
 from ncdiff.parser import (
     Delta,
@@ -243,6 +244,28 @@ def test_lowering_a_sum_merges_each_order_once(monkeypatch):
     parts = lowered(" - ".join(f"d{i % 2 + 1}(s{i})" for i in range(n)), spec)
     assert [len(parts[order].terms) for order in (1, 2)] == [n // 2, n // 2]
     assert seen <= 4 * n
+
+
+@pytest.mark.parametrize("suffix", ["", "*d(h)"], ids=["order0", "order1"])
+def test_a_factor_list_adds_its_coefficients_once(monkeypatch, suffix):
+    """n distinct words on one factor list pass a bounded number of terms per
+    word through ``FreePoly.of``, not the running coefficient once per word."""
+    n, syms = 300, ("f", "g", "h", "i", "k")
+    words = [w for r in range(1, 6) for w in itertools.product(syms, repeat=r)][:n]
+    seen = 0
+    inner = FreePoly.of
+
+    def counting(spec, terms):
+        nonlocal seen
+        terms = list(terms)
+        seen += len(terms)
+        return inner(spec, terms)
+
+    monkeypatch.setattr(FreePoly, "of", staticmethod(counting))
+    (form,) = lowered(" + ".join("*".join(w) + suffix for w in words), AlgebraSpec.free(syms)).values()
+    (mono,) = form.terms
+    assert len(mono.coeff.terms) == n
+    assert seen <= 5 * n
 
 
 def pairwise_lower(expr, spec):
