@@ -305,7 +305,8 @@ class AlgElem:
         raise NotImplementedError
 
     def content(self) -> tuple[Scalar, AlgElem]:
-        """Split into (scalar, primitive) with a 1-normalized leading part."""
+        """Split into (scalar, primitive) with a 1-normalized leading part; a
+        monic element is its own primitive part, ``(ONE, self)``."""
         raise NotImplementedError
 
     def to_json(self):
@@ -384,7 +385,7 @@ class FreePoly(AlgElem):
         if not self.terms:
             return ZERO, self
         lead = self.terms[0][1]
-        return lead, self.scale(lead.inverse())
+        return (ONE, self) if lead.is_one() else (lead, self.scale(lead.inverse()))
 
     def to_json(self) -> dict:
         return {"words": [[list(w), c.to_json()] for w, c in self.terms]}
@@ -439,7 +440,7 @@ class _DenseElem(AlgElem):
     def content(self) -> tuple[Scalar, _DenseElem]:
         for e in self.entries:
             if not e.is_zero():
-                return e, self.scale(e.inverse())
+                return (ONE, self) if e.is_one() else (e, self.scale(e.inverse()))
         return ZERO, self
 
     def basis_decomposition(self) -> Decomposition:

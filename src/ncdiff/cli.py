@@ -227,7 +227,7 @@ def cmd_matrix(args) -> int:
 
 def cmd_generators(args) -> int:
     spec = _load_spec(args.algebra)
-    name = args.symbol or (spec.symbols[0] if spec.symbols else None)
+    name = args.symbol if args.symbol is not None else (spec.symbols[0] if spec.symbols else None)
     if name is None:
         raise UsageError("the algebra spec declares no symbols")
     if name not in spec.symbols:

@@ -11,6 +11,10 @@ moves a coefficient left past one factor in closed form:
 
     d^k(g) ⊙ c·N = d^k(gc) ⊙ N - Σ_{0<j<k} C(k,j) d^{k-j}(g) ⊙ d^j(c) ⊙ N - g·(d^k(c) ⊙ N).
 
+Constants are central and d-closed (d(1) = 0), so a constant c takes no
+such step, F ⊙ c = c·F, and d(c·N) = c·dN; ``_move_left`` and
+``symbolic_delta`` decide these cases before any normalization.
+
 Normal forms are unique on no backend, since normalization moves only
 content into the coefficient: d is linear, but a differentiated sum stays
 one factor, so over the free algebra d(f + g) and d(f) + d(g) are unequal
@@ -206,12 +210,14 @@ def symbolic_delta(w: LeibnizForm) -> LeibnizForm:
     """Order-raising derivation.
 
     On a monomial a·N it contributes d(a) ⊙ N plus, for every factor,
-    the monomial with that factor's power raised by one.
+    the monomial with that factor's power raised by one; d(a) ⊙ N is left
+    out when a is a constant, since d(c·N) = c·dN.
     """
     out: list[LeibnizMonomial] = []
     unit = w.spec.unit()
     for mono in w.terms:
-        out.append(LeibnizMonomial(unit, ((1, mono.coeff),) + mono.factors))
+        if mono.coeff.unit_multiple() is None:
+            out.append(LeibnizMonomial(unit, ((1, mono.coeff),) + mono.factors))
         for i, (k, g) in enumerate(mono.factors):
             raised = mono.factors[:i] + ((k + 1, g),) + mono.factors[i + 1 :]
             out.append(LeibnizMonomial(mono.coeff, raised))
@@ -234,7 +240,10 @@ def odot(u: LeibnizForm, v: LeibnizForm) -> LeibnizForm:
 
 def _move_left(factors: tuple[Factor, ...], b: AlgElem) -> tuple[LeibnizMonomial, ...]:
     """F ⊙ b for b of order 0, one closed Leibniz step per factor of F from the
-    right, normalized once per factor (which drops the d^j(c) of a unit-multiple c)."""
+    right, normalized once per factor (which drops the d^j(c) of a unit-multiple c);
+    a constant b takes no step, F ⊙ b = b·F, and neither does an empty F."""
+    if not factors or b.unit_multiple() is not None:
+        return (LeibnizMonomial(b, factors),)
     spec, unit, form = b.spec, b.spec.unit(), LeibnizForm.from_alg(b)
     for k, g in reversed(factors):
         out, neg_g = [], g.neg()

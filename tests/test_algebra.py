@@ -71,6 +71,19 @@ def test_add_takes_any_number_of_summands(spec):
             operands[0].add(*operands[1:])
 
 
+@pytest.mark.parametrize("spec", [FREE, COMM, TWO_POINT, MAT], ids=["free", "comm", "func", "mat"])
+def test_a_monic_element_is_its_own_content_split(spec):
+    """``content`` of a monic element is ``(ONE, x)`` with x itself, not a
+    rescaled copy; a non-monic one splits off its leading coefficient."""
+    syms = [spec.symbol(s) for s in spec.symbols]
+    for elem in [spec.unit(), *syms, syms[0].add(syms[1].scale(integer(3)))]:
+        _, x = elem.content()
+        c, same = x.content()
+        assert c == ONE and same is x
+        k = Scalar.of(Fraction(-2, 3), 1)
+        assert x.scale(k).content() == (k, x)
+
+
 def test_two_point_relations():
     x, y = TWO_POINT.symbol("x"), TWO_POINT.symbol("y")
     assert x.mul(y).is_zero()

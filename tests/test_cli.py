@@ -365,6 +365,7 @@ def test_unreadable_spec_exits_2(tmp_path, capsys):
         ),
         (FREE_DOC, ["generators", "--level", "-1"]),
         (FREE_DOC, ["generators", "--symbol", "q"]),
+        (FREE_DOC, ["generators", "--symbol", ""]),
         (TWO_POINT_DOC, ["eval", "--expr", "d(x)", "--tuples", "L,Q"]),
         ({**TWO_POINT_DOC, "values": [1]}, ["expand", "--expr", "d(x)"]),
         ({**MAT_DOC, "matrices": []}, ["expand", "--expr", "d(f)"]),
@@ -408,6 +409,7 @@ def test_unreadable_spec_exits_2(tmp_path, capsys):
         "table-list",
         "negative-level",
         "unknown-symbol",
+        "empty-symbol",
         "unknown-point",
         "values-list",
         "matrices-list",

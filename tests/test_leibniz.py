@@ -52,6 +52,11 @@ def form_of(elem):
     return LeibnizForm.from_alg(elem)
 
 
+def unit_multiples(spec):
+    """Constant coefficients: the unit, an integer, a fraction and i."""
+    return [spec.unit(), spec.scalar(3), spec.scalar(Scalar.of(Fraction(-1, 2))), spec.scalar(Scalar.of(0, 1))]
+
+
 def d(form, times=1):
     for _ in range(times):
         form = symbolic_delta(form)
@@ -153,12 +158,17 @@ def test_embed_displayed_expansions():
 
 
 def test_embed_respects_module_and_delta(rng):
+    """Also on the same factor lists under scalar coefficients, whose d(a) ⊙ N
+    ``symbolic_delta`` leaves out."""
+    constants = unit_multiples(SPEC)
     for _ in range(12):
         w = random_leibniz_form(SPEC, rng.randint(0, 3), rng)
         a = random_elem(SPEC, rng)
         n = w.order
-        assert embed(module_mul(a, w)) == lift_to(a, n).mul(embed(w))
-        assert embed(symbolic_delta(w)) == frame_delta(embed(w))
+        scalar_w = LeibnizForm.of(SPEC, n, [LeibnizMonomial(rng.choice(constants), m.factors) for m in w.terms])
+        for form in (w, scalar_w):
+            assert embed(module_mul(a, form)) == lift_to(a, n).mul(embed(form))
+            assert embed(symbolic_delta(form)) == frame_delta(embed(form))
 
 
 def test_single_factor_embedding_is_iterated_delta():
@@ -426,16 +436,17 @@ def test_closed_odot_matches_the_recursive_oracle(case, rng):
     the embedding on the function and matrix ones, whose normal forms are not
     unique (the embedding is linear, so that of the difference is checked).
     Left powers k run to 5, both sides are sums, and coefficients on the
-    right are not scalars."""
+    right are scalars (which take no Leibniz step) or not."""
     spec = case[0]
     syms = [spec.symbol(s) for s in spec.symbols]
     pool = [*syms, syms[0].mul(syms[1]), syms[1].add(spec.unit()), random_elem(spec, rng)]
+    coeffs = pool + unit_multiples(spec)
 
     def form(order):
         """Two or three monomials; the first one is the single power d^order."""
         comps = [(order,) if order else ()]
         comps += [rng.choice(enumerate_types(order)) if order else () for _ in range(rng.randint(1, 2))]
-        monos = [LeibnizMonomial(rng.choice(pool), tuple((k, rng.choice(pool)) for k in c)) for c in comps]
+        monos = [LeibnizMonomial(rng.choice(coeffs), tuple((k, rng.choice(pool)) for k in c)) for c in comps]
         return LeibnizForm.of(spec, order, monos)
 
     for n in range(6):
@@ -456,6 +467,23 @@ def test_odot_never_differentiates_a_whole_form(monkeypatch):
     want = recursive_odot(u, v)
     calls = []
     monkeypatch.setattr("ncdiff.leibniz.symbolic_delta", lambda w: calls.append(w))
+    assert odot(u, v).terms == want.terms
+    assert calls == []
+
+
+def test_odot_past_a_constant_takes_no_leibniz_step(monkeypatch):
+    """F ⊙ c = c·F: a constant right coefficient is not moved left factor by
+    factor, so ``odot(d2(f), d(g))`` normalizes nothing through ``LeibnizForm.of``."""
+    u, v = d(form_of(F), 2), d(form_of(G))
+    want = recursive_odot(u, v)
+    calls = []
+    inner = LeibnizForm.of
+
+    def counting(spec, order, terms):
+        calls.append(order)
+        return inner(spec, order, terms)
+
+    monkeypatch.setattr(LeibnizForm, "of", staticmethod(counting))
     assert odot(u, v).terms == want.terms
     assert calls == []
 

@@ -268,6 +268,23 @@ def test_a_factor_list_adds_its_coefficients_once(monkeypatch, suffix):
     assert seen <= 5 * n
 
 
+def test_a_product_of_symbols_normalizes_each_leaf_once(monkeypatch):
+    """A product of order-0 factors moves no coefficient past a factor, so
+    ``f*g*h*f`` calls ``LeibnizForm.of`` once per leaf and not once per ``*``."""
+    calls = []
+    inner = LeibnizForm.of
+
+    def counting(spec, order, terms):
+        calls.append(order)
+        return inner(spec, order, terms)
+
+    tree = parse("f*g*h*f")
+    monkeypatch.setattr(LeibnizForm, "of", staticmethod(counting))
+    (form,) = lower(tree, SPEC).values()
+    assert str(form) == "fghf"
+    assert calls == [0, 0, 0, 0]
+
+
 def pairwise_lower(expr, spec):
     """The oracle: each order of a node adds its parts one at a time by
     ``LeibnizForm.add``; leaves lower as ``_lower`` lowers them."""
