@@ -32,10 +32,15 @@ the image s of σ, d(g) ⊙ σ = d(gσ) - g·dσ is 1⊗(g·s) - (g⊗1⊗...⊗
 a·d^{k1}(g1) ⊙ ... ⊙ d^{kr}(gr) has at most r + 1 non-unit slots out of
 2^n, and a ``TensorPoly`` keys a term by those alone, so the fold's
 frame_delta shifts and negates keys, and 1⊗(g·s) rewrites slot 0 of a
-key and shifts the rest.  The generator tables, which place every lift
-explicitly, stay the independent check of it; generator monomials are
-evaluated in the frame layer (``frame.generator_monomial_eval``, which
-this module re-exports).
+key and shifts the rest.  The image is linear in every factor and in the
+coefficient, so each is scaled to Gaussian-integer basis coefficients
+first: every label product and merge of the fold works on ``int`` parts,
+and each output coefficient is divided once by the monomials' common
+denominator.  A constant coefficient scales the finished image instead
+of multiplying slot 0 term by term, and the unit leaves it as it is.
+The generator tables, which place every lift explicitly, stay the
+independent check of it; generator monomials are evaluated in the frame
+layer (``frame.generator_monomial_eval``, which this module re-exports).
 """
 
 from __future__ import annotations
@@ -43,13 +48,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .algebra import AlgebraMismatchError, AlgebraSpec, AlgElem, Decomposition, Label
 from .frame import FrameElem, SubsetIndex, frame_delta, generator_monomial_eval, generator_str
 from .scalars import MINUS_ONE, ONE, Scalar
-from .tensor import Key, TensorPoly, Term, _times, tensor_collect, tensor_sum, unit_singleton
+from .tensor import Key, TensorPoly, Term, _common_denominator, _times, tensor_collect, tensor_sum
+from .tensor import unit_singleton
 
 Factor = tuple[int, AlgElem]
 
@@ -144,7 +150,8 @@ def _normalize(mono: LeibnizMonomial, order: int) -> Optional[LeibnizMonomial]:
         if g.unit_multiple() is not None:
             return None
         c, prim = g.content()
-        coeff = coeff.scale(c)
+        if c is not ONE:  # a monic element is its own primitive part
+            coeff = coeff.scale(c)
         factors.append((k, prim))
     return LeibnizMonomial(coeff, tuple(factors))
 
@@ -233,7 +240,9 @@ def odot(u: LeibnizForm, v: LeibnizForm) -> LeibnizForm:
     the right over b, and ⊙ G appends G's factors (G's coefficient is the unit)."""
     if u.spec != v.spec:
         raise AlgebraMismatchError("forms over different algebras")
-    out = (LeibnizMonomial(mu.coeff.mul(m.coeff), m.factors + mv.factors)
+    unit = u.spec.unit()
+    times = lambda a, b: b if a == unit else a if b == unit else a.mul(b)
+    out = (LeibnizMonomial(times(mu.coeff, m.coeff), m.factors + mv.factors)
            for mu in u.terms for mv in v.terms for m in _move_left(mu.factors, mv.coeff))
     return _collect(u.spec, u.order + v.order, out)
 
@@ -273,8 +282,21 @@ def _power(k: int, one: Callable[[FrameElem], FrameElem], s: FrameElem) -> Frame
 def embed(w: LeibnizForm) -> FrameElem:
     """Realize a form of order n inside level n of the frame tower: each
     monomial is folded from the unit of level 0 by ``_power``, and its
-    coefficient multiplies slot 0."""
+    coefficient multiplies slot 0; a constant coefficient scales the folded
+    body instead, and the unit returns it as it is.
+
+    Each factor and a non-unit coefficient is first scaled by the least
+    common multiple d of its basis coefficients' denominators (``integral``;
+    nothing is scaled when d is 1), so every label product, slot product and
+    merge works on Gaussian integers.  The monomials are summed over the
+    least common multiple of their products of d's, and each distinct
+    output coefficient is divided by it once."""
     spec, unit = w.spec, w.spec.unit_label()
+
+    def integral(a: AlgElem) -> tuple[AlgElem, int]:
+        """(d·a, d) for d the least common multiple of the denominators of a's basis coefficients."""
+        d = _common_denominator(a.basis_decomposition())[0]
+        return (a, 1) if d == 1 else (a.scale(Scalar(d)), d)
 
     def times(g: AlgElem) -> Callable[[Label], Decomposition]:
         """label -> g·label over the basis, memoized for this call; ±1
@@ -299,18 +321,31 @@ def embed(w: LeibnizForm) -> FrameElem:
         # the lifted terms hold slot 0: first, they make the merge meet two nearly sorted runs
         return FrameElem(s.level + 1, tensor_collect(spec, 2 * width, lifted + out))
 
-    def monomial(m: LeibnizMonomial) -> TensorPoly:
-        s = FrameElem.unit(spec, 0)
+    def monomial(m: LeibnizMonomial) -> tuple[TensorPoly, int]:
+        """The image of m times its denominator, and the denominator."""
+        s, den = FrameElem.unit(spec, 0), 1
         for k, g in reversed(m.factors):
-            s = _power(k, partial(one, times(g)), s)
+            g, d = integral(g)
+            s, den = _power(k, partial(one, times(g)), s), den * d
         if m.coeff.unit_multiple() == ONE:  # most coefficients are the unit: keys stay as they are
-            return s.body
-        out, coeff = [], times(m.coeff)
+            return s.body, den
+        a, d = integral(m.coeff)
+        c = a.unit_multiple()
+        if c is not None:  # a constant multiplies every term alike
+            return s.body.scale(c), den * d
+        out, coeff = [], times(a)
         for c, key in s.body.terms:
             left_mul(out, coeff, c, key, 0)
-        return tensor_collect(spec, s.body.degree, out)
+        return tensor_collect(spec, s.body.degree, out), den * d
 
-    return FrameElem(w.order, tensor_sum(spec, 2**w.order, map(monomial, w.terms)))
+    parts = [monomial(m) for m in w.terms]
+    den = lcm(*(d for _, d in parts))
+    body = tensor_sum(spec, 2**w.order, (t if d == den else t.scale(den // d) for t, d in parts))
+    if den != 1:  # one division per distinct coefficient
+        d = Scalar(den)
+        over = cache(lambda c: c / d)
+        body = TensorPoly(spec, body.degree, tuple((over(c), key) for c, key in body.terms))
+    return FrameElem(w.order, body)
 
 
 # -- monomial types -------------------------------------------------------

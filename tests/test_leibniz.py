@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import ncdiff.frame
-from ncdiff.algebra import AlgebraSpec
+from ncdiff.algebra import AlgebraSpec, FreePoly
 from ncdiff.frame import (
     FrameElem,
     SubsetIndex,
@@ -488,6 +488,30 @@ def test_odot_past_a_constant_takes_no_leibniz_step(monkeypatch):
     assert calls == []
 
 
+def test_building_the_types_multiplies_by_no_unit(monkeypatch):
+    """``_normalize`` scales no coefficient by the content ``ONE`` of a monic
+    factor, and ``odot`` multiplies no coefficient by the unit: building the
+    16 order-5 types with ``odot_chain`` makes no such ``FreePoly`` call."""
+    spec = AlgebraSpec.free(tuple(f"s{i}" for i in range(5)))
+    unit, scale, mul, by_unit = spec.unit(), FreePoly.scale, FreePoly.mul, []
+
+    def counted_scale(a, c):
+        by_unit.append(c == ONE)
+        return scale(a, c)
+
+    def counted_mul(a, b):
+        by_unit.append(unit in (a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(FreePoly, "scale", counted_scale)
+    monkeypatch.setattr(FreePoly, "mul", counted_mul)
+    for comp in enumerate_types(5):
+        names = [(k, f"s{j}") for j, k in enumerate(comp)]
+        factors = tuple((k, spec.symbol(name)) for k, name in names)
+        assert odot_chain(spec, names).terms == (LeibnizMonomial(unit, factors),)
+    assert not any(by_unit)
+
+
 # pairs of expressions for one element that lower to unequal forms on the
 # free backend: d is linear, but a differentiated sum stays one factor
 FREE_FG = AlgebraSpec.free(("f", "g"))
@@ -540,6 +564,47 @@ def test_embed_multiplies_by_no_unit_singleton(monkeypatch):
     for w in forms:
         embed(w)
     assert products and not any(products)
+
+
+# the realize benchmark's 3×3 matrix shape, with Gaussian-rational entries
+MAT3 = AlgebraSpec.matrix(
+    3,
+    {
+        "f": [[Fraction(1, 2), 2, Scalar.of(0, Fraction(-1, 3))], [1, Fraction(5, 4), 0], [-3, 1, Fraction(2, 7)]],
+        "g": [[0, Scalar.of(1, 1), 1], [Fraction(-2, 3), 0, 4], [1, Fraction(1, 6), 2]],
+    },
+)
+
+
+def test_embed_multiplies_no_fractions(monkeypatch):
+    """On a 3×3 rational matrix spec every factor and coefficient is scaled to
+    Gaussian integers before the fold: no product ``embed`` makes in this
+    module or in ``tensor`` has a ``Fraction`` part, and it divides at most
+    once per output term."""
+    forms = [form for text in ("d(f)@d(g)", "g*d2(f)") for form in lower(parse(text), MAT3).values()]
+    wants = [frame_fold_embed(w) for w in forms]
+    mul, div, products, divisions = Scalar.__mul__, Scalar.__truediv__, [], []
+    here = lambda: sys._getframe(2).f_globals["__name__"] in ("ncdiff.leibniz", "ncdiff.tensor")
+
+    def counted_mul(a, b):
+        if here():
+            products.append(any(type(p) is Fraction for c in (a, b) for p in (c.re, c.im)))
+        return mul(a, b)
+
+    def counted_div(a, b):
+        if here():
+            divisions.append(a)
+        return div(a, b)
+
+    monkeypatch.setattr(Scalar, "__mul__", counted_mul)
+    monkeypatch.setattr(Scalar, "__truediv__", counted_div)
+    for w, want in zip(forms, wants):
+        products.clear()
+        divisions.clear()
+        got = embed(w)
+        assert got == want and any(type(c.re) is Fraction for c, _ in got.body.terms)
+        assert products and not any(products)
+        assert 0 < len(divisions) <= len(got.body.terms)
 
 
 def test_no_library_state_keeps_user_data():
@@ -624,20 +689,27 @@ EMBED_ORACLE_SPECS = {name: case[0] for name, case in ORACLE_CASES.items()}
 EMBED_ORACLE_SPECS["func-complex"] = AlgebraSpec.function(
     ("L", "R"), {"x": (Scalar.of(1, 2), 0), "y": (1, -3)}
 )
+# (spec, top order): every embedding oracle spec up to order 5, and the 3×3
+# matrices up to order 2, the realize benchmark's top order on them
+EMBED_ORACLE_CASES = {name: (spec, 5) for name, spec in EMBED_ORACLE_SPECS.items()}
+EMBED_ORACLE_CASES["mat3-complex"] = (MAT3, 2)
 
 
-@pytest.mark.parametrize("spec", EMBED_ORACLE_SPECS.values(), ids=EMBED_ORACLE_SPECS.keys())
-def test_embed_matches_recursive_symbolic_embedding(spec, rng):
+@pytest.mark.parametrize("spec, top", EMBED_ORACLE_CASES.values(), ids=EMBED_ORACLE_CASES.keys())
+def test_embed_matches_recursive_symbolic_embedding(spec, top, rng):
     """``embed`` equals the symbolic recursion and the frame fold, term order
     included, and its terms are canonical (re-normalizing them through
     ``TensorPoly.of`` changes nothing): every type of orders 1-3 (multi-term
     factors up to order 2), one order-4 type, an order-0 form, ⊙ products,
-    and sums of two or three monomials of each order 0-5, all with non-unit
-    coefficients."""
+    order-2 types under the constants 3, -1/2 and i, and sums of two or three
+    monomials of each order 0-5, the first with a drawn coefficient and the
+    others with constant ones; orders stop at ``top``."""
     syms = [spec.symbol(s) for s in spec.symbols]
+    constants = unit_multiples(spec)[1:]  # 3, -1/2 and i scale the folded image
 
-    def monomial(comp, factor):
-        return LeibnizForm.monomial(random_elem(spec, rng), [(k, factor()) for k in comp])
+    def monomial(comp, factor, coeff=None):
+        coeff = random_elem(spec, rng) if coeff is None else coeff
+        return LeibnizForm.monomial(coeff, [(k, factor()) for k in comp])
 
     types = enumerate_types(1) + enumerate_types(2)
     forms = [monomial(c, lambda: random_elem(spec, rng)) for c in types]
@@ -645,11 +717,14 @@ def test_embed_matches_recursive_symbolic_embedding(spec, rng):
     forms += [monomial(c, lambda: rng.choice(syms)) for c in types]
     a = LeibnizForm.from_alg(random_elem(spec, rng))
     forms += [a, odot(forms[0], a), odot(forms[0], forms[1]), odot(forms[2], forms[0])]
+    forms += [monomial(c, lambda: random_elem(spec, rng), b) for b in constants for c in enumerate_types(2)]
     for n in range(6):
         factor = (lambda: random_elem(spec, rng)) if n < 3 else (lambda: rng.choice(syms))
         comps = [rng.choice(enumerate_types(n)) if n else () for _ in range(rng.randint(2, 3))]
-        forms.append(sum((monomial(c, factor) for c in comps), LeibnizForm(spec, n, ())))
-    for w in forms:
+        # the first coefficient is drawn, the others constant: the monomials' denominators differ
+        coeffs = [None] + [rng.choice(constants) for _ in comps[1:]]
+        forms.append(sum((monomial(c, factor, b) for c, b in zip(comps, coeffs)), LeibnizForm(spec, n, ())))
+    for w in (w for w in forms if w.order <= top):
         body = embed(w).body
         assert body.terms == recursive_embed(w).body.terms == frame_fold_embed(w).body.terms
         raw = [(c, [spec.basis_elem(label) for label in labels]) for c, labels in dense_terms(body)]
