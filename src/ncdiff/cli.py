@@ -24,7 +24,7 @@ from typing import Callable, Iterable
 
 from .algebra import AlgebraSpec
 from .frame import FrameElem, SubsetIndex, delta_I, generator_str, slot_in_generators
-from .jets import ChangeOfVars2, Jet2, parse_poly2, transform_jet2, delta2_invariance_check
+from .jets import MAX_COEFF_BITS, ChangeOfVars2, Jet2, parse_poly2, transform_jet2, delta2_invariance_check
 from .leibniz import LeibnizForm, embed
 from .parser import LoweringError, MAX_ORDER, ParseError, lower, parse
 from .tensor import dumps, tensor_eval, tensor_eval_all, tensor_to_matrix
@@ -33,6 +33,9 @@ from .verify import SUITES, run_suite
 
 #: rows ``eval --all`` may list: |points| ** 2**order grows doubly exponentially
 EVAL_ALL_ROW_CAP = 65536
+#: the largest dimension ``matrix`` builds, whatever ``--max-dim`` allows: a
+#: 1024 x 1024 matrix peaks near 105 MB and a 4096 x 4096 one near 960 MB
+MATRIX_DIM_CAP = 4096
 
 
 class UsageError(ValueError):
@@ -209,7 +212,7 @@ def cmd_matrix(args) -> int:
         raise UsageError("matrix needs a matrix-backend algebra spec")
     form = _single_part(_lower_expr(args.expr, spec))
     message = "result dimension {} exceeds the cap {}"
-    size = _capped_power(spec.dim, form.order, args.max_dim, message)
+    size = _capped_power(spec.dim, form.order, min(args.max_dim, MATRIX_DIM_CAP), message)
     mat = tensor_to_matrix(embed(form).body)
 
     def render(cell: Callable) -> list[Iterable[str]]:
@@ -278,9 +281,12 @@ def _parse_point(text: str) -> tuple[Fraction, Fraction]:
     if len(parts) != 2:
         raise UsageError("evaluation point must be 'u,v'")
     try:
-        return Fraction(parts[0].strip()), Fraction(parts[1].strip())
+        point = Fraction(parts[0].strip()), Fraction(parts[1].strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad rational point: {exc}") from None
+    if any(max(q.numerator.bit_length(), q.denominator.bit_length()) > MAX_COEFF_BITS for q in point):
+        raise UsageError(f"evaluation point exceeds the coefficient cap {MAX_COEFF_BITS} bits")
+    return point
 
 
 def cmd_jet(args) -> int:
@@ -292,8 +298,7 @@ def cmd_jet(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     cv = ChangeOfVars2(Jet2.of_poly(x, at), Jet2.of_poly(y, at))
-    base_point = (x.eval(*at), y.eval(*at))
-    fj = Jet2.of_poly(f, base_point)
+    fj = Jet2.of_poly(f, (cv.xj.f, cv.yj.f))
     out = transform_jet2(fj, cv)
     rat = lambda q: [q.numerator, q.denominator]
     doc = {

@@ -51,11 +51,10 @@ from itertools import combinations
 from math import comb, lcm
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .algebra import AlgebraMismatchError, AlgebraSpec, AlgElem, Decomposition, Label
+from .algebra import AlgebraMismatchError, AlgebraSpec, AlgElem
 from .frame import FrameElem, SubsetIndex, frame_delta, generator_monomial_eval, generator_str
 from .scalars import MINUS_ONE, ONE, Scalar
-from .tensor import Key, TensorPoly, Term, _common_denominator, _times, tensor_collect, tensor_sum
-from .tensor import unit_singleton
+from .tensor import Key, TensorPoly, Term, _common_denominator, _times, left_products, tensor_collect, tensor_sum
 
 Factor = tuple[int, AlgElem]
 
@@ -83,8 +82,8 @@ class LeibnizForm:
     module alone: differentiated elements are primitive and no unit
     multiples, coefficients are nonzero, factor lists are distinct and
     sorted.  ``LeibnizForm.of`` normalizes monomials with new elements;
-    ``add``, ``sub`` and ``odot`` only merge canonical monomials, and
-    ``scale`` and ``module_mul`` keep their factor lists."""
+    ``add``, ``sub``, ``odot`` and ``module_mul`` (an order-0 ``odot``) only
+    merge canonical monomials, and ``scale`` keeps their factor lists."""
 
     spec: AlgebraSpec
     order: int
@@ -105,12 +104,14 @@ class LeibnizForm:
         order = sum(k for k, _ in factors)
         return LeibnizForm.of(coeff.spec, order, [LeibnizMonomial(coeff, tuple(factors))])
 
-    def add(self, other: LeibnizForm) -> LeibnizForm:
-        if self.spec != other.spec:
-            raise AlgebraMismatchError("forms over different algebras")
-        if self.order != other.order:
-            raise ValueError(f"order mismatch: {self.order} vs {other.order}")
-        return _collect(self.spec, self.order, self.terms + other.terms)
+    def add(self, *others: LeibnizForm) -> LeibnizForm:
+        """The sum of this form and any number of others, merged once."""
+        for other in others:
+            if self.spec != other.spec:
+                raise AlgebraMismatchError("forms over different algebras")
+            if self.order != other.order:
+                raise ValueError(f"order mismatch: {self.order} vs {other.order}")
+        return _collect(self.spec, self.order, (m for f in (self, *others) for m in f.terms))
 
     def sub(self, other: LeibnizForm) -> LeibnizForm:
         return self.add(other.scale(MINUS_ONE))
@@ -205,12 +206,8 @@ def generator_form_str(mono: LeibnizMonomial) -> str:
 
 
 def module_mul(a: AlgElem, w: LeibnizForm) -> LeibnizForm:
-    """Left action of the base algebra: multiply every coefficient."""
-    if a.spec != w.spec:
-        raise AlgebraMismatchError("coefficient from a different algebra")
-    # factor lists keep their order; a·coeff can be zero off the free backend
-    terms = (LeibnizMonomial(a.mul(m.coeff), m.factors) for m in w.terms)
-    return LeibnizForm(w.spec, w.order, tuple(m for m in terms if not m.coeff.is_zero()))
+    """Left action of the base algebra, a ⊙ w with a of order 0: multiply every coefficient."""
+    return odot(LeibnizForm.from_alg(a), w)
 
 
 def symbolic_delta(w: LeibnizForm) -> LeibnizForm:
@@ -298,13 +295,6 @@ def embed(w: LeibnizForm) -> FrameElem:
         d = _common_denominator(a.basis_decomposition())[0]
         return (a, 1) if d == 1 else (a.scale(Scalar(d)), d)
 
-    def times(g: AlgElem) -> Callable[[Label], Decomposition]:
-        """label -> g·label over the basis, memoized for this call; ±1
-        coefficients are the ``ONE`` and ``MINUS_ONE`` singletons, which products skip."""
-        return cache(lambda label: tuple(
-            (unit_singleton(c), lp) for c, lp in g.mul(spec.basis_elem(label)).basis_decomposition()
-        ))
-
     def left_mul(out: list[Term], g: Callable, c: Scalar, key: Key, at: int) -> None:
         """Append c·(g·key), g multiplying slot ``at``, the lowest slot the key may name."""
         head, rest = (key[0][1], key[1:]) if key and key[0][0] == at else (unit, key)
@@ -326,14 +316,14 @@ def embed(w: LeibnizForm) -> FrameElem:
         s, den = FrameElem.unit(spec, 0), 1
         for k, g in reversed(m.factors):
             g, d = integral(g)
-            s, den = _power(k, partial(one, times(g)), s), den * d
+            s, den = _power(k, partial(one, left_products(g)), s), den * d
         if m.coeff.unit_multiple() == ONE:  # most coefficients are the unit: keys stay as they are
             return s.body, den
         a, d = integral(m.coeff)
         c = a.unit_multiple()
         if c is not None:  # a constant multiplies every term alike
             return s.body.scale(c), den * d
-        out, coeff = [], times(a)
+        out, coeff = [], left_products(a)
         for c, key in s.body.terms:
             left_mul(out, coeff, c, key, 0)
         return tensor_collect(spec, s.body.degree, out), den * d

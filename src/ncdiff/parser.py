@@ -242,10 +242,7 @@ def _sum(parts: Iterable[LeibnizForm]) -> dict[int, LeibnizForm]:
     orders: dict[int, list[LeibnizForm]] = {}
     for form in parts:
         orders.setdefault(form.order, []).append(form)
-    return {
-        order: fs[0] if len(fs) == 1 else LeibnizForm.of(fs[0].spec, order, (m for f in fs for m in f.terms))
-        for order, fs in orders.items()
-    }
+    return {order: fs[0].add(*fs[1:]) if len(fs) > 1 else fs[0] for order, fs in orders.items()}
 
 
 def _check_order(expr: FormExpr, order: int) -> None:

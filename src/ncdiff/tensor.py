@@ -214,6 +214,17 @@ def unit_singleton(c: Scalar) -> Scalar:
     return ONE if c == ONE else MINUS_ONE if c == MINUS_ONE else c
 
 
+def left_products(g: AlgElem) -> Callable[[Label], Decomposition]:
+    """The table label -> g·label over the basis, memoized; ±1 coefficients
+    are the ``ONE`` and ``MINUS_ONE`` singletons, which products skip.  A
+    product of basis labels may leave the basis (E10 E01 = E11), so it is
+    expanded over it again."""
+    spec = g.spec
+    return functools.cache(lambda label: tuple(
+        (unit_singleton(c), lp) for c, lp in g.mul(spec.basis_elem(label)).basis_decomposition()
+    ))
+
+
 def _times(a: Scalar, b: Scalar) -> Scalar:
     """a * b, where a factor that is the ``ONE`` singleton is not multiplied
     in and one that is ``MINUS_ONE`` negates (``_glue``, ``TensorPoly.unit``
@@ -287,21 +298,16 @@ def tensor_d(u: TensorPoly) -> TensorPoly:
 def _glue(spec: AlgebraSpec, degree: int, items: Iterable[tuple]) -> TensorPoly:
     """The one product loop.  An item (coeff, left, right) holds two keys
     already moved to output slots; where both hold a slot, the labels
-    multiply.  A product of basis labels may leave the basis
-    (E10 E01 = E11), so it is expanded over it again."""
+    multiply, by one ``left_products`` table per left label."""
     unit = spec.unit_label()
-
-    @functools.cache
-    def product(pair: tuple[Label, Label]) -> Decomposition:
-        a, b = (spec.basis_elem(label) for label in pair)
-        return tuple((unit_singleton(c), label) for c, label in a.mul(b).basis_decomposition())
+    products = functools.cache(lambda label: left_products(spec.basis_elem(label)))
 
     def terms() -> Iterator[Term]:
         for coeff, left, right in items:
             fixed, meets = dict(left), []
             for slot, b in right:
                 if slot in fixed:
-                    meets.append((slot, product((fixed.pop(slot), b))))
+                    meets.append((slot, products(fixed.pop(slot))(b)))
                 else:
                     fixed[slot] = b
             rest = list(fixed.items())

@@ -401,6 +401,12 @@ def test_unreadable_spec_exits_2(tmp_path, capsys):
         (TWO_POINT_DOC, ["eval", "--expr", "d^9(x)", "--tuples", ",".join(["L", "R"] * 256)]),
         (FREE_DOC, ["generators", "--level", "8"]),
         (FREE_DOC, ["generators", "--level", "40"]),
+        ({**FREE_DOC, "symbols": []}, ["generators"]),
+        (TWO_POINT_DOC, ["eval", "--expr", "d(x)"]),
+        (None, ["jet", "--f", "x", "--x", "u", "--y", "v", "--at", "1"]),
+        (None, ["jet", "--f", "x", "--x", "u", "--y", "v", "--at", "1/0,1"]),
+        (None, ["jet", "--f", "1", "--x", "u", "--y", "v", "--at", f"{2**5000},1"]),
+        (MAT_DOC, ["matrix", "--expr", "d5(f)", "--max-dim", "10000000000"]),
     ],
     ids=[
         "non-object",
@@ -442,6 +448,12 @@ def test_unreadable_spec_exits_2(tmp_path, capsys):
         "eval-order-9",
         "generators-level-8",
         "generators-level-40",
+        "generators-no-symbols",
+        "eval-no-rows",
+        "jet-point-one-coordinate",
+        "jet-point-zero-denominator",
+        "jet-point-cap",
+        "matrix-dim-ceiling",
     ],
 )
 def test_malformed_input_exits_2_without_traceback(spec_file, capsys, doc, argv):
@@ -674,13 +686,14 @@ def test_eval_all_at_the_row_cap_runs_in_bounded_time_and_memory(spec_file):
     [
         (FREE_DOC, ["expand", "--expr", "d(f)@d2(g) + f*d3(h)"]),
         (FREE_DOC, ["expand", "--expr", "f + d(f)", "--split", "--basis", "generators"]),
+        (FREE_DOC, ["expand", "--expr", "1 + f", "--basis", "generators"]),
         (FREE_DOC, ["generators", "--level", "3"]),
         (MIXED_TWO_POINT_DOC, ["eval", "--expr", "x*d(y)@d(x)", "--all"]),
         (MIXED_TWO_POINT_DOC, ["eval", "--expr", "d(x)", "--tuples", "L,R"]),
         (MIXED_MAT_DOC, ["matrix", "--expr", "f*d(f)"]),
         (MIXED_MAT_DOC, ["expand", "--expr", "f*d(f)"]),
     ],
-    ids=["expand", "split-generators", "generators", "eval-all", "eval-tuples", "matrix", "expand-matrix"],
+    ids=["expand", "split-generators", "unit-generators", "generators", "eval-all", "eval-tuples", "matrix", "expand-matrix"],
 )
 def test_pretty_output_encodes_no_json(spec_file, capsys, monkeypatch, doc, argv):
     def refuse(*args):

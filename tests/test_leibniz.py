@@ -1,3 +1,4 @@
+import functools
 import gc
 import json
 import sys
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import ncdiff.frame
-from ncdiff.algebra import AlgebraSpec, FreePoly
+from ncdiff.algebra import AlgebraMismatchError, AlgebraSpec, FreePoly
 from ncdiff.frame import (
     FrameElem,
     SubsetIndex,
@@ -294,6 +295,12 @@ ORACLE_CASES = {
 }
 
 
+def oracle_pool(spec):
+    """Elements for canonical forms: the unit, the symbols, a multiple, a sum and a product."""
+    syms = [spec.symbol(s) for s in spec.symbols]
+    return [spec.unit(), *syms, syms[0].scale(Scalar.of(2)), syms[1].add(spec.unit()), syms[0].mul(syms[1])]
+
+
 def random_canonical_form(spec, order, pool, rng):
     """A canonical form whose monomials share factors often enough to merge."""
     monos = []
@@ -316,9 +323,7 @@ def test_collect_only_operations_match_full_normalization(case, rng):
     on the raw monomials, term order included."""
     spec, a_name, b_name = case
     syms = [spec.symbol(s) for s in spec.symbols]
-    two = Scalar.of(2)
-    pool = [spec.unit(), *syms, syms[0].scale(two), syms[1].add(spec.unit()), syms[0].mul(syms[1])]
-    pool.append(random_elem(spec, rng))
+    pool = oracle_pool(spec) + [random_elem(spec, rng)]
     multipliers = [spec.zero(), syms[0], pool[-1]]
     if a_name is not None:
         multipliers.append(spec.symbol(a_name))
@@ -349,6 +354,48 @@ def test_collect_only_operations_match_full_normalization(case, rng):
         assert len(form.terms) == 2 and len(killed.terms) == 1
         raw = [LeibnizMonomial(a.mul(t.coeff), t.factors) for t in form.terms]
         assert_normalizes_to(killed, spec, 1, raw)
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+def test_form_add_takes_any_number_of_summands(case, rng):
+    """``LeibnizForm.add(*forms)`` is the pairwise sum, and a form over
+    another algebra or of another order is refused at every position."""
+    spec, _, _ = case
+    pool = oracle_pool(spec)
+    for _ in range(25):
+        n = rng.randint(0, 2)
+        u, *vs = (random_canonical_form(spec, n, pool, rng) for _ in range(rng.randint(1, 6)))
+        assert u.add(*vs) == functools.reduce(LeibnizForm.add, vs, u)
+        assert u.add(*vs, *(v.scale(MINUS_ONE) for v in vs)) == u
+    x = d(form_of(spec.symbol(spec.symbols[0])))
+    assert x.add() == x
+    for foreign, error in [(d(form_of(F)), AlgebraMismatchError), (form_of(x.terms[0].factors[0][1]), ValueError)]:
+        for at in range(4):
+            operands = [x] * 4
+            operands[at] = foreign
+            with pytest.raises(error):
+                operands[0].add(*operands[1:])
+
+
+def per_monomial_module_mul(a, w):
+    """a times every coefficient of w, factor lists kept, zero products dropped."""
+    terms = (LeibnizMonomial(a.mul(m.coeff), m.factors) for m in w.terms)
+    return LeibnizForm(w.spec, w.order, tuple(m for m in terms if not m.coeff.is_zero()))
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+def test_module_mul_multiplies_each_coefficient(case, rng):
+    """``module_mul``, an order-0 ``odot``, equals the per-monomial product,
+    including products that vanish off the free backend."""
+    spec, a_name, _ = case
+    pool = oracle_pool(spec)
+    multipliers = [spec.zero(), *pool] + ([spec.symbol(a_name)] if a_name is not None else [])
+    for _ in range(25):
+        w = random_canonical_form(spec, rng.randint(0, 3), pool, rng)
+        for a in multipliers:
+            assert module_mul(a, w) == per_monomial_module_mul(a, w)
+    with pytest.raises(AlgebraMismatchError):
+        module_mul(F, d(form_of(pool[1])))
 
 
 def pairwise_collect(spec, order, terms):
