@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
 from typing import ClassVar, Iterable, Mapping, Optional, Sequence, Union
 
-from .scalars import MINUS_ONE, ONE, ZERO, Scalar
+from .scalars import MINUS_ONE, ONE, ZERO, Record, Scalar
 
 Word = tuple[str, ...]
 #: a basis element of a backend: a word, or a 0/1 value or entry pattern
@@ -33,19 +32,18 @@ def _scalar(v) -> Scalar:
     return v if isinstance(v, Scalar) else Scalar.of(v)
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
+class AlgebraSpec(Record):
     """The declared symbols of one backend algebra.  A subclass per backend
     adds ``unit_label`` and ``basis_elem`` (the unit's label, and the basis
     element a label names; see ``basis_decomposition``), the dense ``dim``
     and ``support``, and ``read_json``/``to_json``."""
 
     backend: ClassVar[str]
-    symbols: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(set(self.symbols)) != len(self.symbols):
+    _fields = ("symbols",)
+    def __init__(self, symbols: tuple[str, ...]):
+        if len(set(symbols)) != len(symbols):
             raise ValueError("symbol names must be unique")
+        self.symbols = symbols
 
     # -- constructors -------------------------------------------------
 
@@ -122,13 +120,15 @@ def _json_object(doc: dict, key: str) -> dict:
     return obj
 
 
-@dataclass(frozen=True)
 class FreeSpec(AlgebraSpec):
     """Words in the symbols, letter-sorted if ``commutative``; a label is a
     word, and there is no dense form."""
 
     backend: ClassVar[str] = "free"
-    commutative: bool = False
+    _fields = ("symbols", "commutative")
+    def __init__(self, symbols: tuple[str, ...], commutative: bool = False):
+        super().__init__(symbols)
+        self.commutative = commutative
 
     def _symbol(self, name: str) -> FreePoly:
         return self.basis_elem((name,))
@@ -176,23 +176,21 @@ class _DenseSpec(AlgebraSpec):
         return [cell for cell, b in zip(self._cells, label) if b]
 
 
-@dataclass(frozen=True)
 class FunctionSpec(_DenseSpec):
     """Functions on the named points; a symbol's table is its values."""
 
     backend: ClassVar[str] = "function"
-    points: tuple[str, ...]
-    tables: tuple[tuple[Scalar, ...], ...]
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.points:
+    _fields = ("symbols", "points", "tables")
+    def __init__(self, symbols: tuple[str, ...], points: tuple[str, ...], tables: tuple[tuple[Scalar, ...], ...]):
+        super().__init__(symbols)
+        if not points:
             raise ValueError("function backend needs a point list")
-        if len(set(self.points)) != len(self.points):
+        if len(set(points)) != len(points):
             raise ValueError("point names must be unique")
-        for name, vals in zip(self.symbols, self.tables):
-            if len(vals) != len(self.points):
+        for name, vals in zip(symbols, tables):
+            if len(vals) != len(points):
                 raise ValueError(f"value table for {name!r} does not cover every point")
+        self.points, self.tables = points, tables
 
     @property
     def dim(self) -> int:
@@ -226,21 +224,19 @@ class FunctionSpec(_DenseSpec):
         return {"backend": self.backend, "points": list(self.points), "values": values}
 
 
-@dataclass(frozen=True)
 class MatrixSpec(_DenseSpec):
     """dim x dim matrices; a symbol's table is its rows."""
 
     backend: ClassVar[str] = "matrix"
-    dim: int
-    tables: tuple[tuple[tuple[Scalar, ...], ...], ...]
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.dim <= 0:
+    _fields = ("symbols", "dim", "tables")
+    def __init__(self, symbols: tuple[str, ...], dim: int, tables: tuple[tuple[tuple[Scalar, ...], ...], ...]):
+        super().__init__(symbols)
+        if dim <= 0:
             raise ValueError("matrix backend needs a positive dimension")
-        for name, rows in zip(self.symbols, self.tables):
-            if len(rows) != self.dim or any(len(r) != self.dim for r in rows):
-                raise ValueError(f"matrix for {name!r} is not {self.dim}x{self.dim}")
+        for name, rows in zip(symbols, tables):
+            if len(rows) != dim or any(len(r) != dim for r in rows):
+                raise ValueError(f"matrix for {name!r} is not {dim}x{dim}")
+        self.dim, self.tables = dim, tables
 
     @functools.cached_property
     def _cells(self) -> list[tuple[int, int]]:
@@ -279,9 +275,10 @@ def _check_same_spec(a: AlgElem, *others: AlgElem) -> None:
             raise AlgebraMismatchError("operands come from different algebras")
 
 
-class AlgElem:
+class AlgElem(Record):
     """Common interface of backend elements (always in canonical form)."""
 
+    __slots__ = ()
     spec: AlgebraSpec
 
     def mul(self, other: AlgElem) -> AlgElem:
@@ -330,7 +327,6 @@ class AlgElem:
         return self.add(other.neg())
 
 
-@dataclass(frozen=True)
 class FreePoly(AlgElem):
     """Polynomial in noncommuting (or letter-sorted commuting) symbols.
 
@@ -340,8 +336,9 @@ class FreePoly(AlgElem):
     at once); ``scale`` (hence ``neg`` and ``content``) and the spec's
     ``symbol`` and ``unit`` build canonical terms directly."""
 
-    spec: FreeSpec
-    terms: tuple[tuple[Word, Scalar], ...]
+    __slots__ = _fields = ("spec", "terms")
+    def __init__(self, spec: FreeSpec, terms: tuple[tuple[Word, Scalar], ...]):
+        self.spec, self.terms = spec, terms
 
     @staticmethod
     def of(spec: AlgebraSpec, terms: Iterable[tuple[Word, Scalar]]) -> FreePoly:
@@ -408,14 +405,14 @@ class FreePoly(AlgElem):
         return " + ".join(parts)
 
 
-@dataclass(frozen=True)
 class _DenseElem(AlgElem):
     """Shared by ``FuncElem`` and ``MatElem``: ``entries`` lists the entries
     over the spec's dense cells (a function's values, or a matrix's entries
     in row-major order), so all entrywise code lives here once."""
 
-    spec: _DenseSpec
-    entries: tuple[Scalar, ...]
+    __slots__ = _fields = ("spec", "entries")
+    def __init__(self, spec: _DenseSpec, entries: tuple[Scalar, ...]):
+        self.spec, self.entries = spec, entries
 
     def add(self, *others: AlgElem) -> _DenseElem:
         _check_same_spec(self, *others)
@@ -474,6 +471,7 @@ class _DenseElem(AlgElem):
 class FuncElem(_DenseElem):
     """Function on the spec's finite point set; ``entries`` are its values."""
 
+    __slots__ = ()
     spec: FunctionSpec
     # perfbench/tracing.py wraps members of the class's own body, so bind the shared ones here
     add, scale, content = _DenseElem.add, _DenseElem.scale, _DenseElem.content
@@ -497,6 +495,7 @@ class FuncElem(_DenseElem):
 class MatElem(_DenseElem):
     """dim x dim matrix; ``entries`` are its entries in row-major order."""
 
+    __slots__ = ()
     spec: MatrixSpec
     # perfbench/tracing.py wraps members of the class's own body, so bind the shared ones here
     add, scale, content = _DenseElem.add, _DenseElem.scale, _DenseElem.content

@@ -18,6 +18,7 @@ import functools
 import itertools
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -36,6 +37,8 @@ EVAL_ALL_ROW_CAP = 65536
 #: the largest dimension ``matrix`` builds, whatever ``--max-dim`` allows: a
 #: 1024 x 1024 matrix peaks near 105 MB and a 4096 x 4096 one near 960 MB
 MATRIX_DIM_CAP = 4096
+#: a decimal literal with an exponent, in the ASCII subset of what ``Fraction(str)`` reads
+_EXPONENT_LITERAL = re.compile(r"[-+]?(?=\.?[0-9])([0-9]*)(?:\.([0-9]*))?[eE]([-+]?[0-9]+)")
 
 
 class UsageError(ValueError):
@@ -276,15 +279,29 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+def _rational(text: str) -> Fraction | None:
+    """``Fraction(text)``, or None past the coefficient cap.  ``Fraction`` computes 10**e
+    first, so e is bounded before it runs: a nonzero mantissa of k digits is past
+    the cap once |e| passes the cap plus k, and a zero one is 0 whatever e is."""
+    m = _EXPONENT_LITERAL.fullmatch(text)
+    if m:
+        num, dec = m.group(1) or "0", m.group(2) or ""
+        whole, part, e = int(num), int(dec or "0"), int(m.group(3))  # Fraction's order, so its errors
+        if abs(e) > MAX_COEFF_BITS + len(num) + len(dec):
+            return None if whole or part else Fraction(0)
+    q = Fraction(text)
+    return q if max(q.numerator.bit_length(), q.denominator.bit_length()) <= MAX_COEFF_BITS else None
+
+
 def _parse_point(text: str) -> tuple[Fraction, Fraction]:
     parts = text.split(",")
     if len(parts) != 2:
         raise UsageError("evaluation point must be 'u,v'")
     try:
-        point = Fraction(parts[0].strip()), Fraction(parts[1].strip())
+        point = _rational(parts[0].strip()), _rational(parts[1].strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad rational point: {exc}") from None
-    if any(max(q.numerator.bit_length(), q.denominator.bit_length()) > MAX_COEFF_BITS for q in point):
+    if None in point:
         raise UsageError(f"evaluation point exceeds the coefficient cap {MAX_COEFF_BITS} bits")
     return point
 

@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Iterable, Sequence, Union
 
 from .algebra import AlgebraSpec, AlgElem
-from .scalars import Scalar
+from .scalars import Record, Scalar
 from .tensor import TensorPoly, componentwise_product, mult_map, tensor_concat, tensor_d, tensor_sum
 
 
@@ -127,18 +127,15 @@ def module_right(omega: FrameElem, a: FrameElem) -> FrameElem:
     return omega.mul(lam(a))
 
 
-@dataclass(frozen=True)
-class SubsetIndex:
+class SubsetIndex(Record):
     """A subset of {0..p-1}, printed with members in decreasing order."""
 
-    p: int
-    members: tuple[int, ...]
-
-    def __post_init__(self):
-        ms = tuple(sorted(set(self.members), reverse=True))
-        object.__setattr__(self, "members", ms)
-        if any(m < 0 or m >= self.p for m in ms):
-            raise ValueError(f"members {ms} out of range for level {self.p}")
+    __slots__ = _fields = ("p", "members")
+    def __init__(self, p: int, members: tuple[int, ...]):
+        ms = tuple(sorted(set(members), reverse=True))
+        if any(m < 0 or m >= p for m in ms):
+            raise ValueError(f"members {ms} out of range for level {p}")
+        self.p, self.members = p, ms
 
     @staticmethod
     def of(p: int, members: Iterable[int]) -> SubsetIndex:

@@ -9,12 +9,11 @@ multiplication by an upper-triangular 2x2 transfer matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from .parser import ParseError, TokenStream
-from .scalars import rational
+from .scalars import Record, rational
 
 #: the largest exponent and total degree ``parse_poly2`` builds; ``Poly2.pow``
 #: multiplies once per unit of exponent and terms grow with the degree squared
@@ -27,11 +26,12 @@ MAX_COEFF_BITS = 4096
 # -- exact polynomials in two variables (used to build jets) -------------
 
 
-@dataclass(frozen=True)
-class Poly2:
+class Poly2(Record):
     """Polynomial with rational coefficients in two named variables."""
 
-    coeffs: tuple[tuple[tuple[int, int], int | Fraction], ...]
+    __slots__ = _fields = ("coeffs",)
+    def __init__(self, coeffs: tuple[tuple[tuple[int, int], int | Fraction], ...]):
+        self.coeffs = coeffs
 
     @staticmethod
     def of(coeffs: Mapping[tuple[int, int], int | Fraction]) -> Poly2:
@@ -161,17 +161,13 @@ def parse_poly2(text: str, vars: tuple[str, str]) -> Poly2:
 # -- jets -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Jet2:
+class Jet2(Record):
     """Value, first and second derivatives at a point; the mixed second
-    derivative is stored once."""
+    derivative is stored once.  Every field is an ``int`` or a ``Fraction``."""
 
-    f: int | Fraction
-    fx: int | Fraction
-    fy: int | Fraction
-    fxx: int | Fraction
-    fxy: int | Fraction
-    fyy: int | Fraction
+    __slots__ = _fields = ("f", "fx", "fy", "fxx", "fxy", "fyy")
+    def __init__(self, f, fx, fy, fxx, fxy, fyy):
+        self.f, self.fx, self.fy, self.fxx, self.fxy, self.fyy = f, fx, fy, fxx, fxy, fyy
 
     @staticmethod
     def of(f, fx, fy, fxx, fxy, fyy) -> Jet2:
@@ -191,13 +187,13 @@ class Jet2:
         )
 
 
-@dataclass(frozen=True)
-class ChangeOfVars2:
+class ChangeOfVars2(Record):
     """2-jets of the substituted coordinates x(u,v), y(u,v) at the
     working point."""
 
-    xj: Jet2
-    yj: Jet2
+    __slots__ = _fields = ("xj", "yj")
+    def __init__(self, xj: Jet2, yj: Jet2):
+        self.xj, self.yj = xj, yj
 
 
 def transform_jet2(fj: Jet2, cv: ChangeOfVars2) -> Jet2:
@@ -234,10 +230,10 @@ def transform_jet2(fj: Jet2, cv: ChangeOfVars2) -> Jet2:
     return Jet2(fj.f, fu, fv, fuu, fuv, fvv)
 
 
-@dataclass(frozen=True)
-class Jet1:
-    d1: int | Fraction
-    d2: int | Fraction
+class Jet1(Record):
+    __slots__ = _fields = ("d1", "d2")
+    def __init__(self, d1: int | Fraction, d2: int | Fraction):
+        self.d1, self.d2 = d1, d2
 
     @staticmethod
     def of(d1, d2) -> Jet1:
@@ -249,16 +245,16 @@ def chain2_1d(phi: Jet1, u: Jet1) -> Jet1:
     return Jet1(phi.d1 * u.d1, phi.d2 * u.d1**2 + phi.d1 * u.d2)
 
 
-@dataclass(frozen=True)
-class TransferMatrix1:
+class TransferMatrix1(Record):
     """Upper-triangular matrix carrying a 1D change of variable.
 
     Acting on the row vector (first, second derivative) from the right
     it performs the second-order chain rule in one multiplication.
     """
 
-    a: int | Fraction  # du/dv
-    b: int | Fraction  # d2u/dv2
+    __slots__ = _fields = ("a", "b")
+    def __init__(self, a: int | Fraction, b: int | Fraction):
+        self.a, self.b = a, b  # du/dv, d2u/dv2
 
     @staticmethod
     def of_jet(u: Jet1) -> TransferMatrix1:

@@ -45,7 +45,6 @@ layer (``frame.generator_monomial_eval``, which this module re-exports).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, partial
 from itertools import combinations
 from math import comb, lcm
@@ -53,16 +52,16 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .algebra import AlgebraMismatchError, AlgebraSpec, AlgElem
 from .frame import FrameElem, SubsetIndex, frame_delta, generator_monomial_eval, generator_str
-from .scalars import MINUS_ONE, ONE, Scalar
+from .scalars import MINUS_ONE, ONE, Record, Scalar
 from .tensor import Key, TensorPoly, Term, _common_denominator, _times, left_products, tensor_collect, tensor_sum
 
 Factor = tuple[int, AlgElem]
 
 
-@dataclass(frozen=True)
-class LeibnizMonomial:
-    coeff: AlgElem
-    factors: tuple[Factor, ...]
+class LeibnizMonomial(Record):
+    __slots__ = _fields = ("coeff", "factors")
+    def __init__(self, coeff: AlgElem, factors: tuple[Factor, ...]):
+        self.coeff, self.factors = coeff, factors
 
     @property
     def order(self) -> int:
@@ -76,8 +75,7 @@ class LeibnizMonomial:
         return _monomial_str(self)
 
 
-@dataclass(frozen=True)
-class LeibnizForm:
+class LeibnizForm(Record):
     """Sum of canonical monomials of one order, kept canonical by this
     module alone: differentiated elements are primitive and no unit
     multiples, coefficients are nonzero, factor lists are distinct and
@@ -85,9 +83,9 @@ class LeibnizForm:
     ``add``, ``sub``, ``odot`` and ``module_mul`` (an order-0 ``odot``) only
     merge canonical monomials, and ``scale`` keeps their factor lists."""
 
-    spec: AlgebraSpec
-    order: int
-    terms: tuple[LeibnizMonomial, ...]
+    __slots__ = _fields = ("spec", "order", "terms")
+    def __init__(self, spec: AlgebraSpec, order: int, terms: tuple[LeibnizMonomial, ...]):
+        self.spec, self.order, self.terms = spec, order, terms
 
     @staticmethod
     def of(spec: AlgebraSpec, order: int, terms: Iterable[LeibnizMonomial]) -> LeibnizForm:

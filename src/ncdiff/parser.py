@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
 from .algebra import AlgebraSpec
 from .leibniz import LeibnizForm, odot, symbolic_delta
-from .scalars import MINUS_ONE, Scalar
+from .scalars import MINUS_ONE, Record, Scalar
 
 #: the highest order a form may reach (``expand d^8(f)`` takes under 1 s, and each order
 #: costs about 4x more); lowering checks it before it applies any ``d`` or ⊙
@@ -44,36 +43,38 @@ class LoweringError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Node:
-    line: int
-    col: int
+class Node(Record):
+    __slots__ = ()  # each kind of node holds its line and column, then its own fields
 
 
-@dataclass(frozen=True)
 class Lit(Node):
-    value: Fraction
+    __slots__ = _fields = ("line", "col", "value")
+    def __init__(self, line: int, col: int, value: Fraction):
+        self.line, self.col, self.value = line, col, value
 
 
-@dataclass(frozen=True)
 class Sym(Node):
-    name: str
+    __slots__ = _fields = ("line", "col", "name")
+    def __init__(self, line: int, col: int, name: str):
+        self.line, self.col, self.name = line, col, name
 
 
-@dataclass(frozen=True)
 class Odot(Node):
-    factors: tuple[Node, ...]
+    __slots__ = _fields = ("line", "col", "factors")
+    def __init__(self, line: int, col: int, factors: tuple[Node, ...]):
+        self.line, self.col, self.factors = line, col, factors
 
 
-@dataclass(frozen=True)
 class Delta(Node):
-    power: int
-    inner: Node
+    __slots__ = _fields = ("line", "col", "power", "inner")
+    def __init__(self, line: int, col: int, power: int, inner: Node):
+        self.line, self.col, self.power, self.inner = line, col, power, inner
 
 
-@dataclass(frozen=True)
 class Sum(Node):
-    terms: tuple[tuple[int, Node], ...]  # (sign, term); the first sign is 1
+    __slots__ = _fields = ("line", "col", "terms")
+    def __init__(self, line: int, col: int, terms: tuple[tuple[int, Node], ...]):
+        self.line, self.col, self.terms = line, col, terms  # (sign, term); the first sign is 1
 
 
 FormExpr = Node
@@ -82,12 +83,10 @@ FormExpr = Node
 _TOKEN = re.compile(r"(\d+)|([A-Za-z_]\w*)|(\*\*|[@*+\-^()/])|(\S)")
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # "int" | "name" | "punct" | "end"
-    text: str
-    line: int
-    col: int
+class _Tok(Record):
+    __slots__ = _fields = ("kind", "text", "line", "col")
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind, self.text, self.line, self.col = kind, text, line, col  # kind: int, name, punct or end
 
     def value(self, digits: Union[str, None] = None) -> int:
         """The integer ``digits`` (this token's text by default), read at this token."""

@@ -10,11 +10,16 @@ Equality and hashing do not see the difference (``2 == Fraction(2)``).
 difference, product and quotient passes its parts through it, so an
 integral result (1/3 + 2/3, or 3 * 1/3 in content normalization) is an
 ``int`` again and every later operation stays on the fast path.
+
+``Record``, the base of the package's value types, lives here because every
+other module imports this one.  A record names its fields in ``_fields``
+(and in ``__slots__`` unless it needs a ``__dict__``) and sets each one
+once, in its ``__init__``; nothing else assigns them.  Records compare,
+hash and print as frozen dataclasses do, without their generated code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -30,10 +35,38 @@ def rational(x) -> int | Fraction:
     return x.numerator if x.denominator == 1 else x
 
 
-@dataclass(frozen=True)
-class Scalar:
-    re: int | Fraction = 0
-    im: int | Fraction = 0
+class Record:
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class Scalar(Record):
+    __slots__ = _fields = ("re", "im")
+    def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
+        self.re, self.im = re, im
+
+    def __eq__(self, other):
+        if other.__class__ is not Scalar:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
 
     @staticmethod
     def of(re=0, im=0) -> Scalar:

@@ -23,7 +23,7 @@ from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar, Union
 
 from .algebra import AlgebraMismatchError, AlgebraSpec, AlgElem, Decomposition, Label
-from .scalars import MINUS_ONE, ONE, ZERO, Scalar, rational
+from .scalars import MINUS_ONE, ONE, ZERO, Record, Scalar, rational
 
 Key = tuple[tuple[int, Label], ...]
 Term = tuple[Scalar, Key]
@@ -458,8 +458,7 @@ def tensor_to_matrix(u: TensorPoly) -> list[list[Scalar]]:
 # -- universal forms ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OmegaMonomial:
+class OmegaMonomial(Record):
     """Universal-form monomial a0 d a1 d a2 ... d aq.
 
     Chain letters are tensors of a fixed width so the same machinery
@@ -467,18 +466,16 @@ class OmegaMonomial:
     (width a power of two).
     """
 
-    spec: AlgebraSpec
-    width: int
-    chain: tuple[TensorPoly, ...]
-
-    def __post_init__(self):
-        if not self.chain:
+    __slots__ = _fields = ("spec", "width", "chain")
+    def __init__(self, spec: AlgebraSpec, width: int, chain: tuple[TensorPoly, ...]):
+        if not chain:
             raise ValueError("chain must be nonempty")
-        for letter in self.chain:
-            if letter.degree != self.width:
+        for letter in chain:
+            if letter.degree != width:
                 raise ValueError("chain letter width mismatch")
-            if letter.spec != self.spec:
+            if letter.spec != spec:
                 raise AlgebraMismatchError("chain letter from a different algebra")
+        self.spec, self.width, self.chain = spec, width, chain
 
     @property
     def degree(self) -> int:

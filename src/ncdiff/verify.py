@@ -12,7 +12,6 @@ the instances and names the first failing instance of a failing check.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
@@ -53,7 +52,7 @@ from .leibniz import (
     odot,
     symbolic_delta,
 )
-from .scalars import Scalar
+from .scalars import Record, Scalar
 from .tensor import OmegaMonomial, TensorPoly, omega_to_tensor, universal_d
 
 
@@ -61,11 +60,10 @@ from .tensor import OmegaMonomial, TensorPoly, omega_to_tensor, universal_d
 Instance = tuple[str, object, object]
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str = ""
+class CheckResult(Record):
+    __slots__ = _fields = ("name", "ok", "detail")
+    def __init__(self, name: str, ok: bool, detail: str = ""):
+        self.name, self.ok, self.detail = name, ok, detail
 
 
 def default_free_spec() -> AlgebraSpec:

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -305,6 +306,55 @@ def test_jet_rational_point(capsys):
     assert json.loads(out)["jet"]["f"] == [1, 4]
 
 
+def test_jet_point_exponent_is_bounded_before_fraction_computes_it():
+    """``Fraction("1e100000000")`` computes 10**100000000 before any bit cap
+    can look at it (over 100 s); the exponent is bounded first.  The child
+    runs under a 20 s CPU limit, so a regression fails instead of hanging."""
+    limit = lambda: resource.setrlimit(resource.RLIMIT_CPU, (20, 20))
+    argv = ["jet", "--f", "1", "--x", "u", "--y", "v", "--at", "1e100000000,1"]
+    code, out, cpu, _ = measured_child(*argv, stdout=subprocess.PIPE, preexec_fn=limit)
+    assert code == 2 and out == b""
+    assert cpu < 1.0
+
+
+@pytest.mark.parametrize(
+    "at, message",
+    [
+        ("-1e100000000,1", "coefficient cap 4096 bits"),
+        ("1,5e-4098", "coefficient cap 4096 bits"),
+        ("1e1234,1", "coefficient cap 4096 bits"),
+        ("0.001e4100,1", "coefficient cap 4096 bits"),
+        ("1e100000000,x", "bad rational point: Invalid literal for Fraction: 'x'"),
+        ("1e100000000,1/0", "bad rational point"),
+        ("1e" + "9" * 5000 + ",1", "bad rational point: Exceeds the limit (4300 digits)"),
+        ("1." + "0" * 5000 + "1e99999999,1", "bad rational point: Exceeds the limit (4300 digits)"),
+    ],
+)
+def test_jet_point_past_the_cap_exits_2(capsys, at, message):
+    code, out, err = run(capsys, "jet", "--f", "1", "--x", "u", "--y", "v", f"--at={at}")
+    assert code == 2 and out == ""
+    assert err.startswith("ncdiff: ") and message in err
+
+
+def test_jet_point_with_a_zero_mantissa_is_zero(capsys):
+    jet = ["jet", "--f", "x*y + x", "--x", "u + v", "--y", "u*v"]
+    _, want, _ = run(capsys, *jet, "--at", "0,1")
+    for at in ("0e10000000,1", "-0.000e-10000000,1", ".0E+99999999,1"):
+        assert run(capsys, *jet, f"--at={at}") == (0, want, "")
+
+
+def test_jet_point_just_inside_the_cap_is_accepted(capsys):
+    """10**1233 takes 4096 bits, the cap; 10**1234 would take 4100."""
+    for at, want in [
+        ("1e1233,1", [[10**1233, 1], [1, 1]]),
+        ("1,-1e-1233", [[1, 1], [-1, 10**1233]]),
+        ("0.1e1234,2.5E-1", [[10**1233, 1], [1, 4]]),
+        ("1" + "0" * 1233 + "e-2466,1", [[1, 10**1233], [1, 1]]),
+    ]:
+        code, out, _ = run(capsys, "jet", "--f", "x", "--x", "u", "--y", "v", f"--at={at}")
+        assert code == 0 and json.loads(out)["at"] == want
+
+
 def test_missing_spec_file(capsys):
     code, _, err = run(capsys, "expand", "--algebra", "/no/such/file.json", "--expr", "d(f)")
     assert code == 2 and "not found" in err
@@ -507,13 +557,14 @@ print(os.waitstatus_to_exitcode(status), usage.ru_utime + usage.ru_stime, usage.
 """
 
 
-def measured_child(*argv, stdout) -> tuple[int, bytes | None, float, int]:
+def measured_child(*argv, stdout, **popen) -> tuple[int, bytes | None, float, int]:
     """Run ``ncdiff argv`` in a fresh process and return its exit code, its
     stdout if piped, its CPU seconds and its peak RSS in kilobytes.  The
     process is a grandchild, forked from a small interpreter: exec keeps the
     peak RSS of the image it replaces, so a child started straight from the
-    test runner would report the runner's peak."""
-    proc = child(*argv, program=("-c", SPAWN_AND_MEASURE), stdout=stdout, stderr=subprocess.PIPE)
+    test runner would report the runner's peak.  ``popen`` goes to the
+    interpreter's ``subprocess.Popen``."""
+    proc = child(*argv, program=("-c", SPAWN_AND_MEASURE), stdout=stdout, stderr=subprocess.PIPE, **popen)
     out, err = proc.communicate(timeout=120)
     code, cpu, rss = err.splitlines()[-1].split()  # the CLI's own stderr comes first
     return int(code), out, float(cpu), int(rss)
