@@ -21,21 +21,22 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .algebra import AlgebraSpec
 from .frame import FrameElem, SubsetIndex, delta_I, generator_str, slot_in_generators
 from .jets import MAX_COEFF_BITS, ChangeOfVars2, Jet2, parse_poly2, transform_jet2, delta2_invariance_check
-from .leibniz import LeibnizForm, embed
+from .leibniz import LeibnizForm, _integer_embed, embed
 from .parser import LoweringError, MAX_ORDER, ParseError, lower, parse
-from .tensor import dumps, tensor_eval, tensor_eval_all, tensor_to_matrix
+from .scalars import ZERO, Scalar
+from .tensor import Table, _distinct_cells, _eval_table, _matrix_table, dumps, tensor_eval
 from .verify import SUITES, run_suite
 
 
 #: rows ``eval --all`` may list: |points| ** 2**order grows doubly exponentially
 EVAL_ALL_ROW_CAP = 65536
 #: the largest dimension ``matrix`` builds, whatever ``--max-dim`` allows: a
-#: 1024 x 1024 matrix peaks near 105 MB and a 4096 x 4096 one near 960 MB
+#: complex 1024 x 1024 matrix peaks near 90 MB as JSON, and 4096 x 4096 has 16 times its cells
 MATRIX_DIM_CAP = 4096
 #: a decimal literal with an exponent, in the ASCII subset of what ``Fraction(str)`` reads
 _EXPONENT_LITERAL = re.compile(r"[-+]?(?=\.?[0-9])([0-9]*)(?:\.([0-9]*))?[eE]([-+]?[0-9]+)")
@@ -110,12 +111,13 @@ def _dumps(doc) -> str:
     return dumps(doc)
 
 
-def _render_once(values: Iterable, render: Callable[[object], str]) -> dict[int, str]:
-    """render(v) for each distinct object v among values, keyed by id(v): the
-    realization kernels give one object per distinct value, so a table of
-    thousands of cells renders a few values, and no Fraction is hashed."""
-    values = list(values)
-    return {key: render(v) for key, v in dict(zip(map(id, values), values)).items()}
+def _cell_text(table: Table, render: Callable[[Scalar], str]) -> Iterator[str]:
+    """The text of every cell of a kernel table, in order: each distinct value
+    is rendered once, keyed by its integers, so a table of thousands of cells
+    renders a few values."""
+    made, keys = _distinct_cells(table)
+    text = {key: render(value) for key, value in made.items()}
+    return map(text.__getitem__, keys)
 
 
 def _emit(build_doc: Callable[[], dict], render_pretty: Callable[[], str], out_mode: str) -> None:
@@ -177,7 +179,6 @@ def cmd_eval(args) -> int:
     if args.all:
         message = "eval --all would list {} rows, over the cap {}; pick rows with --tuples"
         _capped_power(len(spec.points), form.order, EVAL_ALL_ROW_CAP, message)
-        tuples = itertools.product(spec.points, repeat=arity)
     else:
         if not args.tuples:
             raise UsageError("pass --tuples or --all")
@@ -190,22 +191,31 @@ def cmd_eval(args) -> int:
                 if point not in spec.points:
                     raise UsageError(f"tuple {text!r} names unknown point {point!r}")
             tuples.append(parts)
-    body = embed(form).body
-    values = tensor_eval_all(body) if args.all else [tensor_eval(body, t) for t in tuples]
-    rows = [(t, v) for t, v in zip(tuples, values) if not (args.nonzero and v.is_zero())]
+    body, den = _integer_embed(form)
+    if args.all:
+        table = _eval_table(body, den)
+    else:
+        values = [tensor_eval(body, t) for t in tuples]
+        table = den, [v.re for v in values], [v.im for v in values]
 
-    def rendered(render: Callable) -> Iterable[tuple[tuple, str]]:
-        text = _render_once([v for _, v in rows], render)
-        return ((t, text[id(v)]) for t, v in rows)
+    def rendered(render: Callable, names: Sequence[str]) -> Iterator[tuple[tuple[str, ...], str]]:
+        """(row's points, value text) for every listed row; names holds the text of each of spec.points."""
+        if args.all:
+            listed = itertools.product(names, repeat=arity)
+        else:
+            name = dict(zip(spec.points, names))
+            listed = (tuple(map(name.__getitem__, t)) for t in tuples)
+        zero = render(ZERO)
+        return ((t, v) for t, v in zip(listed, _cell_text(table, render)) if not (args.nonzero and v == zero))
 
     def document() -> dict:
-        name = {p: dumps(p) for p in spec.points}
-        json_rows = rendered(lambda v: dumps(v.to_json()))
-        cells = (f'{{"args":[{",".join(map(name.get, t))}],"value":{v}}}' for t, v in json_rows)
+        json_rows = rendered(lambda v: dumps(v.to_json()), [dumps(p) for p in spec.points])
+        cells = (f'{{"args":[{",".join(t)}],"value":{v}}}' for t, v in json_rows)
         return {"order": form.order, "arity": arity, "values": Encoded(f"[{','.join(cells)}]")}
 
     with _digit_limit("eval result"):
-        _emit(document, lambda: "\n".join(f"[{','.join(t)}] = {v}" for t, v in rendered(str)), args.out)
+        pretty = lambda: "\n".join(f"[{','.join(t)}] = {v}" for t, v in rendered(str, spec.points))
+        _emit(document, pretty, args.out)
     return 0
 
 
@@ -216,18 +226,19 @@ def cmd_matrix(args) -> int:
     form = _single_part(_lower_expr(args.expr, spec))
     message = "result dimension {} exceeds the cap {}"
     size = _capped_power(spec.dim, form.order, min(args.max_dim, MATRIX_DIM_CAP), message)
-    mat = tensor_to_matrix(embed(form).body)
+    table = _matrix_table(*_integer_embed(form))
 
-    def render(cell: Callable) -> list[Iterable[str]]:
-        text = _render_once(itertools.chain.from_iterable(mat), cell)
-        return [map(text.__getitem__, map(id, row)) for row in mat]
+    def rows(render: Callable) -> Iterator[Iterable[str]]:
+        """The cells' text, one row at a time: a list with one entry per cell would raise the peak."""
+        cells = _cell_text(table, render)
+        return (itertools.islice(cells, size) for _ in range(size))
 
     def document() -> dict:
-        rows = (f"[{','.join(row)}]" for row in render(lambda e: dumps(e.to_json())))
-        return {"order": form.order, "dim": size, "matrix": Encoded(f"[{','.join(rows)}]")}
+        text = (f"[{','.join(row)}]" for row in rows(lambda e: dumps(e.to_json())))
+        return {"order": form.order, "dim": size, "matrix": Encoded(f"[{','.join(text)}]")}
 
     with _digit_limit("matrix result"):
-        _emit(document, lambda: "\n".join("  ".join(row) for row in render(str)), args.out)
+        _emit(document, lambda: "\n".join("  ".join(row) for row in rows(str)), args.out)
     return 0
 
 

@@ -36,8 +36,10 @@ key and shifts the rest.  The image is linear in every factor and in the
 coefficient, so each is scaled to Gaussian-integer basis coefficients
 first: every label product and merge of the fold works on ``int`` parts,
 and each output coefficient is divided once by the monomials' common
-denominator.  A constant coefficient scales the finished image instead
-of multiplying slot 0 term by term, and the unit leaves it as it is.
+denominator (``_integer_embed`` stops before that division, so a reader
+that wants integers, as the CLI's realization does, divides nothing).  A
+constant coefficient scales the finished image instead of multiplying
+slot 0 term by term, and the unit leaves it as it is.
 The generator tables, which place every lift explicitly, stay the
 independent check of it; generator monomials are evaluated in the frame
 layer (``frame.generator_monomial_eval``, which this module re-exports).
@@ -275,17 +277,29 @@ def _power(k: int, one: Callable[[FrameElem], FrameElem], s: FrameElem) -> Frame
 
 
 def embed(w: LeibnizForm) -> FrameElem:
-    """Realize a form of order n inside level n of the frame tower: each
-    monomial is folded from the unit of level 0 by ``_power``, and its
-    coefficient multiplies slot 0; a constant coefficient scales the folded
-    body instead, and the unit returns it as it is.
+    """Realize a form of order n inside level n of the frame tower: the
+    Gaussian-integer body of ``_integer_embed`` with each distinct
+    coefficient divided by its denominator once."""
+    body, den = _integer_embed(w)
+    if den != 1:
+        d = Scalar(den)
+        over = cache(lambda c: c / d)
+        body = TensorPoly(body.spec, body.degree, tuple((over(c), key) for c, key in body.terms))
+    return FrameElem(w.order, body)
+
+
+def _integer_embed(w: LeibnizForm) -> tuple[TensorPoly, int]:
+    """(den·body, den): the body of ``embed(w)`` times a denominator den that
+    makes every coefficient a Gaussian integer.  Each monomial is folded from
+    the unit of level 0 by ``_power``, and its coefficient multiplies slot 0;
+    a constant coefficient scales the folded body instead, and the unit
+    returns it as it is.
 
     Each factor and a non-unit coefficient is first scaled by the least
     common multiple d of its basis coefficients' denominators (``integral``;
     nothing is scaled when d is 1), so every label product, slot product and
-    merge works on Gaussian integers.  The monomials are summed over the
-    least common multiple of their products of d's, and each distinct
-    output coefficient is divided by it once."""
+    merge works on Gaussian integers.  The monomials are summed over den, the
+    least common multiple of their products of d's."""
     spec, unit = w.spec, w.spec.unit_label()
 
     def integral(a: AlgElem) -> tuple[AlgElem, int]:
@@ -328,12 +342,7 @@ def embed(w: LeibnizForm) -> FrameElem:
 
     parts = [monomial(m) for m in w.terms]
     den = lcm(*(d for _, d in parts))
-    body = tensor_sum(spec, 2**w.order, (t if d == den else t.scale(den // d) for t, d in parts))
-    if den != 1:  # one division per distinct coefficient
-        d = Scalar(den)
-        over = cache(lambda c: c / d)
-        body = TensorPoly(spec, body.degree, tuple((over(c), key) for c, key in body.terms))
-    return FrameElem(w.order, body)
+    return tensor_sum(spec, 2**w.order, (t if d == den else t.scale(den // d) for t, d in parts)), den
 
 
 # -- monomial types -------------------------------------------------------

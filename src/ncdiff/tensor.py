@@ -14,6 +14,7 @@ which is also the frame tower's level differential.
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 import json
 import math
@@ -161,7 +162,15 @@ class TensorPoly:
         return f'{{"degree":{self.degree},"terms":[{",".join(terms)}]}}'
 
     def to_json(self) -> dict:
-        return json.loads(self.json_text())  # fresh lists: callers may edit the document
+        """The parsed ``json_text`` (fresh lists: callers may edit it), parsed with the
+        cyclic collector paused, whose passes cost several times the parse on a large tensor."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return json.loads(self.json_text())
+        finally:
+            if enabled:
+                gc.enable()
 
     def __str__(self) -> str:
         if not self.terms:
@@ -369,28 +378,34 @@ def _common_denominator(terms: Sequence[Term]) -> tuple[int, Callable[[Union[int
     return d, lambda p: p.numerator * (d // p.denominator)
 
 
-def _scalars(d: int, re: list[int], im: Union[list[int], None]) -> list[Scalar]:
-    """The Scalar (re + im·i) / d of every cell, built once per distinct value,
-    with the ``ZERO`` singleton for zero; im is None when every part is 0."""
+#: a realization table (d, re, im): cell k is (re[k] + im[k]·i) / d, and im is None when every cell is real
+Table = tuple[int, list[int], Union[list[int], None]]
+
+
+def _distinct_cells(table: Table) -> tuple[dict, Iterable]:
+    """The Scalar of each distinct cell, keyed by its integers (the real part,
+    or the (real, imaginary) pair when im is a list), with the ``ZERO``
+    singleton for zero; and the key of every cell, in order."""
+    d, re, im = table
     part = (lambda x: x) if d == 1 else (lambda x: rational(Fraction(x, d)))
     if im is None:
         made = {x: Scalar(part(x)) for x in set(re)}
         made[0] = ZERO
-        return list(map(made.__getitem__, re))
+        return made, re
     made = {x: Scalar(part(x[0]), part(x[1])) for x in set(zip(re, im))}
     made[0, 0] = ZERO
-    return list(map(made.__getitem__, zip(re, im)))
+    return made, zip(re, im)
 
 
-def tensor_eval_all(u: TensorPoly) -> list[Scalar]:
-    """Evaluate a function-backend tensor at every tuple of points, listed
-    in ``itertools.product(points, repeat=degree)`` order.
+def _eval_table(u: TensorPoly, den: int) -> Table:
+    """The table of u / den at every tuple of points, listed in
+    ``itertools.product(points, repeat=degree)`` order.
 
     Coefficients are scaled to integers over one common denominator, and
     each part's table is folded densely, slot by slot: slot s is the digit
     of weight n^(degree-1-s), so a label that is 1 at point i adds the
     table of the remaining slots into block i, and the unit (every point)
-    tiles it.  Values agree with ``tensor_eval`` at every tuple.
+    tiles it.
     """
     n, degree = len(u.spec.point_names()), u.degree
     ones = functools.cache(lambda label: [i for i, b in enumerate(label) if b])
@@ -418,11 +433,19 @@ def tensor_eval_all(u: TensorPoly) -> list[Scalar]:
     d, scaled = _common_denominator(u.terms)
     re = [(scaled(c.re), key) for c, key in u.terms if c.re]
     im = [(scaled(c.im), key) for c, key in u.terms if c.im]
-    return _scalars(d, fold(re, 0), fold(im, 0) if im else None)
+    return den * d, fold(re, 0), fold(im, 0) if im else None
 
 
-def tensor_to_matrix(u: TensorPoly) -> list[list[Scalar]]:
-    """Dense matrix realization of the iterated Kronecker products.
+def tensor_eval_all(u: TensorPoly) -> list[Scalar]:
+    """Evaluate a function-backend tensor at every tuple of points, listed
+    in ``itertools.product(points, repeat=degree)`` order: ``_eval_table``,
+    one Scalar per distinct value.  Values agree with ``tensor_eval``."""
+    made, keys = _distinct_cells(_eval_table(u, 1))
+    return list(map(made.__getitem__, keys))
+
+
+def _matrix_table(u: TensorPoly, den: int) -> Table:
+    """The table of the dense matrix of u / den, its rows concatenated.
 
     Slot 0 indexes the fastest-varying digit, so the last tensor factor
     forms the outermost Kronecker block; this matches the convention of
@@ -451,7 +474,15 @@ def tensor_to_matrix(u: TensorPoly) -> list[list[Scalar]]:
                 part = scaled(part)
                 for i in at:
                     out[i] += part
-    flat = _scalars(d, re, im if any(im) else None)
+    return den * d, re, im if any(im) else None
+
+
+def tensor_to_matrix(u: TensorPoly) -> list[list[Scalar]]:
+    """Dense matrix realization of the iterated Kronecker products:
+    ``_matrix_table`` split into rows, one Scalar per distinct value."""
+    size = u.spec.dim**u.degree
+    made, keys = _distinct_cells(_matrix_table(u, 1))
+    flat = list(map(made.__getitem__, keys))
     return [flat[i : i + size] for i in range(0, size * size, size)]
 
 

@@ -1,7 +1,9 @@
 import copy
 import hashlib
+import itertools
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -14,10 +16,10 @@ from ncdiff import cli, verify
 from ncdiff.algebra import AlgebraSpec
 from ncdiff.cli import build_arg_parser, main
 from ncdiff.frame import rho
-from ncdiff.leibniz import embed
+from ncdiff.leibniz import LeibnizForm, embed
 from ncdiff.parser import lower, parse
 from ncdiff.scalars import Scalar
-from ncdiff.tensor import TensorPoly, dumps
+from ncdiff.tensor import TensorPoly, dumps, tensor_eval, tensor_eval_all, tensor_to_matrix
 
 TWO_POINT_DOC = {
     "backend": "function",
@@ -660,6 +662,103 @@ def test_realization_output_is_pinned(spec_file, capsys, command, mode):
     assert hashlib.sha256(out.encode()).hexdigest() == REALIZE_DIGESTS[command, mode]
 
 
+def random_rational(rng):
+    """A Gaussian rational as JSON: fractional, integral or zero parts, a third of them complex."""
+    part = lambda: [rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 5, 7])] if rng.random() < 0.8 else [0, 1]
+    return [part(), part() if rng.random() < 0.35 else [0, 1]]
+
+
+# (spec kind, size, expressions): tables of at most 256 rows and matrices of at most 16 x 16
+ORACLE_KINDS = [
+    ("function", 2, ["x", "d(x)", "y*d(x)", "d2(y) + x*d(x)@d(y)", "x*d(y)@d2(x)", "d3(x) - y*d(y)@d(x)@d(y)"]),
+    ("function", 3, ["y", "d(x) + 2*d(y)", "x*d2(y)", "d(x)@d(y) - y*d(x)@d(x)"]),
+    ("matrix", 2, ["f", "g*d(f)", "d2(f) + f*d(g)@d(f)", "d(f)@d(g) - d(g)@d(f)"]),
+    ("matrix", 3, ["g*f", "d(f)", "g*d(f) - d(g)"]),
+]
+# zero forms, listed as zero values everywhere; their --nonzero tables are empty
+ZERO_EXPRS = {"function": ["x - x", "d(x)@d(y) - d(x)@d(y)"], "matrix": ["f - f", "d(f) - d(f)"]}
+
+
+def oracle_cli_cases(seed):
+    """(spec document, argv, expected stdout) over seeded random specs: the
+    expected text is built from ``tensor_eval_all``, ``tensor_eval`` and
+    ``tensor_to_matrix`` of ``embed(form).body``, with ``Scalar.to_json``,
+    ``dumps`` and ``str``."""
+    rng = random.Random(seed)
+    for backend, size, exprs in ORACLE_KINDS:
+        if backend == "function":
+            points = ["L", "R", "é"][:size]
+            doc = {"backend": "function", "points": points, "values": {s: {p: random_rational(rng) for p in points} for s in "xy"}}
+        else:
+            mat = lambda: [[random_rational(rng) for _ in range(size)] for _ in range(size)]
+            doc = {"backend": "matrix", "dim": size, "matrices": {"f": mat(), "g": mat()}}
+        spec = AlgebraSpec.from_json(doc)
+        for expr in exprs + ZERO_EXPRS[backend]:
+            parts = lower(parse(expr), spec)
+            form = next(iter(parts.values())) if parts else LeibnizForm.from_alg(spec.zero())
+            body, head = embed(form).body, {"order": form.order}
+            if backend == "matrix":
+                mat = tensor_to_matrix(body)
+                cells = {"json": [[e.to_json() for e in row] for row in mat], "pretty": [[str(e) for e in row] for row in mat]}
+                want = dumps({**head, "dim": len(mat), "matrix": cells["json"]})
+                yield doc, ["matrix", "--expr", expr, "--out", "json"], want + "\n"
+                yield doc, ["matrix", "--expr", expr, "--out", "pretty"], "\n".join(map("  ".join, cells["pretty"])) + "\n"
+                continue
+            head["arity"] = body.degree
+            table = list(zip(itertools.product(spec.points, repeat=body.degree), tensor_eval_all(body)))
+            picked = [tuple(rng.choice(spec.points) for _ in range(body.degree)) for _ in range(rng.randint(1, 4))]
+            listings = [
+                (["--all"], table),
+                (["--all", "--nonzero"], [(t, v) for t, v in table if not v.is_zero()]),
+                (["--tuples", *map(",".join, picked)], [(t, tensor_eval(body, t)) for t in picked]),
+            ]
+            for flags, rows in listings:
+                values = [{"args": list(t), "value": v.to_json()} for t, v in rows]
+                yield doc, ["eval", "--expr", expr, *flags, "--out", "json"], dumps({**head, "values": values}) + "\n"
+                pretty = "\n".join(f"[{','.join(t)}] = {v}" for t, v in rows)
+                yield doc, ["eval", "--expr", expr, *flags, "--out", "pretty"], pretty + "\n"
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_realization_output_matches_the_library_oracles(spec_file, capsys, seed):
+    """eval --all, with and without --nonzero, eval --tuples and matrix print,
+    byte for byte, what the library's Scalar kernels give, as JSON and as
+    pretty text, over random function and matrix specs with complex and
+    fractional values; zero forms list zero everywhere, and their --nonzero
+    tables are empty."""
+    empty = 0
+    for doc, argv, want in oracle_cli_cases(seed):
+        code, out, err = run(capsys, *argv, "--algebra", spec_file(doc))
+        assert (code, err) == (0, "") and out == want, argv
+        empty += out == "\n" or out.endswith('"values":[]}\n')
+    assert empty >= 4 * 2  # the function zero forms' --nonzero tables, in both modes
+
+
+def test_the_read_path_divides_nothing_after_lowering(spec_file, capsys, monkeypatch):
+    """eval and matrix over fractional values realize the integer body that
+    ``embed`` scales to, with its denominator: once the expression is
+    lowered, no Scalar is divided, in the embedding, the kernels or the
+    rendering."""
+    div, lower_expr, divisions = Scalar.__truediv__, cli._lower_expr, []
+
+    def lowered(*args):
+        parts = lower_expr(*args)
+        divisions.clear()
+        return parts
+
+    monkeypatch.setattr(Scalar, "__truediv__", lambda a, b: divisions.append(a) or div(a, b))
+    monkeypatch.setattr(cli, "_lower_expr", lowered)
+    cases = [
+        (MIXED_TWO_POINT_DOC, ["eval", "--expr", "y*d(x)@d2(x) + x*d3(y)", "--all"]),
+        (MIXED_TWO_POINT_DOC, ["eval", "--expr", "y*d(x)@d2(x) + x*d3(y)", "--tuples", "L,R,R,L,R,L,L,R"]),
+        (MIXED_MAT3_DOC, ["matrix", "--expr", "g*d(f)@d(g)"]),
+    ]
+    for doc, argv in cases:
+        for mode in ("json", "pretty"):
+            code, out, _ = run(capsys, *argv, "--algebra", spec_file(doc), "--out", mode)
+            assert code == 0 and divisions == [], argv
+
+
 def test_one_parser_serves_every_call(spec_file, capsys):
     """main builds its argument parser once per process; no option value
     of one call reaches the next, so every call prints what it prints on
@@ -721,15 +820,40 @@ def test_cold_verify_all_runs_in_bounded_time_and_memory():
 
 
 def test_eval_all_at_the_row_cap_runs_in_bounded_time_and_memory(spec_file):
-    """d^4(x) over two points lists 65,536 rows: about 0.4 s of CPU and 61 MB
-    on Python 3.11 with integer sums and one rendering per distinct value,
-    0.8-1.5 s and 67-69 MB with a Scalar sum and a hashed render per cell."""
+    """d^4(x) over two points lists 65,536 rows: 0.22-0.31 s of CPU and 44 MB
+    on Python 3.11, rendered from the kernel's integer table; 0.34-0.48 s and
+    59 MB with a Scalar per cell, and 0.8-1.5 s and 67-69 MB with a Scalar
+    sum and a hashed render per cell."""
     argv = ["eval", "--algebra", spec_file(TWO_POINT_DOC), "--expr", "d4(x)", "--all"]
     code, out, cpu, rss = measured_child(*argv, stdout=subprocess.PIPE)
     assert code == 0
     assert out.count(b'"args"') == cli.EVAL_ALL_ROW_CAP
     assert cpu < 1.0
     assert rss < 80 * 1024  # kilobytes on Linux
+
+
+MIXED_MAT_FG_DOC = {
+    "backend": "matrix",
+    "dim": 2,
+    "matrices": {
+        **MIXED_MAT_DOC["matrices"],
+        "g": [[[[0, 1], [2, 3]], [[1, 1], [0, 1]]], [[[1, 5], [0, 1]], [[-1, 1], [1, 2]]]],
+    },
+}
+
+
+def test_matrix_at_the_default_cap_runs_in_bounded_time_and_memory(spec_file):
+    """g·d(f)⊙d^2(g) over 2×2 matrices with complex and fractional entries is
+    a 256×256 matrix, the default --max-dim: 0.15-0.23 s of CPU and 22 MB on
+    Python 3.11 (0.19-0.26 s and 21 MB with a Scalar per cell), nearly all of
+    it interpreter start-up; the bounds leave room for a slower host."""
+    argv = ["matrix", "--algebra", spec_file(MIXED_MAT_FG_DOC), "--expr", "g*d(f)@d2(g)"]
+    code, out, cpu, rss = measured_child(*argv, stdout=subprocess.PIPE)
+    assert code == 0
+    rows = json.loads(out)["matrix"]
+    assert len(rows) == 256 and {len(row) for row in rows} == {256}
+    assert cpu < 1.0
+    assert rss < 40 * 1024  # kilobytes on Linux
 
 
 @pytest.mark.parametrize(

@@ -21,6 +21,7 @@ from ncdiff.frame import (
 from ncdiff.leibniz import (
     LeibnizForm,
     LeibnizMonomial,
+    _integer_embed,
     _normalize,
     embed,
     enumerate_types,
@@ -32,7 +33,15 @@ from ncdiff.leibniz import (
 )
 from ncdiff.parser import lower, parse
 from ncdiff.scalars import MINUS_ONE, ONE, Scalar, integer
-from ncdiff.tensor import TensorPoly, t_algebra_product, tensor_concat
+from ncdiff.tensor import (
+    TensorPoly,
+    _eval_table,
+    _matrix_table,
+    t_algebra_product,
+    tensor_concat,
+    tensor_eval_all,
+    tensor_to_matrix,
+)
 from ncdiff.verify import (
     EXPANSION_TABLE,
     default_free_spec,
@@ -866,6 +875,50 @@ def test_tensor_json_text_matches_a_slot_by_slot_oracle(spec, rng):
         want = oracle_json(u)
         assert u.json_text() == json.dumps(want, sort_keys=True, separators=(",", ":"))
         assert u.to_json() == want
+
+
+# Gaussian-rational values with several denominators, so the cores' denominators are not 1
+CORE_SPECS = {
+    "free": ORACLE_CASES["free"][0],
+    "comm": ORACLE_CASES["comm"][0],
+    "func-fraction": AlgebraSpec.function(("L", "M", "R"), {"x": (Fraction(1, 2), -3, Fraction(2, 3)), "y": (2, Fraction(5, 3), 0)}),
+    "func-complex": AlgebraSpec.function(("L", "R"), {"x": (Scalar.of(Fraction(1, 2), 2), 0), "y": (1, Scalar.of(0, Fraction(-1, 3)))}),
+    "mat2": AlgebraSpec.matrix(2, {"f": [[Fraction(3, 2), Scalar.of(0, 1)], [2, 7]], "g": [[0, 1], [1, Fraction(-1, 3)]]}),
+    "mat3": MAT3,
+}
+
+
+@pytest.mark.parametrize("spec", CORE_SPECS.values(), ids=CORE_SPECS.keys())
+def test_integer_embed_is_embed_times_its_denominator(spec, rng):
+    """``_integer_embed(w)`` is a body over Gaussian integers and its
+    denominator, which divided out is ``embed(w).body`` term for term: random
+    forms of orders 0-3 with drawn, unit and constant coefficients, their sums
+    and zero forms.  On dense specs the realization cores fed by it, divided
+    out, are ``tensor_eval_all`` and ``tensor_to_matrix`` of ``embed(w).body``."""
+    forms = []
+    for order in range(4):
+        monomials = []
+        for coeff in [random_elem(spec, rng), *unit_multiples(spec)]:
+            comp = rng.choice(enumerate_types(order)) if order else ()
+            monomials.append(LeibnizForm.monomial(coeff, [(k, random_elem(spec, rng)) for k in comp]))
+        total = monomials[0].add(*monomials[1:])
+        forms += [*monomials, total, total - total]
+    assert any(w.is_zero() for w in forms) and not all(w.is_zero() for w in forms)
+    divided = lambda d, re, im: [Scalar.of(Fraction(r, d), Fraction(i, d)) for r, i in zip(re, im or [0] * len(re))]
+    dens = []
+    for w in forms:
+        body, (ints, den) = embed(w).body, _integer_embed(w)
+        dens.append(den)
+        assert ints.degree == body.degree and den >= 1
+        assert all(type(p) is int for c, _ in ints.terms for p in (c.re, c.im))
+        assert [(c / Scalar(den), key) for c, key in ints.terms] == list(body.terms)
+        if spec.backend == "function" and len(spec.points) ** body.degree <= 4096:
+            assert divided(*_eval_table(ints, den)) == tensor_eval_all(body)
+        if spec.backend == "matrix" and spec.dim**body.degree <= 16:
+            size = spec.dim**body.degree
+            cells = divided(*_matrix_table(ints, den))
+            assert [cells[i : i + size] for i in range(0, size * size, size)] == tensor_to_matrix(body)
+    assert max(dens) > 1
 
 
 INT_SPECS = {

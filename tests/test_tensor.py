@@ -1,4 +1,6 @@
+import gc
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -285,6 +287,33 @@ def test_tensor_json_shape():
     }
     coeffs = {tuple(map(tuple, t["coeff"])) for t in doc["terms"]}
     assert coeffs == {((1, 1), (0, 1)), ((-1, 1), (0, 1))}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_to_json_parses_with_the_collector_paused(monkeypatch, enabled):
+    """``to_json`` is the parsed ``json_text``, parsed with the cyclic
+    collector paused; the collector's state before the call is restored
+    after it, also when the parse raises."""
+    u = embed(odot(LeibnizForm.monomial(F, [(2, G)]), LeibnizForm.monomial(U, [(1, H)]))).body
+    loads, paused = json.loads, []
+
+    def parse(text):
+        paused.append(not gc.isenabled())
+        return loads(text)
+
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        monkeypatch.setattr(json, "loads", parse)
+        doc = u.to_json()
+        assert gc.isenabled() == enabled and paused == [True]
+        monkeypatch.setattr(json, "loads", lambda text: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            u.to_json()
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert doc == loads(u.json_text()) and len(doc["terms"]) == len(u.terms) > 10
 
 
 def test_normalization_merges_and_drops():
