@@ -100,15 +100,25 @@ class Encoded(str):
     """JSON text that ``_dumps`` writes as it is."""
 
 
+def _holds_encoded(doc) -> bool:
+    """Whether an ``Encoded`` value lies anywhere in doc."""
+    if isinstance(doc, dict):
+        doc = doc.values()
+    elif not isinstance(doc, list):
+        return isinstance(doc, Encoded)
+    return any(map(_holds_encoded, doc))
+
+
 def _dumps(doc) -> str:
-    """``tensor.dumps(doc)``, except that ``Encoded`` values are spliced in."""
+    """``tensor.dumps(doc)``, except that ``Encoded`` values are spliced in;
+    a dict or list that holds none is encoded in one call."""
     if isinstance(doc, Encoded):
         return doc
+    if not _holds_encoded(doc):
+        return dumps(doc)
     if isinstance(doc, dict):
         return "{" + ",".join(f"{dumps(k)}:{_dumps(v)}" for k, v in sorted(doc.items())) + "}"
-    if isinstance(doc, list):
-        return "[" + ",".join(map(_dumps, doc)) + "]"
-    return dumps(doc)
+    return "[" + ",".join(map(_dumps, doc)) + "]"
 
 
 def _cell_text(table: Table, render: Callable[[Scalar], str]) -> Iterator[str]:

@@ -26,20 +26,17 @@ F_n 𝒜").
 The embedding realizes a form of order n inside level n of the frame
 tower, folding each monomial from the right, starting at the unit, by
 d^k(g) ⊙ σ = d(d^{k-1}(g) ⊙ σ) - d^{k-1}(g) ⊙ dσ read there (``_power``,
-the fold step): d is frame_delta and g· multiplies the first slot, so for
-the image s of σ, d(g) ⊙ σ = d(gσ) - g·dσ is 1⊗(g·s) - (g⊗1⊗...⊗1)⊗s
-(the right-lift terms cancel).  A term of the image of
-a·d^{k1}(g1) ⊙ ... ⊙ d^{kr}(gr) has at most r + 1 non-unit slots out of
-2^n, and a ``TensorPoly`` keys a term by those alone, so the fold's
-frame_delta shifts and negates keys, and 1⊗(g·s) rewrites slot 0 of a
-key and shifts the rest.  The image is linear in every factor and in the
-coefficient, so each is scaled to Gaussian-integer basis coefficients
-first: every label product and merge of the fold works on ``int`` parts,
-and each output coefficient is divided once by the monomials' common
-denominator (``_integer_embed`` stops before that division, so a reader
-that wants integers, as the CLI's realization does, divides nothing).  A
-constant coefficient scales the finished image instead of multiplying
-slot 0 term by term, and the unit leaves it as it is.
+the fold step): d is the level differential and g· multiplies the first
+slot, so for the image s of σ, d(g) ⊙ σ = d(gσ) - g·dσ is
+1⊗(g·s) - (g⊗1⊗...⊗1)⊗s (the right-lift terms cancel).  A term of the
+image of a·d^{k1}(g1) ⊙ ... ⊙ d^{kr}(gr) has at most r + 1 non-unit slots
+out of 2^n and is keyed by those alone, so d shifts and negates keys
+(``tensor_d``'s rule) and 1⊗(g·s) rewrites slot 0 of a key and shifts the
+rest.  The image is linear in each factor and coefficient, so they are
+scaled to Gaussian-integer basis coefficients first: on a real form the
+fold merges plain ``int`` coefficients in one dict per monomial, and
+``embed`` divides each distinct output coefficient once by the common
+denominator (``_integer_embed`` stops before that: the CLI divides nothing).
 The generator tables, which place every lift explicitly, stay the
 independent check of it; generator monomials are evaluated in the frame
 layer (``frame.generator_monomial_eval``, which this module re-exports).
@@ -47,15 +44,16 @@ layer (``frame.generator_monomial_eval``, which this module re-exports).
 
 from __future__ import annotations
 
+import operator
 from functools import cache, partial
 from itertools import combinations
-from math import comb, lcm
+from math import comb, lcm, prod
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .algebra import AlgebraMismatchError, AlgebraSpec, AlgElem
-from .frame import FrameElem, SubsetIndex, frame_delta, generator_monomial_eval, generator_str
-from .scalars import MINUS_ONE, ONE, Record, Scalar
-from .tensor import Key, TensorPoly, Term, _common_denominator, _times, left_products, tensor_collect, tensor_sum
+from .frame import FrameElem, SubsetIndex, generator_monomial_eval, generator_str
+from .scalars import MINUS_ONE, ONE, ZERO, Record, Scalar
+from .tensor import Key, TensorPoly, _common_denominator, _d_items, _shift, _times, left_products, unit_singleton
 
 Factor = tuple[int, AlgElem]
 
@@ -265,14 +263,13 @@ def _move_left(factors: tuple[Factor, ...], b: AlgElem) -> tuple[LeibnizMonomial
 # -- embedding into the frame tower --------------------------------------
 
 
-def _power(k: int, one: Callable[[FrameElem], FrameElem], s: FrameElem) -> FrameElem:
-    """embed's fold step: the image of d^k(g) ⊙ σ from the image s of σ and one = d(g) ⊙ ·,
-    by d^k(g) ⊙ σ = d(d^{k-1}(g) ⊙ σ) - d^{k-1}(g) ⊙ dσ unrolled (d is linear) to the
-    sum over i < k of (-1)^i C(k-1, i) d^{k-1-i}(d(g) ⊙ d^i σ), so each d^i σ is built once."""
-    acc = one(s)
+def _power(k: int, one: Callable[[dict, int, int, dict], dict], s: dict, width: int) -> dict:
+    """embed's fold step, the recursion for d^k(g) ⊙ σ unrolled to Σ_{i<k} (-1)^i C(k-1, i) d^{k-1-i}(d(g) ⊙ d^i σ):
+    its image from the image s of σ over ``width`` slots and one(s, width, b, out) = out + b·(d(g) ⊙ σ)."""
+    acc = one(s, width, 1, {})
     for i in range(1, k):
-        s = frame_delta(s)
-        acc = frame_delta(acc) + one(s).scale((-1) ** i * comb(k - 1, i))
+        s, width = dict(_d_items(s.items(), width)), 2 * width
+        acc = one(s, width, (-1) ** i * comb(k - 1, i), dict(_d_items(acc.items(), width)))
     return acc
 
 
@@ -282,67 +279,70 @@ def embed(w: LeibnizForm) -> FrameElem:
     coefficient divided by its denominator once."""
     body, den = _integer_embed(w)
     if den != 1:
-        d = Scalar(den)
-        over = cache(lambda c: c / d)
+        over = cache(lambda c, d=Scalar(den): c / d)
         body = TensorPoly(body.spec, body.degree, tuple((over(c), key) for c, key in body.terms))
     return FrameElem(w.order, body)
 
 
 def _integer_embed(w: LeibnizForm) -> tuple[TensorPoly, int]:
     """(den·body, den): the body of ``embed(w)`` times a denominator den that
-    makes every coefficient a Gaussian integer.  Each monomial is folded from
-    the unit of level 0 by ``_power``, and its coefficient multiplies slot 0;
-    a constant coefficient scales the folded body instead, and the unit
-    returns it as it is.
-
-    Each factor and a non-unit coefficient is first scaled by the least
-    common multiple d of its basis coefficients' denominators (``integral``;
-    nothing is scaled when d is 1), so every label product, slot product and
-    merge works on Gaussian integers.  The monomials are summed over den, the
-    least common multiple of their products of d's."""
+    makes every coefficient a Gaussian integer.  Each factor and coefficient is
+    scaled by the lcm d of its basis coefficients' denominators (``integral``),
+    and each monomial is folded by ``_power`` from den / (its product of d's)
+    times the unit, or times a constant coefficient; any other coefficient
+    multiplies slot 0.  A partial image maps key to coefficient: an ``int`` when
+    the form's basis coefficients are real, read through the int view of
+    ``left_products`` (basis elements multiply with integer structure
+    constants), else a ``Scalar``."""
     spec, unit = w.spec, w.spec.unit_label()
 
-    def integral(a: AlgElem) -> tuple[AlgElem, int]:
-        """(d·a, d) for d the least common multiple of the denominators of a's basis coefficients."""
-        d = _common_denominator(a.basis_decomposition())[0]
-        return (a, 1) if d == 1 else (a.scale(Scalar(d)), d)
+    def integral(a: AlgElem) -> tuple[AlgElem, int, bool]:
+        """(d·a, d, whether a has a complex basis coefficient), d the lcm of their denominators."""
+        terms = a.basis_decomposition()
+        d = _common_denominator(terms)[0]
+        return a if d == 1 else a.scale(Scalar(d)), d, any(c.im for c, _ in terms)
 
-    def left_mul(out: list[Term], g: Callable, c: Scalar, key: Key, at: int) -> None:
-        """Append c·(g·key), g multiplying slot ``at``, the lowest slot the key may name."""
-        head, rest = (key[0][1], key[1:]) if key and key[0][0] == at else (unit, key)
-        for cp, label in g(head):
-            out.append((_times(c, cp), rest if label == unit else ((at, label),) + rest))
+    def left_mul(out: dict, g: Callable, items: Iterable[tuple[Key, object]], at: int) -> dict:
+        """out plus c·(g·key) for each (key, c) of items, g multiplying slot ``at`` (the lowest a key names)."""
+        get = out.get
+        for key, c in items:
+            head, rest = (key[0][1], key[1:]) if key and key[0][0] == at else (unit, key)
+            for cp, label in g(head):
+                to = rest if label == unit else ((at, label),) + rest
+                out[to] = get(to, zero) + mul(c, cp)
+        for key in [key for key, c in out.items() if c == zero]:
+            del out[key]
+        return out
 
-    def one(g: Callable, s: FrameElem) -> FrameElem:
-        """d(g) ⊙ σ ↦ 1⊗(g·s) - (g⊗1⊗...⊗1)⊗s for the image s of σ."""
-        width, lifted, out = 2**s.level, [], []
-        for c, key in s.body.terms:
-            moved = tuple((slot + width, label) for slot, label in key)
-            left_mul(lifted, g, -c, moved, 0)
-            left_mul(out, g, c, moved, width)
-        # the lifted terms hold slot 0: first, they make the merge meet two nearly sorted runs
-        return FrameElem(s.level + 1, tensor_collect(spec, 2 * width, lifted + out))
+    def one(g: Callable, s: dict, width: int, by: int, out: dict) -> dict:
+        """out + by·(1⊗(g·s) - (g⊗1⊗...⊗1)⊗s), by·(d(g) ⊙ σ) for the image s of σ."""
+        by, get, lifted = part(Scalar(by)), out.get, g(unit)
+        moved = [(_shift(key, width), mul(c, by)) for key, c in s.items()]
+        for key, c in moved:  # g⊗1⊗...⊗1 multiplies the unit of slot 0
+            for cp, label in lifted:
+                to = key if label == unit else ((0, label),) + key
+                out[to] = get(to, zero) - mul(c, cp)
+        return left_mul(out, g, moved, width)
 
-    def monomial(m: LeibnizMonomial) -> tuple[TensorPoly, int]:
-        """The image of m times its denominator, and the denominator."""
-        s, den = FrameElem.unit(spec, 0), 1
-        for k, g in reversed(m.factors):
-            g, d = integral(g)
-            s, den = _power(k, partial(one, left_products(g)), s), den * d
-        if m.coeff.unit_multiple() == ONE:  # most coefficients are the unit: keys stay as they are
-            return s.body, den
-        a, d = integral(m.coeff)
-        c = a.unit_multiple()
-        if c is not None:  # a constant multiplies every term alike
-            return s.body.scale(c), den * d
-        out, coeff = [], left_products(a)
-        for c, key in s.body.terms:
-            left_mul(out, coeff, c, key, 0)
-        return tensor_collect(spec, s.body.degree, out), den * d
-
-    parts = [monomial(m) for m in w.terms]
-    den = lcm(*(d for _, d in parts))
-    return tensor_sum(spec, 2**w.order, (t if d == den else t.scale(den // d) for t, d in parts)), den
+    monos = [(integral(m.coeff), [(k, *integral(g)) for k, g in reversed(m.factors)]) for m in w.terms]
+    real = not any(coeff[2] or any(f[3] for f in factors) for coeff, factors in monos)
+    zero, mul, part = (0, operator.mul, operator.attrgetter("re")) if real else (ZERO, _times, unit_singleton)
+    dens = [d * prod(e for _, _, e, _ in factors) for (_, d, _), factors in monos]
+    den, total = lcm(*dens), {}
+    for ((a, _, _), factors), d in zip(monos, dens):
+        c = a.unit_multiple()  # a constant scales the unit the fold starts from
+        s, width = {(): mul(part(ONE if c is None else c), part(Scalar(den // d)))}, 1
+        for k, g, _, _ in factors:
+            s, width = _power(k, partial(one, left_products(g, part)), s, width), width << k
+        if c is None or total:  # any other coefficient multiplies slot 0, and a sum adds s times the unit
+            left_mul(total, left_products(a if c is None else spec.unit(), part), s.items(), 0)
+        else:
+            total = s
+    keys = sorted(total)
+    coeffs = map(total.__getitem__, keys)
+    if real:  # one Scalar per distinct value
+        coeffs = map({c: Scalar(c) for c in set(total.values())}.__getitem__, coeffs)
+    return TensorPoly(spec, 2**w.order, tuple(zip(coeffs, keys))), den
 
 
 # -- monomial types -------------------------------------------------------

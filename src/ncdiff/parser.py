@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from .algebra import AlgebraSpec
-from .leibniz import LeibnizForm, odot, symbolic_delta
+from .leibniz import LeibnizForm, LeibnizMonomial, odot, symbolic_delta
 from .scalars import MINUS_ONE, Record, Scalar
 
 #: the highest order a form may reach (``expand d^8(f)`` takes under 1 s, and each order
@@ -249,6 +249,12 @@ def _check_order(expr: FormExpr, order: int) -> None:
         raise LoweringError(f"line {expr.line}, column {expr.col}: order {order} exceeds the cap {MAX_ORDER}")
 
 
+def _product0(u: LeibnizForm, v: LeibnizForm) -> LeibnizForm:
+    """u ⊙ v for forms of order 0, each at most one coefficient: one backend product."""
+    products = (mu.coeff.mul(mv.coeff) for mu in u.terms for mv in v.terms)
+    return LeibnizForm(u.spec, 0, tuple(LeibnizMonomial(c, ()) for c in products if not c.is_zero()))
+
+
 def _lower(expr: FormExpr, spec: AlgebraSpec) -> dict[int, LeibnizForm]:
     if isinstance(expr, Lit):
         return {0: LeibnizForm.from_alg(spec.scalar(Scalar.of(expr.value)))}
@@ -270,7 +276,7 @@ def _lower(expr: FormExpr, spec: AlgebraSpec) -> dict[int, LeibnizForm]:
             for lo, lf in acc.items():
                 for ro, rf in right.items():
                     _check_order(expr, lo + ro)
-                    products.append(odot(lf, rf))
+                    products.append(_product0(lf, rf) if lo == ro == 0 else odot(lf, rf))
             acc = _sum(products)
         return acc
     if isinstance(expr, Delta):

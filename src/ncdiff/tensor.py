@@ -23,7 +23,7 @@ from fractions import Fraction
 from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar, Union
 
-from .algebra import AlgebraMismatchError, AlgebraSpec, AlgElem, Decomposition, Label
+from .algebra import AlgebraMismatchError, AlgebraSpec, AlgElem, Label
 from .scalars import MINUS_ONE, ONE, ZERO, Record, Scalar, rational
 
 Key = tuple[tuple[int, Label], ...]
@@ -32,9 +32,9 @@ T = TypeVar("T")
 ElemTerm = tuple[Scalar, Sequence[AlgElem]]
 
 
-def dumps(doc) -> str:
-    """Compact JSON with sorted keys: the one form ncdiff writes."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+#: compact JSON with sorted keys, the one form ncdiff writes; one encoder
+#: serves every call, where ``json.dumps`` with options builds one per call
+dumps: Callable[[object], str] = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 @dataclass(frozen=True)
@@ -223,14 +223,15 @@ def unit_singleton(c: Scalar) -> Scalar:
     return ONE if c == ONE else MINUS_ONE if c == MINUS_ONE else c
 
 
-def left_products(g: AlgElem) -> Callable[[Label], Decomposition]:
-    """The table label -> g·label over the basis, memoized; ±1 coefficients
-    are the ``ONE`` and ``MINUS_ONE`` singletons, which products skip.  A
-    product of basis labels may leave the basis (E10 E01 = E11), so it is
-    expanded over it again."""
-    spec = g.spec
+def left_products(g: AlgElem, part: Callable[[Scalar], T] = unit_singleton) -> Callable[[Label], tuple]:
+    """The table label -> g·label over the basis, memoized, each coefficient
+    read through part: by default ±1 coefficients are the ``ONE`` and
+    ``MINUS_ONE`` singletons, which products skip, and ``attrgetter("re")``
+    gives a real table's ``int`` view.  A product of basis labels may leave
+    the basis (E10 E01 = E11), so it is expanded over it again."""
+    spec, unit = g.spec, g.spec.unit_label()
     return functools.cache(lambda label: tuple(
-        (unit_singleton(c), lp) for c, lp in g.mul(spec.basis_elem(label)).basis_decomposition()
+        (part(c), lp) for c, lp in (g if label == unit else g.mul(spec.basis_elem(label))).basis_decomposition()
     ))
 
 
@@ -270,7 +271,7 @@ def _slot_str(f: AlgElem) -> str:
 
 
 def _shift(key: Key, by: int) -> Key:
-    return tuple((slot + by, label) for slot, label in key)
+    return tuple([(slot + by, label) for slot, label in key])
 
 
 # -- products and maps --------------------------------------------------
@@ -292,16 +293,21 @@ def tensor_concat(u: TensorPoly, v: TensorPoly) -> TensorPoly:
 
 
 def tensor_d(u: TensorPoly) -> TensorPoly:
-    """The universal differential 1⊗u - u⊗1 of a degree-d tensor.
+    """The universal differential 1⊗u - u⊗1 of a degree-d tensor, by ``_d_items``."""
+    items = _d_items(((key, c) for c, key in u.terms), u.degree)
+    return TensorPoly(u.spec, 2 * u.degree, tuple((c, key) for key, c in items))
+
+
+def _d_items(items: Iterable[tuple[Key, T]], d: int) -> list[tuple[Key, T]]:
+    """The (key, coefficient) pairs of 1⊗u - u⊗1 from those of a degree-d u.
 
     The unit's empty key cancels; the keys of u⊗1 are u's, negated, and
     those of 1⊗u are u's moved up by d.  Every key of u⊗1 (slots below d)
-    sorts before every key of 1⊗u, so no merge is needed.
+    sorts before every key of 1⊗u, so no merge is needed and sorted pairs
+    stay sorted.
     """
-    d, terms = u.degree, [term for term in u.terms if term[1]]
-    minus = tuple((-c, key) for c, key in terms)
-    moved = tuple((c, tuple((slot + d, label) for slot, label in key)) for c, key in terms)
-    return TensorPoly(u.spec, 2 * d, minus + moved)
+    items = [(key, c) for key, c in items if key]
+    return [(key, -c) for key, c in items] + [(_shift(key, d), c) for key, c in items]
 
 
 def _glue(spec: AlgebraSpec, degree: int, items: Iterable[tuple]) -> TensorPoly:

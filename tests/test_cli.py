@@ -896,6 +896,23 @@ def test_dumps_writes_sorted_compact_json(doc):
     assert cli._dumps(doc) == json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(doc=JSON_DOCS, data=st.data())
+def test_dumps_splices_encoded_values_as_they_are(doc, data):
+    """Any value given as ``Encoded`` text is written as it is, at any depth,
+    and the rest of the document as ``json.dumps`` writes it."""
+    text = lambda d: json.dumps(d, sort_keys=True, separators=(",", ":"))
+
+    def splice(d):
+        if data.draw(st.booleans()):
+            return cli.Encoded(text(d))
+        if isinstance(d, dict):
+            return {k: splice(v) for k, v in d.items()}
+        return [splice(v) for v in d] if isinstance(d, list) else d
+
+    assert cli._dumps(splice(doc)) == text(doc)
+
+
 # Tokens of the expression grammar, joined with spaces so digits never merge
 # into a large differential power; eight tokens reach order 4 at most.  The
 # text goes in as --expr=TEXT so that argparse never reads it as an option.

@@ -591,37 +591,6 @@ def test_forms_of_one_element_are_equal_on_the_free_backend(lhs, rhs):
     assert u == v
 
 
-def test_embed_multiplies_by_no_unit_singleton(monkeypatch):
-    """On dense specs every product ``embed`` makes, in this module or in
-    ``tensor``, skips the ``ONE`` and ``MINUS_ONE`` singletons: label
-    products map ±1 onto them, and coefficients multiply through
-    ``tensor._times``."""
-    two = AlgebraSpec.function(("L", "R"), {"x": (Fraction(1, 2), -3), "y": (2, Fraction(5, 3))})
-    mat = AlgebraSpec.matrix(
-        2, {"f": [[Fraction(3, 2), 1], [2, 7]], "g": [[0, 1], [1, Fraction(-1, 3)]]}
-    )
-    (x, y), (f, g) = ([spec.symbol(s) for s in spec.symbols] for spec in (two, mat))
-    forms = [
-        LeibnizForm.monomial(two.unit(), [(3, x)]),
-        LeibnizForm.monomial(x, [(3, y)]),
-        LeibnizForm.monomial(two.unit(), [(1, x), (1, y), (1, x)]),
-        LeibnizForm.monomial(two.unit(), [(2, x), (1, y)]),
-        LeibnizForm.monomial(g, [(2, f)]),
-        LeibnizForm.monomial(mat.unit(), [(1, f), (1, g)]),
-    ]
-    products, mul = [], Scalar.__mul__
-
-    def counted(a, b):
-        if sys._getframe(1).f_globals["__name__"] in ("ncdiff.leibniz", "ncdiff.tensor"):
-            products.append(any(c is ONE or c is MINUS_ONE for c in (a, b)))
-        return mul(a, b)
-
-    monkeypatch.setattr(Scalar, "__mul__", counted)
-    for w in forms:
-        embed(w)
-    assert products and not any(products)
-
-
 # the realize benchmark's 3×3 matrix shape, with Gaussian-rational entries
 MAT3 = AlgebraSpec.matrix(
     3,
@@ -630,6 +599,87 @@ MAT3 = AlgebraSpec.matrix(
         "g": [[0, Scalar.of(1, 1), 1], [Fraction(-2, 3), 0, 4], [1, Fraction(1, 6), 2]],
     },
 )
+
+
+def test_embed_folds_real_forms_without_scalar_arithmetic(monkeypatch):
+    """On real function and matrix specs with fractional values the fold
+    multiplies and adds plain ints: ``embed`` makes no ``Scalar`` product or
+    sum in this module or in ``tensor``.  On ``MAT3``, whose entries are
+    complex, the fold keeps ``Scalar`` coefficients, and none of its
+    products has a ``ONE`` or ``MINUS_ONE`` operand."""
+    two = AlgebraSpec.function(("L", "R"), {"x": (Fraction(1, 2), -3), "y": (2, Fraction(5, 3))})
+    mat = AlgebraSpec.matrix(
+        2, {"f": [[Fraction(3, 2), 1], [2, 7]], "g": [[0, 1], [1, Fraction(-1, 3)]]}
+    )
+    (x, y), (f, g) = ([spec.symbol(s) for s in spec.symbols] for spec in (two, mat))
+    real = [
+        LeibnizForm.monomial(two.unit(), [(3, x)]),
+        LeibnizForm.monomial(x, [(3, y)]),
+        LeibnizForm.monomial(two.unit(), [(1, x), (1, y), (1, x)]),
+        LeibnizForm.monomial(two.unit(), [(2, x), (1, y)]).add(LeibnizForm.monomial(y, [(1, x), (2, y)])),
+        LeibnizForm.monomial(g, [(2, f)]),
+        LeibnizForm.monomial(mat.unit(), [(1, f), (1, g)]).scale(Scalar.of(Fraction(-2, 5))),
+    ]
+    complex_ = [form for text in ("d(f)@d(g)", "g*d2(f)") for form in lower(parse(text), MAT3).values()]
+    wants = [frame_fold_embed(w) for w in real + complex_]
+    calls, mul, add = [], Scalar.__mul__, Scalar.__add__
+
+    def counted(op):
+        def run(a, b):
+            if sys._getframe(1).f_globals["__name__"] in ("ncdiff.leibniz", "ncdiff.tensor"):
+                calls.append((op, any(c is ONE or c is MINUS_ONE for c in (a, b))))
+            return (mul if op == "mul" else add)(a, b)
+        return run
+
+    monkeypatch.setattr(Scalar, "__mul__", counted("mul"))
+    monkeypatch.setattr(Scalar, "__add__", counted("add"))
+    for w, want in zip(real, wants):
+        assert embed(w) == want
+    assert not calls
+    for w, want in zip(complex_, wants[len(real):]):
+        assert embed(w) == want
+    products = [unit for op, unit in calls if op == "mul"]
+    assert products and not any(products)
+
+
+REAL_AND_COMPLEX = {
+    "function": AlgebraSpec.function(
+        ("L", "M", "R"), {"x": (Fraction(1, 2), -3, 2), "y": (2, Fraction(5, 3), 0), "z": (1, Scalar.of(0, Fraction(1, 2)), -1)}
+    ),
+    "matrix": AlgebraSpec.matrix(
+        2, {"x": [[Fraction(3, 2), 1], [2, 7]], "y": [[0, 1], [1, Fraction(-1, 3)]], "z": [[1, Scalar.of(2, -1)], [0, 1]]}
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", REAL_AND_COMPLEX.values(), ids=REAL_AND_COMPLEX.keys())
+def test_integer_embed_is_exact_across_the_real_complex_boundary(spec):
+    """A form folds on ints only when every basis coefficient is real; a
+    complex coefficient over real factors, and one complex factor among real
+    ones, fold on ``Scalar`` coefficients.  Either way ``_integer_embed`` is
+    ``frame_fold_embed`` times its denominator, with ``int`` parts only."""
+    x, y, z = (spec.symbol(s) for s in "xyz")
+    i, gaussian = Scalar.of(0, 1), Scalar.of(1, Fraction(1, 2))
+    forms = {
+        "real": [LeibnizForm.monomial(x, [(1, y), (2, x)]), LeibnizForm.monomial(spec.unit(), [(2, y), (1, x)])],
+        "complex coefficient": [
+            LeibnizForm.monomial(x.scale(gaussian), [(1, y), (2, x)]),
+            LeibnizForm.monomial(spec.scalar(i), [(2, y), (1, x)]),
+            LeibnizForm.monomial(x, [(1, y), (1, x)]).add(LeibnizForm.monomial(spec.scalar(gaussian), [(1, x), (1, y)])),
+        ],
+        "complex factor": [
+            LeibnizForm.monomial(y, [(1, x), (1, z), (1, y)]),
+            LeibnizForm.monomial(spec.unit(), [(2, z), (1, x)]),
+            LeibnizForm.monomial(x, [(1, y), (2, x)]).add(LeibnizForm.monomial(spec.unit(), [(1, z), (2, y)])),
+        ],
+    }
+    for kind, ws in forms.items():
+        for w in ws:
+            body, den = _integer_embed(w)
+            want = [(c * Scalar(den), key) for c, key in frame_fold_embed(w).body.terms]
+            assert list(body.terms) == want and den > 1
+            assert all(type(p) is int for c, _ in body.terms for p in (c.re, c.im))
+            assert any(c.im for c, _ in body.terms) == (kind != "real")
 
 
 def test_embed_multiplies_no_fractions(monkeypatch):

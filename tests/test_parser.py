@@ -285,6 +285,37 @@ def test_a_product_of_symbols_normalizes_each_leaf_once(monkeypatch):
     assert calls == [0, 0, 0, 0]
 
 
+ORDER0_SPECS = {
+    "free": AlgebraSpec.free(("f", "g", "h")),
+    "comm": AlgebraSpec.free(("f", "g", "h"), commutative=True),
+    "function": AlgebraSpec.function(
+        ("L", "M"), {"f": (Fraction(1, 2), -3), "g": (2, Scalar.of(0, Fraction(5, 3))), "h": (1, 0), "k": (0, 7)}
+    ),
+    "matrix": AlgebraSpec.matrix(
+        2, {"f": [[Fraction(1, 2), 1], [0, 1]], "g": [[1, 0], [Scalar.of(0, 1), 1]], "h": [[0, 1], [1, 0]]}
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ORDER0_SPECS)
+def test_a_product_of_order0_parts_is_one_backend_product(monkeypatch, name):
+    """A ``*`` between two order-0 parts multiplies their coefficients in the
+    backend: a 3000-word product lowers with ``odot`` refused, to the forms
+    the ⊙ route gives, and so does a product that vanishes."""
+    spec = ORDER0_SPECS[name]
+    texts = ["*".join(["f", "g", "2", "h"][i % 4] for i in range(3000)), "f*g - g*f"]
+    texts += ["2*h*k"] if name == "function" else []
+    want = [{o: w for o, w in pairwise_lower(parse(t), spec).items() if not w.is_zero()} for t in texts]
+
+    def refuse(*args):
+        raise AssertionError("odot lowered a product of order-0 parts")
+
+    monkeypatch.setattr(ncdiff.parser, "odot", refuse)
+    assert [lowered(text, spec) for text in texts] == want
+    assert len(want[0][0].terms) == 1 and (not want[1]) == (name in ("comm", "function"))
+    assert name != "function" or not want[2]
+
+
 def pairwise_lower(expr, spec):
     """The oracle: each order of a node adds its parts one at a time by
     ``LeibnizForm.add``; leaves lower as ``_lower`` lowers them."""
