@@ -13,7 +13,9 @@ moves a coefficient left past one factor in closed form:
 
 Constants are central and d-closed (d(1) = 0), so a constant c takes no
 such step, F ⊙ c = c·F, and d(c·N) = c·dN; ``_move_left`` and
-``symbolic_delta`` decide these cases before any normalization.
+``symbolic_delta`` decide these cases before any normalization.  Raising a
+power keeps its factor primitive, so ``symbolic_delta`` normalizes only d(a) ⊙ N
+and merges the rest as they are, and a lone monomial is canonical as it is.
 
 Normal forms are unique on no backend, since normalization moves only
 content into the coefficient: d is linear, but a differentiated sum stays
@@ -45,7 +47,7 @@ layer (``frame.generator_monomial_eval``, which this module re-exports).
 from __future__ import annotations
 
 import operator
-from functools import cache, partial
+from functools import partial
 from itertools import combinations
 from math import comb, lcm, prod
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -53,7 +55,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 from .algebra import AlgebraMismatchError, AlgebraSpec, AlgElem
 from .frame import FrameElem, SubsetIndex, generator_monomial_eval, generator_str
 from .scalars import MINUS_ONE, ONE, ZERO, Record, Scalar
-from .tensor import Key, TensorPoly, _common_denominator, _d_items, _shift, _times, left_products, unit_singleton
+from .tensor import Key, Memo, TensorPoly, _common_denominator, _d_items, _shift, _times, left_products, unit_singleton
 
 Factor = tuple[int, AlgElem]
 
@@ -79,9 +81,10 @@ class LeibnizForm(Record):
     """Sum of canonical monomials of one order, kept canonical by this
     module alone: differentiated elements are primitive and no unit
     multiples, coefficients are nonzero, factor lists are distinct and
-    sorted.  ``LeibnizForm.of`` normalizes monomials with new elements;
-    ``add``, ``sub``, ``odot`` and ``module_mul`` (an order-0 ``odot``) only
-    merge canonical monomials, and ``scale`` keeps their factor lists."""
+    sorted, so a lone monomial is canonical as it is.  ``LeibnizForm.of``
+    normalizes monomials with new elements; ``add``, ``sub``, ``odot``,
+    ``module_mul`` (an order-0 ``odot``) and ``symbolic_delta`` (but for its
+    d(a) ⊙ N) only merge canonical monomials; ``scale`` keeps factor lists."""
 
     __slots__ = _fields = ("spec", "order", "terms")
     def __init__(self, spec: AlgebraSpec, order: int, terms: tuple[LeibnizMonomial, ...]):
@@ -157,12 +160,14 @@ def _normalize(mono: LeibnizMonomial, order: int) -> Optional[LeibnizMonomial]:
 
 def _collect(spec: AlgebraSpec, order: int, terms: Iterable[LeibnizMonomial]) -> LeibnizForm:
     """Merge normalized monomials by factor keys into canonical form, adding
-    the coefficients of a key's later monomials to its first in one ``add``."""
+    the coefficients of a key's later monomials to its first in one ``add``;
+    a lone nonzero monomial is canonical as it is, and is neither keyed nor sorted."""
+    terms = [mono for mono in terms if not mono.coeff.is_zero()]
+    if len(terms) < 2:
+        return LeibnizForm(spec, order, tuple(terms))
     acc: dict[tuple, LeibnizMonomial] = {}
     more: dict[tuple, list[AlgElem]] = {}
     for mono in terms:
-        if mono.coeff.is_zero():
-            continue
         key = tuple((k, g.sort_key()) for k, g in mono.factors)
         if key in acc:
             more.setdefault(key, []).append(mono.coeff)
@@ -213,17 +218,17 @@ def symbolic_delta(w: LeibnizForm) -> LeibnizForm:
 
     On a monomial a·N it contributes d(a) ⊙ N plus, for every factor,
     the monomial with that factor's power raised by one; d(a) ⊙ N is left
-    out when a is a constant, since d(c·N) = c·dN.
+    out when a is a constant, since d(c·N) = c·dN; only d(a) ⊙ N is normalized.
     """
     out: list[LeibnizMonomial] = []
     unit = w.spec.unit()
     for mono in w.terms:
         if mono.coeff.unit_multiple() is None:
-            out.append(LeibnizMonomial(unit, ((1, mono.coeff),) + mono.factors))
+            out.append(_normalize(LeibnizMonomial(unit, ((1, mono.coeff),) + mono.factors), w.order + 1))
         for i, (k, g) in enumerate(mono.factors):
             raised = mono.factors[:i] + ((k + 1, g),) + mono.factors[i + 1 :]
             out.append(LeibnizMonomial(mono.coeff, raised))
-    return LeibnizForm.of(w.spec, w.order + 1, out)
+    return _collect(w.spec, w.order + 1, out)
 
 
 # -- the ⊙ product -------------------------------------------------------
@@ -279,8 +284,8 @@ def embed(w: LeibnizForm) -> FrameElem:
     coefficient divided by its denominator once."""
     body, den = _integer_embed(w)
     if den != 1:
-        over = cache(lambda c, d=Scalar(den): c / d)
-        body = TensorPoly(body.spec, body.degree, tuple((over(c), key) for c, key in body.terms))
+        over = Memo(lambda c, d=Scalar(den): c / d)
+        body = TensorPoly(body.spec, body.degree, tuple((over[c], key) for c, key in body.terms))
     return FrameElem(w.order, body)
 
 
@@ -302,21 +307,21 @@ def _integer_embed(w: LeibnizForm) -> tuple[TensorPoly, int]:
         d = _common_denominator(terms)[0]
         return a if d == 1 else a.scale(Scalar(d)), d, any(c.im for c, _ in terms)
 
-    def left_mul(out: dict, g: Callable, items: Iterable[tuple[Key, object]], at: int) -> dict:
+    def left_mul(out: dict, g: Memo, items: Iterable[tuple[Key, object]], at: int) -> dict:
         """out plus c·(g·key) for each (key, c) of items, g multiplying slot ``at`` (the lowest a key names)."""
         get = out.get
         for key, c in items:
             head, rest = (key[0][1], key[1:]) if key and key[0][0] == at else (unit, key)
-            for cp, label in g(head):
+            for cp, label in g[head]:
                 to = rest if label == unit else ((at, label),) + rest
                 out[to] = get(to, zero) + mul(c, cp)
         for key in [key for key, c in out.items() if c == zero]:
             del out[key]
         return out
 
-    def one(g: Callable, s: dict, width: int, by: int, out: dict) -> dict:
+    def one(g: Memo, s: dict, width: int, by: int, out: dict) -> dict:
         """out + by·(1⊗(g·s) - (g⊗1⊗...⊗1)⊗s), by·(d(g) ⊙ σ) for the image s of σ."""
-        by, get, lifted = part(Scalar(by)), out.get, g(unit)
+        by, get, lifted = part(Scalar(by)), out.get, g[unit]
         moved = [(_shift(key, width), mul(c, by)) for key, c in s.items()]
         for key, c in moved:  # g⊗1⊗...⊗1 multiplies the unit of slot 0
             for cp, label in lifted:

@@ -13,7 +13,6 @@ which is also the frame tower's level differential.
 
 from __future__ import annotations
 
-import functools
 import gc
 import itertools
 import json
@@ -30,6 +29,16 @@ Key = tuple[tuple[int, Label], ...]
 Term = tuple[Scalar, Key]
 T = TypeVar("T")
 ElemTerm = tuple[Scalar, Sequence[AlgElem]]
+
+
+class Memo(dict):
+    """A table filled on demand: a missing key's entry is f(key), stored on first lookup."""
+    __slots__ = ("f",)
+    def __init__(self, f: Callable):
+        self.f = f
+    def __missing__(self, key):
+        value = self[key] = self.f(key)
+        return value
 
 
 #: compact JSON with sorted keys, the one form ncdiff writes; one encoder
@@ -145,20 +154,20 @@ class TensorPoly:
         """(coefficient, f of every slot's label) in print order, f of the
         unit where a key names none; f runs once per distinct label (a few
         recur in every term, and most slots hold the unit)."""
-        f = functools.cache(f)
-        unit = f(self.spec.unit_label())
+        f = Memo(f)
+        unit = f[self.spec.unit_label()]
         for c, key in self.print_order():
             slots = [unit] * self.degree
             for slot, label in key:
-                slots[slot] = f(label)
+                slots[slot] = f[label]
             yield c, slots
 
     def json_text(self) -> str:
         """``dumps(self.to_json())``, with each distinct label's element and
         each distinct coefficient encoded once."""
-        coeff = functools.cache(lambda c: dumps(c.to_json()))
+        coeff = Memo(lambda c: dumps(c.to_json()))
         rows = self._per_slot(lambda label: dumps(self.spec.basis_elem(label).to_json()))
-        terms = (f'{{"coeff":{coeff(c)},"factors":[{",".join(slots)}]}}' for c, slots in rows)
+        terms = (f'{{"coeff":{coeff[c]},"factors":[{",".join(slots)}]}}' for c, slots in rows)
         return f'{{"degree":{self.degree},"terms":[{",".join(terms)}]}}'
 
     def to_json(self) -> dict:
@@ -223,14 +232,14 @@ def unit_singleton(c: Scalar) -> Scalar:
     return ONE if c == ONE else MINUS_ONE if c == MINUS_ONE else c
 
 
-def left_products(g: AlgElem, part: Callable[[Scalar], T] = unit_singleton) -> Callable[[Label], tuple]:
-    """The table label -> g·label over the basis, memoized, each coefficient
+def left_products(g: AlgElem, part: Callable[[Scalar], T] = unit_singleton) -> Memo:
+    """The table label -> g·label over the basis, a ``Memo`` filled on demand, each coefficient
     read through part: by default ±1 coefficients are the ``ONE`` and
     ``MINUS_ONE`` singletons, which products skip, and ``attrgetter("re")``
     gives a real table's ``int`` view.  A product of basis labels may leave
     the basis (E10 E01 = E11), so it is expanded over it again."""
     spec, unit = g.spec, g.spec.unit_label()
-    return functools.cache(lambda label: tuple(
+    return Memo(lambda label: tuple(
         (part(c), lp) for c, lp in (g if label == unit else g.mul(spec.basis_elem(label))).basis_decomposition()
     ))
 
@@ -313,16 +322,17 @@ def _d_items(items: Iterable[tuple[Key, T]], d: int) -> list[tuple[Key, T]]:
 def _glue(spec: AlgebraSpec, degree: int, items: Iterable[tuple]) -> TensorPoly:
     """The one product loop.  An item (coeff, left, right) holds two keys
     already moved to output slots; where both hold a slot, the labels
-    multiply, by one ``left_products`` table per left label."""
+    multiply, by one ``left_products`` table per left label, itself made on
+    demand: ``products[a][b]`` lists a·b over the basis."""
     unit = spec.unit_label()
-    products = functools.cache(lambda label: left_products(spec.basis_elem(label)))
+    products = Memo(lambda label: left_products(spec.basis_elem(label)))
 
     def terms() -> Iterator[Term]:
         for coeff, left, right in items:
             fixed, meets = dict(left), []
             for slot, b in right:
                 if slot in fixed:
-                    meets.append((slot, products(fixed.pop(slot))(b)))
+                    meets.append((slot, products[fixed.pop(slot)][b]))
                 else:
                     fixed[slot] = b
             rest = list(fixed.items())
@@ -414,7 +424,7 @@ def _eval_table(u: TensorPoly, den: int) -> Table:
     tiles it.
     """
     n, degree = len(u.spec.point_names()), u.degree
-    ones = functools.cache(lambda label: [i for i, b in enumerate(label) if b])
+    ones = Memo(lambda label: [i for i, b in enumerate(label) if b])
 
     def fold(terms: list[tuple[int, Key]], slot: int) -> list[int]:
         """The table over slots slot.. of terms whose keys start at slot or later."""
@@ -431,7 +441,7 @@ def _eval_table(u: TensorPoly, den: int) -> Table:
         out = fold(rest, slot + 1) * n if rest else [0] * (block * n)
         for label, group in here.items():
             sub = fold(group, slot + 1)
-            for i in ones(label):
+            for i in ones[label]:
                 at = slice(i * block, (i + 1) * block)
                 out[at] = map(add, out[at], sub)
         return out
@@ -464,16 +474,14 @@ def _matrix_table(u: TensorPoly, den: int) -> Table:
     dim, degree = u.spec.dim, u.degree
     size = dim**degree
     unit = u.spec.unit_label()
-    offsets = functools.cache(
-        lambda slot, label: [(r * size + s) * dim**slot for r, s in u.spec.support(label)]
-    )
+    offsets = Memo(lambda at: [(r * size + s) * dim ** at[0] for r, s in u.spec.support(at[1])])
     d, scaled = _common_denominator(u.terms)
     re, im = [0] * (size * size), [0] * (size * size)
     for c, key in u.terms:
         occupied = dict(key)
         at = [0]
         for slot in range(degree):
-            moves = offsets(slot, occupied.get(slot, unit))
+            moves = offsets[slot, occupied.get(slot, unit)]
             at = [a + b for a in at for b in moves]
         for part, out in ((c.re, re), (c.im, im)):
             if part:

@@ -1,5 +1,6 @@
 """Exact linear algebra over Gaussian rationals, for rank witnesses and
-independent Kronecker products, and the dense view of tensor terms."""
+independent Kronecker products, the dense view of tensor terms, and the
+coboundary of tensors read as chains of blocks."""
 
 from __future__ import annotations
 
@@ -18,6 +19,19 @@ def dense_labels(body: TensorPoly, key: tuple) -> tuple:
 def dense_terms(body: TensorPoly) -> list[tuple[Scalar, tuple]]:
     """The terms with a label in every slot, sorted by label tuple."""
     return sorted(((c, dense_labels(body, key)) for c, key in body.terms), key=lambda term: term[1])
+
+
+def coboundary(t: TensorPoly, width: int) -> TensorPoly:
+    """b(T) = Σ_i (-1)^i T with a unit block inserted before block i, T read as
+    blocks of ``width`` slots (i runs to the block count): a pure key shift,
+    moving every slot of block i and later up by one block."""
+    acc = {}
+    for i in range(t.degree // width + 1):
+        for c, key in t.terms:
+            moved = tuple((slot + width if slot >= i * width else slot, label) for slot, label in key)
+            acc[moved] = acc.get(moved, ZERO) + (-c if i % 2 else c)
+    terms = sorted(((c, key) for key, c in acc.items() if not c.is_zero()), key=lambda term: term[1])
+    return TensorPoly(t.spec, t.degree + width, tuple(terms))
 
 
 def flatten(body: TensorPoly) -> dict:

@@ -62,7 +62,7 @@ from ncdiff.verify import (
     table_row,
 )
 
-from exactlinalg import in_span, kron, rank
+from exactlinalg import coboundary, in_span, kron, rank
 
 SPEC = default_free_spec()
 F, G, H = SPEC.symbol("f"), SPEC.symbol("g"), SPEC.symbol("h")
@@ -154,9 +154,11 @@ def test_criterion_03_nilpotency_inside_levels_but_not_across():
         level = rng.randint(0, 2)
         degree = rng.randint(0, 2)
         m = random_omega_monomial(SPEC, level, degree, rng)
-        assert omega_to_tensor(universal_d(universal_d(m))).is_zero()
+        t = omega_to_tensor(m)
+        assert omega_to_tensor(universal_d(m)) == coboundary(t, m.width)
+        assert coboundary(coboundary(t, m.width), m.width).is_zero()
     assert not delta_iter(F, 2).is_zero()
-    report(3, "d**2 = 0 inside each level (100 monomials), iterated delta nonzero")
+    report(3, "d is the coboundary b and b**2 = 0 inside each level (100 monomials), iterated delta nonzero")
 
 
 def test_criterion_04_expansion_tables_orders_1_to_4():

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import ncdiff.frame
+import ncdiff.leibniz
 from ncdiff.algebra import AlgebraMismatchError, AlgebraSpec, FreePoly
 from ncdiff.frame import (
     FrameElem,
@@ -21,6 +22,7 @@ from ncdiff.frame import (
 from ncdiff.leibniz import (
     LeibnizForm,
     LeibnizMonomial,
+    _collect,
     _integer_embed,
     _normalize,
     embed,
@@ -320,6 +322,14 @@ def random_canonical_form(spec, order, pool, rng):
     return LeibnizForm.of(spec, order, monos)
 
 
+def raw_delta(spec, mono):
+    """The raw monomials of d(a·N): d(a) ⊙ N (zero when a is a constant),
+    then N with each factor's power raised in turn."""
+    yield LeibnizMonomial(spec.unit(), ((1, mono.coeff),) + mono.factors)
+    for i, (k, g) in enumerate(mono.factors):
+        yield LeibnizMonomial(mono.coeff, mono.factors[:i] + ((k + 1, g),) + mono.factors[i + 1 :])
+
+
 def assert_normalizes_to(got, spec, order, raw_monomials):
     want = LeibnizForm.of(spec, order, raw_monomials)
     assert got == want
@@ -351,6 +361,9 @@ def test_collect_only_operations_match_full_normalization(case, rng):
         one_term = lambda t: LeibnizForm.of(spec, t.order, [t])
         parts = [odot(one_term(s), one_term(t)).terms for s in u.terms for t in w.terms]
         assert_normalizes_to(odot(u, w), spec, n + m, [t for part in parts for t in part])
+        for form in (u, *map(one_term, u.terms)):  # one-monomial forms too
+            raw = [r for t in form.terms for r in raw_delta(spec, t)]
+            assert_normalizes_to(symbolic_delta(form), spec, n + 1, raw)
         for a in multipliers:
             multiplied = [LeibnizMonomial(a.mul(t.coeff), t.factors) for t in u.terms]
             assert_normalizes_to(module_mul(a, u), spec, n, multiplied)
@@ -363,6 +376,38 @@ def test_collect_only_operations_match_full_normalization(case, rng):
         assert len(form.terms) == 2 and len(killed.terms) == 1
         raw = [LeibnizMonomial(a.mul(t.coeff), t.factors) for t in form.terms]
         assert_normalizes_to(killed, spec, 1, raw)
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+def test_symbolic_delta_normalizes_only_the_new_differential(case, rng, monkeypatch):
+    """``symbolic_delta`` normalizes d(a) ⊙ N once for each monomial a·N
+    whose coefficient is not a constant, and never a raised power."""
+    spec, _, _ = case
+    pool, unit = oracle_pool(spec), spec.unit()
+    seen, normalize = [], ncdiff.leibniz._normalize
+    monkeypatch.setattr(ncdiff.leibniz, "_normalize", lambda mono, order: seen.append(mono) or normalize(mono, order))
+    constants = 0
+    for _ in range(25):
+        w = random_canonical_form(spec, rng.randint(0, 3), pool, rng)
+        seen.clear()
+        symbolic_delta(w)
+        varying = [m for m in w.terms if m.coeff.unit_multiple() is None]
+        assert [(m.coeff, m.factors) for m in seen] == [(unit, ((1, m.coeff),) + m.factors) for m in varying]
+        constants += len(w.terms) - len(varying)
+    assert constants
+
+
+def test_collect_keys_no_lone_monomial(monkeypatch):
+    """``_collect`` returns a lone nonzero monomial as the form, without a
+    ``sort_key`` call; two monomials are keyed."""
+    keyed, sort_key = [], FreePoly.sort_key
+    monkeypatch.setattr(FreePoly, "sort_key", lambda g: keyed.append(g) or sort_key(g))
+    mono = LeibnizMonomial(F, ((2, G), (1, F)))
+    for terms in ([mono], [LeibnizMonomial(SPEC.zero(), ((1, F), (2, G))), mono]):
+        assert _collect(SPEC, 3, terms).terms == (mono,)
+    assert keyed == []
+    assert _collect(SPEC, 3, [mono, mono]).terms == (LeibnizMonomial(F.scale(integer(2)), mono.factors),)
+    assert keyed
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())

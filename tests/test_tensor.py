@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import json
@@ -29,7 +30,7 @@ from ncdiff.tensor import (
 )
 from ncdiff.verify import random_elem, random_omega_monomial
 
-from exactlinalg import dense_labels, dense_terms, kron
+from exactlinalg import coboundary, dense_labels, dense_terms, kron
 
 SPEC = AlgebraSpec.free(("f", "g", "h", "k"))
 F, G, H, K = (SPEC.symbol(s) for s in "fghk")
@@ -124,15 +125,43 @@ def test_mult_map_kills_level_differentials(rng):
             assert mult_map(2**level, omega.body).is_zero()
 
 
+def assert_d_is_the_coboundary(m):
+    """omega_to_tensor(d m) is b(omega_to_tensor(m)) for the test-side coboundary b, and b∘b = 0 there."""
+    t = omega_to_tensor(m)
+    assert omega_to_tensor(universal_d(m)) == coboundary(t, m.width)
+    assert coboundary(coboundary(t, m.width), m.width).is_zero()
+
+
 def test_universal_d_and_nilpotency():
     m = OmegaMonomial.of_elems(F)
     dm = universal_d(m)
     assert dm.chain[0] == TensorPoly.unit(SPEC, 1)
     assert dm.chain[1] == TensorPoly.wrap(F)
-    assert omega_to_tensor(universal_d(dm)).is_zero()
+    assert_d_is_the_coboundary(m)
     dfg = universal_d(OmegaMonomial.of_elems(F, G))
     assert dfg.degree == 2
-    assert omega_to_tensor(universal_d(universal_d(OmegaMonomial.of_elems(F, G, H)))).is_zero()
+    assert_d_is_the_coboundary(OmegaMonomial.of_elems(F, G, H))
+
+
+def test_label_tables_wrap_no_function(monkeypatch):
+    """Label-product tables are dict memos, not per-call cache wrappers:
+    embedding each order-5 type over fresh free symbols, and slotwise
+    products that multiply labels, make no ``functools.update_wrapper`` call."""
+    wrapped, update_wrapper = [], functools.update_wrapper
+    monkeypatch.setattr(functools, "update_wrapper", lambda *a, **k: wrapped.append(a) or update_wrapper(*a, **k))
+    for i, comp in enumerate(enumerate_types(5)):
+        spec = AlgebraSpec.free(tuple(f"s{i}x{j}" for j in range(len(comp))))
+        factors = tuple((k, spec.symbol(name)) for k, name in zip(comp, spec.symbols))
+        assert not embed(LeibnizForm.monomial(spec.unit(), factors)).body.is_zero()
+    assert wrapped == []
+    mat = AlgebraSpec.matrix(2, {"f": [[3, 1], [2, 7]], "g": [[0, 1], [1, 0]]})
+    for spec in (SPEC, mat):
+        f, g = (spec.symbol(s) for s in "fg")
+        pairs = [(f, g), (g, spec.unit())]
+        u = tensor_sum(spec, 2, [TensorPoly.elementary(spec, pair) for pair in pairs])
+        want = [TensorPoly.elementary(spec, (a.mul(c), b.mul(e))) for a, b in pairs for c, e in pairs]
+        assert componentwise_product(u, u) == tensor_sum(spec, 2, want)
+    assert wrapped == []
 
 
 def test_omega_to_tensor_examples():
