@@ -22,6 +22,10 @@ Word = tuple[str, ...]
 #: a basis element of a backend: a word, or a 0/1 value or entry pattern
 Label = tuple
 Decomposition = tuple[tuple[Scalar, Label], ...]
+#: the largest dimension a matrix spec read from JSON may declare, and ``matrix``
+#: builds, whatever ``--max-dim`` allows: a complex 1024 x 1024 matrix peaks
+#: near 90 MB as JSON, and 4096 x 4096 has 16 times its cells
+MATRIX_DIM_CAP = 4096
 
 
 class AlgebraMismatchError(ValueError):
@@ -258,6 +262,8 @@ class MatrixSpec(_DenseSpec):
         dim = doc["dim"]
         if not isinstance(dim, int) or isinstance(dim, bool):
             raise ValueError(f"dim must be an integer, not {dim!r}")
+        if dim > MATRIX_DIM_CAP:
+            raise ValueError(f"dim {dim} exceeds the cap {MATRIX_DIM_CAP}")
         return AlgebraSpec.matrix(dim, matrices)
 
     def to_json(self) -> dict:

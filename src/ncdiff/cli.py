@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .algebra import AlgebraSpec
+from .algebra import MATRIX_DIM_CAP, AlgebraSpec
 from .frame import FrameElem, SubsetIndex, delta_I, generator_str, slot_in_generators
 from .jets import MAX_COEFF_BITS, ChangeOfVars2, Jet2, parse_poly2, transform_jet2, delta2_invariance_check
 from .leibniz import LeibnizForm, _integer_embed, embed
@@ -35,9 +35,6 @@ from .verify import SUITES, run_suite
 
 #: rows ``eval --all`` may list: |points| ** 2**order grows doubly exponentially
 EVAL_ALL_ROW_CAP = 65536
-#: the largest dimension ``matrix`` builds, whatever ``--max-dim`` allows: a
-#: complex 1024 x 1024 matrix peaks near 90 MB as JSON, and 4096 x 4096 has 16 times its cells
-MATRIX_DIM_CAP = 4096
 #: a decimal literal with an exponent, in the ASCII subset of what ``Fraction(str)`` reads
 _EXPONENT_LITERAL = re.compile(r"[-+]?(?=\.?[0-9])([0-9]*)(?:\.([0-9]*))?[eE]([-+]?[0-9]+)")
 

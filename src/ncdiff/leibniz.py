@@ -35,8 +35,9 @@ image of a·d^{k1}(g1) ⊙ ... ⊙ d^{kr}(gr) has at most r + 1 non-unit slots
 out of 2^n and is keyed by those alone, so d shifts and negates keys
 (``tensor_d``'s rule) and 1⊗(g·s) rewrites slot 0 of a key and shifts the
 rest.  The image is linear in each factor and coefficient, so they are
-scaled to Gaussian-integer basis coefficients first: on a real form the
-fold merges plain ``int`` coefficients in one dict per monomial, and
+scaled to Gaussian-integer basis coefficients first: the fold merges
+coefficients in one dict per monomial, multiplying them with ``*``, plain
+``int``s on a real form and ``Scalar``s on a complex one, and
 ``embed`` divides each distinct output coefficient once by the common
 denominator (``_integer_embed`` stops before that: the CLI divides nothing).
 The generator tables, which place every lift explicitly, stay the
@@ -55,7 +56,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 from .algebra import AlgebraMismatchError, AlgebraSpec, AlgElem
 from .frame import FrameElem, SubsetIndex, generator_monomial_eval, generator_str
 from .scalars import MINUS_ONE, ONE, ZERO, Record, Scalar
-from .tensor import Key, Memo, TensorPoly, _common_denominator, _d_items, _shift, _times, left_products, unit_singleton
+from .tensor import Key, Memo, TensorPoly, _common_denominator, _d_items, _shift, left_products
 
 Factor = tuple[int, AlgElem]
 
@@ -314,7 +315,7 @@ def _integer_embed(w: LeibnizForm) -> tuple[TensorPoly, int]:
             head, rest = (key[0][1], key[1:]) if key and key[0][0] == at else (unit, key)
             for cp, label in g[head]:
                 to = rest if label == unit else ((at, label),) + rest
-                out[to] = get(to, zero) + mul(c, cp)
+                out[to] = get(to, zero) + c * cp
         for key in [key for key, c in out.items() if c == zero]:
             del out[key]
         return out
@@ -322,21 +323,21 @@ def _integer_embed(w: LeibnizForm) -> tuple[TensorPoly, int]:
     def one(g: Memo, s: dict, width: int, by: int, out: dict) -> dict:
         """out + by·(1⊗(g·s) - (g⊗1⊗...⊗1)⊗s), by·(d(g) ⊙ σ) for the image s of σ."""
         by, get, lifted = part(Scalar(by)), out.get, g[unit]
-        moved = [(_shift(key, width), mul(c, by)) for key, c in s.items()]
+        moved = [(_shift(key, width), c * by) for key, c in s.items()]
         for key, c in moved:  # g⊗1⊗...⊗1 multiplies the unit of slot 0
             for cp, label in lifted:
                 to = key if label == unit else ((0, label),) + key
-                out[to] = get(to, zero) - mul(c, cp)
+                out[to] = get(to, zero) - c * cp
         return left_mul(out, g, moved, width)
 
     monos = [(integral(m.coeff), [(k, *integral(g)) for k, g in reversed(m.factors)]) for m in w.terms]
     real = not any(coeff[2] or any(f[3] for f in factors) for coeff, factors in monos)
-    zero, mul, part = (0, operator.mul, operator.attrgetter("re")) if real else (ZERO, _times, unit_singleton)
+    zero, part = (0, operator.attrgetter("re")) if real else (ZERO, lambda c: c)
     dens = [d * prod(e for _, _, e, _ in factors) for (_, d, _), factors in monos]
     den, total = lcm(*dens), {}
     for ((a, _, _), factors), d in zip(monos, dens):
         c = a.unit_multiple()  # a constant scales the unit the fold starts from
-        s, width = {(): mul(part(ONE if c is None else c), part(Scalar(den // d)))}, 1
+        s, width = {(): part(ONE if c is None else c) * part(Scalar(den // d))}, 1
         for k, g, _, _ in factors:
             s, width = _power(k, partial(one, left_products(g, part)), s, width), width << k
         if c is None or total:  # any other coefficient multiplies slot 0, and a sum adds s times the unit

@@ -83,9 +83,6 @@ class Scalar(Record):
         return Scalar(rational(self.re - other.re), rational(self.im - other.im))
 
     def __neg__(self) -> Scalar:
-        """The negation; ``ONE`` and ``MINUS_ONE``, which products skip, negate to each other."""
-        if self is ONE or self is MINUS_ONE:
-            return MINUS_ONE if self is ONE else ONE
         return Scalar(-self.re, -self.im)
 
     def __mul__(self, other: Scalar) -> Scalar:

@@ -101,12 +101,11 @@ class TensorPoly:
         return self.add(other.neg())
 
     def scale(self, c: Union[Scalar, int]) -> TensorPoly:
-        """c times every coefficient; a factor of 1 or -1 keeps or negates them."""
+        """c times every coefficient."""
         c = c if isinstance(c, Scalar) else Scalar.of(c)
         if c.is_zero():
             return TensorPoly.zero(self.spec, self.degree)
-        c = unit_singleton(c)
-        return TensorPoly(self.spec, self.degree, tuple((_times(c, k), f) for k, f in self.terms))
+        return TensorPoly(self.spec, self.degree, tuple((c * k, f) for k, f in self.terms))
 
     def neg(self) -> TensorPoly:
         return TensorPoly(self.spec, self.degree, tuple((-k, f) for k, f in self.terms))
@@ -221,37 +220,21 @@ def _multilinear(coeff: Scalar, fixed: list, slots: list, unit: Label) -> Iterat
     for combo in itertools.product(*(decomposition for _, decomposition in slots)):
         c, key = coeff, fixed[:]
         for (slot, _), (ci, label) in zip(slots, combo):
-            c = _times(c, ci)
+            c *= ci
             if label != unit:
                 key.append((slot, label))
         yield c, tuple(sorted(key))
 
 
-def unit_singleton(c: Scalar) -> Scalar:
-    """c, or the ``ONE`` or ``MINUS_ONE`` singleton equal to it, which ``_times`` skips."""
-    return ONE if c == ONE else MINUS_ONE if c == MINUS_ONE else c
-
-
-def left_products(g: AlgElem, part: Callable[[Scalar], T] = unit_singleton) -> Memo:
+def left_products(g: AlgElem, part: Callable[[Scalar], T] = lambda c: c) -> Memo:
     """The table label -> g·label over the basis, a ``Memo`` filled on demand, each coefficient
-    read through part: by default ±1 coefficients are the ``ONE`` and
-    ``MINUS_ONE`` singletons, which products skip, and ``attrgetter("re")``
+    read through part: by default the ``Scalar`` itself, and ``attrgetter("re")``
     gives a real table's ``int`` view.  A product of basis labels may leave
     the basis (E10 E01 = E11), so it is expanded over it again."""
     spec, unit = g.spec, g.spec.unit_label()
     return Memo(lambda label: tuple(
         (part(c), lp) for c, lp in (g if label == unit else g.mul(spec.basis_elem(label))).basis_decomposition()
     ))
-
-
-def _times(a: Scalar, b: Scalar) -> Scalar:
-    """a * b, where a factor that is the ``ONE`` singleton is not multiplied
-    in and one that is ``MINUS_ONE`` negates (``_glue``, ``TensorPoly.unit``
-    and ``wrap`` give most unit coefficients as ``ONE``, and negating it
-    gives ``MINUS_ONE``)."""
-    if a is ONE or a is MINUS_ONE:
-        return b if a is ONE else -b
-    return a if b is ONE else -a if b is MINUS_ONE else a * b
 
 
 def tensor_collect(spec: AlgebraSpec, degree: int, terms: Iterable[Term]) -> TensorPoly:
@@ -297,7 +280,7 @@ def tensor_concat(u: TensorPoly, v: TensorPoly) -> TensorPoly:
     if u.spec != v.spec:
         raise AlgebraMismatchError("tensors over different algebras")
     moved = [(cv, _shift(fv, u.degree)) for cv, fv in v.terms]
-    terms = sorted(((_times(cu, cv), fu + fv) for cu, fu in u.terms for cv, fv in moved), key=itemgetter(1))
+    terms = sorted(((cu * cv, fu + fv) for cu, fu in u.terms for cv, fv in moved), key=itemgetter(1))
     return TensorPoly(u.spec, u.degree + v.degree, tuple(terms))
 
 
@@ -344,7 +327,7 @@ def _glue(spec: AlgebraSpec, degree: int, items: Iterable[tuple]) -> TensorPoly:
 def componentwise_product(u: TensorPoly, v: TensorPoly) -> TensorPoly:
     """Slotwise product: the multiplication of the p-fold product algebra."""
     u._check_compatible(v)
-    items = ((_times(cu, cv), fu, fv) for cu, fu in u.terms for cv, fv in v.terms)
+    items = ((cu * cv, fu, fv) for cu, fu in u.terms for cv, fv in v.terms)
     return _glue(u.spec, u.degree, items)
 
 
@@ -359,7 +342,7 @@ def t_algebra_product(u: TensorPoly, v: TensorPoly, block: int = 1) -> TensorPol
     if u.degree % block or v.degree % block:
         raise ValueError("degrees must be multiples of the block width")
     moved = [(cv, _shift(fv, u.degree - block)) for cv, fv in v.terms]
-    items = ((_times(cu, cv), fu, fv) for cu, fu in u.terms for cv, fv in moved)
+    items = ((cu * cv, fu, fv) for cu, fu in u.terms for cv, fv in moved)
     return _glue(u.spec, u.degree + v.degree - block, items)
 
 

@@ -459,6 +459,7 @@ def test_unreadable_spec_exits_2(tmp_path, capsys):
         (None, ["jet", "--f", "x", "--x", "u", "--y", "v", "--at", "1/0,1"]),
         (None, ["jet", "--f", "1", "--x", "u", "--y", "v", "--at", f"{2**5000},1"]),
         (MAT_DOC, ["matrix", "--expr", "d5(f)", "--max-dim", "10000000000"]),
+        ({"backend": "matrix", "dim": 10**9}, ["expand", "--expr", "1"]),
     ],
     ids=[
         "non-object",
@@ -506,6 +507,7 @@ def test_unreadable_spec_exits_2(tmp_path, capsys):
         "jet-point-zero-denominator",
         "jet-point-cap",
         "matrix-dim-ceiling",
+        "spec-dim-cap",
     ],
 )
 def test_malformed_input_exits_2_without_traceback(spec_file, capsys, doc, argv):
@@ -514,6 +516,13 @@ def test_malformed_input_exits_2_without_traceback(spec_file, capsys, doc, argv)
     assert code == 2
     assert any(line.startswith("ncdiff: ") for line in err.splitlines())
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("dim", [cli.MATRIX_DIM_CAP + 1, 10**9])
+def test_spec_dim_above_the_cap_is_refused_when_read(spec_file, dim):
+    """A matrix spec too large for ``matrix`` is refused before any cell is built."""
+    with pytest.raises(cli.UsageError, match=f"exceeds the cap {cli.MATRIX_DIM_CAP}"):
+        cli._load_spec(spec_file({"backend": "matrix", "dim": dim}))
 
 
 def test_order_cap_admits_order_8(spec_file, capsys):
