@@ -22,10 +22,10 @@ Word = tuple[str, ...]
 #: a basis element of a backend: a word, or a 0/1 value or entry pattern
 Label = tuple
 Decomposition = tuple[tuple[Scalar, Label], ...]
-#: the largest dimension a matrix spec read from JSON may declare, and ``matrix``
-#: builds, whatever ``--max-dim`` allows: a complex 1024 x 1024 matrix peaks
-#: near 90 MB as JSON, and 4096 x 4096 has 16 times its cells
-MATRIX_DIM_CAP = 4096
+#: the most dense cells, dim², a matrix spec read from JSON may declare (dim 256):
+#: using a spec builds lists of dim² cells (its cells, the unit's label), so a
+#: spec of a few bytes must not ask for millions of them
+MATRIX_SPEC_CELL_CAP = 65536
 
 
 class AlgebraMismatchError(ValueError):
@@ -262,8 +262,8 @@ class MatrixSpec(_DenseSpec):
         dim = doc["dim"]
         if not isinstance(dim, int) or isinstance(dim, bool):
             raise ValueError(f"dim must be an integer, not {dim!r}")
-        if dim > MATRIX_DIM_CAP:
-            raise ValueError(f"dim {dim} exceeds the cap {MATRIX_DIM_CAP}")
+        if dim > 0 and dim * dim > MATRIX_SPEC_CELL_CAP:
+            raise ValueError(f"dim {dim} has {dim}² cells, which exceeds the cap {MATRIX_SPEC_CELL_CAP}")
         return AlgebraSpec.matrix(dim, matrices)
 
     def to_json(self) -> dict:
@@ -487,9 +487,6 @@ class FuncElem(_DenseElem):
     def values(self) -> tuple[Scalar, ...]:
         return self.entries
 
-    def value_at(self, point: str) -> Scalar:
-        return self.entries[self.spec.point_index(point)]
-
     def mul(self, other: AlgElem) -> FuncElem:
         _check_same_spec(self, other)
         return FuncElem(self.spec, tuple(a * b for a, b in zip(self.entries, other.entries)))
@@ -509,15 +506,17 @@ class MatElem(_DenseElem):
     rows = property(_DenseElem.grid)
 
     def mul(self, other: AlgElem) -> MatElem:
+        """The row-by-column product over the nonzero entries alone: the
+        embedding multiplies dense matrices by one-hot basis matrices."""
         _check_same_spec(self, other)
         n, a, b = self.spec.dim, self.entries, other.entries
-        out = []
+        b_rows = [[(j, y) for j, y in enumerate(b[k : k + n]) if not y.is_zero()] for k in range(0, n * n, n)]
+        out = [ZERO] * (n * n)
         for i in range(0, n * n, n):
-            for j in range(n):
-                acc = ZERO
-                for k in range(n):
-                    acc = acc + a[i + k] * b[k * n + j]
-                out.append(acc)
+            for x, row in zip(a[i : i + n], b_rows):
+                if not x.is_zero():
+                    for j, y in row:
+                        out[i + j] = out[i + j] + x * y
         return MatElem(self.spec, tuple(out))
 
     def to_json(self) -> dict:

@@ -17,24 +17,28 @@ import contextlib
 import functools
 import itertools
 import json
+import math
 import os
 import re
 import sys
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .algebra import MATRIX_DIM_CAP, AlgebraSpec
+from .algebra import AlgebraSpec
 from .frame import FrameElem, SubsetIndex, delta_I, generator_str, slot_in_generators
 from .jets import MAX_COEFF_BITS, ChangeOfVars2, Jet2, parse_poly2, transform_jet2, delta2_invariance_check
 from .leibniz import LeibnizForm, _integer_embed, embed
 from .parser import LoweringError, MAX_ORDER, ParseError, lower, parse
-from .scalars import ZERO, Scalar
+from .scalars import scalar_json, scalar_str
 from .tensor import Table, _distinct_cells, _eval_table, _matrix_table, dumps, tensor_eval
 from .verify import SUITES, run_suite
 
 
 #: rows ``eval --all`` may list: |points| ** 2**order grows doubly exponentially
 EVAL_ALL_ROW_CAP = 65536
+#: the largest dimension ``matrix`` builds, whatever ``--max-dim`` allows: a complex
+#: 1024 x 1024 matrix peaks near 90 MB as JSON, and 4096 x 4096 has 16 times its cells
+MATRIX_DIM_CAP = 4096
 #: a decimal literal with an exponent, in the ASCII subset of what ``Fraction(str)`` reads
 _EXPONENT_LITERAL = re.compile(r"[-+]?(?=\.?[0-9])([0-9]*)(?:\.([0-9]*))?[eE]([-+]?[0-9]+)")
 
@@ -118,13 +122,18 @@ def _dumps(doc) -> str:
     return "[" + ",".join(map(_dumps, doc)) + "]"
 
 
-def _cell_text(table: Table, render: Callable[[Scalar], str]) -> Iterator[str]:
+def _cell_text(table: Table, render: Callable[[int, int, int, int], str]) -> Iterator[str]:
     """The text of every cell of a kernel table, in order: each distinct value
-    is rendered once, keyed by its integers, so a table of thousands of cells
-    renders a few values."""
-    made, keys = _distinct_cells(table)
-    text = {key: render(value) for key, value in made.items()}
-    return map(text.__getitem__, keys)
+    (re + im·i)/d is reduced to lowest terms, one gcd per part, and rendered
+    once from its integers by ``scalar_json`` or ``scalar_str``, so a table of
+    thousands of cells renders a few values."""
+
+    def text(d: int, re: int, im: int) -> str:
+        g, h = math.gcd(re, d), math.gcd(im, d)
+        return render(re // g, d // g, im // h, d // h)
+
+    made, keys = _distinct_cells(table, text)
+    return map(made.__getitem__, keys)
 
 
 def _emit(build_doc: Callable[[], dict], render_pretty: Callable[[], str], out_mode: str) -> None:
@@ -205,23 +214,27 @@ def cmd_eval(args) -> int:
         values = [tensor_eval(body, t) for t in tuples]
         table = den, [v.re for v in values], [v.im for v in values]
 
-    def rendered(render: Callable, names: Sequence[str]) -> Iterator[tuple[tuple[str, ...], str]]:
+    def rendered(render: Callable, names: Sequence[str]) -> Iterator[tuple[str, str]]:
         """(row's points, value text) for every listed row; names holds the text of each of spec.points."""
         if args.all:
-            listed = itertools.product(names, repeat=arity)
+            listed = names
+            for _ in range(arity - 1):  # itertools.product order: each prefix joined once
+                listed = [f"{p},{q}" for p in listed for q in names]
         else:
             name = dict(zip(spec.points, names))
-            listed = (tuple(map(name.__getitem__, t)) for t in tuples)
-        zero = render(ZERO)
-        return ((t, v) for t, v in zip(listed, _cell_text(table, render)) if not (args.nonzero and v == zero))
+            listed = (",".join(map(name.__getitem__, t)) for t in tuples)
+        rows = zip(listed, _cell_text(table, render))
+        if args.nonzero:
+            zero = render(0, 1, 0, 1)
+            rows = ((t, v) for t, v in rows if v != zero)
+        return rows
 
     def document() -> dict:
-        json_rows = rendered(lambda v: dumps(v.to_json()), [dumps(p) for p in spec.points])
-        cells = (f'{{"args":[{",".join(t)}],"value":{v}}}' for t, v in json_rows)
+        cells = [f'{{"args":[{t}],"value":{v}}}' for t, v in rendered(scalar_json, [dumps(p) for p in spec.points])]
         return {"order": form.order, "arity": arity, "values": Encoded(f"[{','.join(cells)}]")}
 
     with _digit_limit("eval result"):
-        pretty = lambda: "\n".join(f"[{','.join(t)}] = {v}" for t, v in rendered(str, spec.points))
+        pretty = lambda: "\n".join([f"[{t}] = {v}" for t, v in rendered(scalar_str, spec.points)])
         _emit(document, pretty, args.out)
     return 0
 
@@ -241,11 +254,11 @@ def cmd_matrix(args) -> int:
         return (itertools.islice(cells, size) for _ in range(size))
 
     def document() -> dict:
-        text = (f"[{','.join(row)}]" for row in rows(lambda e: dumps(e.to_json())))
+        text = (f"[{','.join(row)}]" for row in rows(scalar_json))
         return {"order": form.order, "dim": size, "matrix": Encoded(f"[{','.join(text)}]")}
 
     with _digit_limit("matrix result"):
-        _emit(document, lambda: "\n".join("  ".join(row) for row in rows(str)), args.out)
+        _emit(document, lambda: "\n".join("  ".join(row) for row in rows(scalar_str)), args.out)
     return 0
 
 

@@ -122,8 +122,8 @@ class Scalar(Record):
         def part(p) -> int | Fraction:
             if isinstance(p, int):
                 return int(p)
-            if isinstance(p, (list, tuple)) and [type(x) for x in p] == [int, int] and p[1]:
-                return rational(Fraction(p[0], p[1]))
+            if isinstance(p, (list, tuple)) and len(p) == 2 and type(p[0]) is int and type(p[1]) is int and p[1]:
+                return p[0] if p[1] == 1 else rational(Fraction(p[0], p[1]))
             raise ValueError(f"bad rational: {p!r}")
 
         if isinstance(doc, int):
@@ -139,12 +139,34 @@ class Scalar(Record):
         ]
 
     def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"({self.re}{sign}{abs(self.im)}i)"
+        return _complex_str(str(self.re), str(self.im))
+
+
+def _complex_str(re: str, im: str) -> str:
+    """The text of a scalar from its parts' texts, "0" for a zero part: the
+    real part alone, ``bi`` when the real part is 0, else ``(a+bi)`` or
+    ``(a-bi)``; the one set of printing rules, which ``Scalar`` and the CLI's
+    realization cells, made from integers, both follow."""
+    if im == "0":
+        return re
+    if re == "0":
+        return f"{im}i"
+    return f"({re}{im}i)" if im[0] == "-" else f"({re}+{im}i)"
+
+
+def _ratio_str(n: int, d: int) -> str:
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+def scalar_str(re_n: int, re_d: int, im_n: int, im_d: int) -> str:
+    """``str`` of the scalar re_n/re_d + (im_n/im_d)i, each part in lowest terms
+    with a positive denominator."""
+    return _complex_str(_ratio_str(re_n, re_d), _ratio_str(im_n, im_d))
+
+
+def scalar_json(re_n: int, re_d: int, im_n: int, im_d: int) -> str:
+    """The compact JSON text of that scalar's ``to_json()``."""
+    return f"[[{re_n},{re_d}],[{im_n},{im_d}]]"
 
 
 ZERO = Scalar()

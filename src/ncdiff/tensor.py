@@ -381,19 +381,23 @@ def _common_denominator(terms: Sequence[Term]) -> tuple[int, Callable[[Union[int
 Table = tuple[int, list[int], Union[list[int], None]]
 
 
-def _distinct_cells(table: Table) -> tuple[dict, Iterable]:
-    """The Scalar of each distinct cell, keyed by its integers (the real part,
-    or the (real, imaginary) pair when im is a list), with the ``ZERO``
-    singleton for zero; and the key of every cell, in order."""
+def _distinct_cells(table: Table, make: Callable[[int, int, int], T]) -> tuple[dict, Iterable]:
+    """make(d, re, im) for each distinct cell (re + im·i)/d, keyed by its
+    integers (the real part, or the (real, imaginary) pair when im is a
+    list); and the key of every cell, in order."""
     d, re, im = table
-    part = (lambda x: x) if d == 1 else (lambda x: rational(Fraction(x, d)))
     if im is None:
-        made = {x: Scalar(part(x)) for x in set(re)}
-        made[0] = ZERO
-        return made, re
-    made = {x: Scalar(part(x[0]), part(x[1])) for x in set(zip(re, im))}
-    made[0, 0] = ZERO
-    return made, zip(re, im)
+        return {x: make(d, x, 0) for x in set(re)}, re
+    return {x: make(d, *x) for x in set(zip(re, im))}, zip(re, im)
+
+
+def _scalar_cell(d: int, re: int, im: int) -> Scalar:
+    """The Scalar (re + im·i)/d, the ``ZERO`` singleton for zero."""
+    if not re and not im:
+        return ZERO
+    if d == 1:
+        return Scalar(re, im)
+    return Scalar(rational(Fraction(re, d)), rational(Fraction(im, d)))
 
 
 def _eval_table(u: TensorPoly, den: int) -> Table:
@@ -439,7 +443,7 @@ def tensor_eval_all(u: TensorPoly) -> list[Scalar]:
     """Evaluate a function-backend tensor at every tuple of points, listed
     in ``itertools.product(points, repeat=degree)`` order: ``_eval_table``,
     one Scalar per distinct value.  Values agree with ``tensor_eval``."""
-    made, keys = _distinct_cells(_eval_table(u, 1))
+    made, keys = _distinct_cells(_eval_table(u, 1), _scalar_cell)
     return list(map(made.__getitem__, keys))
 
 
@@ -452,20 +456,32 @@ def _matrix_table(u: TensorPoly, den: int) -> Table:
     0/1, so a term adds its coefficient, scaled to an integer over one
     common denominator, at each cell built from one cell of each slot's
     ``support``: cell (r, s) of slot k moves the row-major index by
-    (r * size + s) * dim^k.
+    (r * size + s) * dim^k.  The unit's cells over the slots a key leaves
+    free are expanded once per pattern of occupied slots, and each term
+    expands only its occupied slots.
     """
     dim, degree = u.spec.dim, u.degree
     size = dim**degree
     unit = u.spec.unit_label()
     offsets = Memo(lambda at: [(r * size + s) * dim ** at[0] for r, s in u.spec.support(at[1])])
+
+    def unit_cells(occupied: tuple[int, ...]) -> list[int]:
+        """The cells of the unit in every slot a key leaves unoccupied."""
+        at = [0]
+        for slot in range(degree):
+            if slot not in occupied:
+                at = [a + b for a in at for b in offsets[slot, unit]]
+        return at
+
+    units = Memo(unit_cells)
     d, scaled = _common_denominator(u.terms)
     re, im = [0] * (size * size), [0] * (size * size)
     for c, key in u.terms:
-        occupied = dict(key)
-        at = [0]
-        for slot in range(degree):
-            moves = offsets[slot, occupied.get(slot, unit)]
-            at = [a + b for a in at for b in moves]
+        moves = [0]
+        for slot_label in key:
+            moves = [a + b for a in moves for b in offsets[slot_label]]
+        base = units[tuple([slot for slot, _ in key])]
+        at = [a + m for m in moves for a in base]
         for part, out in ((c.re, re), (c.im, im)):
             if part:
                 part = scaled(part)
@@ -478,7 +494,7 @@ def tensor_to_matrix(u: TensorPoly) -> list[list[Scalar]]:
     """Dense matrix realization of the iterated Kronecker products:
     ``_matrix_table`` split into rows, one Scalar per distinct value."""
     size = u.spec.dim**u.degree
-    made, keys = _distinct_cells(_matrix_table(u, 1))
+    made, keys = _distinct_cells(_matrix_table(u, 1), _scalar_cell)
     flat = list(map(made.__getitem__, keys))
     return [flat[i : i + size] for i in range(0, size * size, size)]
 
@@ -508,11 +524,6 @@ class OmegaMonomial(Record):
     @property
     def degree(self) -> int:
         return len(self.chain) - 1
-
-    @staticmethod
-    def of_elems(*elems: AlgElem) -> OmegaMonomial:
-        spec = elems[0].spec
-        return OmegaMonomial(spec, 1, tuple(TensorPoly.wrap(e) for e in elems))
 
     def scale(self, c: Scalar) -> OmegaMonomial:
         return OmegaMonomial(self.spec, self.width, (self.chain[0].scale(c),) + self.chain[1:])

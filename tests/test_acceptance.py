@@ -197,7 +197,7 @@ def test_criterion_06_function_algebra_closed_forms():
     }
     spec = AlgebraSpec.function(points, values)
     f, g, h = (spec.symbol(s) for s in "fgh")
-    fv = lambda e, p: e.value_at(p)
+    fv = lambda e, p: e.values[spec.point_index(p)]
 
     body1 = embed(module_mul(f, symbolic_delta(LeibnizForm.from_alg(g)))).body
     for x, y in itertools.product(points, repeat=2):

@@ -220,7 +220,7 @@ def test_dense_elements_keep_order_views_and_decomposition(spec, tables):
         old_key = lambda f: tuple(v.key() for v in f.values)
         for name, table in tables.items():
             assert spec.symbol(name).values == tuple(table)
-            assert [spec.symbol(name).value_at(p) for p in spec.points] == table
+            assert [spec.symbol(name).values[spec.point_index(p)] for p in spec.points] == table
     assert [e.sort_key() for e in sorted(elems, key=lambda e: e.sort_key())] == [
         e.sort_key() for e in sorted(elems, key=old_key)
     ]
@@ -255,3 +255,43 @@ def test_traced_members_stay_in_the_class_bodies():
         missing = sorted(traced - set(vars(cls)))
         assert not missing, f"{cls.__name__} must define {missing} in its class body"
     assert isinstance(AlgebraSpec.__dict__["from_json"], staticmethod)
+
+
+def test_matrix_product_skips_zero_entries(monkeypatch):
+    """``MatElem.mul`` equals the dense row-by-column triple loop on random
+    matrices with zero, fractional and complex entries, and multiplies only
+    pairs of nonzero entries: a dense matrix times a one-hot basis matrix
+    takes n products, not n³."""
+    rng = random.Random(30)
+
+    def entry():
+        if rng.random() < 0.4:
+            return Scalar.of(0)
+        part = lambda: Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3)))
+        return Scalar.of(part(), part() if rng.random() < 0.4 else 0)
+
+    mul, products = Scalar.__mul__, []
+    monkeypatch.setattr(Scalar, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    for n in (1, 2, 3, 4):
+        spec = AlgebraSpec.matrix(n)
+        one_hot = lambda p: MatElem(spec, tuple(Scalar.of(int(q == p)) for q in range(n * n)))
+        dense = MatElem(spec, tuple(Scalar.of(rng.randint(1, 4), rng.randint(-2, 2)) for _ in range(n * n)))
+        sparse = lambda: MatElem(spec, tuple(entry() for _ in range(n * n)))
+        pairs = [(sparse(), sparse()) for _ in range(12)]
+        pairs += [(dense, one_hot(p)) for p in range(n * n)] + [(dense, spec.zero()), (spec.zero(), dense)]
+        for a, b in pairs:
+            x, y = a.entries, b.entries
+            want = tuple(
+                sum((mul(x[i * n + k], y[k * n + j]) for k in range(n)), Scalar.of(0)) for i in range(n) for j in range(n)
+            )
+            products.clear()
+            assert a.mul(b).entries == want
+            nonzero = sum(
+                not x[i * n + k].is_zero() and not y[k * n + j].is_zero()
+                for i in range(n)
+                for k in range(n)
+                for j in range(n)
+            )
+            assert len(products) == nonzero
+            if b.entries.count(Scalar.of(1)) == 1 and a is dense:
+                assert nonzero == n

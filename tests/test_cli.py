@@ -2,23 +2,25 @@ import copy
 import hashlib
 import itertools
 import json
+import math
 import os
 import random
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import ncdiff
 from ncdiff import cli, verify
-from ncdiff.algebra import AlgebraSpec
+from ncdiff.algebra import MATRIX_SPEC_CELL_CAP, AlgebraSpec
 from ncdiff.cli import build_arg_parser, main
 from ncdiff.frame import rho
 from ncdiff.leibniz import LeibnizForm, embed
 from ncdiff.parser import lower, parse
-from ncdiff.scalars import Scalar
+from ncdiff.scalars import Scalar, scalar_json, scalar_str
 from ncdiff.tensor import TensorPoly, dumps, tensor_eval, tensor_eval_all, tensor_to_matrix
 
 TWO_POINT_DOC = {
@@ -460,6 +462,8 @@ def test_unreadable_spec_exits_2(tmp_path, capsys):
         (None, ["jet", "--f", "1", "--x", "u", "--y", "v", "--at", f"{2**5000},1"]),
         (MAT_DOC, ["matrix", "--expr", "d5(f)", "--max-dim", "10000000000"]),
         ({"backend": "matrix", "dim": 10**9}, ["expand", "--expr", "1"]),
+        ({"backend": "matrix", "dim": 257}, ["expand", "--expr", "1"]),
+        ({"backend": "matrix", "dim": 4096}, ["expand", "--expr", "1"]),
     ],
     ids=[
         "non-object",
@@ -508,6 +512,8 @@ def test_unreadable_spec_exits_2(tmp_path, capsys):
         "jet-point-cap",
         "matrix-dim-ceiling",
         "spec-dim-cap",
+        "spec-cell-cap",
+        "spec-cell-cap-4096",
     ],
 )
 def test_malformed_input_exits_2_without_traceback(spec_file, capsys, doc, argv):
@@ -518,11 +524,21 @@ def test_malformed_input_exits_2_without_traceback(spec_file, capsys, doc, argv)
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("dim", [cli.MATRIX_DIM_CAP + 1, 10**9])
+@pytest.mark.parametrize("dim", [math.isqrt(MATRIX_SPEC_CELL_CAP) + 1, cli.MATRIX_DIM_CAP + 1, 10**9])
 def test_spec_dim_above_the_cap_is_refused_when_read(spec_file, dim):
-    """A matrix spec too large for ``matrix`` is refused before any cell is built."""
-    with pytest.raises(cli.UsageError, match=f"exceeds the cap {cli.MATRIX_DIM_CAP}"):
+    """A matrix spec with more than ``MATRIX_SPEC_CELL_CAP`` dense cells is
+    refused before any cell is built."""
+    with pytest.raises(cli.UsageError, match=f"exceeds the cap {MATRIX_SPEC_CELL_CAP}"):
         cli._load_spec(spec_file({"backend": "matrix", "dim": dim}))
+
+
+def test_spec_at_the_cell_cap_loads(spec_file, capsys):
+    """dim 256, dim² at the cap, is read and expanded (about 0.7 s on Python 3.11)."""
+    dim = math.isqrt(MATRIX_SPEC_CELL_CAP)
+    assert dim * dim == MATRIX_SPEC_CELL_CAP
+    code, out, err = run(capsys, "expand", "--algebra", spec_file({"backend": "matrix", "dim": dim}), "--expr", "1")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["pretty"] == "1"
 
 
 def test_order_cap_admits_order_8(spec_file, capsys):
@@ -677,12 +693,22 @@ def random_rational(rng):
     return [part(), part() if rng.random() < 0.35 else [0, 1]]
 
 
-# (spec kind, size, expressions): tables of at most 256 rows and matrices of at most 16 x 16
+def imaginary_rational(rng):
+    """A nonzero imaginary Gaussian rational as JSON: a product of two is real, so
+    tables mix real, imaginary and complex cells, and signs of both kinds."""
+    return [[0, 1], [rng.choice([-1, 1]) * rng.randint(1, 6), rng.choice([1, 2, 3, 5])]]
+
+
+# (spec kind, size, expressions, entry maker): tables of at most 256 rows and matrices of at most 16 x 16
 ORACLE_KINDS = [
-    ("function", 2, ["x", "d(x)", "y*d(x)", "d2(y) + x*d(x)@d(y)", "x*d(y)@d2(x)", "d3(x) - y*d(y)@d(x)@d(y)"]),
-    ("function", 3, ["y", "d(x) + 2*d(y)", "x*d2(y)", "d(x)@d(y) - y*d(x)@d(x)"]),
-    ("matrix", 2, ["f", "g*d(f)", "d2(f) + f*d(g)@d(f)", "d(f)@d(g) - d(g)@d(f)"]),
-    ("matrix", 3, ["g*f", "d(f)", "g*d(f) - d(g)"]),
+    ("function", 2, ["x", "d(x)", "y*d(x)", "d2(y) + x*d(x)@d(y)", "x*d(y)@d2(x)", "d3(x) - y*d(y)@d(x)@d(y)"], random_rational),
+    ("function", 3, ["y", "d(x) + 2*d(y)", "x*d2(y)", "d(x)@d(y) - y*d(x)@d(x)"], random_rational),
+    ("matrix", 2, ["f", "g*d(f)", "d2(f) + f*d(g)@d(f)", "d(f)@d(g) - d(g)@d(f)"], random_rational),
+    ("matrix", 3, ["g*f", "d(f)", "g*d(f) - d(g)"], random_rational),
+    ("function", 2, ["x + 1/2", "d(x) + y*d(y)", "x*d(y)@d(x) - 1/3*d2(y)"], imaginary_rational),
+    ("function", 3, ["y*d(x) - d(y)"], imaginary_rational),
+    ("matrix", 2, ["f - 2/3", "d(f) + g*d(g)", "f*d(g)@d(f) + d2(g)"], imaginary_rational),
+    ("matrix", 3, ["g*d(f) - 1/2*d(g)"], imaginary_rational),
 ]
 # zero forms, listed as zero values everywhere; their --nonzero tables are empty
 ZERO_EXPRS = {"function": ["x - x", "d(x)@d(y) - d(x)@d(y)"], "matrix": ["f - f", "d(f) - d(f)"]}
@@ -694,12 +720,12 @@ def oracle_cli_cases(seed):
     ``tensor_to_matrix`` of ``embed(form).body``, with ``Scalar.to_json``,
     ``dumps`` and ``str``."""
     rng = random.Random(seed)
-    for backend, size, exprs in ORACLE_KINDS:
+    for backend, size, exprs, entry in ORACLE_KINDS:
         if backend == "function":
             points = ["L", "R", "é"][:size]
-            doc = {"backend": "function", "points": points, "values": {s: {p: random_rational(rng) for p in points} for s in "xy"}}
+            doc = {"backend": "function", "points": points, "values": {s: {p: entry(rng) for p in points} for s in "xy"}}
         else:
-            mat = lambda: [[random_rational(rng) for _ in range(size)] for _ in range(size)]
+            mat = lambda: [[entry(rng) for _ in range(size)] for _ in range(size)]
             doc = {"backend": "matrix", "dim": size, "matrices": {"f": mat(), "g": mat()}}
         spec = AlgebraSpec.from_json(doc)
         for expr in exprs + ZERO_EXPRS[backend]:
@@ -766,6 +792,78 @@ def test_the_read_path_divides_nothing_after_lowering(spec_file, capsys, monkeyp
         for mode in ("json", "pretty"):
             code, out, _ = run(capsys, *argv, "--algebra", spec_file(doc), "--out", mode)
             assert code == 0 and divisions == [], argv
+
+
+def expected_cell_text(re, im):
+    """The JSON and the pretty text of re + im·i, two Fractions, built from
+    ``Fraction`` and ``json.dumps`` alone."""
+    doc = json.dumps([[re.numerator, re.denominator], [im.numerator, im.denominator]], separators=(",", ":"))
+    if im == 0:
+        return doc, str(re)
+    if re == 0:
+        return doc, f"{im}i"
+    return doc, f"({re}{'+' if im > 0 else '-'}{abs(im)}i)"
+
+
+@pytest.mark.parametrize("d", [1, 2, 6, 35, 10**30])
+def test_cell_text_matches_fraction_and_json(d):
+    """Each cell of an integer table, (re + im·i)/d over a shared positive d,
+    prints as ``Fraction`` and ``json.dumps`` give it: zero, integral,
+    negative and proper parts, real cells and complex ones with a zero real
+    or imaginary part, each distinct value rendered once."""
+    rng = random.Random(d)
+    nums = [0, d, -d, 2 * d, 1, -1, d - 1, -(d + 1), *(rng.randint(-3 * d, 3 * d) for _ in range(20))]
+    re = [0, 0, d, -1, *(rng.choice(nums) for _ in range(300))]
+    im = [0, -d, 0, 1, *(rng.choice([0, *nums]) for _ in range(300))]
+    for table, pairs in [((d, re, None), [(x, 0) for x in re]), ((d, re, im), list(zip(re, im)))]:
+        want = [expected_cell_text(Fraction(x, d), Fraction(y, d)) for x, y in pairs]
+        assert list(cli._cell_text(table, scalar_json)) == [j for j, _ in want]
+        assert list(cli._cell_text(table, scalar_str)) == [p for _, p in want]
+
+
+@pytest.mark.parametrize(
+    "doc, argv",
+    [
+        (HUGE_TWO_POINT_DOC, ["eval", "--expr", "x*x*x*x*x*x*x*x", "--all"]),
+        (HUGE_TWO_POINT_DOC, ["eval", "--expr", "x*x*x*x*x*x*x*x", "--all", "--out", "pretty"]),
+        (HUGE_TWO_POINT_DOC, ["eval", "--expr", "x*x*x*x*x*x*x*x", "--tuples", "L"]),
+        (HUGE_MAT_DOC, ["matrix", "--expr", "f*f*f*f*f*f*f*f"]),
+        (HUGE_MAT_DOC, ["matrix", "--expr", "f*f*f*f*f*f*f*f", "--out", "pretty"]),
+    ],
+    ids=["eval-json", "eval-pretty", "eval-tuples", "matrix-json", "matrix-pretty"],
+)
+def test_cell_past_the_digit_limit_exits_2(spec_file, capsys, doc, argv):
+    """A cell with an integer over Python's 4300-digit limit for printing is
+    refused by ``_digit_limit``: exit 2, its message, and nothing printed."""
+    code, out, err = run(capsys, argv[0], "--algebra", spec_file(doc), *argv[1:])
+    what = f"{argv[0]} result has an integer over {sys.get_int_max_str_digits()} digits"
+    assert (code, out) == (2, "") and err.startswith(f"ncdiff: {what}") and "Traceback" not in err
+
+
+def test_rendering_a_table_builds_no_fraction_or_scalar(spec_file, capsys, monkeypatch):
+    """Once the embedding has returned its integer body, eval --all and
+    matrix build no ``Fraction`` and no ``Scalar``, per cell or per distinct
+    value: the kernels sum integers and each distinct cell becomes text from
+    its integers."""
+    new, init, made, integer_embed = Fraction.__new__, Scalar.__init__, [], cli._integer_embed
+
+    def embedded(form):
+        out = integer_embed(form)
+        made.clear()
+        return out
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(lambda cls, *a, **k: made.append(cls) or new(cls, *a, **k)))
+    monkeypatch.setattr(Scalar, "__init__", lambda self, re=0, im=0: made.append(Scalar) or init(self, re, im))
+    monkeypatch.setattr(cli, "_integer_embed", embedded)
+    cases = [
+        (MIXED_TWO_POINT_DOC, ["eval", "--expr", "y*d(x)@d2(x) + x*d3(y)", "--all"]),
+        (MIXED_TWO_POINT_DOC, ["eval", "--expr", "y*d(x)@d2(x) + x*d3(y)", "--all", "--nonzero"]),
+        (MIXED_MAT3_DOC, ["matrix", "--expr", "g*d(f)@d(g)"]),
+    ]
+    for doc, argv in cases:
+        for mode in ("json", "pretty"):
+            code, out, _ = run(capsys, *argv, "--algebra", spec_file(doc), "--out", mode)
+            assert code == 0 and len(out) > 2000 and made == [], argv
 
 
 def test_one_parser_serves_every_call(spec_file, capsys):

@@ -108,3 +108,21 @@ def test_rational_normal_form():
     for bad in (0.5, 1j, None, Scalar.of(1)):
         with pytest.raises(TypeError):
             rational(bad)
+
+
+def test_spec_parts_read_integers_without_a_fraction(monkeypatch):
+    """An integral ``[num, 1]`` part is read as the ``int`` num, and only a
+    proper fraction builds a ``Fraction``; malformed parts are refused as
+    before: exactly two exact ``int``s, no ``bool``, a nonzero denominator."""
+    new, made = Fraction.__new__, []
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(lambda cls, *a, **k: made.append(a) or new(cls, *a, **k)))
+    s = Scalar.from_json([[5, 1], [0, 1]])
+    assert (s.re, s.im) == (5, 0) and type(s.re) is int and type(s.im) is int
+    assert made == []
+    s = Scalar.from_json([[2, 4], [-6, 3]])
+    assert (s.re, s.im) == (Fraction(1, 2), -2) and type(s.re) is Fraction and type(s.im) is int
+    for bad in ([True, 1], [1, True], [1.0, 1], [1, 1.0], [1, 0], [1, 2, 3], [1], "1/2", None):
+        with pytest.raises(ValueError, match="bad rational"):
+            Scalar.from_json([bad, [0, 1]])
+        with pytest.raises(ValueError, match="bad rational"):
+            Scalar.from_json([[0, 1], bad])

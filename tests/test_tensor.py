@@ -2,6 +2,7 @@ import functools
 import gc
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -11,10 +12,12 @@ from hypothesis import given, settings, strategies as st
 from ncdiff.algebra import AlgebraMismatchError, AlgebraSpec, func_as_diagonal
 from ncdiff.frame import FrameElem, frame_delta, frame_sum, lam, rho
 from ncdiff.leibniz import LeibnizForm, embed, enumerate_types, odot
+from ncdiff.parser import lower, parse
 from ncdiff.scalars import MINUS_ONE, ONE, ZERO, Scalar, integer
 from ncdiff.tensor import (
     OmegaMonomial,
     TensorPoly,
+    _matrix_table,
     componentwise_product,
     mult_map,
     omega_product,
@@ -35,6 +38,16 @@ from exactlinalg import coboundary, dense_labels, dense_terms, kron
 SPEC = AlgebraSpec.free(("f", "g", "h", "k"))
 F, G, H, K = (SPEC.symbol(s) for s in "fghk")
 U = SPEC.unit()
+
+
+def omega(*elems):
+    """The universal-form monomial e0 d e1 ... d eq over the base algebra."""
+    return OmegaMonomial(elems[0].spec, 1, tuple(TensorPoly.wrap(e) for e in elems))
+
+
+def value_at(f, point):
+    """A function-backend element's value at a named point."""
+    return f.values[f.spec.point_index(point)]
 
 
 def elem_t(*factors, coeff=ONE):
@@ -133,14 +146,14 @@ def assert_d_is_the_coboundary(m):
 
 
 def test_universal_d_and_nilpotency():
-    m = OmegaMonomial.of_elems(F)
+    m = omega(F)
     dm = universal_d(m)
     assert dm.chain[0] == TensorPoly.unit(SPEC, 1)
     assert dm.chain[1] == TensorPoly.wrap(F)
     assert_d_is_the_coboundary(m)
-    dfg = universal_d(OmegaMonomial.of_elems(F, G))
+    dfg = universal_d(omega(F, G))
     assert dfg.degree == 2
-    assert_d_is_the_coboundary(OmegaMonomial.of_elems(F, G, H))
+    assert_d_is_the_coboundary(omega(F, G, H))
 
 
 def test_label_tables_wrap_no_function(monkeypatch):
@@ -165,24 +178,24 @@ def test_label_tables_wrap_no_function(monkeypatch):
 
 
 def test_omega_to_tensor_examples():
-    assert omega_to_tensor(OmegaMonomial.of_elems(F, G)) == elem_t(F, G) - elem_t(F.mul(G), U)
-    assert omega_to_tensor(universal_d(OmegaMonomial.of_elems(G))) == d0(G)
+    assert omega_to_tensor(omega(F, G)) == elem_t(F, G) - elem_t(F.mul(G), U)
+    assert omega_to_tensor(universal_d(omega(G))) == d0(G)
 
 
 def test_omega_product_examples():
     # degree 0 on the left acts through the head coefficient
-    (m,) = omega_product(OmegaMonomial.of_elems(F), OmegaMonomial.of_elems(G, H))
+    (m,) = omega_product(omega(F), omega(G, H))
     assert m.chain[0] == TensorPoly.wrap(F.mul(G))
     # (f dg) * h = f d(gh) - fg dh
-    out = omega_product(OmegaMonomial.of_elems(F, G), OmegaMonomial.of_elems(H))
+    out = omega_product(omega(F, G), omega(H))
     expanded = tensor_sum(SPEC, 2, (omega_to_tensor(m) for m in out))
-    want = omega_to_tensor(OmegaMonomial.of_elems(F, G.mul(H))) - omega_to_tensor(
-        OmegaMonomial.of_elems(F.mul(G), H)
+    want = omega_to_tensor(omega(F, G.mul(H))) - omega_to_tensor(
+        omega(F.mul(G), H)
     )
     assert expanded == want
     # dg * dh = dg dh
     out = omega_product(
-        universal_d(OmegaMonomial.of_elems(G)), universal_d(OmegaMonomial.of_elems(H))
+        universal_d(omega(G)), universal_d(omega(H))
     )
     assert len(out) == 1
     assert out[0].chain == (TensorPoly.unit(SPEC, 1), TensorPoly.wrap(G), TensorPoly.wrap(H))
@@ -202,7 +215,7 @@ def test_omega_product_matches_glued_tensor_product(rng):
         letters = [rng.choice((F, G, H, K)) for _ in range(degree + 1)]
         if rng.random() < 0.4:
             letters[0] = letters[0].add(U.scale(integer(rng.randint(1, 2))))
-        return OmegaMonomial.of_elems(*letters)
+        return omega(*letters)
 
     def check(u, v):
         degree = (u.degree + v.degree + 1) * u.width
@@ -241,9 +254,9 @@ POINTS = AlgebraSpec.function(
 
 def test_tensor_eval_one_form_closed_formula():
     f, g = POINTS.symbol("f"), POINTS.symbol("g")
-    body = omega_to_tensor(OmegaMonomial.of_elems(f, g))
+    body = omega_to_tensor(omega(f, g))
     for x, y in itertools.product(POINTS.points, repeat=2):
-        want = f.value_at(x) * (g.value_at(y) - g.value_at(x))
+        want = value_at(f, x) * (value_at(g, y) - value_at(g, x))
         assert tensor_eval(body, (x, y)) == want
         if x == y:
             assert tensor_eval(body, (x, y)).is_zero()
@@ -251,20 +264,20 @@ def test_tensor_eval_one_form_closed_formula():
 
 def test_tensor_eval_three_differentials_closed_formula():
     f, g, h, k = (POINTS.symbol(s) for s in "fghk")
-    body = omega_to_tensor(OmegaMonomial.of_elems(f, g, h, k))
+    body = omega_to_tensor(omega(f, g, h, k))
     for x, y, z, t in itertools.product(POINTS.points, repeat=4):
         want = (
-            f.value_at(x)
-            * (g.value_at(y) - g.value_at(x))
-            * (h.value_at(z) - h.value_at(y))
-            * (k.value_at(t) - k.value_at(z))
+            value_at(f, x)
+            * (value_at(g, y) - value_at(g, x))
+            * (value_at(h, z) - value_at(h, y))
+            * (value_at(k, t) - value_at(k, z))
         )
         assert tensor_eval(body, (x, y, z, t)) == want
 
 
 def test_tensor_eval_errors():
     f, g = POINTS.symbol("f"), POINTS.symbol("g")
-    body = omega_to_tensor(OmegaMonomial.of_elems(f, g))
+    body = omega_to_tensor(omega(f, g))
     with pytest.raises(ValueError):
         tensor_eval(body, ("P",))
     with pytest.raises(AlgebraMismatchError):
@@ -648,3 +661,57 @@ def test_realization_kernels_add_and_multiply_no_scalars(monkeypatch):
     for name in ("__add__", "__sub__", "__mul__", "__neg__"):
         monkeypatch.setattr(Scalar, name, refuse)
     assert (tensor_eval_all(u), tensor_to_matrix(v)) == want
+
+
+def slotwise_matrix_table(u):
+    """``_matrix_table(u, 1)`` by the slotwise rule: every term is expanded
+    over the support of every slot's label, the unit's included."""
+    spec, size = u.spec, u.spec.dim**u.degree
+    d = math.lcm(*(Fraction(p).denominator for c, _ in u.terms for p in (c.re, c.im)))
+    re, im = [0] * (size * size), [0] * (size * size)
+    for c, key in u.terms:
+        for cells in itertools.product(*map(spec.support, dense_labels(u, key))):
+            i = sum((r * size + s) * spec.dim**k for k, (r, s) in enumerate(cells))
+            re[i] += int(c.re * d)
+            im[i] += int(c.im * d)
+    return d, re, im if any(im) else None
+
+
+MATRIX_TABLE_SPECS = {
+    "3x3": AlgebraSpec.matrix(
+        3,
+        {
+            "f": [[Fraction(1, 2), 0, Fraction(-2, 3)], [0, 3, 0], [1, 0, Fraction(5, 7)]],
+            "g": [[0, 1, 0], [Fraction(1, 5), 0, -1], [0, 2, 0]],
+        },
+    ),
+    "3x3-complex": AlgebraSpec.matrix(
+        3,
+        {
+            "f": [[Scalar.of(1, Fraction(1, 2)), 0, 2], [Scalar.of(0, -1), 1, 0], [0, Fraction(3, 4), Scalar.of(-1, 1)]],
+            "g": [[0, Scalar.of(0, Fraction(2, 3)), 1], [1, 0, 0], [Scalar.of(2, -1), 0, Fraction(1, 3)]],
+        },
+    ),
+    "2x2-complex": AlgebraSpec.matrix(2, {"f": [[Scalar.of(1, 2), Fraction(1, 3)], [0, Scalar.of(0, -1)]], "g": [[0, 1], [1, Fraction(-1, 2)]]}),
+}
+
+
+@pytest.mark.parametrize("spec", MATRIX_TABLE_SPECS.values(), ids=MATRIX_TABLE_SPECS.keys())
+def test_matrix_table_expands_unit_slots_once_per_pattern(spec):
+    """The matrix kernel, which expands the unit's cells once per pattern of
+    occupied slots, sums what the slotwise expansion of every term sums, over
+    keys of every pattern: orders 0 to 2 over 3 x 3 matrices (up to 81 x 81)
+    and to 3 over 2 x 2 (256 x 256)."""
+    exprs = ["g*f + 1/2", "d(f) - g*d(g)", "g*d(f)@d(g) + d2(f)", "f*d(g)@d2(f) - d3(g)"]
+    top = 2 if spec.dim == 3 else 3
+    for expr in exprs[: top + 1]:
+        (form,) = lower(parse(expr), spec).values()
+        body = embed(form).body
+        patterns = {tuple(slot for slot, _ in key) for _, key in body.terms}
+        assert len(patterns) > 1 or form.order == 0
+        assert _matrix_table(body, 1) == slotwise_matrix_table(body), expr
+        if spec.dim**body.degree <= 9:
+            size = spec.dim**body.degree
+            d, re, im = _matrix_table(body, 1)
+            cells = [Scalar.of(Fraction(r, d), Fraction(i, d)) for r, i in zip(re, im or [0] * len(re))]
+            assert [cells[i : i + size] for i in range(0, size * size, size)] == dense_kron(body)
