@@ -13,11 +13,9 @@ reader closed standard output (as a shell reports a tool ended by SIGPIPE).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import itertools
 import json
-import math
 import os
 import re
 import sys
@@ -30,7 +28,7 @@ from .jets import MAX_COEFF_BITS, ChangeOfVars2, Jet2, parse_poly2, transform_je
 from .leibniz import LeibnizForm, _integer_embed, embed
 from .parser import LoweringError, MAX_ORDER, ParseError, lower, parse
 from .scalars import scalar_json, scalar_str
-from .tensor import Table, _distinct_cells, _eval_table, _matrix_table, dumps, tensor_eval
+from .tensor import _eval_table, _matrix_table, _table_cells, dumps, tensor_eval
 from .verify import SUITES, run_suite
 
 
@@ -86,85 +84,52 @@ def _single_part(parts: dict[int, LeibnizForm]) -> LeibnizForm:
     return next(iter(parts.values()))
 
 
-@contextlib.contextmanager
-def _digit_limit(what: str):
-    """Exit 2 when printing refuses an integer past Python's int-to-str digit limit."""
+def _json_object(**fields: str) -> str:
+    """The JSON object of fields, each value already JSON text, keys sorted as ``dumps`` sorts them."""
+    return "{" + ",".join(f"{dumps(k)}:{v}" for k, v in sorted(fields.items())) + "}"
+
+
+def _emit(args, json_text: Callable[[], str], pretty_text: Callable[[], str]) -> None:
+    """Print the text that json_text or, for --out pretty, pretty_text builds;
+    only the printed form is built.  Building it is where every integer of a
+    command becomes text, so a ValueError there is Python's int-to-str digit
+    limit and exits 2.  Flushing makes a closed pipe fail here, inside
+    ``main``, and not in the interpreter's flush at exit."""
     try:
-        yield
+        text = pretty_text() if args.out == "pretty" else json_text()
     except ValueError:
         limit = sys.get_int_max_str_digits()
-        message = f"{what} has an integer over {limit} digits, Python's limit for printing one"
+        message = f"{args.command} result has an integer over {limit} digits, Python's limit for printing one"
         raise UsageError(message + " (PYTHONINTMAXSTRDIGITS raises it)") from None
-
-
-class Encoded(str):
-    """JSON text that ``_dumps`` writes as it is."""
-
-
-def _holds_encoded(doc) -> bool:
-    """Whether an ``Encoded`` value lies anywhere in doc."""
-    if isinstance(doc, dict):
-        doc = doc.values()
-    elif not isinstance(doc, list):
-        return isinstance(doc, Encoded)
-    return any(map(_holds_encoded, doc))
-
-
-def _dumps(doc) -> str:
-    """``tensor.dumps(doc)``, except that ``Encoded`` values are spliced in;
-    a dict or list that holds none is encoded in one call."""
-    if isinstance(doc, Encoded):
-        return doc
-    if not _holds_encoded(doc):
-        return dumps(doc)
-    if isinstance(doc, dict):
-        return "{" + ",".join(f"{dumps(k)}:{_dumps(v)}" for k, v in sorted(doc.items())) + "}"
-    return "[" + ",".join(map(_dumps, doc)) + "]"
-
-
-def _cell_text(table: Table, render: Callable[[int, int, int, int], str]) -> Iterator[str]:
-    """The text of every cell of a kernel table, in order: each distinct value
-    (re + im·i)/d is reduced to lowest terms, one gcd per part, and rendered
-    once from its integers by ``scalar_json`` or ``scalar_str``, so a table of
-    thousands of cells renders a few values."""
-
-    def text(d: int, re: int, im: int) -> str:
-        g, h = math.gcd(re, d), math.gcd(im, d)
-        return render(re // g, d // g, im // h, d // h)
-
-    made, keys = _distinct_cells(table, text)
-    return map(made.__getitem__, keys)
-
-
-def _emit(build_doc: Callable[[], dict], render_pretty: Callable[[], str], out_mode: str) -> None:
-    """Print the document build_doc makes as JSON, or the text render_pretty
-    builds for --out pretty; only the printed form is built.  Flushing makes
-    a closed pipe fail here, inside ``main``, and not in the interpreter's
-    flush at exit."""
-    print(render_pretty() if out_mode == "pretty" else _dumps(build_doc()), flush=True)
+    print(text, flush=True)
 
 
 def cmd_expand(args) -> int:
     spec = _load_spec(args.algebra)
     parts = _lower_expr(args.expr, spec)
     forms = [f for _, f in sorted(parts.items())] if args.split else [_single_part(parts)]
-    frames = [embed(f) for f in forms]
-    docs, lines = [], []
-    with _digit_limit("expand result"):
-        for form, frame in zip(forms, frames):
-            doc = {"order": form.order, "level": frame.level, "pretty": str(frame.body)}
-            lines.append(doc["pretty"])
-            if args.basis == "generators":
-                doc["generators"] = _generator_basis_doc(frame)
-                rows = (f"{t['coeff']} x " + " · ".join(t["product"]) for t in doc["generators"])
+    frames = [(form.order, embed(form)) for form in forms]
+    generators = args.basis == "generators"
+
+    def json_text() -> str:
+        docs = []
+        for order, frame in frames:
+            fields = {"order": str(order), "level": str(frame.level), "pretty": dumps(str(frame.body))}
+            if generators:
+                fields["generators"] = dumps(_generator_basis_doc(frame))
+            docs.append(_json_object(**fields, tensor=frame.body.json_text()))
+        return _json_object(parts=f"[{','.join(docs)}]") if args.split else docs[0]
+
+    def pretty_text() -> str:
+        lines = []
+        for _, frame in frames:
+            lines.append(str(frame.body))
+            if generators:
+                rows = (f"{t['coeff']} x " + " · ".join(t["product"]) for t in _generator_basis_doc(frame))
                 lines.append("\n".join(rows))
-            docs.append(doc)
+        return "\n".join(lines)
 
-        def document() -> dict:
-            parts = [dict(d, tensor=Encoded(f.body.json_text())) for d, f in zip(docs, frames)]
-            return {"parts": parts} if args.split else parts[0]
-
-        _emit(document, lambda: "\n".join(lines), args.out)
+    _emit(args, json_text, pretty_text)
     return 0
 
 
@@ -223,19 +188,17 @@ def cmd_eval(args) -> int:
         else:
             name = dict(zip(spec.points, names))
             listed = (",".join(map(name.__getitem__, t)) for t in tuples)
-        rows = zip(listed, _cell_text(table, render))
+        rows = zip(listed, _table_cells(table, render))
         if args.nonzero:
             zero = render(0, 1, 0, 1)
             rows = ((t, v) for t, v in rows if v != zero)
         return rows
 
-    def document() -> dict:
+    def json_text() -> str:
         cells = [f'{{"args":[{t}],"value":{v}}}' for t, v in rendered(scalar_json, [dumps(p) for p in spec.points])]
-        return {"order": form.order, "arity": arity, "values": Encoded(f"[{','.join(cells)}]")}
+        return _json_object(order=str(form.order), arity=str(arity), values=f"[{','.join(cells)}]")
 
-    with _digit_limit("eval result"):
-        pretty = lambda: "\n".join([f"[{t}] = {v}" for t, v in rendered(scalar_str, spec.points)])
-        _emit(document, pretty, args.out)
+    _emit(args, json_text, lambda: "\n".join([f"[{t}] = {v}" for t, v in rendered(scalar_str, spec.points)]))
     return 0
 
 
@@ -250,15 +213,14 @@ def cmd_matrix(args) -> int:
 
     def rows(render: Callable) -> Iterator[Iterable[str]]:
         """The cells' text, one row at a time: a list with one entry per cell would raise the peak."""
-        cells = _cell_text(table, render)
+        cells = _table_cells(table, render)
         return (itertools.islice(cells, size) for _ in range(size))
 
-    def document() -> dict:
+    def json_text() -> str:
         text = (f"[{','.join(row)}]" for row in rows(scalar_json))
-        return {"order": form.order, "dim": size, "matrix": Encoded(f"[{','.join(text)}]")}
+        return _json_object(order=str(form.order), dim=str(size), matrix=f"[{','.join(text)}]")
 
-    with _digit_limit("matrix result"):
-        _emit(document, lambda: "\n".join("  ".join(row) for row in rows(scalar_str)), args.out)
+    _emit(args, json_text, lambda: "\n".join("  ".join(row) for row in rows(scalar_str)))
     return 0
 
 
@@ -275,26 +237,24 @@ def cmd_generators(args) -> int:
         raise UsageError(f"--level must be nonnegative, got {p}")
     if p >= MAX_ORDER:  # a level-p table holds 3^p * 2^p slot labels, more than an order-p form
         raise UsageError(f"--level must be below {MAX_ORDER}, got {p}")
-    gens, bodies = [], []
     # every subset of {0..p-1}, smallest first, then by ascending members
-    for index in (SubsetIndex(p, c) for r in range(p + 1) for c in itertools.combinations(range(p), r)):
-        body = delta_I(f, index).body
-        bodies.append(body)
-        gens.append({"index": str(index), "name": generator_str(index, name), "pretty": str(body)})
-    inversion = []
-    for j in range(2**p):
-        subsets = slot_in_generators(f, j, p)
-        inversion.append(
-            {"slot": j, "sum": [generator_str(ix, name) for ix in subsets]}
+    indices = [SubsetIndex(p, c) for r in range(p + 1) for c in itertools.combinations(range(p), r)]
+    gens = [(ix, generator_str(ix, name), delta_I(f, ix).body) for ix in indices]
+    sums = [[generator_str(ix, name) for ix in slot_in_generators(f, j, p)] for j in range(2**p)]
+
+    def json_text() -> str:
+        tables = (
+            _json_object(index=dumps(str(ix)), name=dumps(g), pretty=dumps(str(body)), tensor=body.json_text())
+            for ix, g, body in gens
         )
-    lines = [f"{g['name']} = {g['pretty']}" for g in gens]
-    lines += [f"slot {r['slot']}: " + " + ".join(r["sum"]) for r in inversion]
+        inversion = dumps([{"slot": j, "sum": s} for j, s in enumerate(sums)])
+        return _json_object(level=str(p), symbol=dumps(name), generators=f"[{','.join(tables)}]", inversion=inversion)
 
-    def document() -> dict:
-        tables = [dict(g, tensor=Encoded(b.json_text())) for g, b in zip(gens, bodies)]
-        return {"level": p, "symbol": name, "generators": tables, "inversion": inversion}
+    def pretty_text() -> str:
+        lines = [f"{g} = {body}" for _, g, body in gens]
+        return "\n".join(lines + [f"slot {j}: " + " + ".join(s) for j, s in enumerate(sums)])
 
-    _emit(document, lambda: "\n".join(lines), args.out)
+    _emit(args, json_text, pretty_text)
     return 0
 
 
@@ -306,7 +266,7 @@ def cmd_verify(args) -> int:
     ok = all(r.ok for r in results)
     doc = {"suite": args.suite, "ok": ok, "checks": checks}
     lines = (f"PASS {r.name}" if r.ok else f"FAIL {r.name}: {r.detail}" for r in results)
-    _emit(lambda: doc, lambda: "\n".join(lines), args.out)
+    _emit(args, lambda: dumps(doc), lambda: "\n".join(lines))
     return 0 if ok else 1
 
 
@@ -361,9 +321,7 @@ def cmd_jet(args) -> int:
         },
         "invariant": delta2_invariance_check(fj, cv),
     }
-    with _digit_limit("jet result"):
-        lines = (f"{k} = {v[0]}/{v[1]}" for k, v in doc["jet"].items())
-        _emit(lambda: doc, lambda: "\n".join(lines), args.out)
+    _emit(args, lambda: dumps(doc), lambda: "\n".join(f"{k} = {v[0]}/{v[1]}" for k, v in doc["jet"].items()))
     return 0
 
 

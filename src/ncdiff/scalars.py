@@ -172,7 +172,3 @@ def scalar_json(re_n: int, re_d: int, im_n: int, im_d: int) -> str:
 ZERO = Scalar()
 ONE = Scalar(1)
 MINUS_ONE = Scalar(-1)
-
-
-def integer(n: int) -> Scalar:
-    return Scalar.of(n)

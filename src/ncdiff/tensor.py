@@ -23,7 +23,7 @@ from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar, Union
 
 from .algebra import AlgebraMismatchError, AlgebraSpec, AlgElem, Label
-from .scalars import MINUS_ONE, ONE, ZERO, Record, Scalar, rational
+from .scalars import MINUS_ONE, ONE, ZERO, Record, Scalar
 
 Key = tuple[tuple[int, Label], ...]
 Term = tuple[Scalar, Key]
@@ -381,23 +381,30 @@ def _common_denominator(terms: Sequence[Term]) -> tuple[int, Callable[[Union[int
 Table = tuple[int, list[int], Union[list[int], None]]
 
 
-def _distinct_cells(table: Table, make: Callable[[int, int, int], T]) -> tuple[dict, Iterable]:
-    """make(d, re, im) for each distinct cell (re + im·i)/d, keyed by its
-    integers (the real part, or the (real, imaginary) pair when im is a
-    list); and the key of every cell, in order."""
+def _table_cells(table: Table, make: Callable[[int, int, int, int], T]) -> Iterator[T]:
+    """Every cell of a realization table, in order.  Each distinct value
+    (re + im·i)/d, keyed by its integers, is brought to lowest terms, one gcd
+    per part, and made once, as make(re_n, re_d, im_n, im_d): a table of
+    thousands of cells makes a few values."""
     d, re, im = table
+
+    def cell(x: int, y: int = 0) -> T:
+        g, h = math.gcd(x, d), math.gcd(y, d)
+        return make(x // g, d // g, y // h, d // h)
+
     if im is None:
-        return {x: make(d, x, 0) for x in set(re)}, re
-    return {x: make(d, *x) for x in set(zip(re, im))}, zip(re, im)
+        made = {x: cell(x) for x in set(re)}
+        return map(made.__getitem__, re)
+    made = {x: cell(*x) for x in set(zip(re, im))}
+    return map(made.__getitem__, zip(re, im))
 
 
-def _scalar_cell(d: int, re: int, im: int) -> Scalar:
-    """The Scalar (re + im·i)/d, the ``ZERO`` singleton for zero."""
-    if not re and not im:
+def _scalar_cell(re_n: int, re_d: int, im_n: int, im_d: int) -> Scalar:
+    """The Scalar re_n/re_d + (im_n/im_d)·i of parts in lowest terms: the ``ZERO``
+    singleton for zero, and an ``int`` part wherever its denominator is 1."""
+    if not re_n and not im_n:
         return ZERO
-    if d == 1:
-        return Scalar(re, im)
-    return Scalar(rational(Fraction(re, d)), rational(Fraction(im, d)))
+    return Scalar(re_n if re_d == 1 else Fraction(re_n, re_d), im_n if im_d == 1 else Fraction(im_n, im_d))
 
 
 def _eval_table(u: TensorPoly, den: int) -> Table:
@@ -443,8 +450,7 @@ def tensor_eval_all(u: TensorPoly) -> list[Scalar]:
     """Evaluate a function-backend tensor at every tuple of points, listed
     in ``itertools.product(points, repeat=degree)`` order: ``_eval_table``,
     one Scalar per distinct value.  Values agree with ``tensor_eval``."""
-    made, keys = _distinct_cells(_eval_table(u, 1), _scalar_cell)
-    return list(map(made.__getitem__, keys))
+    return list(_table_cells(_eval_table(u, 1), _scalar_cell))
 
 
 def _matrix_table(u: TensorPoly, den: int) -> Table:
@@ -494,9 +500,8 @@ def tensor_to_matrix(u: TensorPoly) -> list[list[Scalar]]:
     """Dense matrix realization of the iterated Kronecker products:
     ``_matrix_table`` split into rows, one Scalar per distinct value."""
     size = u.spec.dim**u.degree
-    made, keys = _distinct_cells(_matrix_table(u, 1), _scalar_cell)
-    flat = list(map(made.__getitem__, keys))
-    return [flat[i : i + size] for i in range(0, size * size, size)]
+    cells = _table_cells(_matrix_table(u, 1), _scalar_cell)
+    return [list(itertools.islice(cells, size)) for _ in range(size)]
 
 
 # -- universal forms ----------------------------------------------------

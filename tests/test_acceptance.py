@@ -42,7 +42,7 @@ from ncdiff.leibniz import (
     odot,
     symbolic_delta,
 )
-from ncdiff.scalars import ONE, Scalar, integer
+from ncdiff.scalars import ONE, Scalar
 from ncdiff.tensor import (
     TensorPoly,
     omega_to_tensor,
@@ -74,7 +74,7 @@ def report(number: int, text: str) -> None:
 
 
 def elem_t(spec, *factors, coeff=1):
-    return TensorPoly.elementary(spec, factors, integer(coeff))
+    return TensorPoly.elementary(spec, factors, Scalar.of(coeff))
 
 
 def test_criterion_01_generator_tables():
@@ -237,8 +237,8 @@ def test_criterion_07_two_point_algebra():
         ("R", "R"): (0, 0),
     }
     for args, (want_x, want_y) in table.items():
-        assert tensor_eval(x_dx, args) == integer(want_x)
-        assert tensor_eval(y_dy, args) == integer(want_y)
+        assert tensor_eval(x_dx, args) == Scalar.of(want_x)
+        assert tensor_eval(y_dy, args) == Scalar.of(want_y)
 
     one = spec.unit()
     x_d2x = embed(module_mul(x, d(d(form(x))))).body
@@ -254,9 +254,9 @@ def test_criterion_07_two_point_algebra():
         if not v.is_zero():
             nonzero[args] = v
     assert len(nonzero) == 5
-    assert nonzero[("L", "R", "R", "L")] == integer(2)
-    assert nonzero[("L", "L", "L", "R")] == integer(-1)
-    assert nonzero[("L", "L", "R", "L")] == integer(1)
+    assert nonzero[("L", "R", "R", "L")] == Scalar.of(2)
+    assert nonzero[("L", "L", "L", "R")] == Scalar.of(-1)
+    assert nonzero[("L", "L", "R", "L")] == Scalar.of(1)
     assert set(nonzero) == {
         ("L", "L", "L", "R"),
         ("L", "L", "R", "L"),
@@ -281,9 +281,9 @@ def test_criterion_07_two_point_algebra():
     mat_route = [mat16[i][i] for i in range(16)]
     assert func_route == mat_route
     signs = (0, 1, -1, 0, -1, 0, -2, -1, 1, 2, 0, 1, 0, 1, -1, 0)
-    assert func_route == [eps * integer(s) for s in signs]
+    assert func_route == [eps * Scalar.of(s) for s in signs]
     assert sorted(s.key() for s in func_route) == sorted(
-        (eps * integer(s)).key() for s in (0, -1, 1, 0, -1, -2, 0, -1, 1, 0, 2, 1, 0, -1, 1, 0)
+        (eps * Scalar.of(s)).key() for s in (0, -1, 1, 0, -1, -2, 0, -1, 1, 0, 2, 1, 0, -1, 1, 0)
     )
 
     # the order-2 module is spanned by the four stated monomials

@@ -1,9 +1,11 @@
+import ast
 import copy
 import hashlib
 import itertools
 import json
 import math
 import os
+import pathlib
 import random
 import resource
 import subprocess
@@ -21,7 +23,7 @@ from ncdiff.frame import rho
 from ncdiff.leibniz import LeibnizForm, embed
 from ncdiff.parser import lower, parse
 from ncdiff.scalars import Scalar, scalar_json, scalar_str
-from ncdiff.tensor import TensorPoly, dumps, tensor_eval, tensor_eval_all, tensor_to_matrix
+from ncdiff.tensor import TensorPoly, _table_cells, dumps, tensor_eval, tensor_eval_all, tensor_to_matrix
 
 TWO_POINT_DOC = {
     "backend": "function",
@@ -817,8 +819,8 @@ def test_cell_text_matches_fraction_and_json(d):
     im = [0, -d, 0, 1, *(rng.choice([0, *nums]) for _ in range(300))]
     for table, pairs in [((d, re, None), [(x, 0) for x in re]), ((d, re, im), list(zip(re, im)))]:
         want = [expected_cell_text(Fraction(x, d), Fraction(y, d)) for x, y in pairs]
-        assert list(cli._cell_text(table, scalar_json)) == [j for j, _ in want]
-        assert list(cli._cell_text(table, scalar_str)) == [p for _, p in want]
+        assert list(_table_cells(table, scalar_json)) == [j for j, _ in want]
+        assert list(_table_cells(table, scalar_str)) == [p for _, p in want]
 
 
 @pytest.mark.parametrize(
@@ -829,12 +831,21 @@ def test_cell_text_matches_fraction_and_json(d):
         (HUGE_TWO_POINT_DOC, ["eval", "--expr", "x*x*x*x*x*x*x*x", "--tuples", "L"]),
         (HUGE_MAT_DOC, ["matrix", "--expr", "f*f*f*f*f*f*f*f"]),
         (HUGE_MAT_DOC, ["matrix", "--expr", "f*f*f*f*f*f*f*f", "--out", "pretty"]),
+        *(
+            (HUGE_TWO_POINT_DOC, ["expand", "--expr", expr, "--basis", "generators", *flags])
+            for expr, split in [("x*x*x*x*x*x*x*x*d(x)", []), ("x + x*x*x*x*x*x*x*x*d(x)", ["--split"])]
+            for flags in (split, [*split, "--out", "pretty"])
+        ),
     ],
-    ids=["eval-json", "eval-pretty", "eval-tuples", "matrix-json", "matrix-pretty"],
+    ids=[
+        "eval-json", "eval-pretty", "eval-tuples", "matrix-json", "matrix-pretty",
+        "expand-generators-json", "expand-generators-pretty", "expand-generators-split-json", "expand-generators-split-pretty",
+    ],
 )
 def test_cell_past_the_digit_limit_exits_2(spec_file, capsys, doc, argv):
-    """A cell with an integer over Python's 4300-digit limit for printing is
-    refused by ``_digit_limit``: exit 2, its message, and nothing printed."""
+    """A realization cell or a generator-basis coefficient with an integer
+    over Python's 4300-digit limit for printing is refused by ``_emit``:
+    exit 2, its message, and nothing printed."""
     code, out, err = run(capsys, argv[0], "--algebra", spec_file(doc), *argv[1:])
     what = f"{argv[0]} result has an integer over {sys.get_int_max_str_digits()} digits"
     assert (code, out) == (2, "") and err.startswith(f"ncdiff: {what}") and "Traceback" not in err
@@ -1000,24 +1011,45 @@ JSON_DOCS = st.recursive(
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(doc=JSON_DOCS)
 def test_dumps_writes_sorted_compact_json(doc):
-    assert cli._dumps(doc) == json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    """``dumps``, which ``verify`` and ``jet`` print through, writes sorted compact JSON."""
+    assert cli.dumps(doc) == json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-@settings(max_examples=100, derandomize=True, deadline=None)
-@given(doc=JSON_DOCS, data=st.data())
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(doc=st.dictionaries(st.text("ab_z", min_size=1, max_size=3), JSON_DOCS, max_size=3), data=st.data())
 def test_dumps_splices_encoded_values_as_they_are(doc, data):
-    """Any value given as ``Encoded`` text is written as it is, at any depth,
-    and the rest of the document as ``json.dumps`` writes it."""
+    """An object joined by ``_json_object`` from its fields' JSON text, with
+    objects joined the same way at any depth, is the document ``json.dumps``
+    writes: each field's text is spliced as it is."""
     text = lambda d: json.dumps(d, sort_keys=True, separators=(",", ":"))
 
     def splice(d):
-        if data.draw(st.booleans()):
-            return cli.Encoded(text(d))
-        if isinstance(d, dict):
-            return {k: splice(v) for k, v in d.items()}
-        return [splice(v) for v in d] if isinstance(d, list) else d
+        if isinstance(d, dict) and data.draw(st.booleans()):
+            return cli._json_object(**{k: splice(v) for k, v in d.items()})
+        return text(d)
 
-    assert cli._dumps(splice(doc)) == text(doc)
+    assert cli._json_object(**{k: splice(v) for k, v in doc.items()}) == text(doc)
+
+
+def test_cli_prints_through_emit_alone():
+    """cli.py writes standard output in ``_emit`` alone, with one ``print``,
+    and only ``_emit`` reads the digit limit, in its ``ValueError`` handler:
+    no command can print around the guard."""
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    prints, limits = [], []
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.ExceptHandler) and "get_int_max_str_digits" in ast.unparse(node):
+                limits.append((owner, ast.unparse(node.type)))
+            if not isinstance(node, ast.Call):
+                continue
+            call = ast.unparse(node.func)
+            assert call != "sys.stdout.write"
+            if call == "print" and "sys.stderr" not in [ast.unparse(k.value) for k in node.keywords if k.arg == "file"]:
+                prints.append(owner)
+    assert prints == ["_emit"] and limits == [("_emit", "ValueError")]
+    assert ast.unparse(tree).count("get_int_max_str_digits") == 1
 
 
 # Tokens of the expression grammar, joined with spaces so digits never merge

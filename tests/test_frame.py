@@ -17,7 +17,7 @@ from ncdiff.frame import (
     slot_embed,
     slot_in_generators,
 )
-from ncdiff.scalars import ONE, integer
+from ncdiff.scalars import ONE, Scalar
 from ncdiff.tensor import TensorPoly, mult_map, tensor_eval
 from ncdiff.verify import random_frame_elem
 
@@ -178,7 +178,7 @@ def level_scan(f, p, members):
 def test_generators_are_the_level_scan():
     """delta_I and delta_iter, both one-factor generator monomials, equal
     the scan for every subset at levels 0-4."""
-    for f in (F, G.mul(H).add(F.scale(integer(-2)))):
+    for f in (F, G.mul(H).add(F.scale(Scalar.of(-2)))):
         for p in range(5):
             for mask in range(2**p):
                 members = [s for s in range(p) if (mask >> s) & 1]
@@ -228,7 +228,7 @@ def test_module_actions_match_worked_computation():
     assert g_times.body == TensorPoly.of(
         SPEC,
         2,
-        [(integer(1), (G, H)), (integer(-1), (G.mul(H), SPEC.unit()))],
+        [(Scalar.of(1), (G, H)), (Scalar.of(-1), (G.mul(H), SPEC.unit()))],
     )
     lhs = frame_delta(g_times)
     rhs1 = module_right(frame_delta(rho(FrameElem.from_alg(G))), delta_iter(H, 1))
@@ -268,5 +268,5 @@ def test_high_level_evaluation_is_lazy_per_tuple():
     for j in range(32):
         sign = (-1) ** (5 - bin(j).count("1"))
         want += sign * (1 if args[j] == "L" else 0)
-    assert got == integer(want)
+    assert got == Scalar.of(want)
 

@@ -34,7 +34,7 @@ from ncdiff.leibniz import (
     symbolic_delta,
 )
 from ncdiff.parser import lower, parse
-from ncdiff.scalars import MINUS_ONE, ONE, Scalar, integer
+from ncdiff.scalars import MINUS_ONE, ONE, Scalar
 from ncdiff.tensor import (
     TensorPoly,
     _eval_table,
@@ -76,7 +76,7 @@ def d(form, times=1):
 
 
 def elem_t(*factors, coeff=1):
-    return TensorPoly.elementary(SPEC, factors, integer(coeff))
+    return TensorPoly.elementary(SPEC, factors, Scalar.of(coeff))
 
 
 def test_module_action():
@@ -406,7 +406,7 @@ def test_collect_keys_no_lone_monomial(monkeypatch):
     for terms in ([mono], [LeibnizMonomial(SPEC.zero(), ((1, F), (2, G))), mono]):
         assert _collect(SPEC, 3, terms).terms == (mono,)
     assert keyed == []
-    assert _collect(SPEC, 3, [mono, mono]).terms == (LeibnizMonomial(F.scale(integer(2)), mono.factors),)
+    assert _collect(SPEC, 3, [mono, mono]).terms == (LeibnizMonomial(F.scale(Scalar.of(2)), mono.factors),)
     assert keyed
 
 
@@ -959,7 +959,7 @@ def test_tensor_json_text_matches_a_slot_by_slot_oracle(spec, rng):
         TensorPoly.unit(spec, 4),
         TensorPoly.elementary(spec, syms[:2], complex_),
     ]
-    for k, c in [(1, half), (2, complex_), (3, integer(-4))]:
+    for k, c in [(1, half), (2, complex_), (3, Scalar.of(-4))]:
         factors = [(k, rng.choice(syms)), (1, random_elem(spec, rng))]
         tensors.append(embed(LeibnizForm.monomial(random_elem(spec, rng).scale(c), factors)).body)
     coeffs = [c for u in tensors for c, _ in u.terms]
@@ -1030,8 +1030,8 @@ def test_integer_forms_embed_with_int_coefficient_parts(spec):
     its leading coefficient (3x - 2y becomes 3 times x - 2/3 y), and for
     Gaussian integers, whose products and sums are complex."""
     x, y = (spec.symbol(s) for s in spec.symbols[:2])
-    a = x.scale(integer(3)).add(y.scale(integer(-2)))
-    b = x.add(y.scale(integer(-2)))
+    a = x.scale(Scalar.of(3)).add(y.scale(Scalar.of(-2)))
+    b = x.add(y.scale(Scalar.of(-2)))
     forms = [
         LeibnizForm.monomial(a, [(1, x), (2, b)]),
         LeibnizForm.monomial(a, [(1, y), (1, b), (1, x)]),

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from ncdiff.scalars import ONE, ZERO, Scalar, integer, rational
+from ncdiff.scalars import ONE, ZERO, Scalar, rational
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 scalars = st.builds(Scalar, rationals, rationals)
@@ -35,7 +35,7 @@ def test_unit_and_inverse(a):
 
 def test_complex_multiplication_is_exact():
     i = Scalar.of(0, 1)
-    assert i * i == integer(-1)
+    assert i * i == Scalar.of(-1)
     assert Scalar.of(Fraction(1, 3), 2) * Scalar.of(3, Fraction(-1, 2)) == Scalar.of(
         2, Fraction(35, 6)
     )
@@ -53,7 +53,7 @@ def test_json_round_trip(a):
 
 def test_json_accepts_plain_integers():
     assert Scalar.from_json([2, [1, 2]]) == Scalar.of(2, Fraction(1, 2))
-    assert Scalar.from_json(3) == integer(3)
+    assert Scalar.from_json(3) == Scalar.of(3)
 
 
 def _exact(s: Scalar) -> tuple[Fraction, Fraction]:
@@ -78,7 +78,7 @@ def test_arithmetic_matches_fraction_pairs(a, b):
 def test_integral_parts_are_ints():
     assert type(Scalar.of(Fraction(6, 3)).re) is int
     assert type(Scalar.from_json([[4, 2], [0, 1]]).re) is int
-    assert type(integer(5).re) is int and type(ONE.im) is int
+    assert type(Scalar.of(5).re) is int and type(ONE.im) is int
     third = Scalar.of(1) / Scalar.of(3)
     assert type(third.re) is Fraction and third.re == Fraction(1, 3)
 

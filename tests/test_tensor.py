@@ -13,7 +13,7 @@ from ncdiff.algebra import AlgebraMismatchError, AlgebraSpec, func_as_diagonal
 from ncdiff.frame import FrameElem, frame_delta, frame_sum, lam, rho
 from ncdiff.leibniz import LeibnizForm, embed, enumerate_types, odot
 from ncdiff.parser import lower, parse
-from ncdiff.scalars import MINUS_ONE, ONE, ZERO, Scalar, integer
+from ncdiff.scalars import MINUS_ONE, ONE, ZERO, Scalar
 from ncdiff.tensor import (
     OmegaMonomial,
     TensorPoly,
@@ -60,8 +60,8 @@ def d0(a):
 
 def test_concat_examples():
     assert tensor_concat(TensorPoly.wrap(F), TensorPoly.unit(SPEC, 2)) == elem_t(F, U, U)
-    two = tensor_concat(elem_t(F, G, coeff=integer(2)), elem_t(H, coeff=integer(3)))
-    assert two == elem_t(F, G, H, coeff=integer(6))
+    two = tensor_concat(elem_t(F, G, coeff=Scalar.of(2)), elem_t(H, coeff=Scalar.of(3)))
+    assert two == elem_t(F, G, H, coeff=Scalar.of(6))
     summed = TensorPoly.wrap(F) + TensorPoly.wrap(G)
     assert tensor_concat(summed, TensorPoly.wrap(H)) == elem_t(F, H) + elem_t(G, H)
 
@@ -69,7 +69,7 @@ def test_concat_examples():
 def test_componentwise_product_examples():
     lhs = componentwise_product(elem_t(F, U), elem_t(U, H) - elem_t(H, U))
     assert lhs == elem_t(F, H) - elem_t(F.mul(H), U)
-    u = elem_t(F, G) + elem_t(H, U, coeff=integer(-2))
+    u = elem_t(F, G) + elem_t(H, U, coeff=Scalar.of(-2))
     assert componentwise_product(TensorPoly.unit(SPEC, 2), u) == u
 
 
@@ -77,7 +77,7 @@ def test_componentwise_product_is_associative_and_unital(rng):
     def rand():
         pick = lambda: rng.choice((F, G, H, U))
         t = TensorPoly.of(
-            SPEC, 2, [(integer(rng.randint(-2, 2)), (pick(), pick())) for _ in range(2)]
+            SPEC, 2, [(Scalar.of(rng.randint(-2, 2)), (pick(), pick())) for _ in range(2)]
         )
         return t if not t.is_zero() else elem_t(F, G)
 
@@ -110,7 +110,7 @@ def test_t_algebra_product_is_associative(rng):
         terms = []
         for _ in range(rng.randint(1, 2)):
             pick = lambda: rng.choice((F, G, H, U))
-            terms.append((integer(rng.randint(-2, 2)), (pick(), pick())))
+            terms.append((Scalar.of(rng.randint(-2, 2)), (pick(), pick())))
         t = TensorPoly.of(SPEC, 2, terms)
         return t if not t.is_zero() else elem_t(F, G)
 
@@ -214,7 +214,7 @@ def test_omega_product_matches_glued_tensor_product(rng):
     def rand_monomial(degree):
         letters = [rng.choice((F, G, H, K)) for _ in range(degree + 1)]
         if rng.random() < 0.4:
-            letters[0] = letters[0].add(U.scale(integer(rng.randint(1, 2))))
+            letters[0] = letters[0].add(U.scale(Scalar.of(rng.randint(1, 2))))
         return omega(*letters)
 
     def check(u, v):
@@ -302,7 +302,7 @@ def test_tensor_eval_all_matches_per_tuple_eval(spec, max_order):
         LeibnizForm.from_alg(c),
         one_form,
         LeibnizForm.monomial(b, [(2, c)]),
-        odot(one_form, LeibnizForm.monomial(a.scale(integer(5)), [(1, b)])),
+        odot(one_form, LeibnizForm.monomial(a.scale(Scalar.of(5)), [(1, b)])),
         LeibnizForm.monomial(a, [(3, b)]),
         odot(one_form, odot(LeibnizForm.from_alg(b), LeibnizForm.monomial(c, [(2, a)]))),
     ]
@@ -363,9 +363,9 @@ def test_normalization_merges_and_drops():
         SPEC,
         2,
         [
-            (ONE, (F.scale(integer(2)), G)),
-            (integer(-2), (F, G)),
-            (integer(5), (F, SPEC.zero())),
+            (ONE, (F.scale(Scalar.of(2)), G)),
+            (Scalar.of(-2), (F, G)),
+            (Scalar.of(5), (F, SPEC.zero())),
         ],
     )
     assert t.is_zero()
@@ -605,7 +605,7 @@ def realization_cases(draw):
 
     def elem():
         k = draw(st.lists(st.integers(-2, 2), min_size=3, max_size=3))
-        return x.scale(integer(k[0])).add(y.scale(integer(k[1]))).add(unit.scale(integer(k[2])))
+        return x.scale(Scalar.of(k[0])).add(y.scale(Scalar.of(k[1]))).add(unit.scale(Scalar.of(k[2])))
 
     def form(order):
         cuts = sorted(draw(st.sets(st.integers(1, order - 1)))) if order > 1 else []
@@ -715,3 +715,37 @@ def test_matrix_table_expands_unit_slots_once_per_pattern(spec):
             d, re, im = _matrix_table(body, 1)
             cells = [Scalar.of(Fraction(r, d), Fraction(i, d)) for r, i in zip(re, im or [0] * len(re))]
             assert [cells[i : i + size] for i in range(0, size * size, size)] == dense_kron(body)
+
+
+NORMAL_FORM_SPECS = {
+    "function-real": POINTS,
+    "function-complex": TWO_COMPLEX,
+    "matrix-real": AlgebraSpec.matrix(2, {"f": [[Fraction(1, 2), 0], [Fraction(-2, 3), 3]], "g": [[0, 1], [Fraction(1, 5), -1]]}),
+    "matrix-complex": MATRIX_TABLE_SPECS["2x2-complex"],
+}
+
+
+@pytest.mark.parametrize("spec", NORMAL_FORM_SPECS.values(), ids=NORMAL_FORM_SPECS.keys())
+def test_realized_cells_keep_the_scalar_normal_form(spec):
+    """tensor_eval_all and tensor_to_matrix give Scalars in normal form: every
+    zero cell is the ZERO singleton, every integral part an ``int`` and every
+    other a ``Fraction``; each value is tensor_eval at its tuple, or the cell
+    of the Kronecker product of its terms' slot matrices."""
+    a, b = spec.symbols[:2]
+    seen = set()
+    for expr in [f"{a}*{b} + 1/2", f"d({a}) - {b}*d({b})", f"{b}*d({a})@d({b}) + d2({a})"]:
+        (form,) = lower(parse(expr), spec).values()
+        body = embed(form).body
+        if spec.backend == "function":
+            cells = tensor_eval_all(body)
+            assert cells == [tensor_eval(body, t) for t in itertools.product(spec.points, repeat=body.degree)]
+        else:
+            rows = tensor_to_matrix(body)
+            assert rows == dense_kron(body)
+            cells = [c for row in rows for c in row]
+        for c in cells:
+            assert c is ZERO or not c.is_zero()
+            for part in (c.re, c.im):
+                assert type(part) is (int if part.denominator == 1 else Fraction)
+            seen.update(["zero" if c is ZERO else "nonzero", *(type(p) for p in (c.re, c.im) if p)])
+    assert seen == {"zero", "nonzero", int, Fraction}
