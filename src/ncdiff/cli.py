@@ -280,7 +280,10 @@ def _rational(text: str) -> Fraction | None:
         whole, part, e = int(num), int(dec or "0"), int(m.group(3))  # Fraction's order, so its errors
         if abs(e) > MAX_COEFF_BITS + len(num) + len(dec):
             return None if whole or part else Fraction(0)
-    q = Fraction(text)
+    try:
+        q = Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} has a zero denominator") from None
     return q if max(q.numerator.bit_length(), q.denominator.bit_length()) <= MAX_COEFF_BITS else None
 
 
@@ -290,7 +293,7 @@ def _parse_point(text: str) -> tuple[Fraction, Fraction]:
         raise UsageError("evaluation point must be 'u,v'")
     try:
         point = _rational(parts[0].strip()), _rational(parts[1].strip())
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise UsageError(f"bad rational point: {exc}") from None
     if None in point:
         raise UsageError(f"evaluation point exceeds the coefficient cap {MAX_COEFF_BITS} bits")
@@ -299,29 +302,16 @@ def _parse_point(text: str) -> tuple[Fraction, Fraction]:
 
 def cmd_jet(args) -> int:
     at = _parse_point(args.at)
-    try:
-        f = parse_poly2(args.f, ("x", "y"))
-        x = parse_poly2(args.x, ("u", "v"))
-        y = parse_poly2(args.y, ("u", "v"))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    f = parse_poly2(args.f, ("x", "y"))  # a ParseError exits 2 in main
+    x = parse_poly2(args.x, ("u", "v"))
+    y = parse_poly2(args.y, ("u", "v"))
     cv = ChangeOfVars2(Jet2.of_poly(x, at), Jet2.of_poly(y, at))
     fj = Jet2.of_poly(f, (cv.xj.f, cv.yj.f))
     out = transform_jet2(fj, cv)
     rat = lambda q: [q.numerator, q.denominator]
-    doc = {
-        "at": [rat(at[0]), rat(at[1])],
-        "jet": {
-            "f": rat(out.f),
-            "fu": rat(out.fx),
-            "fv": rat(out.fy),
-            "fuu": rat(out.fxx),
-            "fuv": rat(out.fxy),
-            "fvv": rat(out.fyy),
-        },
-        "invariant": delta2_invariance_check(fj, cv),
-    }
-    _emit(args, lambda: dumps(doc), lambda: "\n".join(f"{k} = {v[0]}/{v[1]}" for k, v in doc["jet"].items()))
+    jet = dict(zip(("f", "fu", "fv", "fuu", "fuv", "fvv"), map(rat, out._values())))
+    doc = {"at": [rat(at[0]), rat(at[1])], "jet": jet, "invariant": delta2_invariance_check(fj, cv)}
+    _emit(args, lambda: dumps(doc), lambda: "\n".join(f"{k} = {v[0]}/{v[1]}" for k, v in jet.items()))
     return 0
 
 
@@ -374,11 +364,25 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", choices=("json", "pretty"), default="json")
     p.set_defaults(func=cmd_jet)
 
+    top.commands = sub.choices  # name -> the command's parser, for _parse_args
     return top
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The full parser's Namespace for argv.  A well-formed request costs one pass,
+    by its command's parser; argv that names no command or leaves arguments over
+    is read again by the full parser, which prints every usage text and error."""
+    top = build_arg_parser()
+    command = top.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extra:
+            return args
+    return top.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         # argparse reads --name=-- as an empty list; only --tuples takes lists
         for name, value in vars(args).items():

@@ -380,8 +380,9 @@ def test_criterion_09_jets():
     rng = random.Random(109)
     for _ in range(100):
         f, x, y, at = random_jet_instance(rng)
-        fj = Jet2.of_poly(f, (x.eval(*at), y.eval(*at)))
-        assert transform_jet2(fj, change_of_vars(x, y, at)) == composite_jet_oracle(f, x, y, at)
+        cv = change_of_vars(x, y, at)
+        fj = Jet2.of_poly(f, (cv.xj.f, cv.yj.f))
+        assert transform_jet2(fj, cv) == composite_jet_oracle(f, x, y, at)
     for _ in range(100):
         phi = Jet1.of(rng.randint(-6, 6), rng.randint(-6, 6))
         u = Jet1.of(rng.randint(-6, 6), rng.randint(-6, 6))

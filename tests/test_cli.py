@@ -332,6 +332,8 @@ def test_jet_point_exponent_is_bounded_before_fraction_computes_it():
         ("0.001e4100,1", "coefficient cap 4096 bits"),
         ("1e100000000,x", "bad rational point: Invalid literal for Fraction: 'x'"),
         ("1e100000000,1/0", "bad rational point"),
+        ("1,3/0", "bad rational point: '3/0' has a zero denominator"),
+        ("-2/00 ,1", "bad rational point: '-2/00' has a zero denominator"),
         ("1e" + "9" * 5000 + ",1", "bad rational point: Exceeds the limit (4300 digits)"),
         ("1." + "0" * 5000 + "1e99999999,1", "bad rational point: Exceeds the limit (4300 digits)"),
     ],
@@ -909,6 +911,73 @@ def test_one_parser_serves_every_call(spec_file, capsys):
     build_arg_parser.cache_clear()
     assert [outcome(argv) for argv in calls] == fresh
     assert build_arg_parser.cache_info().misses == 1
+
+
+def parse_path_corpus(free: str, fn: str, mat: str) -> tuple[list[list[str]], list[list[str]]]:
+    """(well-formed requests, one for every command plus the abbreviated and
+    separated spellings; requests that exit in argparse or print its errors)."""
+    jet = ["jet", "--f=x*y - 2*x^2", "--x=u + v", "--y=u*v - 1", "--at=1/2,-3"]
+    good = [
+        ["expand", "--algebra", free, "--expr", "d(f)@d(g)", "--out", "pretty"],
+        ["eval", "--algebra", fn, "--expr", "d(x)", "--tuples", "L,R", "R,R"],
+        ["matrix", "--algebra", mat, "--expr", "d(f)", "--max-dim", "4"],
+        ["generators", "--algebra", free, "--level", "1", "--symbol", "g"],
+        ["verify", "jets", "--out", "pretty"],
+        jet,
+        ["expand", "--alg", free, "--ex", "d2(f)", "--split"],
+        ["verify", "--out", "pretty", "--", "jets"],
+        ["expand", "--algebra=--", "--expr", "d(f)"],
+    ]
+    bad = [
+        [],
+        ["-h"],
+        ["expand", "-h"],
+        ["expnd", "--algebra", free, "--expr", "d(f)"],
+        ["expand", "--algebra", free],
+        ["expand", "--algebra", free, "--expr", "d(f)", "--out", "xml"],
+        ["matrix", "--algebra", mat, "--expr", "d(f)", "--max-dim", "x"],
+        ["expand", "--algebra", free, "--expr", "d(f)", "--bogus"],
+        ["verify", "d2", "extra"],
+        ["--", "verify", "jets"],
+        jet + ["--", "extra"],
+        ["eval", "--algebra", fn, "--expr", "d(x)", "--all", "--"],
+    ]
+    return good, bad
+
+
+def test_one_argparse_pass_prints_what_the_full_parser_prints(spec_file, capsys, monkeypatch):
+    """main reads a well-formed request with its command's parser alone and
+    falls back to the full parser otherwise: every exit code, stdout and
+    stderr is what parsing with ``build_arg_parser().parse_args`` gives, and
+    a well-formed request gets the same Namespace."""
+    good, bad = parse_path_corpus(spec_file(FREE_DOC, "free.json"), spec_file(TWO_POINT_DOC), spec_file(MAT_DOC, "mat.json"))
+
+    def outcome(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    for argv in good:
+        assert cli._parse_args(list(argv)) == build_arg_parser().parse_args(list(argv)), argv
+    one_pass = [outcome(argv) for argv in good + bad]
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: build_arg_parser().parse_args(argv))
+    full = [outcome(argv) for argv in good + bad]
+    for argv, got, want in zip(good + bad, one_pass, full):
+        assert got == want, argv
+    assert [code for code, _, _ in one_pass] == [0] * 8 + [2] + [2, 0, 0] + [2] * 9
+    assert "usage: ncdiff [-h]" in one_pass[len(good) + 7][2]  # --bogus: the full parser's usage
+
+
+def test_sparse_jet_at_a_large_point_builds_only_the_powers_it_needs():
+    """x^100 after x = u^100 at a 401-bit point: the jet needs three powers of
+    a 4-million-bit x, not all 101 below it (which peaked near 95 MB)."""
+    at = f"--at={2**400},1"
+    code, _, _, rss = measured_child("jet", "--f=x^100", "--x=u^100", "--y=v", at, stdout=subprocess.PIPE)
+    assert code == 2  # the result passes Python's digit limit for printing
+    assert rss < 60 * 1024  # kilobytes on Linux
 
 
 def test_large_expansion_prints_in_bounded_time_and_memory(spec_file, tmp_path):
