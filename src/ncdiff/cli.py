@@ -24,7 +24,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .algebra import AlgebraSpec
 from .frame import FrameElem, SubsetIndex, delta_I, generator_str, slot_in_generators
-from .jets import MAX_COEFF_BITS, ChangeOfVars2, Jet2, parse_poly2, transform_jet2, delta2_invariance_check
+from .jets import MAX_COEFF_BITS, MAX_JET_BITS, ChangeOfVars2, Jet2, composite_jet_bits, parse_poly2, transform_jet2
+from .jets import delta2_invariance_check
 from .leibniz import LeibnizForm, _integer_embed, embed
 from .parser import LoweringError, MAX_ORDER, ParseError, lower, parse
 from .scalars import scalar_json, scalar_str
@@ -305,6 +306,9 @@ def cmd_jet(args) -> int:
     f = parse_poly2(args.f, ("x", "y"))  # a ParseError exits 2 in main
     x = parse_poly2(args.x, ("u", "v"))
     y = parse_poly2(args.y, ("u", "v"))
+    bits = composite_jet_bits(f, x, y, at)
+    if bits > MAX_JET_BITS:
+        raise UsageError(f"jet result would take about {bits} bits, over the cap {MAX_JET_BITS}")
     cv = ChangeOfVars2(Jet2.of_poly(x, at), Jet2.of_poly(y, at))
     fj = Jet2.of_poly(f, (cv.xj.f, cv.yj.f))
     out = transform_jet2(fj, cv)

@@ -20,6 +20,9 @@ MAX_DEGREE = 100
 #: the largest coefficient bit length ``parse_poly2`` may build: a constant
 #: has degree 0, so only this bounds nested powers like ((2^100)^100)^100
 MAX_COEFF_BITS = 4096
+#: the most bits ``composite_jet_bits`` may estimate for the jet of a ``jet``
+#: request; one estimated at 40 million bits took 25 s to build, then could not print
+MAX_JET_BITS = 65536
 
 
 # -- exact polynomials in two variables (used to build jets) -------------
@@ -34,33 +37,12 @@ class Poly2(Record):
 
     @staticmethod
     def of(coeffs: dict[tuple[int, int], int | Fraction]) -> Poly2:
-        acc = {k: rational(v) for k, v in coeffs.items() if v != 0}
-        return Poly2(tuple(sorted(acc.items())))
-
-    @staticmethod
-    def const(c) -> Poly2:
-        return Poly2.of({(0, 0): rational(c)})
-
-    def __add__(self, other: Poly2) -> Poly2:
-        acc = dict(self.coeffs)
-        for k, v in other.coeffs:
-            acc[k] = acc.get(k, 0) + v
-        return Poly2.of(acc)
-
-    def __mul__(self, other: Poly2) -> Poly2:
-        return Poly2.of(_product(dict(self.coeffs), dict(other.coeffs)))
-
-    def scale(self, c) -> Poly2:
-        c = rational(c)
-        return Poly2.of({k: v * c for k, v in self.coeffs})
-
-    def pow(self, n: int) -> Poly2:
-        return Poly2.of(_power(dict(self.coeffs), n))
+        return Poly2(tuple(sorted((k, rational(v)) for k, v in coeffs.items() if v != 0)))
 
 
 def _product(a: dict, b: dict) -> dict:
-    """The coefficients of a times b: the one polynomial product, under
-    ``Poly2`` and ``parse_poly2`` alike."""
+    """The coefficients of a times b: the one polynomial product, on the
+    ``{(i, j): c}`` dicts that every polynomial is built on before its ``Poly2``."""
     acc: dict = {}
     for (i1, j1), c1 in a.items():
         for (i2, j2), c2 in b.items():
@@ -181,8 +163,8 @@ class Jet2(Record):
             fxx += c * x2 * y0
             fxy += c * x1 * y1
             fyy += c * x0 * y2
-        den = xden * yden
-        return Jet2(*(rational(v if den == 1 else Fraction(v, den)) for v in (f, fx, fy, fxx, fxy, fyy)))
+        den, jet = xden * yden, (f, fx, fy, fxx, fxy, fyy)
+        return Jet2(*map(rational, jet if den == 1 else (Fraction(v, den) for v in jet)))
 
 
 def _power_jets(q, exponents: set[int]) -> tuple[dict[int, tuple[int, int, int]], int]:
@@ -192,6 +174,18 @@ def _power_jets(q, exponents: set[int]) -> tuple[dict[int, tuple[int, int, int]]
     n, d, top = q.numerator, q.denominator, max(exponents, default=0)
     pw = lambda k: n**k * d ** (top - k)
     return {k: (pw(k), k * pw(k - 1) if k else 0, k * (k - 1) * pw(k - 2) if k > 1 else 0) for k in exponents}, d**top
+
+
+def composite_jet_bits(f: Poly2, x: Poly2, y: Poly2, at: tuple) -> int:
+    """The bits of f's jet after x, y at ``at``, estimated before any power is built: p's jet at a point
+    of bu- and bv-bit parts takes at most ``_coeff_bound`` + bu per unit of p's degree in its first variable
+    + bv per unit in its second + the derivative factors' bits; the chain rule adds x's and y's squared."""
+    def bits(p: Poly2, bu: int, bv: int) -> int:
+        du, dv = (max((k[i] for k, _ in p.coeffs), default=0) for i in (0, 1))
+        return _coeff_bound(dict(p.coeffs)) + du * bu + dv * bv + 2 * (du + dv).bit_length()
+
+    bx, by = (bits(p, *(max(abs(q.numerator), q.denominator).bit_length() for q in at)) for p in (x, y))
+    return bits(f, bx, by) + 2 * max(bx, by)
 
 
 class ChangeOfVars2(Record):
@@ -286,18 +280,17 @@ def _row_times(row: tuple, rows: tuple) -> tuple[int | Fraction, ...]:
 
 
 def _expand_second_differential(fj: Jet2, cv: ChangeOfVars2, include_first_order: bool) -> tuple:
-    """Substitute the coordinate differentials into
-    fxx dx^2 + fyy dy^2 + 2 fxy dx dy [+ fx d2x + fy d2y]
+    """Substitute the coordinate differentials, as polynomials in du, dv on
+    coefficient dicts, into fxx dx^2 + fyy dy^2 + 2 fxy dx dy [+ fx d2x + fy d2y]
     and collect over the basis monomials du2, dv2, dudv, d2u, d2v in the new variables."""
     x, y = cv.xj, cv.yj
-    dx, dy = Poly2.of({(1, 0): x.fx, (0, 1): x.fy}), Poly2.of({(1, 0): y.fx, (0, 1): y.fy})
-    quad = (dx * dx).scale(fj.fxx) + (dx * dy).scale(2 * fj.fxy) + (dy * dy).scale(fj.fyy)
+    dx, dy = {(1, 0): x.fx, (0, 1): x.fy}, {(1, 0): y.fx, (0, 1): y.fy}
+    quad = [(fj.fxx, _product(dx, dx)), (2 * fj.fxy, _product(dx, dy)), (fj.fyy, _product(dy, dy))]
     d2u = d2v = 0
     if include_first_order:
-        for coef, j in ((fj.fx, x), (fj.fy, y)):
-            quad = quad + Poly2.of({(2, 0): j.fxx, (1, 1): 2 * j.fxy, (0, 2): j.fyy}).scale(coef)
+        quad += [(coef, {(2, 0): j.fxx, (1, 1): 2 * j.fxy, (0, 2): j.fyy}) for coef, j in ((fj.fx, x), (fj.fy, y))]
         d2u, d2v = fj.fx * x.fx + fj.fy * y.fx, fj.fx * x.fy + fj.fy * y.fy
-    du2, dudv, dv2 = (dict(quad.coeffs).get(e, 0) for e in ((2, 0), (1, 1), (0, 2)))
+    du2, dudv, dv2 = (sum(c * p.get(e, 0) for c, p in quad) for e in ((2, 0), (1, 1), (0, 2)))
     return du2, dv2, dudv, d2u, d2v
 
 

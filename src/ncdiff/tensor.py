@@ -200,17 +200,19 @@ class TensorPoly:
 
 
 def _expand(spec: AlgebraSpec, degree: int, terms: Iterable[ElemTerm]) -> Iterator[Term]:
-    """Expand terms over elements multilinearly over the backend basis."""
+    """Expand terms over elements multilinearly over the backend basis.  A slot holding
+    the unit itself, ((ONE, unit),), is left out; a unit multiple such as 2·1 stays."""
     unit = spec.unit_label()
+    one = ((ONE, unit),)
     for coeff, factors in terms:
         factors = tuple(factors)
         if len(factors) != degree:
             raise ValueError(f"term has {len(factors)} slots, expected {degree}")
         for f in factors:
-            if f.spec != spec:
+            if f.spec is not spec and f.spec != spec:
                 raise AlgebraMismatchError("tensor slot from a different algebra")
         if not coeff.is_zero():
-            slots = [(slot, f.basis_decomposition()) for slot, f in enumerate(factors)]
+            slots = [(slot, d) for slot, d in enumerate(f.basis_decomposition() for f in factors) if d != one]
             yield from _multilinear(coeff, [], slots, unit)
 
 

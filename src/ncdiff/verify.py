@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Iterator, Sequence
 
-from .algebra import AlgebraSpec, AlgElem
+from .algebra import AlgebraSpec, AlgElem, FreePoly
 from .frame import (
     FrameElem,
     SubsetIndex,
@@ -40,6 +41,8 @@ from .jets import (
     Jet2,
     Poly2,
     TransferMatrix1,
+    _power,
+    _product,
     chain2_1d,
     delta2_invariance_check,
     transfer_compose,
@@ -178,10 +181,12 @@ def table_row(spec: AlgebraSpec, order: int, row: int) -> Instance:
 
 
 # -- random data -----------------------------------------------------------
+# Builders make values in normal form directly; tests/reference_builders.py keeps the step-by-step routes.
 
 
 def random_scalar(rng: random.Random) -> Scalar:
-    return Scalar.of(Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2))))
+    n, d = rng.randint(-3, 3), rng.choice((1, 1, 2))
+    return Scalar(Fraction(n, d) if n % d else n // d)
 
 
 def random_elem(spec: AlgebraSpec, rng: random.Random, max_terms: int = 2) -> AlgElem:
@@ -189,23 +194,21 @@ def random_elem(spec: AlgebraSpec, rng: random.Random, max_terms: int = 2) -> Al
         return spec.zero().add(*(spec.symbol(name).scale(random_scalar(rng)) for name in spec.symbols))
     words = []
     for _ in range(rng.randint(1, max_terms)):
-        word = spec.symbol(rng.choice(spec.symbols))
+        word = (rng.choice(spec.symbols),)
         if rng.random() < 0.3:
-            word = word.mul(spec.symbol(rng.choice(spec.symbols)))
-        words.append(word.scale(random_scalar(rng)))
-    out = spec.zero().add(*words)
+            word += (rng.choice(spec.symbols),)
+        words.append((word, random_scalar(rng)))
+    out = FreePoly.of(spec, words) if spec.backend == "free" else spec.zero().add(
+        *(reduce(lambda a, b: a.mul(b), map(spec.symbol, w)).scale(c) for w, c in words))
     if out.is_zero():
         out = spec.symbol(rng.choice(spec.symbols))
     return out
 
 
 def random_frame_elem(spec: AlgebraSpec, level: int, rng: random.Random) -> FrameElem:
-    width = 2**level
-    terms = []
+    width, unit, terms = 2**level, spec.unit(), []
     for _ in range(rng.randint(1, 2)):
-        factors = tuple(
-            random_elem(spec, rng) if rng.random() < 0.5 else spec.unit() for _ in range(width)
-        )
+        factors = tuple(random_elem(spec, rng) if rng.random() < 0.5 else unit for _ in range(width))
         terms.append((random_scalar(rng), factors))
     return FrameElem(level, TensorPoly.of(spec, width, terms))
 
@@ -213,8 +216,7 @@ def random_frame_elem(spec: AlgebraSpec, level: int, rng: random.Random) -> Fram
 def random_leibniz_form(spec: AlgebraSpec, order: int, rng: random.Random) -> LeibnizForm:
     if order == 0:
         return LeibnizForm.from_alg(random_elem(spec, rng))
-    types = enumerate_types(order)
-    composition = rng.choice(types)
+    composition = rng.choice(enumerate_types(order))
     factors = tuple((k, random_elem(spec, rng, max_terms=1)) for k in composition)
     coeff = random_elem(spec, rng, max_terms=1) if rng.random() < 0.7 else spec.unit()
     form = LeibnizForm.monomial(coeff, factors)
@@ -237,26 +239,24 @@ def random_poly2(rng: random.Random, max_degree: int = 2) -> Poly2:
     coeffs = {}
     for _ in range(rng.randint(1, 4)):
         i, j = rng.randint(0, max_degree), rng.randint(0, max_degree)
-        coeffs[(i, j)] = Fraction(rng.randint(-3, 3))
-    poly = Poly2.of(coeffs)
-    return poly if poly.coeffs else Poly2.const(1)
+        coeffs[(i, j)] = rng.randint(-3, 3)
+    return Poly2.of(coeffs if any(coeffs.values()) else {(0, 0): 1})
 
 
 def random_jet_instance(rng: random.Random):
-    f = random_poly2(rng)
-    x = random_poly2(rng)
-    y = random_poly2(rng)
+    f, x, y = (random_poly2(rng) for _ in range(3))
     at = (Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-2, 2), rng.choice((1, 2))))
     return f, x, y, at
 
 
 def composite_jet_oracle(f: Poly2, x: Poly2, y: Poly2, at: tuple) -> Jet2:
-    """Brute-force route: substitute the coordinate polynomials into f,
-    then differentiate the composite polynomial formally."""
-    composite = Poly2.const(0)
+    """Brute-force route: substitute the coordinate polynomials into f, on
+    coefficient dicts, then read the composite polynomial's jet."""
+    xd, yd, composite = dict(x.coeffs), dict(y.coeffs), {}
     for (i, j), c in f.coeffs:
-        composite = composite + x.pow(i) * y.pow(j) * Poly2.const(c)
-    return Jet2.of_poly(composite, at)
+        for k, v in _product(_power(xd, i), _power(yd, j)).items():
+            composite[k] = composite.get(k, 0) + c * v
+    return Jet2.of_poly(Poly2.of(composite), at)
 
 
 def change_of_vars(x: Poly2, y: Poly2, at: tuple) -> ChangeOfVars2:
@@ -335,10 +335,11 @@ def suite_odot() -> Iterator[Instance]:
             i = rng.randrange(3)
             orders[i] = max(0, orders[i] - 1)
         u, v, w = (random_leibniz_form(spec, o, rng) for o in orders)
-        yield "odot.associative", odot(odot(u, v), w), odot(u, odot(v, w))
+        uv = odot(u, v)
+        yield "odot.associative", odot(uv, w), odot(u, odot(v, w))
         if u.order + v.order <= 3:
             rhs = odot(symbolic_delta(u), v) + odot(u, symbolic_delta(v))
-            yield "delta.is.derivation", embed(symbolic_delta(odot(u, v))), embed(rhs)
+            yield "delta.is.derivation", embed(symbolic_delta(uv)), embed(rhs)
     for _ in range(10):
         w = random_leibniz_form(spec, rng.randint(0, 3), rng)
         yield "embed.intertwines.delta", embed(symbolic_delta(w)), frame_delta(embed(w))

@@ -20,6 +20,7 @@ from ncdiff import cli, verify
 from ncdiff.algebra import MATRIX_SPEC_CELL_CAP, AlgebraSpec
 from ncdiff.cli import build_arg_parser, main
 from ncdiff.frame import rho
+from ncdiff.jets import MAX_JET_BITS, composite_jet_bits, parse_poly2
 from ncdiff.leibniz import LeibnizForm, embed
 from ncdiff.parser import lower, parse
 from ncdiff.scalars import Scalar, scalar_json, scalar_str
@@ -363,6 +364,48 @@ def test_jet_point_just_inside_the_cap_is_accepted(capsys):
         assert code == 0 and json.loads(out)["at"] == want
 
 
+def test_jet_cost_is_refused_before_it_composes(capsys):
+    """x^100 + y^100 after x = u^100 at a 2001-bit point builds a jet of about
+    20 million bits (about 25 s) that then cannot print; its estimate, from the
+    degrees and bits alone, is refused at once and names the cap."""
+    argv = ["jet", "--f=x^100+y^100", "--x=u^100", "--y=v", f"--at={2**2000 + 1},1"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"ncdiff: jet result would take about 20412351 bits, over the cap {MAX_JET_BITS}\n"
+
+
+def test_jet_cap_bounds_each_variable_by_its_own_coordinate(capsys):
+    """x^17 after x = u at (1, 2^4000): v's 4001 bits enter only through y = v,
+    which f does not use, so the jet is a few bits and the request is answered
+    (one bound for every variable estimated it at 68,097 bits)."""
+    code, out, _ = run(capsys, "jet", "--f=x^17", "--x=u", "--y=v", f"--at=1,{2**4000}")
+    jet = {"f": [1, 1], "fu": [17, 1], "fuu": [272, 1], "fuv": [0, 1], "fv": [0, 1], "fvv": [0, 1]}
+    assert code == 0
+    assert out == json.dumps({"at": [[1, 1], [2**4000, 1]], "invariant": True, "jet": jet}, separators=(",", ":")) + "\n"
+
+
+def test_jet_estimate_is_not_below_the_bits_the_jet_takes(capsys):
+    """On random jets the estimate bounds every printed numerator and
+    denominator; the slowest request found inside the cap, (x+y+1)^100 at a
+    318-bit point, is admitted."""
+    rng, uv = random.Random(5), ("u", "v")
+    poly = lambda a, b: " + ".join(
+        f"{rng.randint(-60, 60)}*{a}^{rng.randint(0, 5)}*{b}^{rng.randint(0, 5)}" for _ in range(rng.randint(1, 4))
+    )
+    for _ in range(60):
+        f, x, y = poly("x", "y"), poly("u", "v"), poly("u", "v")
+        v = rng.choice((rng.randint(-9, 9), 2 ** rng.randint(9, 300) + 1))  # a large v on a variable f may barely use
+        at = f"{rng.randint(-500, 500)}/{rng.randint(1, 500)},{v}"
+        code, out, _ = run(capsys, "jet", f"--f={f}", f"--x={x}", f"--y={y}", f"--at={at}")
+        assert code == 0
+        bits = max(abs(n).bit_length() for n in itertools.chain(*json.loads(out)["jet"].values()))
+        point = tuple(Fraction(q) for q in at.split(","))
+        assert bits <= composite_jet_bits(parse_poly2(f, ("x", "y")), parse_poly2(x, uv), parse_poly2(y, uv), point)
+    at = (Fraction(2**318 - 1), Fraction(1))
+    f, x, y = parse_poly2("(x+y+1)^100", ("x", "y")), parse_poly2("u", uv), parse_poly2("v", uv)
+    assert composite_jet_bits(f, x, y, at) <= MAX_JET_BITS
+
+
 def test_missing_spec_file(capsys):
     code, _, err = run(capsys, "expand", "--algebra", "/no/such/file.json", "--expr", "d(f)")
     assert code == 2 and "not found" in err
@@ -577,27 +620,27 @@ def child(*argv, program=("-m", "ncdiff.cli"), **kwargs) -> subprocess.Popen:
     return subprocess.Popen([sys.executable, *program, *argv], env=env, **kwargs)
 
 
-# Run by a child in place of the CLI: fork, exec the CLI on the same
+# Run by a child in place of the measured program: fork, exec Python on the same
 # arguments, and report its exit code, CPU seconds and peak RSS on stderr.
 SPAWN_AND_MEASURE = """import os, sys
 pid = os.fork()
 if pid == 0:
-    os.execv(sys.executable, [sys.executable, "-m", "ncdiff.cli", *sys.argv[1:]])
+    os.execv(sys.executable, [sys.executable, *sys.argv[1:]])
 _, status, usage = os.wait4(pid, 0)
 print(os.waitstatus_to_exitcode(status), usage.ru_utime + usage.ru_stime, usage.ru_maxrss, file=sys.stderr)
 """
 
 
-def measured_child(*argv, stdout, **popen) -> tuple[int, bytes | None, float, int]:
-    """Run ``ncdiff argv`` in a fresh process and return its exit code, its
-    stdout if piped, its CPU seconds and its peak RSS in kilobytes.  The
-    process is a grandchild, forked from a small interpreter: exec keeps the
-    peak RSS of the image it replaces, so a child started straight from the
-    test runner would report the runner's peak.  ``popen`` goes to the
-    interpreter's ``subprocess.Popen``."""
-    proc = child(*argv, program=("-c", SPAWN_AND_MEASURE), stdout=stdout, stderr=subprocess.PIPE, **popen)
+def measured_child(*argv, stdout, program=("-m", "ncdiff.cli"), **popen) -> tuple[int, bytes | None, float, int]:
+    """Run ``python program argv``, the CLI by default, in a fresh process and
+    return its exit code, its stdout if piped, its CPU seconds and its peak
+    RSS in kilobytes.  The process is a grandchild, forked from a small
+    interpreter: exec keeps the peak RSS of the image it replaces, so a child
+    started straight from the test runner would report the runner's peak.
+    ``popen`` goes to the interpreter's ``subprocess.Popen``."""
+    proc = child(*program, *argv, program=("-c", SPAWN_AND_MEASURE), stdout=stdout, stderr=subprocess.PIPE, **popen)
     out, err = proc.communicate(timeout=120)
-    code, cpu, rss = err.splitlines()[-1].split()  # the CLI's own stderr comes first
+    code, cpu, rss = err.splitlines()[-1].split()  # the program's own stderr comes first
     return int(code), out, float(cpu), int(rss)
 
 
@@ -972,11 +1015,25 @@ def test_one_argparse_pass_prints_what_the_full_parser_prints(spec_file, capsys,
 
 
 def test_sparse_jet_at_a_large_point_builds_only_the_powers_it_needs():
-    """x^100 after x = u^100 at a 401-bit point: the jet needs three powers of
-    a 4-million-bit x, not all 101 below it (which peaked near 95 MB)."""
+    """x^100 at x = 2^40000 (the value of u^100 at u = 2^400): the jet needs
+    three powers of x, the largest of 4 million bits, not all 101 below it
+    (which peaked near 95 MB)."""
+    script = "\n".join([
+        "from ncdiff.jets import Jet2, Poly2",
+        "jet = Jet2.of_poly(Poly2.of({(100, 0): 1}), (2**40000, 1))",
+        "assert (jet.f, jet.fx, jet.fxx) == (2**4000000, 100 * 2**3960000, 9900 * 2**3920000)",
+    ])
+    code, _, _, rss = measured_child("-c", script, program=(), stdout=subprocess.PIPE)
+    assert code == 0
+    assert rss < 60 * 1024  # kilobytes on Linux
+
+
+def test_jet_past_the_cap_is_refused_in_bounded_memory():
+    """The same x^100 after x = u^100 through the CLI: its estimate, about 4
+    million bits, passes the jet cap, so it exits 2 before any power is built."""
     at = f"--at={2**400},1"
     code, _, _, rss = measured_child("jet", "--f=x^100", "--x=u^100", "--y=v", at, stdout=subprocess.PIPE)
-    assert code == 2  # the result passes Python's digit limit for printing
+    assert code == 2
     assert rss < 60 * 1024  # kilobytes on Linux
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncdiff.algebra import AlgebraMismatchError, AlgebraSpec, func_as_diagonal
-from ncdiff.frame import FrameElem, frame_delta, frame_sum, lam, rho
+from ncdiff.frame import FrameElem, frame_delta, frame_sum, lam, rho, slot_embed
 from ncdiff.leibniz import LeibnizForm, embed, enumerate_types, odot
 from ncdiff.parser import lower, parse
 from ncdiff.scalars import MINUS_ONE, ONE, ZERO, Scalar
@@ -23,6 +23,7 @@ from ncdiff.tensor import (
     omega_product,
     omega_to_tensor,
     t_algebra_product,
+    tensor_collect,
     tensor_concat,
     tensor_d,
     tensor_eval,
@@ -34,6 +35,7 @@ from ncdiff.tensor import (
 from ncdiff.verify import random_elem, random_omega_monomial
 
 from exactlinalg import coboundary, dense_labels, dense_terms, kron
+from reference_builders import expand as reference_expand
 
 SPEC = AlgebraSpec.free(("f", "g", "h", "k"))
 F, G, H, K = (SPEC.symbol(s) for s in "fghk")
@@ -749,3 +751,35 @@ def test_realized_cells_keep_the_scalar_normal_form(spec):
                 assert type(part) is (int if part.denominator == 1 else Fraction)
             seen.update(["zero" if c is ZERO else "nonzero", *(type(p) for p in (c.re, c.im) if p)])
     assert seen == {"zero", "nonzero", int, Fraction}
+
+
+@pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS.values(), ids=DIFFERENTIAL_SPECS.keys())
+def test_of_leaves_out_unit_slots_and_keeps_unit_multiples(spec, rng):
+    """``TensorPoly.of`` leaves out slots that hold the unit itself and equals
+    the expansion that multiplies every slot in: on unit slots (the spec's
+    unit or one built by a sum), unit multiples, zero factors, zero
+    coefficients and all-unit factors; 2·1 stays a coefficient."""
+    reference = lambda degree, terms: tensor_collect(spec, degree, reference_expand(spec, degree, terms))
+    unit, zero, a = spec.unit(), spec.zero(), spec.symbol(spec.symbols[0])
+    two, half, summed_unit = spec.scalar(2), spec.scalar(Scalar.of(Fraction(1, 2))), zero.add(unit)
+    b = random_elem(spec, rng)
+    cases = {
+        "unit slots": [(ONE, (a, unit, unit)), (Scalar.of(3), (unit, b, summed_unit))],
+        "unit multiples": [(ONE, (two, unit, a)), (MINUS_ONE, (unit, half, two))],
+        "zero factors": [(ONE, (a, zero, unit)), (ONE, (zero, unit, unit))],
+        "zero coefficients": [(ZERO, (a, b, unit)), (ONE, (a, unit, unit)), (ZERO, (unit, unit, unit))],
+        "all units": [(Scalar.of(-2), (unit, unit, unit)), (ONE, (unit, summed_unit, unit))],
+    }
+    pool = [unit, summed_unit, zero, two, half, a, b]
+    cases["mixed"] = [(Scalar.of(rng.randint(-2, 2)), tuple(rng.choice(pool) for _ in range(3))) for _ in range(40)]
+    for name, terms in cases.items():
+        assert TensorPoly.of(spec, 3, terms) == reference(3, terms), name
+    assert TensorPoly.of(spec, 3, [(ONE, (unit, summed_unit, unit))]) == TensorPoly.unit(spec, 3)
+    assert TensorPoly.of(spec, 2, [(ONE, (two, unit))]).terms == ((Scalar.of(2), ()),)
+    assert TensorPoly.of(spec, 2, [(ONE, (zero, unit))]).is_zero()
+    for p in range(3):
+        for j in range(2**p):
+            factors = tuple(b if i == j else unit for i in range(2**p))
+            assert slot_embed(b, j, p).body.terms == reference(2**p, [(ONE, factors)]).terms
+    for elem in (unit, two, zero, a, b):
+        assert FrameElem.from_alg(elem).body.terms == reference(1, [(ONE, (elem,))]).terms
