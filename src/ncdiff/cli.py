@@ -143,7 +143,7 @@ def _generator_basis_doc(frame: FrameElem) -> list[dict]:
         slots = []
         for j, label in key:
             elem = frame.spec.basis_elem(label)
-            subsets = slot_in_generators(elem, j, frame.level)
+            subsets = slot_in_generators(j, frame.level)
             rendered = " + ".join(generator_str(ix, str(elem)) for ix in subsets)
             slots.append(f"({rendered})" if len(subsets) > 1 else rendered)
         if not slots:
@@ -241,7 +241,7 @@ def cmd_generators(args) -> int:
     # every subset of {0..p-1}, smallest first, then by ascending members
     indices = [SubsetIndex(p, c) for r in range(p + 1) for c in itertools.combinations(range(p), r)]
     gens = [(ix, generator_str(ix, name), delta_I(f, ix).body) for ix in indices]
-    sums = [[generator_str(ix, name) for ix in slot_in_generators(f, j, p)] for j in range(2**p)]
+    sums = [[generator_str(ix, name) for ix in slot_in_generators(j, p)] for j in range(2**p)]
 
     def json_text() -> str:
         tables = (

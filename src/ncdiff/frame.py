@@ -23,16 +23,16 @@ from .tensor import TensorPoly, componentwise_product, mult_map, tensor_concat, 
 
 @dataclass(frozen=True)
 class FrameElem:
-    level: int
     body: TensorPoly
 
     def __post_init__(self):
-        if self.level < 0:
-            raise ValueError("level must be nonnegative")
-        if self.body.degree != 2**self.level:
-            raise ValueError(
-                f"body degree {self.body.degree} does not match level {self.level}"
-            )
+        degree = self.body.degree
+        if degree & (degree - 1):
+            raise ValueError(f"body degree {degree} is not a power of two")
+
+    @property
+    def level(self) -> int:  # the p of degree 2**p
+        return self.body.degree.bit_length() - 1
 
     @property
     def spec(self) -> AlgebraSpec:
@@ -40,31 +40,31 @@ class FrameElem:
 
     @staticmethod
     def from_alg(elem: AlgElem) -> FrameElem:
-        return FrameElem(0, TensorPoly.wrap(elem))
+        return FrameElem(TensorPoly.wrap(elem))
 
     @staticmethod
     def unit(spec: AlgebraSpec, level: int) -> FrameElem:
-        return FrameElem(level, TensorPoly.unit(spec, 2**level))
+        return FrameElem(TensorPoly.unit(spec, 2**level))
 
     @staticmethod
     def zero(spec: AlgebraSpec, level: int) -> FrameElem:
-        return FrameElem(level, TensorPoly.zero(spec, 2**level))
+        return FrameElem(TensorPoly.zero(spec, 2**level))
 
     # operands are checked once, by the tensor layer: the same spec and degree, so the same level
     def mul(self, other: FrameElem) -> FrameElem:
-        return FrameElem(self.level, componentwise_product(self.body, other.body))
+        return FrameElem(componentwise_product(self.body, other.body))
 
     def add(self, other: FrameElem) -> FrameElem:
-        return FrameElem(self.level, self.body + other.body)
+        return FrameElem(self.body + other.body)
 
     def sub(self, other: FrameElem) -> FrameElem:
-        return FrameElem(self.level, self.body - other.body)
+        return FrameElem(self.body - other.body)
 
     def scale(self, c: Union[Scalar, int]) -> FrameElem:
-        return FrameElem(self.level, self.body.scale(c))
+        return FrameElem(self.body.scale(c))
 
     def neg(self) -> FrameElem:
-        return FrameElem(self.level, -self.body)
+        return FrameElem(-self.body)
 
     def is_zero(self) -> bool:
         return self.body.is_zero()
@@ -87,13 +87,13 @@ class FrameElem:
 
 def rho(alpha: FrameElem) -> FrameElem:
     """Right lift: pad with the unit of the current level; no key changes."""
-    return FrameElem(alpha.level + 1, TensorPoly(alpha.spec, 2 * alpha.body.degree, alpha.body.terms))
+    return FrameElem(TensorPoly(alpha.spec, 2 * alpha.body.degree, alpha.body.terms))
 
 
 def lam(alpha: FrameElem) -> FrameElem:
     """Left lift: the mirror of rho."""
-    unit = TensorPoly.unit(alpha.spec, 2**alpha.level)
-    return FrameElem(alpha.level + 1, tensor_concat(unit, alpha.body))
+    unit = TensorPoly.unit(alpha.spec, alpha.body.degree)
+    return FrameElem(tensor_concat(unit, alpha.body))
 
 
 def lift_to(alpha: Union[FrameElem, AlgElem], p: int) -> FrameElem:
@@ -110,20 +110,17 @@ def lift_to(alpha: Union[FrameElem, AlgElem], p: int) -> FrameElem:
 def frame_delta(omega: FrameElem) -> FrameElem:
     """The degree-one universal differential of the current level, lam - rho:
     ``tensor_d`` of the body."""
-    return FrameElem(omega.level + 1, tensor_d(omega.body))
+    return FrameElem(tensor_d(omega.body))
 
 
 def module_left(a: FrameElem, omega: FrameElem) -> FrameElem:
-    """Left module action of level p on a one-form sitting in level p+1."""
-    if omega.level != a.level + 1:
-        raise ValueError("one-form must live one level above the coefficient")
+    """Left module action of level p on a one-form sitting in level p+1
+    (the product refuses any other level)."""
     return rho(a).mul(omega)
 
 
 def module_right(omega: FrameElem, a: FrameElem) -> FrameElem:
     """Right module action; the coefficient is lifted from the left."""
-    if omega.level != a.level + 1:
-        raise ValueError("one-form must live one level above the coefficient")
     return omega.mul(lam(a))
 
 
@@ -145,10 +142,8 @@ class SubsetIndex(Record):
         return "{" + ",".join(str(m) for m in self.members) + "}"
 
 
-def generator_monomial_eval(
-    factors: Sequence[tuple[SubsetIndex, AlgElem]], n: int
-) -> FrameElem:
-    """Evaluate a product of generators with the lifts left implicit.
+def generator_monomial_eval(factors: Sequence[tuple[SubsetIndex, AlgElem]]) -> FrameElem:
+    """Evaluate a product of generators, indexed at one level, with the lifts left implicit.
 
     Each level is owned by at most one factor.  Scanning levels upward,
     the owner is differentiated while factors to its left are padded on
@@ -160,10 +155,11 @@ def generator_monomial_eval(
     """
     if not factors:
         raise ValueError("empty generator monomial")
+    n = factors[0][0].p
     owners: dict[int, int] = {}
     for pos, (index, _) in enumerate(factors):
         if index.p != n:
-            raise ValueError(f"index {index} is not at level {n}")
+            raise ValueError(f"indices at levels {n} and {index.p}")
         for s in index.members:
             if s in owners:
                 raise ValueError(f"level {s} owned by two factors")
@@ -186,7 +182,7 @@ def generator_monomial_eval(
 def delta_I(f: AlgElem, index: SubsetIndex) -> FrameElem:
     """Generator: the one-factor generator monomial, differentiating at the
     chosen levels and lifting on the right at the others."""
-    return generator_monomial_eval(((index, f),), index.p)
+    return generator_monomial_eval(((index, f),))
 
 
 def delta_iter(f: AlgElem, n: int) -> FrameElem:
@@ -207,11 +203,11 @@ def slot_embed(f: AlgElem, j: int, p: int) -> FrameElem:
         raise ValueError(f"slot {j} out of range for level {p}")
     unit = f.spec.unit()
     factors = tuple(f if i == j else unit for i in range(width))
-    return FrameElem(p, TensorPoly.elementary(f.spec, factors))
+    return FrameElem(TensorPoly.elementary(factors))
 
 
-def slot_in_generators(f: AlgElem, j: int, p: int) -> tuple[SubsetIndex, ...]:
-    """Express a slot embedding over the generator family.
+def slot_in_generators(j: int, p: int) -> tuple[SubsetIndex, ...]:
+    """Express a slot embedding of any element over the generator family.
 
     Slot j, read in binary with bit s marking a left-lift step at level
     s, decomposes as the unit-coefficient sum of the generators indexed
@@ -234,11 +230,10 @@ def generator_sum(f: AlgElem, subsets: Sequence[SubsetIndex]) -> FrameElem:
 
 def frame_sum(spec: AlgebraSpec, level: int, parts: Iterable[FrameElem]) -> FrameElem:
     """Sum elements of one level with a single merge over all their terms."""
-    return FrameElem(level, tensor_sum(spec, 2**level, (part.body for part in parts)))
+    return FrameElem(tensor_sum(spec, 2**level, (part.body for part in parts)))
 
 
 def is_universal_one_form(omega: FrameElem) -> bool:
-    """Kernel test: the level's multiplication map must annihilate it."""
-    if omega.level < 1:
-        raise ValueError("one-form test needs level >= 1")
-    return mult_map(2 ** (omega.level - 1), omega.body).is_zero()
+    """Kernel test: the level's multiplication map must annihilate it
+    (level 0, of odd degree 1, has none)."""
+    return mult_map(omega.body).is_zero()

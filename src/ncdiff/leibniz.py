@@ -287,7 +287,7 @@ def embed(w: LeibnizForm) -> FrameElem:
     if den != 1:
         over = Memo(lambda c, d=Scalar(den): c / d)
         body = TensorPoly(body.spec, body.degree, tuple((over[c], key) for c, key in body.terms))
-    return FrameElem(w.order, body)
+    return FrameElem(body)
 
 
 def _integer_embed(w: LeibnizForm) -> tuple[TensorPoly, int]:

@@ -89,8 +89,8 @@ class TensorPoly:
         return TensorPoly(spec, degree, ())
 
     @staticmethod
-    def elementary(spec: AlgebraSpec, factors: Sequence[AlgElem], coeff: Scalar = ONE) -> TensorPoly:
-        return TensorPoly.of(spec, len(factors), [(coeff, tuple(factors))])
+    def elementary(factors: Sequence[AlgElem], coeff: Scalar = ONE) -> TensorPoly:
+        return TensorPoly.of(factors[0].spec, len(factors), [(coeff, tuple(factors))])
 
     # -- linear structure ----------------------------------------------
 
@@ -348,12 +348,12 @@ def t_algebra_product(u: TensorPoly, v: TensorPoly, block: int = 1) -> TensorPol
     return _glue(u.spec, u.degree + v.degree - block, items)
 
 
-def mult_map(p: int, u: TensorPoly) -> TensorPoly:
-    """Multiplication map of the p-fold product algebra, reading the input
-    as a pair of p-blocks and multiplying them slotwise: slot s meets
-    slot s + p."""
-    if u.degree != 2 * p:
-        raise ValueError(f"degree {u.degree} is not 2*{p}")
+def mult_map(u: TensorPoly) -> TensorPoly:
+    """Multiplication map of the p-fold product algebra for u of degree 2p,
+    read as a pair of p-blocks multiplied slotwise: slot s meets slot s + p."""
+    p, odd = divmod(u.degree, 2)
+    if odd:
+        raise ValueError(f"degree {u.degree} is odd")
     items = ((c, [(s, l) for s, l in f if s < p], [(s - p, l) for s, l in f if s >= p]) for c, f in u.terms)
     return _glue(u.spec, p, items)
 
@@ -512,28 +512,33 @@ def tensor_to_matrix(u: TensorPoly) -> list[list[Scalar]]:
 class OmegaMonomial(Record):
     """Universal-form monomial a0 d a1 d a2 ... d aq.
 
-    Chain letters are tensors of a fixed width so the same machinery
-    serves the base algebra (width 1) and any level of the frame tower
-    (width a power of two).
+    Chain letters are tensors of one width, the first letter's degree, so
+    the same machinery serves the base algebra (width 1) and any level of
+    the frame tower (width a power of two).
     """
 
-    __slots__ = _fields = ("spec", "width", "chain")
-    def __init__(self, spec: AlgebraSpec, width: int, chain: tuple[TensorPoly, ...]):
+    __slots__ = _fields = ("chain",)
+    def __init__(self, chain: tuple[TensorPoly, ...]):
         if not chain:
             raise ValueError("chain must be nonempty")
-        for letter in chain:
-            if letter.degree != width:
-                raise ValueError("chain letter width mismatch")
-            if letter.spec != spec:
-                raise AlgebraMismatchError("chain letter from a different algebra")
-        self.spec, self.width, self.chain = spec, width, chain
+        for letter in chain[1:]:
+            chain[0]._check_compatible(letter)
+        self.chain = chain
+
+    @property
+    def spec(self) -> AlgebraSpec:
+        return self.chain[0].spec
+
+    @property
+    def width(self) -> int:
+        return self.chain[0].degree
 
     @property
     def degree(self) -> int:
         return len(self.chain) - 1
 
     def scale(self, c: Scalar) -> OmegaMonomial:
-        return OmegaMonomial(self.spec, self.width, (self.chain[0].scale(c),) + self.chain[1:])
+        return OmegaMonomial((self.chain[0].scale(c),) + self.chain[1:])
 
     def is_trivially_zero(self) -> bool:
         """True when a letter is zero or a differentiated letter is a unit
@@ -550,7 +555,7 @@ class OmegaMonomial(Record):
 
 def universal_d(m: OmegaMonomial) -> OmegaMonomial:
     """Degree-raising differential: prepend the unit coefficient."""
-    return OmegaMonomial(m.spec, m.width, (TensorPoly.unit(m.spec, m.width),) + m.chain)
+    return OmegaMonomial((TensorPoly.unit(m.spec, m.width),) + m.chain)
 
 
 def omega_to_tensor(m: OmegaMonomial) -> TensorPoly:
@@ -571,13 +576,12 @@ def omega_product(u: OmegaMonomial, v: OmegaMonomial) -> tuple[OmegaMonomial, ..
 
     with a_{q+1} = b0 (the i = 0 term is a0a1 da2 ... db0), and v's
     db1 ... dbr follow every term.  Trivially zero monomials are dropped.
+    The first product checks that u and v share an algebra and a width.
     """
-    if u.spec != v.spec or u.width != v.width:
-        raise AlgebraMismatchError("universal forms over different algebras")
     chain, out = u.chain + v.chain[:1], []
     for i in range(u.degree, -1, -1):
         glued = componentwise_product(chain[i], chain[i + 1])
-        m = OmegaMonomial(u.spec, u.width, chain[:i] + (glued,) + chain[i + 2 :] + v.chain[1:])
+        m = OmegaMonomial(chain[:i] + (glued,) + chain[i + 2 :] + v.chain[1:])
         if not m.is_trivially_zero():
             out.append(m.scale(MINUS_ONE) if (u.degree - i) % 2 else m)
     return tuple(out)

@@ -170,7 +170,7 @@ def generator_table_rhs(spec: AlgebraSpec, order: int, terms: Sequence[Generator
         factors = [
             (SubsetIndex.of(order, levels), spec.symbol(name)) for levels, name in monomial
         ]
-        parts.append(generator_monomial_eval(factors, order).scale(sign))
+        parts.append(generator_monomial_eval(factors).scale(sign))
     return frame_sum(spec, order, parts)
 
 
@@ -210,7 +210,7 @@ def random_frame_elem(spec: AlgebraSpec, level: int, rng: random.Random) -> Fram
     for _ in range(rng.randint(1, 2)):
         factors = tuple(random_elem(spec, rng) if rng.random() < 0.5 else unit for _ in range(width))
         terms.append((random_scalar(rng), factors))
-    return FrameElem(level, TensorPoly.of(spec, width, terms))
+    return FrameElem(TensorPoly.of(spec, width, terms))
 
 
 def random_leibniz_form(spec: AlgebraSpec, order: int, rng: random.Random) -> LeibnizForm:
@@ -232,7 +232,7 @@ def random_omega_monomial(spec: AlgebraSpec, level: int, degree: int, rng: rando
         letter = random_frame_elem(spec, level, rng).body
         if not letter.is_zero() and (not letters or letter.unit_multiple() is None):
             letters.append(letter)
-    return OmegaMonomial(spec, 2**level, tuple(letters))
+    return OmegaMonomial(tuple(letters))
 
 
 def random_poly2(rng: random.Random, max_degree: int = 2) -> Poly2:
@@ -281,7 +281,7 @@ def suite_generators() -> Iterator[Instance]:
         yield f"level2.d{index}", delta_I(f, index), want
     for level in (2, 3):
         for j in range(2**level):
-            subsets = slot_in_generators(f, j, level)
+            subsets = slot_in_generators(j, level)
             yield f"level{level}.slot{j}.inversion", generator_sum(f, subsets), slot_embed(f, j, level)
 
 

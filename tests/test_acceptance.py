@@ -73,8 +73,8 @@ def report(number: int, text: str) -> None:
     print(f"[criterion {number:02d}] PASS - {text}")
 
 
-def elem_t(spec, *factors, coeff=1):
-    return TensorPoly.elementary(spec, factors, Scalar.of(coeff))
+def elem_t(*factors, coeff=1):
+    return TensorPoly.elementary(factors, Scalar.of(coeff))
 
 
 def test_criterion_01_generator_tables():
@@ -100,7 +100,7 @@ def test_criterion_01_generator_tables():
         3: {(), (0,), (1,), (1, 0)},  # subset-sum rule, checked by expansion
     }
     for j, want_subsets in inversion.items():
-        subsets = slot_in_generators(F, j, 2)
+        subsets = slot_in_generators(j, 2)
         assert {ix.members for ix in subsets} == want_subsets
         assert generator_sum(F, subsets) == slot_embed(F, j, 2)
 
@@ -109,7 +109,7 @@ def test_criterion_01_generator_tables():
         elem = delta_I(F, SubsetIndex.of(3, members))
         assert elem.level == 3 and not elem.is_zero()
     for j in range(8):
-        assert generator_sum(F, slot_in_generators(F, j, 3)) == slot_embed(F, j, 3)
+        assert generator_sum(F, slot_in_generators(j, 3)) == slot_embed(F, j, 3)
 
     report(1, "level-2 generator table, corrected inversion, level-3 round trip")
 
@@ -118,24 +118,24 @@ def test_criterion_02_product_rule_computation():
     GH = G.mul(H)
     lhs = frame_delta(module_left(FrameElem.from_alg(G), delta_iter(H, 1)))
     assert lhs.body == (
-        elem_t(SPEC, U, U, G, H)
-        - elem_t(SPEC, U, U, GH, U)
-        - elem_t(SPEC, G, H, U, U)
-        + elem_t(SPEC, GH, U, U, U)
+        elem_t(U, U, G, H)
+        - elem_t(U, U, GH, U)
+        - elem_t(G, H, U, U)
+        + elem_t(GH, U, U, U)
     )
     cross = module_right(frame_delta(rho(FrameElem.from_alg(G))), delta_iter(H, 1))
     assert cross.body == (
-        elem_t(SPEC, U, U, G, H)
-        - elem_t(SPEC, G, U, U, H)
-        - elem_t(SPEC, U, U, GH, U)
-        + elem_t(SPEC, G, U, H, U)
+        elem_t(U, U, G, H)
+        - elem_t(G, U, U, H)
+        - elem_t(U, U, GH, U)
+        + elem_t(G, U, H, U)
     )
     carried = module_left(lift_to(G, 1), frame_delta(delta_iter(H, 1)))
     assert carried.body == (
-        elem_t(SPEC, G, U, U, H)
-        - elem_t(SPEC, G, U, H, U)
-        - elem_t(SPEC, G, H, U, U)
-        + elem_t(SPEC, GH, U, U, U)
+        elem_t(G, U, U, H)
+        - elem_t(G, U, H, U)
+        - elem_t(G, H, U, U)
+        + elem_t(GH, U, U, U)
     )
     assert lhs == cross + carried
 
@@ -243,10 +243,10 @@ def test_criterion_07_two_point_algebra():
     one = spec.unit()
     x_d2x = embed(module_mul(x, d(d(form(x))))).body
     assert x_d2x == (
-        elem_t(spec, x, one, one, x)
-        - elem_t(spec, x, one, x, one)
-        - elem_t(spec, x, x, one, one)
-        + elem_t(spec, x, one, one, one)
+        elem_t(x, one, one, x)
+        - elem_t(x, one, x, one)
+        - elem_t(x, x, one, one)
+        + elem_t(x, one, one, one)
     )
     nonzero = {}
     for args in itertools.product("LR", repeat=4):
@@ -266,7 +266,7 @@ def test_criterion_07_two_point_algebra():
     }
 
     x_dx_dx = embed(module_mul(x, odot(d(form(x)), d(form(x))))).body
-    assert x_dx_dx == elem_t(spec, x, one, x, x) - elem_t(spec, x, one, one, x)
+    assert x_dx_dx == elem_t(x, one, x, x) - elem_t(x, one, one, x)
 
     lam_, mu = Fraction(2), Fraction(7)
     eps = Scalar.of(mu - lam_)

@@ -17,9 +17,10 @@ from ncdiff.frame import (
     slot_embed,
     slot_in_generators,
 )
+from ncdiff.leibniz import embed
 from ncdiff.scalars import ONE, Scalar
 from ncdiff.tensor import TensorPoly, mult_map, tensor_eval
-from ncdiff.verify import random_frame_elem
+from ncdiff.verify import random_frame_elem, random_leibniz_form
 
 from exactlinalg import dense_terms
 
@@ -37,8 +38,8 @@ def slots(elem, *positions, p):
 
 def test_rho_pads_right_and_lam_pads_left():
     f0 = FrameElem.from_alg(F)
-    assert rho(f0).body == TensorPoly.elementary(SPEC, (F, SPEC.unit()))
-    assert lam(f0).body == TensorPoly.elementary(SPEC, (SPEC.unit(), F))
+    assert rho(f0).body == TensorPoly.elementary((F, SPEC.unit()))
+    assert lam(f0).body == TensorPoly.elementary((SPEC.unit(), F))
     assert rho(FrameElem.unit(SPEC, 1)) == FrameElem.unit(SPEC, 2)
     assert lam(FrameElem.unit(SPEC, 1)) == FrameElem.unit(SPEC, 2)
 
@@ -118,7 +119,7 @@ def test_differential_image_is_killed_by_multiplication(rng):
     for level in (0, 1, 2):
         for _ in range(5):
             omega = frame_delta(random_frame_elem(SPEC, level, rng))
-            assert mult_map(2**level, omega.body).is_zero()
+            assert mult_map(omega.body).is_zero()
             assert is_universal_one_form(omega)
 
 
@@ -156,7 +157,7 @@ def test_level3_generators_and_roundtrip():
         assert elem.level == 3 and not elem.is_zero()
     assert delta_I(F, SubsetIndex.of(3, (2, 1, 0))) == delta_iter(F, 3)
     for j in range(8):
-        subsets = slot_in_generators(F, j, 3)
+        subsets = slot_in_generators(j, 3)
         assert generator_sum(F, subsets) == slot_embed(F, j, 3)
         assert len(subsets) == 2 ** bin(j).count("1")
 
@@ -197,30 +198,26 @@ def bitmask_subsets(j, p):
 def test_slot_in_generators_lists_subsets_in_bitmask_order():
     for p in range(6):
         for j in range(2**p):
-            assert slot_in_generators(F, j, p) == tuple(bitmask_subsets(j, p))
+            assert slot_in_generators(j, p) == tuple(bitmask_subsets(j, p))
 
 
 def test_slot_embed_examples():
-    assert slot_embed(F, 0, 2).body == TensorPoly.elementary(
-        SPEC, (F, SPEC.unit(), SPEC.unit(), SPEC.unit())
-    )
-    assert slot_embed(F, 3, 2).body == TensorPoly.elementary(
-        SPEC, (SPEC.unit(), SPEC.unit(), SPEC.unit(), F)
-    )
+    assert slot_embed(F, 0, 2).body == TensorPoly.elementary((F, SPEC.unit(), SPEC.unit(), SPEC.unit()))
+    assert slot_embed(F, 3, 2).body == TensorPoly.elementary((SPEC.unit(), SPEC.unit(), SPEC.unit(), F))
     assert slot_embed(SPEC.unit(), 2, 2) == FrameElem.unit(SPEC, 2)
     with pytest.raises(ValueError):
         slot_embed(F, 4, 2)
     with pytest.raises(ValueError):
-        slot_in_generators(F, -1, 2)
+        slot_in_generators(-1, 2)
 
 
 def test_slot_in_generators_level2_table():
-    assert [set(ix.members) for ix in slot_in_generators(F, 0, 2)] == [set()]
-    assert {tuple(ix.members) for ix in slot_in_generators(F, 1, 2)} == {(), (0,)}
-    assert {tuple(ix.members) for ix in slot_in_generators(F, 2, 2)} == {(), (1,)}
-    assert {tuple(ix.members) for ix in slot_in_generators(F, 3, 2)} == {(), (0,), (1,), (1, 0)}
+    assert [set(ix.members) for ix in slot_in_generators(0, 2)] == [set()]
+    assert {tuple(ix.members) for ix in slot_in_generators(1, 2)} == {(), (0,)}
+    assert {tuple(ix.members) for ix in slot_in_generators(2, 2)} == {(), (1,)}
+    assert {tuple(ix.members) for ix in slot_in_generators(3, 2)} == {(), (0,), (1,), (1, 0)}
     for j in range(4):
-        assert generator_sum(F, slot_in_generators(F, j, 2)) == slot_embed(F, j, 2)
+        assert generator_sum(F, slot_in_generators(j, 2)) == slot_embed(F, j, 2)
 
 
 def test_module_actions_match_worked_computation():
@@ -239,12 +236,24 @@ def test_module_actions_match_worked_computation():
 
 
 def test_value_validation():
-    with pytest.raises(ValueError):
-        FrameElem(1, TensorPoly.wrap(F))  # one-slot body cannot sit at level 1
-    with pytest.raises(ValueError):
-        FrameElem(-1, TensorPoly.wrap(F))
+    with pytest.raises(ValueError, match="body degree 3 is not a power of two"):
+        FrameElem(TensorPoly.elementary((F, G, H)))
     with pytest.raises(ValueError):
         TensorPoly.of(SPEC, 0, [])
+
+
+def test_level_is_read_from_the_body_degree(rng):
+    """Every frame operation's result sits at the level its body's degree fixes."""
+    results = []
+    for p in range(5):
+        a, b = random_frame_elem(SPEC, p, rng), random_frame_elem(SPEC, p, rng)
+        one_form = frame_delta(b)
+        results += [rho(a), lam(a), one_form, module_left(a, one_form), module_right(one_form, a)]
+        results += [lift_to(F, p), slot_embed(G, 2**p - 1, p), delta_I(H, SubsetIndex.of(p, range(0, p, 2)))]
+        results.append(embed(random_leibniz_form(SPEC, p, rng)))
+    assert {x.level for x in results} == set(range(6))
+    for x in results:
+        assert 2**x.level == x.body.degree
 
 
 def test_subset_index_validation_and_printing():

@@ -44,7 +44,7 @@ U = SPEC.unit()
 
 def omega(*elems):
     """The universal-form monomial e0 d e1 ... d eq over the base algebra."""
-    return OmegaMonomial(elems[0].spec, 1, tuple(TensorPoly.wrap(e) for e in elems))
+    return OmegaMonomial(tuple(TensorPoly.wrap(e) for e in elems))
 
 
 def value_at(f, point):
@@ -53,7 +53,7 @@ def value_at(f, point):
 
 
 def elem_t(*factors, coeff=ONE):
-    return TensorPoly.elementary(SPEC, factors, coeff)
+    return TensorPoly.elementary(factors, coeff)
 
 
 def d0(a):
@@ -96,8 +96,8 @@ def test_componentwise_product_is_associative_and_unital(rng):
 def test_componentwise_two_point_kills_orthogonal_coordinates():
     spec = AlgebraSpec.function(("L", "R"), {"x": (1, 0), "y": (0, 1)})
     x, y = spec.symbol("x"), spec.symbol("y")
-    xx = TensorPoly.elementary(spec, (x, x))
-    xy = TensorPoly.elementary(spec, (x, y))
+    xx = TensorPoly.elementary((x, x))
+    xy = TensorPoly.elementary((x, y))
     assert componentwise_product(xx, xy).is_zero()
 
 
@@ -124,10 +124,10 @@ def test_t_algebra_product_is_associative(rng):
 
 
 def test_mult_map():
-    assert mult_map(1, d0(F)).is_zero()
-    assert mult_map(2, tensor_concat(elem_t(F, U), elem_t(U, G))) == elem_t(F, G)
-    with pytest.raises(ValueError):
-        mult_map(2, elem_t(F, G, H))
+    assert mult_map(d0(F)).is_zero()
+    assert mult_map(tensor_concat(elem_t(F, U), elem_t(U, G))) == elem_t(F, G)
+    with pytest.raises(ValueError, match="degree 3 is odd"):
+        mult_map(elem_t(F, G, H))
 
 
 def test_mult_map_kills_level_differentials(rng):
@@ -137,7 +137,7 @@ def test_mult_map_kills_level_differentials(rng):
     for level in (0, 1):
         for _ in range(10):
             omega = frame_delta(random_frame_elem(SPEC, level, rng))
-            assert mult_map(2**level, omega.body).is_zero()
+            assert mult_map(omega.body).is_zero()
 
 
 def assert_d_is_the_coboundary(m):
@@ -173,8 +173,8 @@ def test_label_tables_wrap_no_function(monkeypatch):
     for spec in (SPEC, mat):
         f, g = (spec.symbol(s) for s in "fg")
         pairs = [(f, g), (g, spec.unit())]
-        u = tensor_sum(spec, 2, [TensorPoly.elementary(spec, pair) for pair in pairs])
-        want = [TensorPoly.elementary(spec, (a.mul(c), b.mul(e))) for a, b in pairs for c, e in pairs]
+        u = tensor_sum(spec, 2, [TensorPoly.elementary(pair) for pair in pairs])
+        want = [TensorPoly.elementary((a.mul(c), b.mul(e))) for a, b in pairs for c, e in pairs]
         assert componentwise_product(u, u) == tensor_sum(spec, 2, want)
     assert wrapped == []
 
@@ -182,6 +182,16 @@ def test_label_tables_wrap_no_function(monkeypatch):
 def test_omega_to_tensor_examples():
     assert omega_to_tensor(omega(F, G)) == elem_t(F, G) - elem_t(F.mul(G), U)
     assert omega_to_tensor(universal_d(omega(G))) == d0(G)
+
+
+def test_omega_monomial_reads_spec_and_width_from_its_first_letter():
+    m = OmegaMonomial((elem_t(F, G), elem_t(U, H)))
+    assert (m.spec, m.width, m.degree) == (SPEC, 2, 1)
+    with pytest.raises(ValueError, match="degree mismatch: 2 vs 1"):
+        OmegaMonomial((elem_t(F, G), TensorPoly.wrap(H)))
+    other = AlgebraSpec.free(("f", "g", "h", "k"), commutative=True)
+    with pytest.raises(AlgebraMismatchError):
+        OmegaMonomial((TensorPoly.wrap(F), TensorPoly.wrap(other.symbol("g"))))
 
 
 def test_omega_product_examples():
@@ -423,7 +433,7 @@ def test_canonical_operations_match_full_normalization(spec, rng):
         assert (u + (-u)).is_zero()
     for level in (0, 1, 2):
         width = 2**level
-        a, b = (FrameElem(level, random_canonical(spec, width, rng)) for _ in range(2))
+        a, b = (FrameElem(random_canonical(spec, width, rng)) for _ in range(2))
         pad = (spec.unit_label(),) * width
         right = [(k, f + pad) for k, f in dense_terms(a.body)]
         left = [(k, pad + f) for k, f in dense_terms(a.body)]
@@ -535,7 +545,7 @@ def test_label_products_and_realization_match_materialized_elements(spec, rng):
             assert t_algebra_product(u, v, block).terms == want.terms
         w = tensor_concat(u, v)
         halves = [(k, times(f[:d], f[d:])) for k, f in materialize(spec, dense_terms(w))]
-        assert mult_map(d, w).terms == TensorPoly.of(spec, d, halves).terms
+        assert mult_map(w).terms == TensorPoly.of(spec, d, halves).terms
     unit = spec.unit_label()
     assert spec.basis_elem(unit) == spec.unit()
     if spec.backend == "free":
