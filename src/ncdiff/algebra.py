@@ -75,6 +75,11 @@ class AlgebraSpec(Record):
         return self._symbol(name)
 
     def unit(self) -> AlgElem:
+        """The unit: one element per spec, since elements are immutable."""
+        return self._unit
+
+    @functools.cached_property
+    def _unit(self) -> AlgElem:
         return self.basis_elem(self.unit_label())
 
     def zero(self) -> AlgElem:

@@ -79,8 +79,12 @@ class Sum(Node):
 
 FormExpr = Node
 
-# ``**`` is one token so that forms reject it and polynomials read it as ``^``
-_TOKEN = re.compile(r"(\d+)|([A-Za-z_]\w*)|(\*\*|[@*+\-^()/])|(\S)")
+# One match reads the whitespace before a token (``\s`` is the set ``str.isspace``
+# accepts) and the token; the group that matched names its kind, and ``bad`` is a
+# character that begins no token.  ``**`` is one token so that forms reject it and
+# polynomials read it as ``^``.
+_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_]\w*)|(?P<punct>\*\*|[@*+\-^()/])|(?P<bad>\S))")
+_DELTA = re.compile(r"d(\d*)")
 
 
 class _Tok(Record):
@@ -97,36 +101,21 @@ class _Tok(Record):
             raise ParseError(f"integer literal longer than {limit} digits", self.line, self.col) from None
 
 
-def _tokenize(text: str) -> list[_Tok]:
-    out: list[_Tok] = []
-    lines = text.splitlines() or [""]
-    for lineno, line in enumerate(lines, start=1):
-        pos = 0
-        while pos < len(line):
-            if line[pos].isspace():
-                pos += 1
-                continue
-            m = _TOKEN.match(line, pos)
-            col = pos + 1
-            if m.group(1):
-                out.append(_Tok("int", m.group(1), lineno, col))
-            elif m.group(2):
-                out.append(_Tok("name", m.group(2), lineno, col))
-            elif m.group(3):
-                out.append(_Tok("punct", m.group(3), lineno, col))
-            else:
-                raise ParseError(f"unexpected character {m.group(4)!r}", lineno, col)
-            pos = m.end()
-    out.append(_Tok("end", "", len(lines), len(lines[-1]) + 1))
-    return out
-
-
 class TokenStream:
     """A cursor over the tokens of a text, shared with ``jets.parse_poly2``;
     it bounds how deep the taken parentheses nest."""
 
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        lines = text.splitlines() or [""]
+        self.tokens: list[_Tok] = []
+        for lineno, line in enumerate(lines, start=1):
+            # without trailing whitespace every match attempt succeeds, so the scan stays linear
+            for m in _TOKEN.finditer(line.rstrip()):
+                kind = m.lastgroup
+                if kind == "bad":
+                    raise ParseError(f"unexpected character {m[kind]!r}", lineno, m.start(kind) + 1)
+                self.tokens.append(_Tok(kind, m[kind], lineno, m.start(kind) + 1))
+        self.tokens.append(_Tok("end", "", len(lines), len(lines[-1]) + 1))
         self.i = 0
         self.depth = 0
 
@@ -195,7 +184,7 @@ class _Parser(TokenStream):
 
     def _try_delta(self, tok: _Tok) -> Union[Delta, None]:
         """Recognize d(...), d^k(...) and the dk(...) sugar."""
-        m = re.fullmatch(r"d(\d*)", tok.text)
+        m = _DELTA.fullmatch(tok.text)
         if not m:
             return None
         save = self.i

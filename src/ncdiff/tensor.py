@@ -201,8 +201,9 @@ class TensorPoly:
 
 def _expand(spec: AlgebraSpec, degree: int, terms: Iterable[ElemTerm]) -> Iterator[Term]:
     """Expand terms over elements multilinearly over the backend basis.  A slot holding
-    the unit itself, ((ONE, unit),), is left out; a unit multiple such as 2·1 stays."""
-    unit = spec.unit_label()
+    the unit itself, ((ONE, unit),), is left out, and the spec's own unit element is
+    not decomposed at all; a unit multiple such as 2·1 stays."""
+    unit_elem, unit = spec.unit(), spec.unit_label()
     one = ((ONE, unit),)
     for coeff, factors in terms:
         factors = tuple(factors)
@@ -212,7 +213,8 @@ def _expand(spec: AlgebraSpec, degree: int, terms: Iterable[ElemTerm]) -> Iterat
             if f.spec is not spec and f.spec != spec:
                 raise AlgebraMismatchError("tensor slot from a different algebra")
         if not coeff.is_zero():
-            slots = [(slot, d) for slot, d in enumerate(f.basis_decomposition() for f in factors) if d != one]
+            decompositions = ((slot, f.basis_decomposition()) for slot, f in enumerate(factors) if f is not unit_elem)
+            slots = [(slot, d) for slot, d in decompositions if d != one]
             yield from _multilinear(coeff, [], slots, unit)
 
 

@@ -5,11 +5,15 @@ adds a row."""
 
 from __future__ import annotations
 
+from math import comb
+
 import pytest
 
-from ncdiff import jets, verify
+from ncdiff import frame, jets, leibniz, tensor, verify
 from ncdiff.jets import Jet2
+from ncdiff.leibniz import LeibnizForm, LeibnizMonomial
 from ncdiff.scalars import rational
+from ncdiff.tensor import Memo
 
 transform_jet2 = jets.transform_jet2
 expand_second_differential = jets._expand_second_differential
@@ -27,6 +31,33 @@ def substitution_without_first_order(fj, cv, include_first_order):
     return expand_second_differential(fj, cv, False)[:3] + expand_second_differential(fj, cv, include_first_order)[3:]
 
 
+def right_products(g, part=lambda c: c):
+    """``tensor.left_products`` with the factors swapped: label -> label·g."""
+    return Memo(lambda label: tuple((part(c), lp) for c, lp in g.spec.basis_elem(label).mul(g).basis_decomposition()))
+
+
+def move_left_flipping(binomial: int, last: int):
+    """``leibniz._move_left`` with its binomial terms times ``binomial`` and
+    its term -g·d^k(c) times ``last`` (each 1 or -1)."""
+    def move_left(factors, b):
+        if not factors or b.unit_multiple() is not None:
+            return (LeibnizMonomial(b, factors),)
+        spec, unit, form = b.spec, b.spec.unit(), LeibnizForm.from_alg(b)
+        for k, g in reversed(factors):
+            out = []
+            for m in form.terms:
+                c, n = m.coeff, m.factors
+                out.append(LeibnizMonomial(unit, ((k, g.mul(c)),) + n))
+                out += (LeibnizMonomial(spec.scalar(-binomial * comb(k, j)), ((k - j, g), (j, c)) + n) for j in range(1, k))
+                out.append(LeibnizMonomial(g.neg() if last == 1 else g, ((k, c),) + n))
+            form = LeibnizForm.of(spec, form.order + k, out)
+        return form.terms
+    return move_left
+
+
+#: the ``EXPANSION_TABLE`` rows with two or more factors
+PRODUCT_ROWS = {"order2.row2", "order3.row2", "order3.row3", "order3.row4", *(f"order4.row{i}" for i in range(2, 9))}
+
 #: row name: (suite, [(module, name, replacement)], the checks that fail)
 MUTATIONS = {
     "transform_jet2.drops.fx.xfxy.from.fuv": (
@@ -43,6 +74,22 @@ MUTATIONS = {
         "jets",
         [(verify, "composite_jet_oracle", lambda f, x, y, at: Jet2.of_poly(f, at))],
         {"chain.rule.vs.composition"},
+    ),
+    "glue.multiplies.b.a": ("all", [(tensor, "left_products", right_products)], PRODUCT_ROWS),
+    "move.left.flips.binomial.terms": (
+        "all",
+        [(leibniz, "_move_left", move_left_flipping(binomial=-1, last=1))],
+        {"delta.is.derivation"},
+    ),
+    "move.left.flips.g.dk.c": (
+        "all",
+        [(leibniz, "_move_left", move_left_flipping(binomial=1, last=-1))],
+        {"delta.is.derivation", "odot.associative"},
+    ),
+    "lam.pads.on.the.right": (
+        "all",
+        [(frame, "lam", frame.rho), (verify, "lam", frame.rho)],
+        {*(f"derivation.level{n}" for n in range(4)), "lam.generator.identity", "product.rule.split", *PRODUCT_ROWS},
     ),
 }
 

@@ -3,9 +3,11 @@ import itertools
 import random
 import re
 import sys
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ncdiff.leibniz
 import ncdiff.parser
@@ -21,6 +23,7 @@ from ncdiff.parser import (
     ParseError,
     Sum,
     Sym,
+    TokenStream,
     lower,
     parse,
 )
@@ -106,6 +109,99 @@ def test_errors_carry_positions():
         parse("f g")
     with pytest.raises(ParseError):
         parse("d0(f)")
+
+
+#: digits, letters (``é`` is a word character that begins no token), operators,
+#: characters that begin no token, whitespace inside a line (tab, NBSP, U+3000)
+#: and line breaks (``\v``, ``\f``, ``\x1c``, ``\r``, ``\n``)
+LEXER_ALPHABET = list("0129dfgx_é@*+-^()/?$") + ["**", "\t", " ", "\u00a0", "\u3000", "\v", "\f", "\x1c", "\r", "\n"]
+PUNCT = {"**", "@", "*", "+", "-", "^", "(", ")", "/"}
+
+
+def is_word(c):
+    return c.isalnum() or c == "_"
+
+
+def begins_token(c):
+    return c.isdecimal() or c.isascii() and (c.isalpha() or c == "_") or c in PUNCT
+
+
+def tokens_or_error(text):
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in TokenStream(text).tokens]
+    except ParseError as err:
+        return err
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(text=st.lists(st.sampled_from(LEXER_ALPHABET), max_size=30).map("".join))
+def test_tokens_meet_the_lexer_specification(text):
+    """Each token's text sits at its (line, column), maximal where a longer
+    token could start there; every character no token covers is whitespace
+    (``str.isspace``); the end token follows the last line; and an error
+    points at the first non-whitespace character that begins no token."""
+    lines = text.splitlines() or [""]
+    got = tokens_or_error(text)
+    if isinstance(got, ParseError):
+        line, col = got.line, got.col
+        c = lines[line - 1][col - 1]
+        assert str(got) == f"line {line}, column {col}: unexpected character {c!r}"
+        assert not c.isspace() and not begins_token(c)
+        before = "\n".join(lines[: line - 1] + [lines[line - 1][: col - 1]])
+        prefix = tokens_or_error(before)  # everything before the character lexes
+        assert not isinstance(prefix, ParseError)
+        last = prefix[-2] if len(prefix) > 1 else None
+        assert not (last and last[0] == "name" and last[2] == line and last[3] + len(last[1]) == col and is_word(c))
+        return
+    *tokens, end = got
+    assert end == ("end", "", len(lines), len(lines[-1]) + 1)
+    covered = set()
+    for kind, tok, line, col in tokens:
+        row = lines[line - 1]
+        assert row[col - 1 : col - 1 + len(tok)] == tok
+        after = row[col - 1 + len(tok) : col + len(tok)]
+        if kind == "int":
+            assert tok.isdecimal() and not after.isdecimal()
+        elif kind == "name":
+            assert tok[0].isascii() and (tok[0].isalpha() or tok[0] == "_") and all(map(is_word, tok))
+            assert not (after and is_word(after))
+        else:
+            assert kind == "punct" and tok in PUNCT and not (tok == "*" and after == "*")
+        span = {(line, i) for i in range(col, col + len(tok))}
+        assert not span & covered
+        covered |= span
+    assert [t[2:] for t in tokens] == sorted(t[2:] for t in tokens)
+    for line, row in enumerate(lines, start=1):
+        assert all(c.isspace() for col, c in enumerate(row, start=1) if (line, col) not in covered)
+
+
+def test_tokens_are_read_past_any_whitespace_and_across_lines():
+    form = [("name", "d", 1), ("punct", "(", 2), ("name", "f", 3), ("punct", ")", 4), ("punct", "@", 6)]
+    form += [("name", "d", 8), ("punct", "(", 9), ("name", "g", 10), ("punct", ")", 11), ("end", "", 12)]
+    for gap in ("\t", "\u00a0"):
+        text = f"d(f){gap}@{gap}d(g)"
+        assert tokens_or_error(text) == [(kind, tok, 1, col) for kind, tok, col in form]
+        assert lowered(text) == lowered("d(f)@d(g)")
+    text = "2*d(f)\n  @ d^2(g)\t\r\n+ f "
+    assert tokens_or_error(text) == [
+        ("int", "2", 1, 1), ("punct", "*", 1, 2), ("name", "d", 1, 3), ("punct", "(", 1, 4), ("name", "f", 1, 5),
+        ("punct", ")", 1, 6), ("punct", "@", 2, 3), ("name", "d", 2, 5), ("punct", "^", 2, 6), ("int", "2", 2, 7),
+        ("punct", "(", 2, 8), ("name", "g", 2, 9), ("punct", ")", 2, 10), ("punct", "+", 3, 1), ("name", "f", 3, 3),
+        ("end", "", 3, 5),
+    ]
+    assert lowered(text) == lowered("2*d(f) @ d^2(g) + f")
+    with pytest.raises(ParseError, match="^line 3, column 3: unexpected character '\\$'$"):
+        parse("f\n\u3000\n+\u00a0$")
+
+
+def test_trailing_whitespace_is_read_in_linear_time():
+    """A scan that tried a match at each of n trailing whitespace characters
+    takes time quadratic in n: one line of 20,000 trailing spaces took about 23 s
+    on a 2-core host."""
+    start = time.process_time()
+    tokens = TokenStream("f" + " " * 20_000 + "\n" + "\u3000" * 20_000 + "\n").tokens
+    assert time.process_time() - start < 2
+    assert [(t.kind, t.line, t.col) for t in tokens] == [("name", 1, 1), ("end", 2, 20_001)]
 
 
 def test_unknown_symbol_reported_at_lowering():

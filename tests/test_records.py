@@ -211,3 +211,31 @@ def test_every_parameter_is_read():
         for name in unread_parameters(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert unread == []
+
+
+#: calls of the functions of ``re`` that take a pattern, which they look up in ``re``'s cache on every call
+RE_PATTERN_CALLS = {f"re.{name}" for name in ("compile", "search", "match", "fullmatch", "split", "findall", "finditer", "sub", "subn")}
+
+
+def patterns_in_functions(node: ast.AST, where: str = "") -> list[str]:
+    """The innermost function or lambda around each call in ``RE_PATTERN_CALLS``;
+    calls outside every function (module or class level) run once."""
+    out = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            out += patterns_in_functions(child, getattr(child, "name", "<lambda>"))
+            continue
+        if where and isinstance(child, ast.Call) and ast.unparse(child.func) in RE_PATTERN_CALLS:
+            out.append(where)
+        out += patterns_in_functions(child, where)
+    return out
+
+
+def test_every_pattern_is_compiled_at_module_level():
+    """Functions match through module-level compiled patterns, never a pattern given to ``re``."""
+    found = [
+        f"{path.name}: {name}"
+        for path in sorted(pathlib.Path(ncdiff.__file__).parent.glob("*.py"))
+        for name in patterns_in_functions(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []

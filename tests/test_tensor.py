@@ -793,3 +793,18 @@ def test_of_leaves_out_unit_slots_and_keeps_unit_multiples(spec, rng):
             assert slot_embed(b, j, p).body.terms == reference(2**p, [(ONE, factors)]).terms
     for elem in (unit, two, zero, a, b):
         assert FrameElem.from_alg(elem).body.terms == reference(1, [(ONE, (elem,))]).terms
+
+
+@pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS.values(), ids=DIFFERENTIAL_SPECS.keys())
+def test_of_decomposes_no_slot_that_is_the_spec_unit(spec, monkeypatch):
+    """The spec's unit is one element, and ``TensorPoly.of`` leaves its slots
+    out before any decomposition; a unit built by a sum is still decomposed."""
+    unit, a = spec.unit(), spec.symbol(spec.symbols[0])
+    assert spec.unit() is unit
+    decomposed = []
+    cls = type(unit)
+    decompose = cls.basis_decomposition
+    monkeypatch.setattr(cls, "basis_decomposition", lambda self: decomposed.append(self) or decompose(self))
+    summed_unit = spec.zero().add(unit)
+    TensorPoly.of(spec, 4, [(ONE, (unit, a, summed_unit, unit)), (Scalar.of(2), (unit, unit, unit, a))])
+    assert decomposed == [a, summed_unit, a] and summed_unit is not unit
