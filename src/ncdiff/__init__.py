@@ -48,8 +48,8 @@ from .leibniz import (
 from .parser import FormExpr, LoweringError, ParseError, lower, parse
 from .scalars import Scalar
 from .tensor import (
-    OmegaMonomial,
     TensorPoly,
+    coboundary,
     componentwise_product,
     mult_map,
     omega_product,
@@ -58,7 +58,6 @@ from .tensor import (
     tensor_concat,
     tensor_eval,
     tensor_to_matrix,
-    universal_d,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -324,9 +324,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="ncdiff", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, algebra=True, expr=True):
-        if algebra:
-            p.add_argument("--algebra", required=True, help="path to an algebra spec JSON")
+    def common(p, expr=True):
+        p.add_argument("--algebra", required=True, help="path to an algebra spec JSON")
         if expr:
             p.add_argument("--expr", required=True, help="form expression, e.g. 'x@d2(x)'")
         p.add_argument("--out", choices=("json", "pretty"), default="json")

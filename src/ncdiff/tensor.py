@@ -5,10 +5,11 @@ p-fold elementary tensors of backend elements, each term keyed by its
 non-unit slots alone.  The same vector space
 carries two different products: the slotwise one (the product algebra)
 and the glued graded one (last slot of the left factor multiplies the
-first slot of the right factor).  Universal forms a0 d a1 ... d aq are
-kept as a secondary chain representation with an explicit expansion
-map based on d b = 1 (x) b - b (x) 1, written once as ``tensor_d``,
-which is also the frame tower's level differential.
+first slot of the right factor).  A universal form a0 d a1 ... d aq over
+letters of width w is its image, a tensor of q + 1 blocks (``omega_to_tensor``,
+from d b = 1 (x) b - b (x) 1, written once as ``tensor_d``, which is also
+the frame tower's level differential); on images the product of forms is
+the glued product and the universal differential is ``coboundary``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar, Union
 
 from .algebra import AlgebraMismatchError, AlgebraSpec, AlgElem, Label
-from .scalars import MINUS_ONE, ONE, ZERO, Record, Scalar
+from .scalars import MINUS_ONE, ONE, ZERO, Scalar
 
 Key = tuple[tuple[int, Label], ...]
 Term = tuple[Scalar, Key]
@@ -508,82 +509,38 @@ def tensor_to_matrix(u: TensorPoly) -> list[list[Scalar]]:
     return [list(itertools.islice(cells, size)) for _ in range(size)]
 
 
-# -- universal forms ----------------------------------------------------
+# -- universal forms: each is its image, a tensor of blocks of one width ----
 
 
-class OmegaMonomial(Record):
-    """Universal-form monomial a0 d a1 d a2 ... d aq.
-
-    Chain letters are tensors of one width, the first letter's degree, so
-    the same machinery serves the base algebra (width 1) and any level of
-    the frame tower (width a power of two).
-    """
-
-    __slots__ = _fields = ("chain",)
-    def __init__(self, chain: tuple[TensorPoly, ...]):
-        if not chain:
-            raise ValueError("chain must be nonempty")
-        for letter in chain[1:]:
-            chain[0]._check_compatible(letter)
-        self.chain = chain
-
-    @property
-    def spec(self) -> AlgebraSpec:
-        return self.chain[0].spec
-
-    @property
-    def width(self) -> int:
-        return self.chain[0].degree
-
-    @property
-    def degree(self) -> int:
-        return len(self.chain) - 1
-
-    def scale(self, c: Scalar) -> OmegaMonomial:
-        return OmegaMonomial((self.chain[0].scale(c),) + self.chain[1:])
-
-    def is_trivially_zero(self) -> bool:
-        """True when a letter is zero or a differentiated letter is a unit
-        multiple (the differential of the unit vanishes)."""
-        if any(letter.is_zero() for letter in self.chain):
-            return True
-        return any(letter.unit_multiple() is not None for letter in self.chain[1:])
-
-    def __str__(self) -> str:
-        head = str(self.chain[0])
-        tail = " ".join(f"d({letter})" for letter in self.chain[1:])
-        return f"{head} {tail}".strip()
-
-
-def universal_d(m: OmegaMonomial) -> OmegaMonomial:
-    """Degree-raising differential: prepend the unit coefficient."""
-    return OmegaMonomial((TensorPoly.unit(m.spec, m.width),) + m.chain)
-
-
-def omega_to_tensor(m: OmegaMonomial) -> TensorPoly:
-    """Expand with d b = 1 (x) b - b (x) 1 (``tensor_d``) in every differentiated slot."""
-    acc = m.chain[0]
-    for letter in m.chain[1:]:
-        acc = t_algebra_product(acc, tensor_d(letter), block=m.width)
+def omega_to_tensor(letters: Sequence[TensorPoly]) -> TensorPoly:
+    """The image of a0 da1 ... daq over letters of one algebra and width w (the base
+    algebra at w = 1, frame level p at w = 2^p), q + 1 blocks of w slots: d b =
+    1 (x) b - b (x) 1 (``tensor_d``) in every differentiated slot, glued block by block."""
+    if not letters:
+        raise ValueError("a universal form needs at least one letter")
+    acc, width = letters[0], letters[0].degree
+    for letter in letters[1:]:
+        letters[0]._check_compatible(letter)
+        acc = t_algebra_product(acc, tensor_d(letter), block=width)
     return acc
 
 
-def omega_product(u: OmegaMonomial, v: OmegaMonomial) -> tuple[OmegaMonomial, ...]:
-    """Product of universal-form monomials as a sum of monomials.
+#: the product of universal forms, on their images: the glued product
+omega_product = t_algebra_product
 
-    The head b0 of the right factor moves left through every differential
-    in one pass, by d(a) b = d(ab) - a d(b):
 
-        (a0 da1 ... daq) b0 = Σ_{i=0}^{q} (-1)^{q-i} a0 da1 ... d(a_i a_{i+1}) ... daq db0,
-
-    with a_{q+1} = b0 (the i = 0 term is a0a1 da2 ... db0), and v's
-    db1 ... dbr follow every term.  Trivially zero monomials are dropped.
-    The first product checks that u and v share an algebra and a width.
-    """
-    chain, out = u.chain + v.chain[:1], []
-    for i in range(u.degree, -1, -1):
-        glued = componentwise_product(chain[i], chain[i + 1])
-        m = OmegaMonomial(chain[:i] + (glued,) + chain[i + 2 :] + v.chain[1:])
-        if not m.is_trivially_zero():
-            out.append(m.scale(MINUS_ONE) if (u.degree - i) % 2 else m)
-    return tuple(out)
+def coboundary(u: TensorPoly, width: int) -> TensorPoly:
+    """The universal differential on images: b(u) = Σ_i (-1)^i u with a unit block
+    inserted before block i, for i from 0 to the block count; a key shift plus one
+    merge.  One block is ``tensor_d``, the case that needs no merge."""
+    blocks, rest = divmod(u.degree, width)
+    if rest:
+        raise ValueError(f"degree {u.degree} is not a multiple of the width {width}")
+    if blocks == 1:
+        return tensor_d(u)
+    terms = (
+        (-c if i % 2 else c, tuple([(slot + width if slot >= at else slot, label) for slot, label in key]))
+        for i, at in enumerate(range(0, u.degree + 1, width))
+        for c, key in u.terms
+    )
+    return tensor_collect(u.spec, u.degree + width, terms)

@@ -2,8 +2,10 @@
 
 Each suite yields instances ``(check name, lhs, rhs)`` of exact
 identities over fixed or seeded-random data: the generator tables and
-their inversion, the product rule for the level differentials,
-nilpotency of the universal differential inside one level, the order
+their inversion, the product rule for the level differentials, the
+universal differential as the coboundary of form images and its
+nilpotency inside one level, the one-form property of level
+differentials and embedded forms, the order
 1..4 expansion tables of the ⊙ product in the generator basis, ⊙
 associativity, and the jet transformation laws.  ``run_suite`` judges
 the instances and names the first failing instance of a failing check.
@@ -56,7 +58,7 @@ from .leibniz import (
     symbolic_delta,
 )
 from .scalars import Record, Scalar
-from .tensor import OmegaMonomial, TensorPoly, omega_to_tensor, universal_d
+from .tensor import TensorPoly, coboundary, omega_to_tensor
 
 
 #: one instance of a named check: (check name, lhs, rhs)
@@ -225,20 +227,21 @@ def random_leibniz_form(spec: AlgebraSpec, order: int, rng: random.Random) -> Le
     return form
 
 
-def random_omega_monomial(spec: AlgebraSpec, level: int, degree: int, rng: random.Random) -> OmegaMonomial:
-    """Never trivially zero: a zero letter or a unit-multiple differentiated letter is drawn again."""
+def random_omega_monomial(spec: AlgebraSpec, level: int, degree: int, rng: random.Random) -> tuple[TensorPoly, ...]:
+    """The letters a0 ... aq of a universal-form monomial over frame level ``level``.  Never
+    trivially zero: a zero letter or a unit-multiple differentiated letter is drawn again."""
     letters: list[TensorPoly] = []
     while len(letters) <= degree:
         letter = random_frame_elem(spec, level, rng).body
         if not letter.is_zero() and (not letters or letter.unit_multiple() is None):
             letters.append(letter)
-    return OmegaMonomial(tuple(letters))
+    return tuple(letters)
 
 
-def random_poly2(rng: random.Random, max_degree: int = 2) -> Poly2:
+def random_poly2(rng: random.Random) -> Poly2:
     coeffs = {}
     for _ in range(rng.randint(1, 4)):
-        i, j = rng.randint(0, max_degree), rng.randint(0, max_degree)
+        i, j = rng.randint(0, 2), rng.randint(0, 2)
         coeffs[(i, j)] = rng.randint(-3, 3)
     return Poly2.of(coeffs if any(coeffs.values()) else {(0, 0): 1})
 
@@ -309,16 +312,21 @@ def suite_leibniz() -> Iterator[Instance]:
 def suite_d2() -> Iterator[Instance]:
     spec = default_free_spec()
     rng = random.Random(11)
-    for _ in range(30):
+    for _ in range(10):
         level = rng.randint(0, 2)
-        degree = rng.randint(0, 2)
-        m = random_omega_monomial(spec, level, degree, rng)
-        yield "universal.d.squares.to.zero", omega_to_tensor(universal_d(universal_d(m))).is_zero(), True
+        letters = random_omega_monomial(spec, level, rng.randint(0, 1), rng)
+        width = 2**level
+        d_image = coboundary(omega_to_tensor(letters), width)
+        yield "universal.d.squares.to.zero", omega_to_tensor((TensorPoly.unit(spec, width),) + letters), d_image
+        yield "universal.d.squares.to.zero", coboundary(d_image, width).is_zero(), True
     yield "iterated.delta.nonzero", delta_iter(spec.symbol("f"), 2).is_zero(), False
     for level in (0, 1):
         for _ in range(5):
             omega = frame_delta(random_frame_elem(spec, level, rng))
             yield "image.in.kernel.of.mult", is_universal_one_form(omega), True
+    for _ in range(10):
+        form = random_leibniz_form(spec, rng.randint(1, 3), rng)
+        yield "image.in.kernel.of.mult", is_universal_one_form(embed(form)), True
 
 
 def suite_tables() -> Iterator[Instance]:

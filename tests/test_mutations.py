@@ -55,6 +55,25 @@ def move_left_flipping(binomial: int, last: int):
     return move_left
 
 
+def coboundary_without_sign(u, width):
+    """``tensor.coboundary`` adding every inserted unit block, none subtracted."""
+    shifted = lambda key, at: tuple((slot + width if slot >= at else slot, label) for slot, label in key)
+    terms = ((c, shifted(key, at)) for at in range(0, u.degree + 1, width) for c, key in u.terms)
+    return tensor.tensor_collect(u.spec, u.degree + width, terms)
+
+
+def mult_map_swapped(u):
+    """``tensor.mult_map`` multiplying its blocks in the wrong order: slot s + p times slot s."""
+    p = u.degree // 2
+    items = ((c, [(s - p, l) for s, l in f if s >= p], [(s, l) for s, l in f if s < p]) for c, f in u.terms)
+    return tensor._glue(u.spec, p, items)
+
+
+def omega_to_tensor_flipping_d(letters):
+    """``tensor.omega_to_tensor`` with d b = b (x) 1 - 1 (x) b: every differentiated letter negated."""
+    return tensor.omega_to_tensor(letters[:1] + tuple(-a for a in letters[1:]))
+
+
 #: the ``EXPANSION_TABLE`` rows with two or more factors
 PRODUCT_ROWS = {"order2.row2", "order3.row2", "order3.row3", "order3.row4", *(f"order4.row{i}" for i in range(2, 9))}
 
@@ -75,7 +94,11 @@ MUTATIONS = {
         [(verify, "composite_jet_oracle", lambda f, x, y, at: Jet2.of_poly(f, at))],
         {"chain.rule.vs.composition"},
     ),
-    "glue.multiplies.b.a": ("all", [(tensor, "left_products", right_products)], PRODUCT_ROWS),
+    "glue.multiplies.b.a": (
+        "all",
+        [(tensor, "left_products", right_products)],
+        {*PRODUCT_ROWS, "image.in.kernel.of.mult"},  # mult_map glues through the same table
+    ),
     "move.left.flips.binomial.terms": (
         "all",
         [(leibniz, "_move_left", move_left_flipping(binomial=-1, last=1))],
@@ -90,6 +113,21 @@ MUTATIONS = {
         "all",
         [(frame, "lam", frame.rho), (verify, "lam", frame.rho)],
         {*(f"derivation.level{n}" for n in range(4)), "lam.generator.identity", "product.rule.split", *PRODUCT_ROWS},
+    ),
+    "coboundary.drops.its.sign": (
+        "all",
+        [(tensor, "coboundary", coboundary_without_sign), (verify, "coboundary", coboundary_without_sign)],
+        {"universal.d.squares.to.zero"},
+    ),
+    "omega.to.tensor.flips.d": (
+        "all",
+        [(verify, "omega_to_tensor", omega_to_tensor_flipping_d)],
+        {"universal.d.squares.to.zero"},
+    ),
+    "mult.map.swaps.its.blocks": (
+        "all",
+        [(tensor, "mult_map", mult_map_swapped), (frame, "mult_map", mult_map_swapped)],
+        {"image.in.kernel.of.mult"},
     ),
 }
 

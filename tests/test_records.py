@@ -19,7 +19,6 @@ from ncdiff.jets import ChangeOfVars2, Jet1, Jet2, Poly2, TransferMatrix1
 from ncdiff.leibniz import LeibnizForm, LeibnizMonomial
 from ncdiff.parser import Delta, Lit, Odot, Sum, Sym, _Tok
 from ncdiff.scalars import ONE, ZERO, Record, Scalar
-from ncdiff.tensor import OmegaMonomial, TensorPoly
 from ncdiff.verify import CheckResult
 
 FREE = AlgebraSpec.free(("f", "g"))
@@ -42,7 +41,6 @@ CASES = {
     FuncElem: ((TWO, (ONE, ZERO)), {0: OTHER_TWO, 1: (ZERO, ONE)}),
     MatElem: ((MAT, (ONE,)), {1: (ZERO,)}),
     SubsetIndex: ((3, (2, 0)), {0: 4, 1: (1,)}),
-    OmegaMonomial: (((TensorPoly.wrap(F),),), {0: (TensorPoly.wrap(G),)}),
     LeibnizMonomial: ((F, ((1, G),)), {0: G, 1: ((2, G),)}),
     LeibnizForm: ((FREE, 1, ()), {0: COMM, 1: 2, 2: (LeibnizMonomial(F, ((1, G),)),)}),
     Poly2: (((((0, 0), 1),),), {0: (((0, 0), 2),)}),

@@ -15,9 +15,9 @@ from ncdiff.leibniz import LeibnizForm, embed, enumerate_types, odot
 from ncdiff.parser import lower, parse
 from ncdiff.scalars import MINUS_ONE, ONE, ZERO, Scalar
 from ncdiff.tensor import (
-    OmegaMonomial,
     TensorPoly,
     _matrix_table,
+    coboundary,
     componentwise_product,
     mult_map,
     omega_product,
@@ -30,11 +30,11 @@ from ncdiff.tensor import (
     tensor_eval_all,
     tensor_sum,
     tensor_to_matrix,
-    universal_d,
 )
 from ncdiff.verify import random_elem, random_omega_monomial
 
-from exactlinalg import coboundary, dense_labels, dense_terms, kron
+import exactlinalg
+from exactlinalg import dense_labels, dense_terms, kron
 from reference_builders import expand as reference_expand
 
 SPEC = AlgebraSpec.free(("f", "g", "h", "k"))
@@ -43,8 +43,30 @@ U = SPEC.unit()
 
 
 def omega(*elems):
-    """The universal-form monomial e0 d e1 ... d eq over the base algebra."""
-    return OmegaMonomial(tuple(TensorPoly.wrap(e) for e in elems))
+    """The letters of the universal-form monomial e0 d e1 ... d eq over the base algebra."""
+    return tuple(TensorPoly.wrap(e) for e in elems)
+
+
+def trivially_zero(letters):
+    """A letter is zero, or a differentiated letter is a unit multiple (d of the unit vanishes)."""
+    return any(a.is_zero() for a in letters) or any(a.unit_multiple() is not None for a in letters[1:])
+
+
+def chain_product(u, v):
+    """The product of universal-form monomials, given by their letters, as a
+    list of monomials.  The head b0 of v moves left through every
+    differential in one pass, by d(a) b = d(ab) - a d(b):
+
+        (a0 da1 ... daq) b0 = Σ_{i=0}^{q} (-1)^{q-i} a0 da1 ... d(a_i a_{i+1}) ... daq db0,
+
+    with a_{q+1} = b0 (the i = 0 term is a0a1 da2 ... db0), and v's
+    db1 ... dbr follow every term.  Trivially zero monomials are dropped."""
+    q, chain, out = len(u) - 1, u + v[:1], []
+    for i in range(q, -1, -1):
+        m = chain[:i] + (componentwise_product(chain[i], chain[i + 1]),) + chain[i + 2 :] + v[1:]
+        if not trivially_zero(m):
+            out.append((-m[0],) + m[1:] if (q - i) % 2 else m)
+    return out
 
 
 def value_at(f, point):
@@ -140,22 +162,26 @@ def test_mult_map_kills_level_differentials(rng):
             assert mult_map(omega.body).is_zero()
 
 
-def assert_d_is_the_coboundary(m):
-    """omega_to_tensor(d m) is b(omega_to_tensor(m)) for the test-side coboundary b, and b∘b = 0 there."""
-    t = omega_to_tensor(m)
-    assert omega_to_tensor(universal_d(m)) == coboundary(t, m.width)
-    assert coboundary(coboundary(t, m.width), m.width).is_zero()
+def assert_d_is_the_coboundary(letters):
+    """The image of 1 da0 ... daq is b of the image of a0 da1 ... daq, for the
+    library's coboundary b and the test-side one, and b∘b = 0."""
+    width, t = letters[0].degree, omega_to_tensor(letters)
+    dt = omega_to_tensor((TensorPoly.unit(t.spec, width),) + letters)
+    assert dt == coboundary(t, width) == exactlinalg.coboundary(t, width)
+    assert coboundary(dt, width).is_zero()
 
 
 def test_universal_d_and_nilpotency():
-    m = omega(F)
-    dm = universal_d(m)
-    assert dm.chain[0] == TensorPoly.unit(SPEC, 1)
-    assert dm.chain[1] == TensorPoly.wrap(F)
-    assert_d_is_the_coboundary(m)
-    dfg = universal_d(omega(F, G))
-    assert dfg.degree == 2
-    assert_d_is_the_coboundary(omega(F, G, H))
+    assert coboundary(TensorPoly.wrap(F), 1) == d0(F)
+    assert coboundary(TensorPoly.unit(SPEC, 2), 1) == TensorPoly.unit(SPEC, 3)
+    assert coboundary(TensorPoly.unit(SPEC, 3), 1).is_zero()
+    for letters in (omega(F), omega(F, G), omega(F, G, H), (elem_t(F, G), elem_t(U, H))):
+        assert_d_is_the_coboundary(letters)
+
+
+def test_coboundary_refuses_a_degree_that_is_no_multiple_of_the_width():
+    with pytest.raises(ValueError, match="degree 3 is not a multiple of the width 2"):
+        coboundary(elem_t(F, G, H), 2)
 
 
 def test_label_tables_wrap_no_function(monkeypatch):
@@ -181,36 +207,35 @@ def test_label_tables_wrap_no_function(monkeypatch):
 
 def test_omega_to_tensor_examples():
     assert omega_to_tensor(omega(F, G)) == elem_t(F, G) - elem_t(F.mul(G), U)
-    assert omega_to_tensor(universal_d(omega(G))) == d0(G)
+    assert omega_to_tensor(omega(U, G)) == d0(G)
+    assert omega_to_tensor((elem_t(F, G), elem_t(U, H))).degree == 4
 
 
-def test_omega_monomial_reads_spec_and_width_from_its_first_letter():
-    m = OmegaMonomial((elem_t(F, G), elem_t(U, H)))
-    assert (m.spec, m.width, m.degree) == (SPEC, 2, 1)
+def test_omega_to_tensor_refuses_no_letters_and_mixed_letters():
+    with pytest.raises(ValueError, match="at least one letter"):
+        omega_to_tensor(())
     with pytest.raises(ValueError, match="degree mismatch: 2 vs 1"):
-        OmegaMonomial((elem_t(F, G), TensorPoly.wrap(H)))
+        omega_to_tensor((elem_t(F, G), TensorPoly.wrap(H)))
+    with pytest.raises(ValueError, match="degree mismatch: 1 vs 2"):
+        omega_to_tensor((TensorPoly.wrap(H), elem_t(F, G)))
     other = AlgebraSpec.free(("f", "g", "h", "k"), commutative=True)
     with pytest.raises(AlgebraMismatchError):
-        OmegaMonomial((TensorPoly.wrap(F), TensorPoly.wrap(other.symbol("g"))))
+        omega_to_tensor((TensorPoly.wrap(F), TensorPoly.wrap(other.symbol("g"))))
 
 
 def test_omega_product_examples():
+    """On images the product is the glued one; each example is also the closed formula's."""
+    assert omega_product is t_algebra_product
+    image = lambda *elems: omega_to_tensor(omega(*elems))
     # degree 0 on the left acts through the head coefficient
-    (m,) = omega_product(omega(F), omega(G, H))
-    assert m.chain[0] == TensorPoly.wrap(F.mul(G))
+    assert chain_product(omega(F), omega(G, H)) == [omega(F.mul(G), H)]
+    assert omega_product(image(F), image(G, H)) == image(F.mul(G), H)
     # (f dg) * h = f d(gh) - fg dh
-    out = omega_product(omega(F, G), omega(H))
-    expanded = tensor_sum(SPEC, 2, (omega_to_tensor(m) for m in out))
-    want = omega_to_tensor(omega(F, G.mul(H))) - omega_to_tensor(
-        omega(F.mul(G), H)
-    )
-    assert expanded == want
+    assert chain_product(omega(F, G), omega(H)) == [omega(F, G.mul(H)), (-TensorPoly.wrap(F.mul(G)),) + omega(H)]
+    assert omega_product(image(F, G), image(H)) == image(F, G.mul(H)) - image(F.mul(G), H)
     # dg * dh = dg dh
-    out = omega_product(
-        universal_d(omega(G)), universal_d(omega(H))
-    )
-    assert len(out) == 1
-    assert out[0].chain == (TensorPoly.unit(SPEC, 1), TensorPoly.wrap(G), TensorPoly.wrap(H))
+    assert chain_product(omega(U, G), omega(U, H)) == [omega(U, G, H)]
+    assert omega_product(image(U, G), image(U, H)) == image(U, G, H)
 
 
 # frame level of the letters -> degrees (q, r) of the factors; the total
@@ -230,9 +255,9 @@ def test_omega_product_matches_glued_tensor_product(rng):
         return omega(*letters)
 
     def check(u, v):
-        degree = (u.degree + v.degree + 1) * u.width
-        got = tensor_sum(u.spec, degree, (omega_to_tensor(m) for m in omega_product(u, v)))
-        assert got == t_algebra_product(omega_to_tensor(u), omega_to_tensor(v), block=u.width)
+        width = u[0].degree
+        got = tensor_sum(u[0].spec, (len(u) + len(v) - 1) * width, (omega_to_tensor(m) for m in chain_product(u, v)))
+        assert got == omega_product(omega_to_tensor(u), omega_to_tensor(v), block=width)
 
     for _ in range(20):
         check(rand_monomial(rng.randint(0, 2)), rand_monomial(rng.randint(0, 2)))
@@ -250,7 +275,8 @@ def test_random_omega_monomials_are_never_trivially_zero(free_spec, comm_spec, t
         for level in range(3):
             for degree in range(4):
                 for _ in range(5):
-                    assert not random_omega_monomial(spec, level, degree, rng).is_trivially_zero()
+                    letters = random_omega_monomial(spec, level, degree, rng)
+                    assert len(letters) == degree + 1 and not trivially_zero(letters)
 
 
 POINTS = AlgebraSpec.function(
@@ -484,18 +510,39 @@ def test_tensor_d_is_the_two_concatenations(spec, rng):
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS.values(), ids=ORACLE_SPECS.keys())
 def test_omega_to_tensor_is_the_two_concatenation_formula(spec, rng):
-    def two_concatenations(m):
-        unit = TensorPoly.unit(m.spec, m.width)
-        acc = m.chain[0]
-        for letter in m.chain[1:]:
+    def two_concatenations(letters):
+        width = letters[0].degree
+        unit = TensorPoly.unit(spec, width)
+        acc = letters[0]
+        for letter in letters[1:]:
             d_letter = tensor_concat(unit, letter) - tensor_concat(letter, unit)
-            acc = t_algebra_product(acc, d_letter, block=m.width)
+            acc = t_algebra_product(acc, d_letter, block=width)
         return acc
 
     for level in (0, 1, 2):
         for degree in (0, 1, 2):
             m = random_omega_monomial(spec, level, degree, rng)
             assert omega_to_tensor(m) == two_concatenations(m)
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS.values(), ids=ORACLE_SPECS.keys())
+def test_coboundary_is_the_test_side_key_shift(spec, rng):
+    """On random tensors of widths 1, 2 and 4 with 1 to 3 blocks, each term
+    with at most three non-unit slots; one block is ``tensor_d``."""
+    pool = [spec.symbol(spec.symbols[0]), random_elem(spec, rng)]
+    for width in (1, 2, 4):
+        for blocks in (1, 2, 3):
+            degree = width * blocks
+            for _ in range(4):
+                terms = []
+                for _ in range(rng.randint(1, 3)):
+                    slots = [spec.unit()] * degree
+                    for slot in rng.sample(range(degree), min(degree, rng.randint(0, 3))):
+                        slots[slot] = rng.choice(pool)
+                    terms.append((Scalar.of(rng.randint(-3, 3)), tuple(slots)))
+                u = TensorPoly.of(spec, degree, terms)
+                assert coboundary(u, width) == exactlinalg.coboundary(u, width)
+                assert coboundary(u, u.degree) == tensor_d(u)
 
 
 def slotwise(u, v, glue):
