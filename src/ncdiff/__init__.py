@@ -26,14 +26,14 @@ from .frame import (
     slot_in_generators,
 )
 from .jets import (
-    ChangeOfVars2,
     Jet1,
     Jet2,
     Poly2,
-    TransferMatrix1,
     chain2_1d,
     delta2_invariance_check,
+    transfer_apply,
     transfer_compose,
+    transfer_matrix,
     transform_jet2,
 )
 from .leibniz import (

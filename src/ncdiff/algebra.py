@@ -221,10 +221,13 @@ class FunctionSpec(_DenseSpec):
     @staticmethod
     def read_json(doc: dict) -> FunctionSpec:
         points = _json_names(doc, "points")
-        values = {}
+        known, values = set(points), {}
         for sym, table in _json_object(doc, "values").items():
             if not isinstance(table, dict):
                 raise ValueError(f"value table for {sym!r} must map each point to a scalar")
+            for pt in table:
+                if pt not in known:
+                    raise ValueError(f"value table for {sym!r} names unknown point {pt!r}")
             values[sym] = [Scalar.from_json(table[pt]) for pt in points]
         return AlgebraSpec.function(points, values)
 

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .algebra import AlgebraSpec
 from .frame import FrameElem, SubsetIndex, delta_I, generator_str, slot_in_generators
-from .jets import MAX_COEFF_BITS, MAX_JET_BITS, ChangeOfVars2, Jet2, composite_jet_bits, parse_poly2, transform_jet2
+from .jets import MAX_COEFF_BITS, MAX_JET_BITS, Jet2, composite_jet_bits, parse_poly2, transform_jet2
 from .jets import delta2_invariance_check
 from .leibniz import LeibnizForm, _integer_embed, embed
 from .parser import LoweringError, MAX_ORDER, ParseError, lower, parse
@@ -156,6 +156,8 @@ def cmd_eval(args) -> int:
     spec = _load_spec(args.algebra)
     if spec.backend != "function":
         raise UsageError("eval needs a function-backend algebra spec")
+    if args.all and args.tuples is not None:
+        raise UsageError("pass --tuples or --all, not both")
     form = _single_part(_lower_expr(args.expr, spec))
     arity = 2**form.order
     if args.all:
@@ -309,12 +311,12 @@ def cmd_jet(args) -> int:
     bits = composite_jet_bits(f, x, y, at)
     if bits > MAX_JET_BITS:
         raise UsageError(f"jet result would take about {bits} bits, over the cap {MAX_JET_BITS}")
-    cv = ChangeOfVars2(Jet2.of_poly(x, at), Jet2.of_poly(y, at))
-    fj = Jet2.of_poly(f, (cv.xj.f, cv.yj.f))
-    out = transform_jet2(fj, cv)
+    xj, yj = Jet2.of_poly(x, at), Jet2.of_poly(y, at)
+    fj = Jet2.of_poly(f, (xj.f, yj.f))
+    out = transform_jet2(fj, xj, yj)
     rat = lambda q: [q.numerator, q.denominator]
     jet = dict(zip(("f", "fu", "fv", "fuu", "fuv", "fvv"), map(rat, out._values())))
-    doc = {"at": [rat(at[0]), rat(at[1])], "jet": jet, "invariant": delta2_invariance_check(fj, cv)}
+    doc = {"at": [rat(at[0]), rat(at[1])], "jet": jet, "invariant": delta2_invariance_check(fj, xj, yj)}
     _emit(args, lambda: dumps(doc), lambda: "\n".join(f"{k} = {v[0]}/{v[1]}" for k, v in jet.items()))
     return 0
 

@@ -3,8 +3,10 @@
 The collection (value, first, second derivatives) of a function at a
 point transforms under a change of variables by the second-order chain
 rule; unlike the first-order case the second derivatives pick up a
-contribution of the first.  In one variable the rule compresses into
-multiplication by an upper-triangular 2x2 transfer matrix.
+contribution of the first.  A change of variables is given by the 2-jets
+of its two coordinates.  In one variable the rule compresses into
+multiplication by an upper-triangular 2x2 transfer matrix, held as its
+rows; the product of two of them is computed entry by entry.
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ MAX_COEFF_BITS = 4096
 #: the most bits ``composite_jet_bits`` may estimate for the jet of a ``jet``
 #: request; one estimated at 40 million bits took 25 s to build, then could not print
 MAX_JET_BITS = 65536
+
+#: a transfer matrix as its rows
+Rows = tuple[tuple[int | Fraction, ...], ...]
 
 
 # -- exact polynomials in two variables (used to build jets) -------------
@@ -188,23 +193,14 @@ def composite_jet_bits(f: Poly2, x: Poly2, y: Poly2, at: tuple) -> int:
     return bits(f, bx, by) + 2 * max(bx, by)
 
 
-class ChangeOfVars2(Record):
-    """2-jets of the substituted coordinates x(u,v), y(u,v) at the
-    working point."""
-
-    __slots__ = _fields = ("xj", "yj")
-    def __init__(self, xj: Jet2, yj: Jet2):
-        self.xj, self.yj = xj, yj
-
-
-def transform_jet2(fj: Jet2, cv: ChangeOfVars2) -> Jet2:
-    """Second-order chain rule in two variables.
+def transform_jet2(fj: Jet2, x: Jet2, y: Jet2) -> Jet2:
+    """Second-order chain rule in two variables, for the coordinates' 2-jets
+    x(u, v), y(u, v) at the working point.
 
     The new second derivatives carry both the quadratic first-derivative
     part of the substitution and a term proportional to the old first
     derivatives times the substitution's second derivatives.
     """
-    x, y = cv.xj, cv.yj
     fu = fj.fx * x.fx + fj.fy * y.fx
     fv = fj.fx * x.fy + fj.fy * y.fy
     fuu = (
@@ -246,44 +242,31 @@ def chain2_1d(phi: Jet1, u: Jet1) -> Jet1:
     return Jet1(phi.d1 * u.d1, phi.d2 * u.d1**2 + phi.d1 * u.d2)
 
 
-class TransferMatrix1(Record):
-    """Upper-triangular matrix carrying a 1D change of variable.
-
-    Acting on the row vector (first, second derivative) from the right
-    it performs the second-order chain rule in one multiplication.
-    """
-
-    __slots__ = _fields = ("a", "b")
-    def __init__(self, a: int | Fraction, b: int | Fraction):
-        self.a, self.b = a, b  # du/dv, d2u/dv2
-
-    @staticmethod
-    def of_jet(u: Jet1) -> TransferMatrix1:
-        return TransferMatrix1(u.d1, u.d2)
-
-    def rows(self) -> tuple[tuple[int | Fraction, ...], ...]:
-        return ((self.a, self.b), (0, self.a**2))
-
-    def apply(self, phi: Jet1) -> Jet1:
-        return Jet1(*_row_times((phi.d1, phi.d2), self.rows()))
+def transfer_matrix(u: Jet1) -> Rows:
+    """The rows of the upper-triangular matrix carrying the 1D change of
+    variable u: the row vector (first, second derivative) times it is the
+    second-order chain rule."""
+    return ((u.d1, u.d2), (0, u.d1**2))
 
 
-def transfer_compose(m1: TransferMatrix1, m2: TransferMatrix1) -> TransferMatrix1:
-    """Matrix product m1 m2; the composite stays upper triangular with the
-    squared top-left entry in the corner, so its top row determines it."""
-    return TransferMatrix1(*_row_times(m1.rows()[0], m2.rows()))
+def transfer_apply(m: Rows, phi: Jet1) -> Jet1:
+    return Jet1(*_row_times((phi.d1, phi.d2), m))
 
 
-def _row_times(row: tuple, rows: tuple) -> tuple[int | Fraction, ...]:
+def transfer_compose(m1: Rows, m2: Rows) -> Rows:
+    """The matrix product m1 m2, every entry computed."""
+    return tuple(_row_times(row, m2) for row in m1)
+
+
+def _row_times(row: tuple, rows: Rows) -> tuple[int | Fraction, ...]:
     """The row vector ``row`` times the matrix ``rows``, each entry in normal form."""
     return tuple(rational(sum(x * c for x, c in zip(row, col))) for col in zip(*rows))
 
 
-def _expand_second_differential(fj: Jet2, cv: ChangeOfVars2, include_first_order: bool) -> tuple:
+def _expand_second_differential(fj: Jet2, x: Jet2, y: Jet2, include_first_order: bool) -> tuple:
     """Substitute the coordinate differentials, as polynomials in du, dv on
     coefficient dicts, into fxx dx^2 + fyy dy^2 + 2 fxy dx dy [+ fx d2x + fy d2y]
     and collect over the basis monomials du2, dv2, dudv, d2u, d2v in the new variables."""
-    x, y = cv.xj, cv.yj
     dx, dy = {(1, 0): x.fx, (0, 1): x.fy}, {(1, 0): y.fx, (0, 1): y.fy}
     quad = [(fj.fxx, _product(dx, dx)), (2 * fj.fxy, _product(dx, dy)), (fj.fyy, _product(dy, dy))]
     d2u = d2v = 0
@@ -294,9 +277,7 @@ def _expand_second_differential(fj: Jet2, cv: ChangeOfVars2, include_first_order
     return du2, dv2, dudv, d2u, d2v
 
 
-def delta2_invariance_check(
-    fj: Jet2, cv: ChangeOfVars2, *, drop_first_derivative_terms: bool = False
-) -> bool:
+def delta2_invariance_check(fj: Jet2, x: Jet2, y: Jet2, *, drop_first_derivative_terms: bool = False) -> bool:
     """Check that the substituted second differential reproduces the
     transformed jet's coefficients.
 
@@ -304,8 +285,8 @@ def delta2_invariance_check(
     expansion is omitted and only the second-derivative coefficients are
     compared; that truncation survives linear changes of variables only.
     """
-    got = _expand_second_differential(fj, cv, include_first_order=not drop_first_derivative_terms)
-    want = transform_jet2(fj, cv)
+    got = _expand_second_differential(fj, x, y, include_first_order=not drop_first_derivative_terms)
+    want = transform_jet2(fj, x, y)
     expected = (want.fxx, want.fyy, 2 * want.fxy, want.fx, want.fy)
     compared = 3 if drop_first_derivative_terms else 5
     return got[:compared] == expected[:compared]

@@ -120,14 +120,14 @@ class Scalar(Record):
         """Parse ``[re, im]`` where each part is an int or a ``[num, den]`` pair."""
 
         def part(p) -> int | Fraction:
-            if isinstance(p, int):
-                return int(p)
+            if type(p) is int:  # a JSON boolean is no number
+                return p
             if isinstance(p, (list, tuple)) and len(p) == 2 and type(p[0]) is int and type(p[1]) is int and p[1]:
                 return p[0] if p[1] == 1 else rational(Fraction(p[0], p[1]))
             raise ValueError(f"bad rational: {p!r}")
 
-        if isinstance(doc, int):
-            return Scalar(int(doc))
+        if type(doc) is int:
+            return Scalar(doc)
         if not isinstance(doc, (list, tuple)) or len(doc) != 2:
             raise ValueError(f"bad scalar: {doc!r}")
         return Scalar(part(doc[0]), part(doc[1]))

@@ -344,6 +344,8 @@ def t_algebra_product(u: TensorPoly, v: TensorPoly, block: int = 1) -> TensorPol
     """
     if u.spec != v.spec:
         raise AlgebraMismatchError("tensors over different algebras")
+    if block < 1:
+        raise ValueError(f"block width {block} is below 1")
     if u.degree % block or v.degree % block:
         raise ValueError("degrees must be multiples of the block width")
     moved = [(cv, _shift(fv, u.degree - block)) for cv, fv in v.terms]
@@ -533,6 +535,8 @@ def coboundary(u: TensorPoly, width: int) -> TensorPoly:
     """The universal differential on images: b(u) = Σ_i (-1)^i u with a unit block
     inserted before block i, for i from 0 to the block count; a key shift plus one
     merge.  One block is ``tensor_d``, the case that needs no merge."""
+    if width < 1:
+        raise ValueError(f"width {width} is below 1")
     blocks, rest = divmod(u.degree, width)
     if rest:
         raise ValueError(f"degree {u.degree} is not a multiple of the width {width}")

@@ -38,16 +38,16 @@ from .frame import (
     slot_in_generators,
 )
 from .jets import (
-    ChangeOfVars2,
     Jet1,
     Jet2,
     Poly2,
-    TransferMatrix1,
     _power,
     _product,
     chain2_1d,
     delta2_invariance_check,
+    transfer_apply,
     transfer_compose,
+    transfer_matrix,
     transform_jet2,
 )
 from .leibniz import (
@@ -262,10 +262,6 @@ def composite_jet_oracle(f: Poly2, x: Poly2, y: Poly2, at: tuple) -> Jet2:
     return Jet2.of_poly(Poly2.of(composite), at)
 
 
-def change_of_vars(x: Poly2, y: Poly2, at: tuple) -> ChangeOfVars2:
-    return ChangeOfVars2(Jet2.of_poly(x, at), Jet2.of_poly(y, at))
-
-
 # -- suites ------------------------------------------------------------
 
 
@@ -357,26 +353,24 @@ def suite_jets() -> Iterator[Instance]:
     rng = random.Random(31)
     for _ in range(25):
         f, x, y, at = random_jet_instance(rng)
-        cv = change_of_vars(x, y, at)
-        fj = Jet2.of_poly(f, (cv.xj.f, cv.yj.f))
-        yield "chain.rule.vs.composition", transform_jet2(fj, cv), composite_jet_oracle(f, x, y, at)
-        yield "second.differential.invariant", delta2_invariance_check(fj, cv), True
-    nonlinear = ChangeOfVars2(Jet2.of(3, 1, 2, 2, 0, 0), Jet2.of(5, 0, 1, 0, 0, 2))
-    linear = ChangeOfVars2(Jet2.of(0, 1, 2, 0, 0, 0), Jet2.of(0, 3, 1, 0, 0, 0))
+        xj, yj = Jet2.of_poly(x, at), Jet2.of_poly(y, at)
+        fj = Jet2.of_poly(f, (xj.f, yj.f))
+        yield "chain.rule.vs.composition", transform_jet2(fj, xj, yj), composite_jet_oracle(f, x, y, at)
+        yield "second.differential.invariant", delta2_invariance_check(fj, xj, yj), True
+    nonlinear = Jet2.of(3, 1, 2, 2, 0, 0), Jet2.of(5, 0, 1, 0, 0, 2)
+    linear = Jet2.of(0, 1, 2, 0, 0, 0), Jet2.of(0, 3, 1, 0, 0, 0)
     fj = Jet2.of(1, 2, 3, 4, 5, 6)
-    truncated = delta2_invariance_check(fj, nonlinear, drop_first_derivative_terms=True)
-    yield "truncation.detected", truncated, False
-    truncated = delta2_invariance_check(fj, linear, drop_first_derivative_terms=True)
-    yield "truncation.safe.for.linear", truncated, True
+    yield "truncation.detected", delta2_invariance_check(fj, *nonlinear, drop_first_derivative_terms=True), False
+    yield "truncation.safe.for.linear", delta2_invariance_check(fj, *linear, drop_first_derivative_terms=True), True
     for _ in range(25):
         phi = Jet1.of(rng.randint(-4, 4), rng.randint(-4, 4))
         u = Jet1.of(rng.randint(-4, 4), rng.randint(-4, 4))
         v = Jet1.of(rng.randint(-4, 4), rng.randint(-4, 4))
-        m_u, m_v = TransferMatrix1.of_jet(u), TransferMatrix1.of_jet(v)
-        composed = transfer_compose(m_u, m_v)
-        yield "transfer.matrix.multiplicative", m_u.apply(phi), chain2_1d(phi, u)
-        yield "transfer.matrix.multiplicative", composed.rows()[1][0], 0
-        yield "transfer.matrix.multiplicative", composed.apply(phi), chain2_1d(chain2_1d(phi, u), v)
+        m_u = transfer_matrix(u)
+        composed = transfer_compose(m_u, transfer_matrix(v))
+        yield "transfer.matrix.multiplicative", transfer_apply(m_u, phi), chain2_1d(phi, u)
+        yield "transfer.matrix.multiplicative", composed, transfer_matrix(chain2_1d(u, v))
+        yield "transfer.matrix.multiplicative", transfer_apply(composed, phi), chain2_1d(chain2_1d(phi, u), v)
 
 
 SUITES: dict[str, Callable[[], Iterator[Instance]]] = {

@@ -96,8 +96,7 @@ def composite_jet_oracle(f: Poly2, x: Poly2, y: Poly2, at: tuple) -> Jet2:
     return Jet2.of_poly(composite, at)
 
 
-def expand_second_differential(fj, cv, include_first_order: bool) -> tuple:
-    x, y = cv.xj, cv.yj
+def expand_second_differential(fj, x, y, include_first_order: bool) -> tuple:
     dx, dy = Poly2.of({(1, 0): x.fx, (0, 1): x.fy}), Poly2.of({(1, 0): y.fx, (0, 1): y.fy})
     quad = poly_add(
         poly_add(poly_scale(poly_mul(dx, dx), fj.fxx), poly_scale(poly_mul(dx, dy), 2 * fj.fxy)),

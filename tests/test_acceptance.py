@@ -25,13 +25,13 @@ from ncdiff.frame import (
     slot_in_generators,
 )
 from ncdiff.jets import (
-    ChangeOfVars2,
     Jet1,
     Jet2,
-    TransferMatrix1,
     chain2_1d,
     delta2_invariance_check,
+    transfer_apply,
     transfer_compose,
+    transfer_matrix,
     transform_jet2,
 )
 from ncdiff.leibniz import (
@@ -52,7 +52,6 @@ from ncdiff.tensor import (
 from ncdiff.verify import (
     EXPANSION_TABLE,
     composite_jet_oracle,
-    change_of_vars,
     default_free_spec,
     random_elem,
     random_jet_instance,
@@ -378,27 +377,25 @@ def test_criterion_09_jets():
     rng = random.Random(109)
     for _ in range(100):
         f, x, y, at = random_jet_instance(rng)
-        cv = change_of_vars(x, y, at)
-        fj = Jet2.of_poly(f, (cv.xj.f, cv.yj.f))
-        assert transform_jet2(fj, cv) == composite_jet_oracle(f, x, y, at)
+        xj, yj = Jet2.of_poly(x, at), Jet2.of_poly(y, at)
+        fj = Jet2.of_poly(f, (xj.f, yj.f))
+        assert transform_jet2(fj, xj, yj) == composite_jet_oracle(f, x, y, at)
     for _ in range(100):
         phi = Jet1.of(rng.randint(-6, 6), rng.randint(-6, 6))
         u = Jet1.of(rng.randint(-6, 6), rng.randint(-6, 6))
         v = Jet1.of(rng.randint(-6, 6), rng.randint(-6, 6))
-        m_u, m_v = TransferMatrix1.of_jet(u), TransferMatrix1.of_jet(v)
-        assert m_u.apply(phi) == chain2_1d(phi, u)
-        assert transfer_compose(m_u, m_v) == TransferMatrix1.of_jet(chain2_1d(u, v))
+        m_u, m_v = transfer_matrix(u), transfer_matrix(v)
+        assert transfer_apply(m_u, phi) == chain2_1d(phi, u)
+        assert transfer_compose(m_u, m_v) == transfer_matrix(chain2_1d(u, v))
     # a linear substitution leaves no first-derivative contribution in
     # the new second derivatives
-    linear = ChangeOfVars2(Jet2.of(0, 2, -1, 0, 0, 0), Jet2.of(0, 1, 3, 0, 0, 0))
-    a = transform_jet2(Jet2.of(0, 5, -7, 1, 2, 3), linear)
-    b = transform_jet2(Jet2.of(0, 11, 13, 1, 2, 3), linear)
+    linear = Jet2.of(0, 2, -1, 0, 0, 0), Jet2.of(0, 1, 3, 0, 0, 0)
+    a = transform_jet2(Jet2.of(0, 5, -7, 1, 2, 3), *linear)
+    b = transform_jet2(Jet2.of(0, 11, 13, 1, 2, 3), *linear)
     assert (a.fxx, a.fxy, a.fyy) == (b.fxx, b.fxy, b.fyy)
-    assert delta2_invariance_check(Jet2.of(0, 5, -7, 1, 2, 3), linear, drop_first_derivative_terms=True)
-    nonlinear = ChangeOfVars2(Jet2.of(0, 1, 0, 2, 0, 0), Jet2.of(0, 0, 1, 0, 0, 0))
-    assert not delta2_invariance_check(
-        Jet2.of(0, 1, 1, 1, 1, 1), nonlinear, drop_first_derivative_terms=True
-    )
+    assert delta2_invariance_check(Jet2.of(0, 5, -7, 1, 2, 3), *linear, drop_first_derivative_terms=True)
+    nonlinear = Jet2.of(0, 1, 0, 2, 0, 0), Jet2.of(0, 0, 1, 0, 0, 0)
+    assert not delta2_invariance_check(Jet2.of(0, 1, 1, 1, 1, 1), *nonlinear, drop_first_derivative_terms=True)
     report(9, "100 jet transforms vs oracle, 100 transfer matrices, truncation cases")
 
 

@@ -169,6 +169,32 @@ def test_eval_requires_function_backend(spec_file, capsys, doc, argv, needed):
     assert code == 2 and needed in err
 
 
+@pytest.mark.parametrize("tuples", [["L,R"], []], ids=["with-values", "bare"])
+def test_eval_refuses_all_with_tuples(spec_file, capsys, tuples):
+    argv = ["eval", "--algebra", spec_file(TWO_POINT_DOC), "--expr", "d(x)", "--all", "--tuples", *tuples]
+    assert run(capsys, *argv) == (2, "", "ncdiff: pass --tuples or --all, not both\n")
+    # the backend is checked first
+    argv = ["eval", "--algebra", spec_file(FREE_DOC), "--expr", "d(f)", "--all", "--tuples", *tuples]
+    assert run(capsys, *argv) == (2, "", "ncdiff: eval needs a function-backend algebra spec\n")
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({**TWO_POINT_DOC, "values": {"x": {"L": True, "R": 0}}}, "bad scalar: True"),
+        ({**TWO_POINT_DOC, "values": {"x": {"L": [False, 0], "R": 0}}}, "bad rational: False"),
+        ({**TWO_POINT_DOC, "values": {"x": {"L": [0, True], "R": 0}}}, "bad rational: True"),
+        ({**TWO_POINT_DOC, "values": {"x": {"L": 1, "R": 0, "Q": 3}}}, "value table for 'x' names unknown point 'Q'"),
+        ({"backend": "matrix", "dim": 1, "matrices": {"f": [[False]]}}, "bad scalar: False"),
+    ],
+    ids=["bool", "bool-real-part", "bool-imaginary-part", "unknown-point", "matrix-bool"],
+)
+def test_spec_refuses_booleans_and_undeclared_points(spec_file, capsys, doc, message):
+    path = spec_file(doc)
+    want = (2, "", f"ncdiff: bad algebra spec {path}: {message}\n")
+    assert run(capsys, "expand", "--algebra", path, "--expr", "1") == want
+
+
 def test_matrix_of_first_differential(spec_file, capsys):
     path = spec_file(MAT_DOC)
     code, out, _ = run(capsys, "matrix", "--algebra", path, "--expr", "d(f)")

@@ -19,16 +19,28 @@ transform_jet2 = jets.transform_jet2
 expand_second_differential = jets._expand_second_differential
 
 
-def transform_without_fx_xfxy(fj, cv):
+def transform_without_fx_xfxy(fj, x, y):
     """The chain rule with fj.fx * x.fxy dropped from fuv."""
-    out = transform_jet2(fj, cv)
-    return Jet2(out.f, out.fx, out.fy, out.fxx, rational(out.fxy - fj.fx * cv.xj.fxy), out.fyy)
+    out = transform_jet2(fj, x, y)
+    return Jet2(out.f, out.fx, out.fy, out.fxx, rational(out.fxy - fj.fx * x.fxy), out.fyy)
 
 
-def substitution_without_first_order(fj, cv, include_first_order):
+def substitution_without_first_order(fj, x, y, include_first_order):
     """The substituted second differential without fx d2x + fy d2y in its
     quadratic part; the d2u and d2v coefficients are kept."""
-    return expand_second_differential(fj, cv, False)[:3] + expand_second_differential(fj, cv, include_first_order)[3:]
+    return expand_second_differential(fj, x, y, False)[:3] + expand_second_differential(fj, x, y, include_first_order)[3:]
+
+
+def substitution_always_first_order(fj, x, y, include_first_order):
+    """The substituted second differential with fx d2x + fy d2y, truncated or not."""
+    return expand_second_differential(fj, x, y, True)
+
+
+def invariance_comparing_all_five(fj, x, y, *, drop_first_derivative_terms=False):
+    """``jets.delta2_invariance_check`` comparing all five coefficients, under the truncation too."""
+    want = transform_jet2(fj, x, y)
+    got = expand_second_differential(fj, x, y, not drop_first_derivative_terms)
+    return got == (want.fxx, want.fyy, 2 * want.fxy, want.fx, want.fy)
 
 
 def right_products(g, part=lambda c: c):
@@ -88,6 +100,21 @@ MUTATIONS = {
         "jets",
         [(jets, "_expand_second_differential", substitution_without_first_order)],
         {"second.differential.invariant"},
+    ),
+    "transfer.matrix.corner.unsquared": (
+        "jets",
+        [(module, "transfer_matrix", lambda u: ((u.d1, u.d2), (0, u.d1))) for module in (jets, verify)],
+        {"transfer.matrix.multiplicative"},
+    ),
+    "truncated.substitution.keeps.first.order": (
+        "jets",
+        [(jets, "_expand_second_differential", substitution_always_first_order)],
+        {"truncation.detected"},
+    ),
+    "truncated.check.compares.all.five": (
+        "jets",
+        [(module, "delta2_invariance_check", invariance_comparing_all_five) for module in (jets, verify)],
+        {"truncation.safe.for.linear"},
     ),
     "composite.oracle.uncomposed": (
         "jets",

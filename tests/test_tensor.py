@@ -129,6 +129,12 @@ def test_t_algebra_product_glues_the_boundary_slots():
     assert t_algebra_product(TensorPoly.wrap(F), TensorPoly.wrap(G)) == TensorPoly.wrap(F.mul(G))
 
 
+def test_t_algebra_product_refuses_a_block_width_below_1():
+    for block in (0, -1):
+        with pytest.raises(ValueError, match=f"block width {block} is below 1"):
+            t_algebra_product(elem_t(F, G), elem_t(F, G), block=block)
+
+
 def test_t_algebra_product_is_associative(rng):
     def rand_deg2():
         terms = []
@@ -182,6 +188,9 @@ def test_universal_d_and_nilpotency():
 def test_coboundary_refuses_a_degree_that_is_no_multiple_of_the_width():
     with pytest.raises(ValueError, match="degree 3 is not a multiple of the width 2"):
         coboundary(elem_t(F, G, H), 2)
+    for width in (0, -1):
+        with pytest.raises(ValueError, match=f"width {width} is below 1"):
+            coboundary(elem_t(F, G), width)
 
 
 def test_label_tables_wrap_no_function(monkeypatch):
