@@ -228,6 +228,9 @@ class FunctionSpec(_DenseSpec):
             for pt in table:
                 if pt not in known:
                     raise ValueError(f"value table for {sym!r} names unknown point {pt!r}")
+            for pt in points:
+                if pt not in table:
+                    raise ValueError(f"value table for {sym!r} has no value at point {pt!r}")
             values[sym] = [Scalar.from_json(table[pt]) for pt in points]
         return AlgebraSpec.function(points, values)
 
@@ -267,6 +270,8 @@ class MatrixSpec(_DenseSpec):
             if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
                 raise ValueError(f"matrix for {sym!r} must be a list of rows")
             matrices[sym] = [[Scalar.from_json(e) for e in row] for row in rows]
+        if "dim" not in doc:
+            raise ValueError("matrix spec has no dim")
         dim = doc["dim"]
         if not isinstance(dim, int) or isinstance(dim, bool):
             raise ValueError(f"dim must be an integer, not {dim!r}")

@@ -1,9 +1,9 @@
 """The tower of iterated frame algebras and their differentials.
 
 Level p holds tensors of degree 2**p over the base algebra.  The two
-elementary lifts pad an element with units on the right (rho) or on
-the left (lam); the degree-one differential of level p is their
-difference, ``tensor_d`` of the body, landing in level p+1.  A
+elementary lifts pad an element with units on the right (rho, keys
+kept) or on the left (lam, keys moved); the degree-one differential of
+level p is their difference, ``tensor_d`` of the body, in level p+1.  A
 generator monomial at level n is a product of factors (subset of
 {0..n-1}, g) with disjoint subsets, evaluated by one scan of the levels
 upward; the generators ``delta_I`` are its one-factor case, choosing at
@@ -18,7 +18,7 @@ from typing import Iterable, Sequence, Union
 
 from .algebra import AlgebraSpec, AlgElem
 from .scalars import Record, Scalar
-from .tensor import TensorPoly, componentwise_product, mult_map, tensor_concat, tensor_d, tensor_sum
+from .tensor import TensorPoly, _shift, componentwise_product, mult_map, tensor_d, tensor_sum
 
 
 @dataclass(frozen=True)
@@ -91,20 +91,21 @@ def rho(alpha: FrameElem) -> FrameElem:
 
 
 def lam(alpha: FrameElem) -> FrameElem:
-    """Left lift: the mirror of rho."""
-    unit = TensorPoly.unit(alpha.spec, alpha.body.degree)
-    return FrameElem(tensor_concat(unit, alpha.body))
+    """Left lift: the mirror of rho; every key moves up by the current width."""
+    return _moved(alpha.body, alpha.body.degree, 2 * alpha.body.degree)
+
+
+def _moved(u: TensorPoly, by: int, degree: int) -> FrameElem:  # moving every key keeps them sorted
+    return FrameElem(TensorPoly(u.spec, degree, tuple([(c, _shift(key, by)) for c, key in u.terms])))
 
 
 def lift_to(alpha: Union[FrameElem, AlgElem], p: int) -> FrameElem:
-    """Iterated right lift up to level p."""
+    """Iterated right lift up to level p, in one step: the keys stay, the degree becomes 2**p."""
     if isinstance(alpha, AlgElem):
         alpha = FrameElem.from_alg(alpha)
     if p < alpha.level:
         raise ValueError(f"cannot lift level {alpha.level} down to {p}")
-    while alpha.level < p:
-        alpha = rho(alpha)
-    return alpha
+    return FrameElem(TensorPoly(alpha.spec, 2**p, alpha.body.terms))
 
 
 def frame_delta(omega: FrameElem) -> FrameElem:
@@ -197,13 +198,11 @@ def generator_str(index: SubsetIndex, symbol: str) -> str:
 
 
 def slot_embed(f: AlgElem, j: int, p: int) -> FrameElem:
-    """Elementary tensor with f in slot j and units elsewhere."""
-    width = 2**p
-    if not 0 <= j < width:
+    """Elementary tensor with f in slot j and units elsewhere: the one-slot
+    keys of f moved up by j, at degree 2**p."""
+    if not 0 <= j < 2**p:
         raise ValueError(f"slot {j} out of range for level {p}")
-    unit = f.spec.unit()
-    factors = tuple(f if i == j else unit for i in range(width))
-    return FrameElem(TensorPoly.elementary(factors))
+    return _moved(TensorPoly.wrap(f), j, 2**p)
 
 
 def slot_in_generators(j: int, p: int) -> tuple[SubsetIndex, ...]:

@@ -275,18 +275,9 @@ def _shift(key: Key, by: int) -> Key:
 
 
 def tensor_concat(u: TensorPoly, v: TensorPoly) -> TensorPoly:
-    """Bilinear concatenation: the right key moves past the left's slots.
-
-    Needs no merge: the key of fu + fv is the key of fu followed by that
-    of fv, so distinct pairs give distinct keys, and products of nonzero
-    coefficients are nonzero.  One sort restores key order; ``lam`` gives
-    it sorted input, on which it is linear.
-    """
-    if u.spec != v.spec:
-        raise AlgebraMismatchError("tensors over different algebras")
-    moved = [(cv, _shift(fv, u.degree)) for cv, fv in v.terms]
-    terms = sorted(((cu * cv, fu + fv) for cu, fu in u.terms for cv, fv in moved), key=itemgetter(1))
-    return TensorPoly(u.spec, u.degree + v.degree, tuple(terms))
+    """Bilinear concatenation: the glued product of u and v with v's keys moved
+    past u's slots, so that no slot is held by both and no labels multiply."""
+    return _glue(u.spec, u.degree + v.degree, _pairs(u, v, u.degree))
 
 
 def tensor_d(u: TensorPoly) -> TensorPoly:
@@ -329,11 +320,18 @@ def _glue(spec: AlgebraSpec, degree: int, items: Iterable[tuple]) -> TensorPoly:
     return tensor_collect(spec, degree, terms())
 
 
+def _pairs(u: TensorPoly, v: TensorPoly, by: int) -> Iterator[tuple]:
+    """The ``_glue`` items of u times v, v's keys moved up by ``by`` slots."""
+    if u.spec != v.spec:
+        raise AlgebraMismatchError("tensors over different algebras")
+    moved = [(cv, _shift(fv, by)) for cv, fv in v.terms]
+    return ((cu * cv, fu, fv) for cu, fu in u.terms for cv, fv in moved)
+
+
 def componentwise_product(u: TensorPoly, v: TensorPoly) -> TensorPoly:
     """Slotwise product: the multiplication of the p-fold product algebra."""
     u._check_compatible(v)
-    items = ((cu * cv, fu, fv) for cu, fu in u.terms for cv, fv in v.terms)
-    return _glue(u.spec, u.degree, items)
+    return _glue(u.spec, u.degree, _pairs(u, v, 0))
 
 
 def t_algebra_product(u: TensorPoly, v: TensorPoly, block: int = 1) -> TensorPoly:
@@ -342,15 +340,11 @@ def t_algebra_product(u: TensorPoly, v: TensorPoly, block: int = 1) -> TensorPol
     With block width w the operands are read as chains over the w-fold
     product algebra; the glue multiplies the adjacent blocks slotwise.
     """
-    if u.spec != v.spec:
-        raise AlgebraMismatchError("tensors over different algebras")
     if block < 1:
         raise ValueError(f"block width {block} is below 1")
     if u.degree % block or v.degree % block:
         raise ValueError("degrees must be multiples of the block width")
-    moved = [(cv, _shift(fv, u.degree - block)) for cv, fv in v.terms]
-    items = ((cu * cv, fu, fv) for cu, fu in u.terms for cv, fv in moved)
-    return _glue(u.spec, u.degree + v.degree - block, items)
+    return _glue(u.spec, u.degree + v.degree - block, _pairs(u, v, u.degree - block))
 
 
 def mult_map(u: TensorPoly) -> TensorPoly:
@@ -365,14 +359,15 @@ def mult_map(u: TensorPoly) -> TensorPoly:
 
 def tensor_eval(u: TensorPoly, pts: Sequence[str]) -> Scalar:
     """Evaluate a function-backend tensor at one tuple of points: a term
-    counts when the 0/1 pattern of each slot is 1 at its point (the unit's
-    is 1 everywhere)."""
+    counts when each slot's label has its point in its ``spec.support``
+    (the unit's is every point)."""
     if len(pts) != u.degree:
         raise ValueError(f"expected {u.degree} points, got {len(pts)}")
     idx = [u.spec.point_index(p) for p in pts]
+    points = Memo(lambda label: [i for i, _ in u.spec.support(label)])  # a function label's cells are (i, i)
     total = ZERO
     for c, key in u.terms:
-        if all(label[idx[slot]] for slot, label in key):
+        if all(idx[slot] in points[label] for slot, label in key):
             total = total + c
     return total
 
@@ -420,12 +415,12 @@ def _eval_table(u: TensorPoly, den: int) -> Table:
 
     Coefficients are scaled to integers over one common denominator, and
     each part's table is folded densely, slot by slot: slot s is the digit
-    of weight n^(degree-1-s), so a label that is 1 at point i adds the
-    table of the remaining slots into block i, and the unit (every point)
-    tiles it.
+    of weight n^(degree-1-s), so a label whose ``spec.support`` holds point
+    i adds the table of the remaining slots into block i, and the unit
+    (every point) tiles it.
     """
     n, degree = len(u.spec.point_names()), u.degree
-    ones = Memo(lambda label: [i for i, b in enumerate(label) if b])
+    ones = Memo(lambda label: [i for i, _ in u.spec.support(label)])
 
     def fold(terms: list[tuple[int, Key]], slot: int) -> list[int]:
         """The table over slots slot.. of terms whose keys start at slot or later."""

@@ -170,18 +170,33 @@ def test_spec_json_documented_shape():
 
 def test_backend_dispatch_stays_in_the_algebra_module():
     """The tensor, frame, Leibniz and parser layers never ask which backend
-    a spec has and never name a backend's element class."""
+    a spec has and never name a backend's element class.  The tensor layer
+    reads a label only through the spec (never indexing or enumerating its
+    0/1 pattern), and the frame layer builds lifts and slot embeddings by
+    moving keys, never through concatenation or a tuple of elements."""
     src = pathlib.Path(func_as_diagonal.__code__.co_filename).parent
+    trees = {}
     for name in ("tensor.py", "frame.py", "leibniz.py", "parser.py"):
         text = (src / name).read_text(encoding="utf-8")
         assert ".backend" not in text, name
+        trees[name] = ast.parse(text)
         imported = {
             alias.name
-            for node in ast.walk(ast.parse(text))
+            for node in ast.walk(trees[name])
             if isinstance(node, (ast.Import, ast.ImportFrom))
             for alias in node.names
         }
         assert not imported & {"FreePoly", "FuncElem", "MatElem"}, name
+    names = {
+        getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+        for node in ast.walk(trees["frame.py"])
+    }
+    assert not names & {"tensor_concat", "elementary"}
+    is_label = lambda node: isinstance(node, ast.Name) and node.id == "label"
+    for node in ast.walk(trees["tensor.py"]):
+        assert not (isinstance(node, ast.Subscript) and is_label(node.value)), ast.unparse(node)
+        enumerated = isinstance(node, ast.Call) and getattr(node.func, "id", None) == "enumerate"
+        assert not (enumerated and any(map(is_label, node.args))), ast.unparse(node)
 
 
 def _dense_specs():

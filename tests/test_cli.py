@@ -195,6 +195,19 @@ def test_spec_refuses_booleans_and_undeclared_points(spec_file, capsys, doc, mes
     assert run(capsys, "expand", "--algebra", path, "--expr", "1") == want
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({**TWO_POINT_DOC, "values": {"x": {"L": [[1, 1], [0, 1]]}}}, "value table for 'x' has no value at point 'R'"),
+        ({"backend": "matrix", "matrices": {}}, "matrix spec has no dim"),
+    ],
+    ids=["missing-point", "missing-dim"],
+)
+def test_spec_refusals_name_what_is_missing(spec_file, capsys, doc, message):
+    path = spec_file(doc)
+    assert run(capsys, "eval", "--algebra", path, "--expr", "1", "--all") == (2, "", f"ncdiff: bad algebra spec {path}: {message}\n")
+
+
 def test_matrix_of_first_differential(spec_file, capsys):
     path = spec_file(MAT_DOC)
     code, out, _ = run(capsys, "matrix", "--algebra", path, "--expr", "d(f)")

@@ -19,13 +19,23 @@ from ncdiff.frame import (
 )
 from ncdiff.leibniz import embed
 from ncdiff.scalars import ONE, Scalar
-from ncdiff.tensor import TensorPoly, mult_map, tensor_eval
+from ncdiff.tensor import TensorPoly, mult_map, tensor_concat, tensor_eval
 from ncdiff.verify import random_frame_elem, random_leibniz_form
 
 from exactlinalg import dense_terms
 
 SPEC = AlgebraSpec.free(("f", "g", "h"))
 F, G, H = (SPEC.symbol(s) for s in "fgh")
+DENSE = (AlgebraSpec.function(("L", "R"), {"x": (1, 3)}), AlgebraSpec.matrix(2, {"x": [[1, 2], [0, 3]]}))
+
+
+def lift_inputs():
+    """(spec, element) over the free spec, a 2-point function spec and a 2x2
+    matrix spec: each spec's first symbol, and that symbol plus 2, which has
+    a unit component."""
+    for spec in (SPEC, *DENSE):
+        x = spec.symbol(spec.symbols[0])
+        yield from ((spec, x), (spec, x.add(spec.scalar(2))))
 
 
 def slots(elem, *positions, p):
@@ -37,11 +47,17 @@ def slots(elem, *positions, p):
 
 
 def test_rho_pads_right_and_lam_pads_left():
-    f0 = FrameElem.from_alg(F)
-    assert rho(f0).body == TensorPoly.elementary((F, SPEC.unit()))
-    assert lam(f0).body == TensorPoly.elementary((SPEC.unit(), F))
-    assert rho(FrameElem.unit(SPEC, 1)) == FrameElem.unit(SPEC, 2)
-    assert lam(FrameElem.unit(SPEC, 1)) == FrameElem.unit(SPEC, 2)
+    """Against the element-built oracles: ``TensorPoly.elementary`` and concatenation with a unit."""
+    for spec, a in lift_inputs():
+        unit = spec.unit()
+        f0 = FrameElem.from_alg(a)
+        assert rho(f0).body == TensorPoly.elementary((a, unit))
+        assert lam(f0).body == TensorPoly.elementary((unit, a))
+        body = TensorPoly.elementary((a, a.mul(a))) + TensorPoly.elementary((unit, a))
+        assert lam(FrameElem(body)).body == tensor_concat(TensorPoly.unit(spec, 2), body)
+        assert rho(FrameElem(body)).body == tensor_concat(body, TensorPoly.unit(spec, 2))
+        assert rho(FrameElem.unit(spec, 1)) == FrameElem.unit(spec, 2)
+        assert lam(FrameElem.unit(spec, 1)) == FrameElem.unit(spec, 2)
 
 
 @pytest.mark.parametrize("op", [FrameElem.mul, FrameElem.add, FrameElem.sub])
@@ -59,6 +75,12 @@ def test_four_fold_lift_is_f_followed_by_fifteen_units():
     lifted = lift_to(F, 4)
     assert lifted == slot_embed(F, 0, 4)
     assert dense_terms(lifted.body) == [(ONE, (("f",),) + ((),) * 15)]
+    for spec, a in lift_inputs():
+        unit = spec.unit()
+        assert lift_to(a, 4) == slot_embed(a, 0, 4)
+        assert lift_to(a, 4).body == TensorPoly.elementary((a,) + (unit,) * 15)
+        level1 = lam(FrameElem.from_alg(a))
+        assert lift_to(level1, 3).body == tensor_concat(TensorPoly.elementary((unit, a)), TensorPoly.unit(spec, 6))
 
 
 def test_lift_to_is_identity_at_own_level_and_multiplicative(rng):
@@ -202,9 +224,12 @@ def test_slot_in_generators_lists_subsets_in_bitmask_order():
 
 
 def test_slot_embed_examples():
-    assert slot_embed(F, 0, 2).body == TensorPoly.elementary((F, SPEC.unit(), SPEC.unit(), SPEC.unit()))
-    assert slot_embed(F, 3, 2).body == TensorPoly.elementary((SPEC.unit(), SPEC.unit(), SPEC.unit(), F))
-    assert slot_embed(SPEC.unit(), 2, 2) == FrameElem.unit(SPEC, 2)
+    for spec, a in lift_inputs():
+        unit = spec.unit()
+        for p in (0, 1, 2):
+            for j in range(2**p):
+                assert slot_embed(a, j, p).body == TensorPoly.elementary(tuple(a if i == j else unit for i in range(2**p)))
+        assert slot_embed(unit, 2, 2) == FrameElem.unit(spec, 2)
     with pytest.raises(ValueError):
         slot_embed(F, 4, 2)
     with pytest.raises(ValueError):

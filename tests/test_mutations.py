@@ -86,11 +86,32 @@ def omega_to_tensor_flipping_d(letters):
     return tensor.omega_to_tensor(letters[:1] + tuple(-a for a in letters[1:]))
 
 
+def delta_I_dropping_lowest_level(f, index):
+    """``frame.delta_I`` that lifts on the right at the lowest chosen level in place of differentiating."""
+    return frame.generator_monomial_eval(((frame.SubsetIndex(index.p, index.members[:-1]), f),))
+
+
 #: the ``EXPANSION_TABLE`` rows with two or more factors
 PRODUCT_ROWS = {"order2.row2", "order3.row2", "order3.row3", "order3.row4", *(f"order4.row{i}" for i in range(2, 9))}
 
+#: the checks of suite ``generators``
+GENERATOR_CHECKS = {
+    "level2.d{}", "level2.d{0}", "level2.d{1}", "level2.d{1,0}",
+    *(f"level{p}.slot{j}.inversion" for p in (2, 3) for j in range(2**p)),
+}
+
 #: row name: (suite, [(module, name, replacement)], the checks that fail)
 MUTATIONS = {
+    "rho.pads.on.the.left": (
+        "generators",
+        [(frame, "rho", frame.lam)],
+        GENERATOR_CHECKS - {"level2.d{1,0}"},
+    ),
+    "delta.I.drops.its.lowest.level": (
+        "generators",
+        [(module, "delta_I", delta_I_dropping_lowest_level) for module in (frame, verify)],
+        GENERATOR_CHECKS - {"level2.d{}", "level2.slot0.inversion", "level3.slot0.inversion"},
+    ),
     "transform_jet2.drops.fx.xfxy.from.fuv": (
         "jets",
         [(jets, "transform_jet2", transform_without_fx_xfxy), (verify, "transform_jet2", transform_without_fx_xfxy)],
