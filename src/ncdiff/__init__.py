@@ -38,7 +38,6 @@ from .jets import (
 )
 from .leibniz import (
     LeibnizForm,
-    LeibnizMonomial,
     embed,
     enumerate_types,
     module_mul,

@@ -4,7 +4,9 @@ A form of order n is a finite sum of canonical monomials
 
     a · d^{k1}(g1) ⊙ ... ⊙ d^{kr}(gr),        k1 + ... + kr = n,
 
-with the algebra coefficient kept at the far left.  d raises the order
+with the algebra coefficient kept at the far left; a form's terms are the
+pairs (a, ((k1, g1), ..., (kr, gr))), as a tensor's are (coefficient,
+key) pairs.  d raises the order
 by one and is a (non-graded) derivation for ⊙, so the Leibniz rule
 d^k(gc) = Σ_j C(k,j) d^{k-j}(g) ⊙ d^j(c), solved for its j = 0 term,
 moves a coefficient left past one factor in closed form:
@@ -59,52 +61,39 @@ from .scalars import MINUS_ONE, ONE, ZERO, Record, Scalar
 from .tensor import Key, Memo, TensorPoly, _common_denominator, _d_items, _shift, left_products
 
 Factor = tuple[int, AlgElem]
-
-
-class LeibnizMonomial(Record):
-    __slots__ = _fields = ("coeff", "factors")
-    def __init__(self, coeff: AlgElem, factors: tuple[Factor, ...]):
-        self.coeff, self.factors = coeff, factors
-
-    @property
-    def order(self) -> int:
-        return sum(k for k, _ in self.factors)
-
-    @property
-    def composition(self) -> tuple[int, ...]:
-        return tuple(k for k, _ in self.factors)
-
-    def __str__(self) -> str:
-        return _monomial_str(self)
+Monomial = tuple[AlgElem, tuple[Factor, ...]]  # (coefficient, factors), as a tensor's (coefficient, key)
 
 
 class LeibnizForm(Record):
-    """Sum of canonical monomials of one order, kept canonical by this
-    module alone: differentiated elements are primitive and no unit
-    multiples, coefficients are nonzero, factor lists are distinct and
-    sorted, so a lone monomial is canonical as it is.  ``LeibnizForm.of``
-    normalizes monomials with new elements; ``add``, ``sub``, ``odot``,
+    """Sum of canonical monomials of one order, each the pair
+    (coefficient, factors) with factors ((k1, g1), ..., (kr, gr)), as a
+    tensor's terms are (coefficient, key) pairs.  The terms are kept
+    canonical by this module alone: differentiated elements are primitive
+    and no unit multiples, coefficients are nonzero, factor lists are
+    distinct and sorted, so a lone monomial is canonical as it is.
+    ``LeibnizForm.of`` normalizes monomials with new elements and refuses
+    one from another algebra; ``add``, ``sub``, ``odot``,
     ``module_mul`` (an order-0 ``odot``) and ``symbolic_delta`` (but for its
     d(a) ⊙ N) only merge canonical monomials; ``scale`` keeps factor lists."""
 
     __slots__ = _fields = ("spec", "order", "terms")
-    def __init__(self, spec: AlgebraSpec, order: int, terms: tuple[LeibnizMonomial, ...]):
+    def __init__(self, spec: AlgebraSpec, order: int, terms: tuple[Monomial, ...]):
         self.spec, self.order, self.terms = spec, order, terms
 
     @staticmethod
-    def of(spec: AlgebraSpec, order: int, terms: Iterable[LeibnizMonomial]) -> LeibnizForm:
-        """Normalize arbitrary monomials, then merge equal factor lists."""
-        normalized = (_normalize(mono, order) for mono in terms)
+    def of(spec: AlgebraSpec, order: int, terms: Iterable[Monomial]) -> LeibnizForm:
+        """Normalize arbitrary monomials over ``spec``, then merge equal factor lists."""
+        normalized = (_normalize(spec, mono, order) for mono in terms)
         return _collect(spec, order, (mono for mono in normalized if mono is not None))
 
     @staticmethod
     def from_alg(a: AlgElem) -> LeibnizForm:
-        return LeibnizForm.of(a.spec, 0, [LeibnizMonomial(a, ())])
+        return LeibnizForm.of(a.spec, 0, [(a, ())])
 
     @staticmethod
     def monomial(coeff: AlgElem, factors: Sequence[Factor]) -> LeibnizForm:
         order = sum(k for k, _ in factors)
-        return LeibnizForm.of(coeff.spec, order, [LeibnizMonomial(coeff, tuple(factors))])
+        return LeibnizForm.of(coeff.spec, order, [(coeff, tuple(factors))])
 
     def add(self, *others: LeibnizForm) -> LeibnizForm:
         """The sum of this form and any number of others, merged once."""
@@ -122,7 +111,7 @@ class LeibnizForm(Record):
         c = c if isinstance(c, Scalar) else Scalar.of(c)
         if c.is_zero():
             return LeibnizForm(self.spec, self.order, ())
-        terms = tuple(LeibnizMonomial(m.coeff.scale(c), m.factors) for m in self.terms)
+        terms = tuple((a.scale(c), factors) for a, factors in self.terms)
         return LeibnizForm(self.spec, self.order, terms)
 
     def is_zero(self) -> bool:
@@ -137,17 +126,22 @@ class LeibnizForm(Record):
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        return " + ".join(str(m) for m in self.terms)
+        return " + ".join(map(_monomial_str, self.terms))
 
 
-def _normalize(mono: LeibnizMonomial, order: int) -> Optional[LeibnizMonomial]:
+def _normalize(spec: AlgebraSpec, mono: Monomial, order: int) -> Optional[Monomial]:
     """Move every factor's content into the coefficient; None when a
-    differentiated element is a unit multiple (d^k of a constant vanishes)."""
-    if mono.order != order:
+    differentiated element is a unit multiple (d^k of a constant vanishes).
+    An element read from another spec is refused, as ``tensor._expand`` refuses one."""
+    coeff, factors = mono
+    if sum(k for k, _ in factors) != order:
         raise ValueError("inhomogeneous sum of monomials")
-    coeff = mono.coeff
-    factors: list[Factor] = []
-    for k, g in mono.factors:
+    if coeff.spec is not spec and coeff.spec != spec:
+        raise AlgebraMismatchError("form element from a different algebra")
+    primitive: list[Factor] = []
+    for k, g in factors:
+        if g.spec is not spec and g.spec != spec:
+            raise AlgebraMismatchError("form element from a different algebra")
         if k < 1:
             raise ValueError("differential powers must be positive")
         if g.unit_multiple() is not None:
@@ -155,54 +149,55 @@ def _normalize(mono: LeibnizMonomial, order: int) -> Optional[LeibnizMonomial]:
         c, prim = g.content()
         if c is not ONE:  # a monic element is its own primitive part
             coeff = coeff.scale(c)
-        factors.append((k, prim))
-    return LeibnizMonomial(coeff, tuple(factors))
+        primitive.append((k, prim))
+    return coeff, tuple(primitive)
 
 
-def _collect(spec: AlgebraSpec, order: int, terms: Iterable[LeibnizMonomial]) -> LeibnizForm:
+def _collect(spec: AlgebraSpec, order: int, terms: Iterable[Monomial]) -> LeibnizForm:
     """Merge normalized monomials by factor keys into canonical form, adding
     the coefficients of a key's later monomials to its first in one ``add``;
     a lone nonzero monomial is canonical as it is, and is neither keyed nor sorted."""
-    terms = [mono for mono in terms if not mono.coeff.is_zero()]
+    terms = [mono for mono in terms if not mono[0].is_zero()]
     if len(terms) < 2:
         return LeibnizForm(spec, order, tuple(terms))
-    acc: dict[tuple, LeibnizMonomial] = {}
+    acc: dict[tuple, Monomial] = {}
     more: dict[tuple, list[AlgElem]] = {}
-    for mono in terms:
-        key = tuple((k, g.sort_key()) for k, g in mono.factors)
+    for a, factors in terms:
+        key = tuple((k, g.sort_key()) for k, g in factors)
         if key in acc:
-            more.setdefault(key, []).append(mono.coeff)
+            more.setdefault(key, []).append(a)
         else:
-            acc[key] = mono
+            acc[key] = a, factors
     for key, coeffs in more.items():
-        total = acc[key].coeff.add(*coeffs)
+        first, factors = acc[key]
+        total = first.add(*coeffs)
         if total.is_zero():
             del acc[key]
         else:
-            acc[key] = LeibnizMonomial(total, acc[key].factors)
+            acc[key] = total, factors
     return LeibnizForm(spec, order, tuple(acc[k] for k in sorted(acc)))
 
 
-def _monomial_str(mono: LeibnizMonomial) -> str:
-    factors = "@".join(
-        (f"d({g})" if k == 1 else f"d{k}({g})") for k, g in mono.factors
-    )
-    c = mono.coeff.unit_multiple()
-    if c is not None and c.is_one() and factors:
-        return factors
-    coeff = str(mono.coeff)
+def _monomial_str(mono: Monomial) -> str:
+    a, factors = mono
+    text = "@".join((f"d({g})" if k == 1 else f"d{k}({g})") for k, g in factors)
+    c = a.unit_multiple()
+    if c is not None and c.is_one() and text:
+        return text
+    coeff = str(a)
     if " + " in coeff or " - " in coeff:
         coeff = f"({coeff})"
-    return f"{coeff}*{factors}" if factors else coeff
+    return f"{coeff}*{text}" if text else coeff
 
 
-def generator_form_str(mono: LeibnizMonomial) -> str:
+def generator_form_str(mono: Monomial) -> str:
     """Generator-flavoured rendering, e.g. f·d{1,0}(g)."""
+    a, factors = mono
     parts = []
-    c = mono.coeff.unit_multiple()
+    c = a.unit_multiple()
     if c is None or not c.is_one():
-        parts.append(str(mono.coeff))
-    parts.extend(generator_str(SubsetIndex.of(k, range(k)), str(g)) for k, g in mono.factors)
+        parts.append(str(a))
+    parts.extend(generator_str(SubsetIndex.of(k, range(k)), str(g)) for k, g in factors)
     return "·".join(parts)
 
 
@@ -221,14 +216,13 @@ def symbolic_delta(w: LeibnizForm) -> LeibnizForm:
     the monomial with that factor's power raised by one; d(a) ⊙ N is left
     out when a is a constant, since d(c·N) = c·dN; only d(a) ⊙ N is normalized.
     """
-    out: list[LeibnizMonomial] = []
-    unit = w.spec.unit()
-    for mono in w.terms:
-        if mono.coeff.unit_multiple() is None:
-            out.append(_normalize(LeibnizMonomial(unit, ((1, mono.coeff),) + mono.factors), w.order + 1))
-        for i, (k, g) in enumerate(mono.factors):
-            raised = mono.factors[:i] + ((k + 1, g),) + mono.factors[i + 1 :]
-            out.append(LeibnizMonomial(mono.coeff, raised))
+    out: list[Monomial] = []
+    spec, unit = w.spec, w.spec.unit()
+    for a, factors in w.terms:
+        if a.unit_multiple() is None:
+            out.append(_normalize(spec, (unit, ((1, a),) + factors), w.order + 1))
+        for i, (k, g) in enumerate(factors):
+            out.append((a, factors[:i] + ((k + 1, g),) + factors[i + 1 :]))
     return _collect(w.spec, w.order + 1, out)
 
 
@@ -243,25 +237,24 @@ def odot(u: LeibnizForm, v: LeibnizForm) -> LeibnizForm:
         raise AlgebraMismatchError("forms over different algebras")
     unit = u.spec.unit()
     times = lambda a, b: b if a == unit else a if b == unit else a.mul(b)
-    out = (LeibnizMonomial(times(mu.coeff, m.coeff), m.factors + mv.factors)
-           for mu in u.terms for mv in v.terms for m in _move_left(mu.factors, mv.coeff))
+    out = ((times(a, c), moved + fv)
+           for a, fu in u.terms for b, fv in v.terms for c, moved in _move_left(fu, b))
     return _collect(u.spec, u.order + v.order, out)
 
 
-def _move_left(factors: tuple[Factor, ...], b: AlgElem) -> tuple[LeibnizMonomial, ...]:
+def _move_left(factors: tuple[Factor, ...], b: AlgElem) -> tuple[Monomial, ...]:
     """F ⊙ b for b of order 0, one closed Leibniz step per factor of F from the
     right, normalized once per factor (which drops the d^j(c) of a unit-multiple c);
     a constant b takes no step, F ⊙ b = b·F, and neither does an empty F."""
     if not factors or b.unit_multiple() is not None:
-        return (LeibnizMonomial(b, factors),)
+        return ((b, factors),)
     spec, unit, form = b.spec, b.spec.unit(), LeibnizForm.from_alg(b)
     for k, g in reversed(factors):
         out, neg_g = [], g.neg()
-        for m in form.terms:
-            c, n = m.coeff, m.factors
-            out.append(LeibnizMonomial(unit, ((k, g.mul(c)),) + n))
-            out += (LeibnizMonomial(spec.scalar(-comb(k, j)), ((k - j, g), (j, c)) + n) for j in range(1, k))
-            out.append(LeibnizMonomial(neg_g, ((k, c),) + n))
+        for c, n in form.terms:
+            out.append((unit, ((k, g.mul(c)),) + n))
+            out += ((spec.scalar(-comb(k, j)), ((k - j, g), (j, c)) + n) for j in range(1, k))
+            out.append((neg_g, ((k, c),) + n))
         form = LeibnizForm.of(spec, form.order + k, out)
     return form.terms
 
@@ -330,7 +323,7 @@ def _integer_embed(w: LeibnizForm) -> tuple[TensorPoly, int]:
                 out[to] = get(to, zero) - c * cp
         return left_mul(out, g, moved, width)
 
-    monos = [(integral(m.coeff), [(k, *integral(g)) for k, g in reversed(m.factors)]) for m in w.terms]
+    monos = [(integral(a), [(k, *integral(g)) for k, g in reversed(factors)]) for a, factors in w.terms]
     real = not any(coeff[2] or any(f[3] for f in factors) for coeff, factors in monos)
     zero, part = (0, operator.attrgetter("re")) if real else (ZERO, lambda c: c)
     dens = [d * prod(e for _, _, e, _ in factors) for (_, d, _), factors in monos]

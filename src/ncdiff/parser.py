@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from .algebra import AlgebraSpec
-from .leibniz import LeibnizForm, LeibnizMonomial, odot, symbolic_delta
+from .leibniz import LeibnizForm, odot, symbolic_delta
 from .scalars import MINUS_ONE, Record, Scalar
 
 #: the highest order a form may reach (``expand d^8(f)`` takes under 1 s, and each order
@@ -240,8 +240,8 @@ def _check_order(expr: FormExpr, order: int) -> None:
 
 def _product0(u: LeibnizForm, v: LeibnizForm) -> LeibnizForm:
     """u ⊙ v for forms of order 0, each at most one coefficient: one backend product."""
-    products = (mu.coeff.mul(mv.coeff) for mu in u.terms for mv in v.terms)
-    return LeibnizForm(u.spec, 0, tuple(LeibnizMonomial(c, ()) for c in products if not c.is_zero()))
+    products = (a.mul(b) for a, _ in u.terms for b, _ in v.terms)
+    return LeibnizForm(u.spec, 0, tuple((c, ()) for c in products if not c.is_zero()))
 
 
 def _lower(expr: FormExpr, spec: AlgebraSpec) -> dict[int, LeibnizForm]:

@@ -91,6 +91,8 @@ class TensorPoly:
 
     @staticmethod
     def elementary(factors: Sequence[AlgElem], coeff: Scalar = ONE) -> TensorPoly:
+        if not factors:
+            raise ValueError("tensor degree must be at least 1")
         return TensorPoly.of(factors[0].spec, len(factors), [(coeff, tuple(factors))])
 
     # -- linear structure ----------------------------------------------

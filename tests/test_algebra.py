@@ -127,6 +127,8 @@ def test_func_as_diagonal_examples():
     ident = func_as_diagonal(TWO_POINT.unit())
     assert ident.unit_multiple() == ONE
     assert func_as_diagonal(x.mul(y)).is_zero()
+    with pytest.raises(AlgebraMismatchError, match="func_as_diagonal needs a function-backend element"):
+        func_as_diagonal(FREE.symbol("f"))
 
 
 def test_func_as_diagonal_is_a_homomorphism():
@@ -151,6 +153,12 @@ def test_spec_validation():
         AlgebraSpec.matrix(2, {"f": [[1, 0]]})
     with pytest.raises(KeyError):
         FREE.symbol("nope")
+    with pytest.raises(ValueError, match="function backend needs a point list"):
+        AlgebraSpec.function(())
+    with pytest.raises(ValueError, match="point names must be unique"):
+        AlgebraSpec.function(("L", "L"))
+    with pytest.raises(ValueError, match="matrix backend needs a positive dimension"):
+        AlgebraSpec.matrix(0)
 
 
 def test_spec_json_round_trip():

@@ -471,8 +471,12 @@ TOO_LONG = "1" * (sys.get_int_max_str_digits() + 1)
         (["expand", "--expr", "d^" + TOO_LONG + "(f)"], "line 1, column 3: integer literal longer than"),
         (["jet", "--f", "x + " + TOO_LONG, *JET_AT], "line 1, column 5: integer literal longer than"),
         (["jet", "--f", "x^" + TOO_LONG, *JET_AT], "line 1, column 3: integer literal longer than"),
+        (["expand", "--expr", "1/"], "line 1, column 3: expected denominator"),
     ],
-    ids=["parens", "differentials", "jet-parens", "jet-minus-signs", "literal", "power", "jet-literal", "jet-exponent"],
+    ids=[
+        "parens", "differentials", "jet-parens", "jet-minus-signs", "literal", "power", "jet-literal", "jet-exponent",
+        "denominator",
+    ],
 )
 def test_deep_or_long_input_is_a_parse_error_at_its_position(spec_file, capsys, argv, message):
     spec = ["--algebra", spec_file(FREE_DOC)] if argv[0] == "expand" else []

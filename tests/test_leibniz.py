@@ -21,7 +21,6 @@ from ncdiff.frame import (
 )
 from ncdiff.leibniz import (
     LeibnizForm,
-    LeibnizMonomial,
     _collect,
     _integer_embed,
     _normalize,
@@ -90,11 +89,11 @@ def test_module_action():
 def test_symbolic_delta_shapes():
     df = d(form_of(F))
     assert df.order == 1
-    assert df.terms == (LeibnizMonomial(U, ((1, F),)),)
+    assert df.terms == ((U, ((1, F),)),)
     w = d(module_mul(F, d(form_of(G))))
     assert w.terms == (
-        LeibnizMonomial(U, ((1, F), (1, G))),
-        LeibnizMonomial(F, ((2, G),)),
+        (U, ((1, F), (1, G))),
+        (F, ((2, G),)),
     )
     assert d(form_of(SPEC.unit())).is_zero()
     assert d(form_of(SPEC.scalar(3))).is_zero()
@@ -177,7 +176,7 @@ def test_embed_respects_module_and_delta(rng):
         w = random_leibniz_form(SPEC, rng.randint(0, 3), rng)
         a = random_elem(SPEC, rng)
         n = w.order
-        scalar_w = LeibnizForm.of(SPEC, n, [LeibnizMonomial(rng.choice(constants), m.factors) for m in w.terms])
+        scalar_w = LeibnizForm.of(SPEC, n, [(rng.choice(constants), factors) for _, factors in w.terms])
         for form in (w, scalar_w):
             assert embed(module_mul(a, form)) == lift_to(a, n).mul(embed(form))
             assert embed(symbolic_delta(form)) == frame_delta(embed(form))
@@ -214,6 +213,49 @@ def test_generator_monomial_errors():
         generator_monomial_eval([(SubsetIndex.of(2, (1,)), G), (SubsetIndex.of(3, (0,)), H)])
     with pytest.raises(ValueError):
         generator_monomial_eval([])
+    with pytest.raises(ValueError, match="empty generator sum"):
+        ncdiff.frame.generator_sum(G, ())
+
+
+MIXES = {
+    "free": (AlgebraSpec.free(("f", "g")).symbol("f"), AlgebraSpec.free(("f", "h")).symbol("h")),
+    "function": (
+        AlgebraSpec.function(("L", "R"), {"x": (1, 0)}).symbol("x"),
+        AlgebraSpec.function(("L", "R"), {"x": (0, 1)}).symbol("x"),
+    ),
+    "matrix": (
+        AlgebraSpec.matrix(2, {"x": [[0, 1], [0, 0]]}).symbol("x"),
+        AlgebraSpec.matrix(2, {"x": [[0, 0], [1, 0]]}).symbol("x"),
+    ),
+    "function-matrix": (
+        AlgebraSpec.matrix(2, {"x": [[0, 0], [1, 0]]}).symbol("x").scale(Scalar.of(3)),
+        AlgebraSpec.function(("L", "R"), {"y": (1, 2)}).symbol("y"),
+    ),
+}
+
+
+@pytest.mark.parametrize("mix", MIXES.values(), ids=MIXES.keys())
+def test_forms_refuse_elements_of_another_algebra(mix):
+    """A coefficient or factor from another spec is refused wherever a
+    monomial is normalized, whichever of the two comes first."""
+    a, b = mix
+    for coeff, g in ((a, b), (b, a)):
+        with pytest.raises(AlgebraMismatchError, match="form element from a different algebra"):
+            LeibnizForm.monomial(coeff, [(1, g)])
+        with pytest.raises(AlgebraMismatchError, match="form element from a different algebra"):
+            LeibnizForm.monomial(coeff.spec.unit(), [(1, coeff), (2, g)])
+        with pytest.raises(AlgebraMismatchError, match="form element from a different algebra"):
+            LeibnizForm.of(coeff.spec, 0, [(g, ())])
+    assert embed(LeibnizForm.monomial(a, [(1, a)])).level == 1
+
+
+def test_form_monomials_must_have_the_order_and_positive_powers():
+    with pytest.raises(ValueError, match="inhomogeneous sum of monomials"):
+        LeibnizForm.of(SPEC, 2, [(F, ((1, G),))])
+    with pytest.raises(ValueError, match="inhomogeneous sum of monomials"):
+        LeibnizForm.of(SPEC, 1, [(F, ((1, G),)), (F, ((2, G),))])
+    with pytest.raises(ValueError, match="differential powers must be positive"):
+        LeibnizForm.of(SPEC, 1, [(F, ((0, H), (1, G)))])
 
 
 def test_bimodule_actions_differ_even_for_commuting_backend():
@@ -228,10 +270,9 @@ def test_bimodule_actions_differ_even_for_commuting_backend():
 def test_printing_both_notations():
     w = module_mul(F, odot(d(form_of(G), 2), d(form_of(H))))
     (mono,) = w.terms
-    assert str(mono) == "f*d2(g)@d(h)"
+    assert str(w) == "f*d2(g)@d(h)"
     assert generator_form_str(mono) == "f·d{1,0}(g)·d{0}(h)"
-    bare = LeibnizMonomial(F, ())
-    assert str(bare) == "f"
+    assert str(form_of(F)) == "f"
 
 
 def test_enumerate_types_counts_and_order():
@@ -254,14 +295,19 @@ def test_enumerate_types_counts_and_order():
         assert enumerate_types(n) == first_part_first(n)
 
 
+def composition(w):
+    """The powers (k1, ..., kr) of each monomial of w."""
+    return [tuple(k for k, _ in factors) for _, factors in w.terms]
+
+
 def test_generic_forms_normalize_onto_the_type_monomials(rng):
     # anything built from module products and deltas lands on the 2^(n-1) shapes
     for _ in range(10):
         a, b, c = (random_elem(SPEC, rng) for _ in range(3))
         w2 = module_mul(a, symbolic_delta(module_mul(b, symbolic_delta(form_of(c)))))
-        assert set(m.composition for m in w2.terms) <= set(enumerate_types(2))
+        assert set(composition(w2)) <= set(enumerate_types(2))
         w3 = module_mul(a, symbolic_delta(w2))
-        assert set(m.composition for m in w3.terms) <= set(enumerate_types(3))
+        assert set(composition(w3)) <= set(enumerate_types(3))
 
 
 def test_type_monomials_are_linearly_independent():
@@ -314,16 +360,17 @@ def random_canonical_form(spec, order, pool, rng):
     for _ in range(rng.randint(0, 4)):
         comp = rng.choice(enumerate_types(order)) if order else ()
         factors = tuple((k, rng.choice(pool)) for k in comp)
-        monos.append(LeibnizMonomial(rng.choice(pool), factors))
+        monos.append((rng.choice(pool), factors))
     return LeibnizForm.of(spec, order, monos)
 
 
 def raw_delta(spec, mono):
     """The raw monomials of d(a·N): d(a) ⊙ N (zero when a is a constant),
     then N with each factor's power raised in turn."""
-    yield LeibnizMonomial(spec.unit(), ((1, mono.coeff),) + mono.factors)
-    for i, (k, g) in enumerate(mono.factors):
-        yield LeibnizMonomial(mono.coeff, mono.factors[:i] + ((k + 1, g),) + mono.factors[i + 1 :])
+    a, factors = mono
+    yield spec.unit(), ((1, a),) + factors
+    for i, (k, g) in enumerate(factors):
+        yield a, factors[:i] + ((k + 1, g),) + factors[i + 1 :]
 
 
 def assert_normalizes_to(got, spec, order, raw_monomials):
@@ -348,29 +395,29 @@ def test_collect_only_operations_match_full_normalization(case, rng):
         w = random_canonical_form(spec, m, pool, rng)
         c = Scalar.of(rng.randint(-2, 2), rng.randint(-1, 1))
         assert_normalizes_to(u + v, spec, n, u.terms + v.terms)
-        negated_v = [LeibnizMonomial(t.coeff.neg(), t.factors) for t in v.terms]
+        negated_v = [(b.neg(), factors) for b, factors in v.terms]
         assert_normalizes_to(u - v, spec, n, u.terms + tuple(negated_v))
-        scaled = [LeibnizMonomial(t.coeff.scale(c), t.factors) for t in u.terms]
+        scaled = [(b.scale(c), factors) for b, factors in u.terms]
         assert_normalizes_to(u.scale(c), spec, n, scaled)
         assert u.scale(0).terms == ()
         assert (u - u).is_zero()
-        one_term = lambda t: LeibnizForm.of(spec, t.order, [t])
+        one_term = lambda t: LeibnizForm.of(spec, sum(k for k, _ in t[1]), [t])
         parts = [odot(one_term(s), one_term(t)).terms for s in u.terms for t in w.terms]
         assert_normalizes_to(odot(u, w), spec, n + m, [t for part in parts for t in part])
         for form in (u, *map(one_term, u.terms)):  # one-monomial forms too
             raw = [r for t in form.terms for r in raw_delta(spec, t)]
             assert_normalizes_to(symbolic_delta(form), spec, n + 1, raw)
         for a in multipliers:
-            multiplied = [LeibnizMonomial(a.mul(t.coeff), t.factors) for t in u.terms]
+            multiplied = [(a.mul(b), factors) for b, factors in u.terms]
             assert_normalizes_to(module_mul(a, u), spec, n, multiplied)
     if a_name is not None:
         # a·b == 0 kills exactly the monomial whose coefficient is b
         a, b = spec.symbol(a_name), spec.symbol(b_name)
-        kept = LeibnizMonomial(spec.unit(), ((1, syms[0]),))
-        form = LeibnizForm.of(spec, 1, [LeibnizMonomial(b, ((1, syms[-1]),)), kept])
+        kept = spec.unit(), ((1, syms[0]),)
+        form = LeibnizForm.of(spec, 1, [(b, ((1, syms[-1]),)), kept])
         killed = module_mul(a, form)
         assert len(form.terms) == 2 and len(killed.terms) == 1
-        raw = [LeibnizMonomial(a.mul(t.coeff), t.factors) for t in form.terms]
+        raw = [(a.mul(c), factors) for c, factors in form.terms]
         assert_normalizes_to(killed, spec, 1, raw)
 
 
@@ -381,14 +428,16 @@ def test_symbolic_delta_normalizes_only_the_new_differential(case, rng, monkeypa
     spec, _, _ = case
     pool, unit = oracle_pool(spec), spec.unit()
     seen, normalize = [], ncdiff.leibniz._normalize
-    monkeypatch.setattr(ncdiff.leibniz, "_normalize", lambda mono, order: seen.append(mono) or normalize(mono, order))
+    monkeypatch.setattr(
+        ncdiff.leibniz, "_normalize", lambda spec, mono, order: seen.append(mono) or normalize(spec, mono, order)
+    )
     constants = 0
     for _ in range(25):
         w = random_canonical_form(spec, rng.randint(0, 3), pool, rng)
         seen.clear()
         symbolic_delta(w)
-        varying = [m for m in w.terms if m.coeff.unit_multiple() is None]
-        assert [(m.coeff, m.factors) for m in seen] == [(unit, ((1, m.coeff),) + m.factors) for m in varying]
+        varying = [(a, factors) for a, factors in w.terms if a.unit_multiple() is None]
+        assert seen == [(unit, ((1, a),) + factors) for a, factors in varying]
         constants += len(w.terms) - len(varying)
     assert constants
 
@@ -398,11 +447,11 @@ def test_collect_keys_no_lone_monomial(monkeypatch):
     ``sort_key`` call; two monomials are keyed."""
     keyed, sort_key = [], FreePoly.sort_key
     monkeypatch.setattr(FreePoly, "sort_key", lambda g: keyed.append(g) or sort_key(g))
-    mono = LeibnizMonomial(F, ((2, G), (1, F)))
-    for terms in ([mono], [LeibnizMonomial(SPEC.zero(), ((1, F), (2, G))), mono]):
+    mono = F, ((2, G), (1, F))
+    for terms in ([mono], [(SPEC.zero(), ((1, F), (2, G))), mono]):
         assert _collect(SPEC, 3, terms).terms == (mono,)
     assert keyed == []
-    assert _collect(SPEC, 3, [mono, mono]).terms == (LeibnizMonomial(F.scale(Scalar.of(2)), mono.factors),)
+    assert _collect(SPEC, 3, [mono, mono]).terms == ((F.scale(Scalar.of(2)), mono[1]),)
     assert keyed
 
 
@@ -419,7 +468,7 @@ def test_form_add_takes_any_number_of_summands(case, rng):
         assert u.add(*vs, *(v.scale(MINUS_ONE) for v in vs)) == u
     x = d(form_of(spec.symbol(spec.symbols[0])))
     assert x.add() == x
-    for foreign, error in [(d(form_of(F)), AlgebraMismatchError), (form_of(x.terms[0].factors[0][1]), ValueError)]:
+    for foreign, error in [(d(form_of(F)), AlgebraMismatchError), (form_of(x.terms[0][1][0][1]), ValueError)]:
         for at in range(4):
             operands = [x] * 4
             operands[at] = foreign
@@ -429,8 +478,8 @@ def test_form_add_takes_any_number_of_summands(case, rng):
 
 def per_monomial_module_mul(a, w):
     """a times every coefficient of w, factor lists kept, zero products dropped."""
-    terms = (LeibnizMonomial(a.mul(m.coeff), m.factors) for m in w.terms)
-    return LeibnizForm(w.spec, w.order, tuple(m for m in terms if not m.coeff.is_zero()))
+    terms = ((a.mul(b), factors) for b, factors in w.terms)
+    return LeibnizForm(w.spec, w.order, tuple(m for m in terms if not m[0].is_zero()))
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
@@ -452,27 +501,28 @@ def pairwise_collect(spec, order, terms):
     """The oracle for ``_collect``: each later coefficient of a factor list is
     added to the running sum by a two-summand ``add``, and a zero sum drops it."""
     acc = {}
-    for mono in terms:
-        if mono.coeff.is_zero():
+    for a, factors in terms:
+        if a.is_zero():
             continue
-        key = tuple((k, g.sort_key()) for k, g in mono.factors)
+        key = tuple((k, g.sort_key()) for k, g in factors)
         if key in acc:
-            total = acc[key].coeff.add(mono.coeff)
+            total = acc[key][0].add(a)
             if total.is_zero():
                 del acc[key]
             else:
-                acc[key] = LeibnizMonomial(total, acc[key].factors)
+                acc[key] = total, factors
         else:
-            acc[key] = mono
+            acc[key] = a, factors
     return LeibnizForm(spec, order, tuple(acc[k] for k in sorted(acc)))
 
 
 def cancelling_copy(mono, c):
     """A raw monomial that normalizes to minus ``mono``, its first factor scaled by c."""
-    if not mono.factors:
-        return LeibnizMonomial(mono.coeff.neg(), ())
-    (k, g), *rest = mono.factors
-    return LeibnizMonomial(mono.coeff.scale(-c.inverse()), ((k, g.scale(c)), *rest))
+    a, factors = mono
+    if not factors:
+        return a.neg(), ()
+    (k, g), *rest = factors
+    return a.scale(-c.inverse()), ((k, g.scale(c)), *rest)
 
 
 @pytest.mark.parametrize("spec", ["free_spec", "comm_spec", "three_point", "mat_spec"])
@@ -487,12 +537,12 @@ def test_merging_equals_the_pairwise_fold(spec, request, rng):
         order = rng.randint(0, 3)
         comps = [rng.choice(enumerate_types(order)) if order else () for _ in range(rng.randint(1, 3))]
         lists = [tuple((k, rng.choice(pool)) for k in comp) for comp in comps]
-        monos = [LeibnizMonomial(random_elem(spec, rng), rng.choice(lists)) for _ in range(rng.randint(1, 8))]
+        monos = [(random_elem(spec, rng), rng.choice(lists)) for _ in range(rng.randint(1, 8))]
         c = Scalar.of(Fraction(rng.choice((-3, -1, 2, 5)), rng.choice((1, 2))))
         monos += [cancelling_copy(m, c) for m in monos if rng.random() < 0.7]
         rng.shuffle(monos)
         got = LeibnizForm.of(spec, order, monos)
-        normalized = (_normalize(m, order) for m in monos)
+        normalized = (_normalize(spec, m, order) for m in monos)
         want = pairwise_collect(spec, order, [m for m in normalized if m is not None])
         assert got == want
         assert got.terms == want.terms
@@ -509,20 +559,21 @@ def recursive_odot(u, v):
         spec = sigma.spec
         out = []
         for mono in sigma.terms:
+            a, factors = mono
             if k == 1:
-                out.append(LeibnizMonomial(spec.unit(), ((1, g.mul(mono.coeff)),) + mono.factors))
-                out.append(LeibnizMonomial(g.neg(), ((1, mono.coeff),) + mono.factors))
+                out.append((spec.unit(), ((1, g.mul(a)),) + factors))
+                out.append((g.neg(), ((1, a),) + factors))
             else:
-                m = LeibnizForm(spec, mono.order, (mono,))
+                m = LeibnizForm(spec, sigma.order, (mono,))
                 out += (symbolic_delta(power(k - 1, g, m)) - power(k - 1, g, symbolic_delta(m))).terms
         return LeibnizForm.of(spec, sigma.order + k, out)
 
     parts = []
-    for mu in u.terms:
+    for a, factors in u.terms:
         acc = v
-        for k, g in reversed(mu.factors):
+        for k, g in reversed(factors):
             acc = power(k, g, acc)
-        parts += module_mul(mu.coeff, acc).terms
+        parts += module_mul(a, acc).terms
     return LeibnizForm.of(u.spec, u.order + v.order, parts)
 
 
@@ -543,7 +594,7 @@ def test_closed_odot_matches_the_recursive_oracle(case, rng):
         """Two or three monomials; the first one is the single power d^order."""
         comps = [(order,) if order else ()]
         comps += [rng.choice(enumerate_types(order)) if order else () for _ in range(rng.randint(1, 2))]
-        monos = [LeibnizMonomial(rng.choice(coeffs), tuple((k, rng.choice(pool)) for k in c)) for c in comps]
+        monos = [(rng.choice(coeffs), tuple((k, rng.choice(pool)) for k in c)) for c in comps]
         return LeibnizForm.of(spec, order, monos)
 
     for n in range(6):
@@ -605,7 +656,7 @@ def test_building_the_types_multiplies_by_no_unit(monkeypatch):
     for comp in enumerate_types(5):
         names = [(k, f"s{j}") for j, k in enumerate(comp)]
         factors = tuple((k, spec.symbol(name)) for k, name in names)
-        assert odot_chain(spec, names).terms == (LeibnizMonomial(unit, factors),)
+        assert odot_chain(spec, names).terms == ((unit, factors),)
     assert not any(by_unit)
 
 
@@ -771,19 +822,18 @@ def recursive_embed(w):
     memo = {}
 
     def embed_form(sigma):
-        return frame_sum(sigma.spec, sigma.order, (embed_mono(m) for m in sigma.terms))
+        return frame_sum(sigma.spec, sigma.order, (embed_mono(sigma.order, m) for m in sigma.terms))
 
-    def embed_mono(mono):
-        n = mono.order
-        if not mono.factors:
-            return FrameElem.from_alg(mono.coeff)
-        if len(mono.factors) == 1:
-            k, g = mono.factors[0]
-            return lift_to(mono.coeff, n).mul(delta_iter(g, k))
-        (k, g), rest = mono.factors[0], mono.factors[1:]
-        spec = mono.coeff.spec
-        sigma = LeibnizForm(spec, n - k, (LeibnizMonomial(spec.unit(), rest),))
-        return lift_to(mono.coeff, n).mul(embed_power(k, g, sigma))
+    def embed_mono(n, mono):
+        a, factors = mono
+        if not factors:
+            return FrameElem.from_alg(a)
+        if len(factors) == 1:
+            k, g = factors[0]
+            return lift_to(a, n).mul(delta_iter(g, k))
+        (k, g), rest = factors[0], factors[1:]
+        sigma = LeibnizForm(a.spec, n - k, ((a.spec.unit(), rest),))
+        return lift_to(a, n).mul(embed_power(k, g, sigma))
 
     def embed_power(k, g, sigma):
         key = (k, g, sigma)
@@ -819,15 +869,15 @@ def frame_fold_embed(w):
         lifted = tensor_concat(lift_to(g, s.level).body, s.body)
         return FrameElem(tensor_concat(unit, times(g, s).body) - lifted)
 
-    def fold(m):
-        if not m.factors:
-            return FrameElem.from_alg(m.coeff)
-        s = delta_iter(m.factors[-1][1], m.factors[-1][0])
-        for k, g in reversed(m.factors[:-1]):
+    def fold(a, factors):
+        if not factors:
+            return FrameElem.from_alg(a)
+        s = delta_iter(factors[-1][1], factors[-1][0])
+        for k, g in reversed(factors[:-1]):
             s = power(k, g, s)
-        return times(m.coeff, s)
+        return times(a, s)
 
-    return frame_sum(w.spec, w.order, (fold(m) for m in w.terms))
+    return frame_sum(w.spec, w.order, (fold(a, factors) for a, factors in w.terms))
 
 
 EMBED_ORACLE_SPECS = {name: case[0] for name, case in ORACLE_CASES.items()}

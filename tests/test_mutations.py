@@ -1,7 +1,7 @@
 """The mutation table: each row breaks the library in one place, by a
 monkeypatch, and names exactly the ``verify`` checks that must then fail,
 so a faster route can never leave a check unable to fail.  Each new check
-adds a row."""
+adds a row: ``test_every_check_of_suite_all_has_a_row`` fails until it has one."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import pytest
 
 from ncdiff import frame, jets, leibniz, tensor, verify
 from ncdiff.jets import Jet2
-from ncdiff.leibniz import LeibnizForm, LeibnizMonomial
+from ncdiff.leibniz import LeibnizForm
 from ncdiff.scalars import rational
 from ncdiff.tensor import Memo
 
@@ -53,15 +53,14 @@ def move_left_flipping(binomial: int, last: int):
     its term -g·d^k(c) times ``last`` (each 1 or -1)."""
     def move_left(factors, b):
         if not factors or b.unit_multiple() is not None:
-            return (LeibnizMonomial(b, factors),)
+            return ((b, factors),)
         spec, unit, form = b.spec, b.spec.unit(), LeibnizForm.from_alg(b)
         for k, g in reversed(factors):
             out = []
-            for m in form.terms:
-                c, n = m.coeff, m.factors
-                out.append(LeibnizMonomial(unit, ((k, g.mul(c)),) + n))
-                out += (LeibnizMonomial(spec.scalar(-binomial * comb(k, j)), ((k - j, g), (j, c)) + n) for j in range(1, k))
-                out.append(LeibnizMonomial(g.neg() if last == 1 else g, ((k, c),) + n))
+            for c, n in form.terms:
+                out.append((unit, ((k, g.mul(c)),) + n))
+                out += ((spec.scalar(-binomial * comb(k, j)), ((k - j, g), (j, c)) + n) for j in range(1, k))
+                out.append((g.neg() if last == 1 else g, ((k, c),) + n))
             form = LeibnizForm.of(spec, form.order + k, out)
         return form.terms
     return move_left
@@ -91,6 +90,14 @@ def delta_I_dropping_lowest_level(f, index):
     return frame.generator_monomial_eval(((frame.SubsetIndex(index.p, index.members[:-1]), f),))
 
 
+def d_items_flipped(items, d):
+    """``tensor._d_items`` of u⊗1 - 1⊗u: the kept keys positive, the shifted keys negated."""
+    return [(key, -c) for key, c in tensor._d_items(items, d)]
+
+
+#: the ``EXPANSION_TABLE`` rows: 2^(n-1) of order n
+TABLE_ROWS = {f"order{n}.row{i}" for n in range(1, 5) for i in range(1, 2 ** (n - 1) + 1)}
+
 #: the ``EXPANSION_TABLE`` rows with two or more factors
 PRODUCT_ROWS = {"order2.row2", "order3.row2", "order3.row3", "order3.row4", *(f"order4.row{i}" for i in range(2, 9))}
 
@@ -99,6 +106,9 @@ GENERATOR_CHECKS = {
     "level2.d{}", "level2.d{0}", "level2.d{1}", "level2.d{1,0}",
     *(f"level{p}.slot{j}.inversion" for p in (2, 3) for j in range(2**p)),
 }
+
+#: the ``generators`` checks that apply a level differential: all but the plain lift and the slot-0 inversions
+DIFFERENTIATING_CHECKS = GENERATOR_CHECKS - {"level2.d{}", "level2.slot0.inversion", "level3.slot0.inversion"}
 
 #: row name: (suite, [(module, name, replacement)], the checks that fail)
 MUTATIONS = {
@@ -110,7 +120,7 @@ MUTATIONS = {
     "delta.I.drops.its.lowest.level": (
         "generators",
         [(module, "delta_I", delta_I_dropping_lowest_level) for module in (frame, verify)],
-        GENERATOR_CHECKS - {"level2.d{}", "level2.slot0.inversion", "level3.slot0.inversion"},
+        DIFFERENTIATING_CHECKS,
     ),
     "transform_jet2.drops.fx.xfxy.from.fuv": (
         "jets",
@@ -177,6 +187,28 @@ MUTATIONS = {
         [(tensor, "mult_map", mult_map_swapped), (frame, "mult_map", mult_map_swapped)],
         {"image.in.kernel.of.mult"},
     ),
+    "frame.delta.flips.its.sign": (
+        "all",
+        [(frame, "tensor_d", lambda u: -tensor.tensor_d(u))],
+        {
+            *(DIFFERENTIATING_CHECKS - {"level2.d{1,0}"}),
+            "order1.row1", "order3.row1", "order3.row2", "order3.row3", "order3.row4",
+            "embed.intertwines.delta", "lam.generator.identity",
+        },
+    ),
+    "embed.d.flips.its.sign": (
+        "all",
+        [(leibniz, "_d_items", d_items_flipped)],
+        {
+            "order2.row1", "order3.row2", "order3.row3", "order4.row1", "order4.row3", "order4.row4", "order4.row7",
+            "embed.intertwines.delta",
+        },
+    ),
+    "frame.delta.vanishes": (
+        "all",
+        [(frame, "tensor_d", lambda u: tensor.TensorPoly.zero(u.spec, 2 * u.degree))],
+        {*DIFFERENTIATING_CHECKS, *TABLE_ROWS, "iterated.delta.nonzero", "embed.intertwines.delta"},
+    ),
 }
 
 
@@ -190,3 +222,9 @@ def test_each_mutation_fails_its_checks(monkeypatch, row):
     for module, name, replacement in patches:
         monkeypatch.setattr(module, name, replacement)
     assert failing_checks(suite) == must_fail
+
+
+def test_every_check_of_suite_all_has_a_row():
+    """Together the rows' failing sets name every check of ``verify all``."""
+    checks = {r.name for r in verify.run_suite("all")}
+    assert set().union(*(must_fail for _, _, must_fail in MUTATIONS.values())) == checks

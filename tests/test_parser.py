@@ -109,6 +109,9 @@ def test_errors_carry_positions():
         parse("f g")
     with pytest.raises(ParseError):
         parse("d0(f)")
+    with pytest.raises(ParseError, match="expected denominator") as err:
+        parse("1/")
+    assert (err.value.line, err.value.col) == (1, 3)
 
 
 #: digits, letters (``é`` is a word character that begins no token), operators,
@@ -360,7 +363,7 @@ def test_a_factor_list_adds_its_coefficients_once(monkeypatch, suffix):
     monkeypatch.setattr(FreePoly, "of", staticmethod(counting))
     (form,) = lowered(" + ".join("*".join(w) + suffix for w in words), AlgebraSpec.free(syms)).values()
     (mono,) = form.terms
-    assert len(mono.coeff.terms) == n
+    assert len(mono[0].terms) == n
     assert seen <= 5 * n
 
 

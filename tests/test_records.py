@@ -16,7 +16,7 @@ import ncdiff
 from ncdiff.algebra import AlgebraSpec, FreePoly, FreeSpec, FuncElem, FunctionSpec, MatElem, MatrixSpec
 from ncdiff.frame import SubsetIndex
 from ncdiff.jets import Jet1, Jet2, Poly2
-from ncdiff.leibniz import LeibnizForm, LeibnizMonomial
+from ncdiff.leibniz import LeibnizForm
 from ncdiff.parser import Delta, Lit, Odot, Sum, Sym, _Tok
 from ncdiff.scalars import ONE, ZERO, Record, Scalar
 from ncdiff.verify import CheckResult
@@ -40,8 +40,7 @@ CASES = {
     FuncElem: ((TWO, (ONE, ZERO)), {0: OTHER_TWO, 1: (ZERO, ONE)}),
     MatElem: ((MAT, (ONE,)), {1: (ZERO,)}),
     SubsetIndex: ((3, (2, 0)), {0: 4, 1: (1,)}),
-    LeibnizMonomial: ((F, ((1, G),)), {0: G, 1: ((2, G),)}),
-    LeibnizForm: ((FREE, 1, ()), {0: COMM, 1: 2, 2: (LeibnizMonomial(F, ((1, G),)),)}),
+    LeibnizForm: ((FREE, 1, ()), {0: COMM, 1: 2, 2: ((F, ((1, G),)),)}),
     Poly2: (((((0, 0), 1),),), {0: (((0, 0), 2),)}),
     Jet2: ((1, 2, 3, 4, 5, 6), {i: 7 for i in range(6)}),
     Jet1: ((1, 2), {0: 3, 1: 3}),

@@ -133,6 +133,28 @@ def test_t_algebra_product_refuses_a_block_width_below_1():
     for block in (0, -1):
         with pytest.raises(ValueError, match=f"block width {block} is below 1"):
             t_algebra_product(elem_t(F, G), elem_t(F, G), block=block)
+    for u, v in ((elem_t(F, G, H), elem_t(F, G)), (elem_t(F, G), elem_t(F, G, H))):
+        with pytest.raises(ValueError, match="degrees must be multiples of the block width"):
+            t_algebra_product(u, v, block=2)
+
+
+def test_products_refuse_tensors_over_two_specs():
+    other = AlgebraSpec.free(("f", "g", "h", "x")).symbol("x")
+    for product in (tensor_concat, t_algebra_product):
+        with pytest.raises(AlgebraMismatchError, match="tensors over different algebras"):
+            product(elem_t(F, G), TensorPoly.wrap(other))
+
+
+def test_of_refuses_a_wrong_slot_count_and_a_foreign_slot():
+    with pytest.raises(ValueError, match="term has 1 slots, expected 2"):
+        TensorPoly.of(SPEC, 2, [(ONE, (F,))])
+    with pytest.raises(AlgebraMismatchError, match="tensor slot from a different algebra"):
+        TensorPoly.of(SPEC, 2, [(ONE, (F, AlgebraSpec.free(("f",)).symbol("f")))])
+    for degree in (0, -1):
+        with pytest.raises(ValueError, match="tensor degree must be at least 1"):
+            TensorPoly.zero(SPEC, degree)
+    with pytest.raises(ValueError, match="tensor degree must be at least 1"):
+        TensorPoly.elementary(())
 
 
 def test_t_algebra_product_is_associative(rng):
