@@ -26,10 +26,10 @@ from .algebra import AlgebraSpec
 from .frame import FrameElem, SubsetIndex, delta_I, generator_str, slot_in_generators
 from .jets import MAX_COEFF_BITS, MAX_JET_BITS, Jet2, composite_jet_bits, parse_poly2, transform_jet2
 from .jets import delta2_invariance_check
-from .leibniz import LeibnizForm, _integer_embed, embed
+from .leibniz import LeibnizForm, _integer_image, embed
 from .parser import LoweringError, MAX_ORDER, ParseError, lower, parse
 from .scalars import scalar_json, scalar_str
-from .tensor import _eval_table, _matrix_table, _table_cells, dumps, tensor_eval
+from .tensor import _eval_table, _matrix_table, _table_cells, _tuples_table, dumps
 from .verify import SUITES, run_suite
 
 
@@ -175,12 +175,8 @@ def cmd_eval(args) -> int:
                 if point not in spec.points:
                     raise UsageError(f"tuple {text!r} names unknown point {point!r}")
             tuples.append(parts)
-    body, den = _integer_embed(form)
-    if args.all:
-        table = _eval_table(body, den)
-    else:
-        values = [tensor_eval(body, t) for t in tuples]
-        table = den, [v.re for v in values], [v.im for v in values]
+    terms, den = _integer_image(form)
+    table = _eval_table(spec, arity, terms, den) if args.all else _tuples_table(spec, terms, den, tuples)
 
     def rendered(render: Callable, names: Sequence[str]) -> Iterator[tuple[str, str]]:
         """(row's points, value text) for every listed row; names holds the text of each of spec.points."""
@@ -212,7 +208,7 @@ def cmd_matrix(args) -> int:
     form = _single_part(_lower_expr(args.expr, spec))
     message = "result dimension {} exceeds the cap {}"
     size = _capped_power(spec.dim, form.order, min(args.max_dim, MATRIX_DIM_CAP), message)
-    table = _matrix_table(*_integer_embed(form))
+    table = _matrix_table(spec, 2**form.order, *_integer_image(form))
 
     def rows(render: Callable) -> Iterator[Iterable[str]]:
         """The cells' text, one row at a time: a list with one entry per cell would raise the peak."""

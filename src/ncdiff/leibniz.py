@@ -40,8 +40,10 @@ rest.  The image is linear in each factor and coefficient, so they are
 scaled to Gaussian-integer basis coefficients first: the fold merges
 coefficients in one dict per monomial, multiplying them with ``*``, plain
 ``int``s on a real form and ``Scalar``s on a complex one, and
-``embed`` divides each distinct output coefficient once by the common
-denominator (``_integer_embed`` stops before that: the CLI divides nothing).
+``embed`` sorts the image by key and divides each distinct output
+coefficient once by the common denominator (``_integer_image`` stops before
+that, with the integer terms the realization kernels read: the CLI sorts,
+wraps and divides nothing).
 The generator tables, which place every lift explicitly, stay the
 independent check of it; generator monomials are evaluated in the frame
 layer (``frame.generator_monomial_eval``, which this module re-exports).
@@ -49,16 +51,16 @@ layer (``frame.generator_monomial_eval``, which this module re-exports).
 
 from __future__ import annotations
 
-import operator
 from functools import partial
 from itertools import combinations
 from math import comb, lcm, prod
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .algebra import AlgebraMismatchError, AlgebraSpec, AlgElem
 from .frame import FrameElem, SubsetIndex, generator_monomial_eval, generator_str
 from .scalars import MINUS_ONE, ONE, ZERO, Record, Scalar
-from .tensor import Key, Memo, TensorPoly, _common_denominator, _d_items, _shift, left_products
+from .tensor import IntTerm, Key, Memo, TensorPoly, _common_denominator, _d_items, _shift, left_products
 
 Factor = tuple[int, AlgElem]
 Monomial = tuple[AlgElem, tuple[Factor, ...]]  # (coefficient, factors), as a tensor's (coefficient, key)
@@ -274,25 +276,31 @@ def _power(k: int, one: Callable[[dict, int, int, dict], dict], s: dict, width: 
 
 def embed(w: LeibnizForm) -> FrameElem:
     """Realize a form of order n inside level n of the frame tower: the
-    Gaussian-integer body of ``_integer_embed`` with each distinct
-    coefficient divided by its denominator once."""
-    body, den = _integer_embed(w)
-    if den != 1:
-        over = Memo(lambda c, d=Scalar(den): c / d)
-        body = TensorPoly(body.spec, body.degree, tuple((over[c], key) for c, key in body.terms))
-    return FrameElem(body)
+    Gaussian-integer image of ``_integer_image`` sorted by key, with one
+    ``Scalar`` per distinct coefficient, divided by the denominator once."""
+    terms, den = _integer_image(w)
+    d = Scalar(den)
+
+    def exact(c: Union[int, Scalar]) -> Scalar:
+        c = c if type(c) is Scalar else Scalar(c)
+        return c if den == 1 else c / d
+
+    exact = Memo(exact)
+    terms.sort(key=itemgetter(1))
+    return FrameElem(TensorPoly(w.spec, 2**w.order, tuple([(exact[c], key) for c, key in terms])))
 
 
-def _integer_embed(w: LeibnizForm) -> tuple[TensorPoly, int]:
-    """(den·body, den): the body of ``embed(w)`` times a denominator den that
-    makes every coefficient a Gaussian integer.  Each factor and coefficient is
-    scaled by the lcm d of its basis coefficients' denominators (``integral``),
+def _integer_image(w: LeibnizForm) -> tuple[list[IntTerm], int]:
+    """(terms, den): the terms of ``embed(w).body`` times a denominator den
+    that makes every coefficient a Gaussian integer, keys distinct and in no
+    particular order, as the realization kernels read them.  Each factor and
+    coefficient is scaled by the lcm d of its basis coefficients' denominators (``integral``),
     and each monomial is folded by ``_power`` from den / (its product of d's)
     times the unit, or times a constant coefficient; any other coefficient
     multiplies slot 0.  A partial image maps key to coefficient: an ``int`` when
     the form's basis coefficients are real, read through the int view of
     ``left_products`` (basis elements multiply with integer structure
-    constants), else a ``Scalar``."""
+    constants), else a ``Scalar``; the image is the last one's items."""
     spec, unit = w.spec, w.spec.unit_label()
 
     def integral(a: AlgElem) -> tuple[AlgElem, int, bool]:
@@ -325,7 +333,7 @@ def _integer_embed(w: LeibnizForm) -> tuple[TensorPoly, int]:
 
     monos = [(integral(a), [(k, *integral(g)) for k, g in reversed(factors)]) for a, factors in w.terms]
     real = not any(coeff[2] or any(f[3] for f in factors) for coeff, factors in monos)
-    zero, part = (0, operator.attrgetter("re")) if real else (ZERO, lambda c: c)
+    zero, part = (0, attrgetter("re")) if real else (ZERO, lambda c: c)
     dens = [d * prod(e for _, _, e, _ in factors) for (_, d, _), factors in monos]
     den, total = lcm(*dens), {}
     for ((a, _, _), factors), d in zip(monos, dens):
@@ -337,11 +345,7 @@ def _integer_embed(w: LeibnizForm) -> tuple[TensorPoly, int]:
             left_mul(total, left_products(a if c is None else spec.unit(), part), s.items(), 0)
         else:
             total = s
-    keys = sorted(total)
-    coeffs = map(total.__getitem__, keys)
-    if real:  # one Scalar per distinct value
-        coeffs = map({c: Scalar(c) for c in set(total.values())}.__getitem__, coeffs)
-    return TensorPoly(spec, 2**w.order, tuple(zip(coeffs, keys))), den
+    return list(zip(total.values(), total)), den
 
 
 # -- monomial types -------------------------------------------------------

@@ -362,16 +362,10 @@ def mult_map(u: TensorPoly) -> TensorPoly:
 def tensor_eval(u: TensorPoly, pts: Sequence[str]) -> Scalar:
     """Evaluate a function-backend tensor at one tuple of points: a term
     counts when each slot's label has its point in its ``spec.support``
-    (the unit's is every point)."""
+    (the unit's is every point); ``_tuples_table`` of one tuple."""
     if len(pts) != u.degree:
         raise ValueError(f"expected {u.degree} points, got {len(pts)}")
-    idx = [u.spec.point_index(p) for p in pts]
-    points = Memo(lambda label: [i for i, _ in u.spec.support(label)])  # a function label's cells are (i, i)
-    total = ZERO
-    for c, key in u.terms:
-        if all(idx[slot] in points[label] for slot, label in key):
-            total = total + c
-    return total
+    return next(_table_cells(_tuples_table(u.spec, *_integer_terms(u), [pts]), _scalar_cell))
 
 
 def _common_denominator(terms: Sequence[Term]) -> tuple[int, Callable[[Union[int, Fraction]], int]]:
@@ -381,7 +375,34 @@ def _common_denominator(terms: Sequence[Term]) -> tuple[int, Callable[[Union[int
     return d, lambda p: p.numerator * (d // p.denominator)
 
 
-#: a realization table (d, re, im): cell k is (re[k] + im[k]·i) / d, and im is None when every cell is real
+#: a term of a realization kernel: its coefficient is a Gaussian integer, an ``int`` or a ``Scalar`` of two
+IntTerm = tuple[Union[int, Scalar], Key]
+
+
+def _integer_terms(u: TensorPoly) -> tuple[list[IntTerm], int]:
+    """(terms, d): u's terms with every coefficient times d, the common
+    denominator of ``_common_denominator``, an ``int`` where it is real."""
+    d, scaled = _common_denominator(u.terms)
+    return [(Scalar(scaled(c.re), scaled(c.im)) if c.im else scaled(c.re), key) for c, key in u.terms], d
+
+
+def _parts(terms: Iterable[IntTerm]) -> tuple[list[tuple[int, Key]], list[tuple[int, Key]]]:
+    """The real and the imaginary (integer, key) terms of Gaussian-integer
+    terms, zero parts left out: an ``int`` coefficient is its own real part."""
+    re, im = [], []
+    for c, key in terms:
+        if type(c) is int:
+            re.append((c, key))
+        else:
+            if c.re:
+                re.append((c.re, key))
+            if c.im:
+                im.append((c.im, key))
+    return re, im
+
+
+#: a realization table (d, re, im): cell k is (re[k] + im[k]·i) / d, and im is None when no term has an
+#: imaginary part (basis tensors realize independently, so a full table then has an imaginary cell)
 Table = tuple[int, list[int], Union[list[int], None]]
 
 
@@ -411,18 +432,32 @@ def _scalar_cell(re_n: int, re_d: int, im_n: int, im_d: int) -> Scalar:
     return Scalar(re_n if re_d == 1 else Fraction(re_n, re_d), im_n if im_d == 1 else Fraction(im_n, im_d))
 
 
-def _eval_table(u: TensorPoly, den: int) -> Table:
-    """The table of u / den at every tuple of points, listed in
-    ``itertools.product(points, repeat=degree)`` order.
+def _tuples_table(spec: AlgebraSpec, terms: Iterable[IntTerm], den: int, tuples: Sequence[Sequence[str]]) -> Table:
+    """The table of the terms / den at each of tuples, one point name per
+    slot: a term adds its integer parts at a tuple when each slot's label
+    has the tuple's point in its ``spec.support`` (the unit's is every
+    point).  Each label's points are read once for all the tuples."""
+    points = Memo(lambda label: {i for i, _ in spec.support(label)})  # a function label's cells are (i, i)
+    rows = [[spec.point_index(p) for p in pts] for pts in tuples]
 
-    Coefficients are scaled to integers over one common denominator, and
-    each part's table is folded densely, slot by slot: slot s is the digit
-    of weight n^(degree-1-s), so a label whose ``spec.support`` holds point
-    i adds the table of the remaining slots into block i, and the unit
-    (every point) tiles it.
+    def sums(part: list[tuple[int, Key]]) -> list[int]:
+        return [sum([c for c, key in part if all(idx[slot] in points[label] for slot, label in key)]) for idx in rows]
+
+    re, im = _parts(terms)
+    return den, sums(re), sums(im) if im else None
+
+
+def _eval_table(spec: AlgebraSpec, degree: int, terms: Iterable[IntTerm], den: int) -> Table:
+    """The table of the terms / den at every tuple of ``degree`` points,
+    listed in ``itertools.product(points, repeat=degree)`` order.
+
+    Each integer part's table is folded densely, slot by slot: slot s is
+    the digit of weight n^(degree-1-s), so a label whose ``spec.support``
+    holds point i adds the table of the remaining slots into block i, and
+    the unit (every point) tiles it.
     """
-    n, degree = len(u.spec.point_names()), u.degree
-    ones = Memo(lambda label: [i for i, _ in u.spec.support(label)])
+    n = len(spec.point_names())
+    ones = Memo(lambda label: [i for i, _ in spec.support(label)])
 
     def fold(terms: list[tuple[int, Key]], slot: int) -> list[int]:
         """The table over slots slot.. of terms whose keys start at slot or later."""
@@ -444,36 +479,34 @@ def _eval_table(u: TensorPoly, den: int) -> Table:
                 out[at] = map(add, out[at], sub)
         return out
 
-    d, scaled = _common_denominator(u.terms)
-    re = [(scaled(c.re), key) for c, key in u.terms if c.re]
-    im = [(scaled(c.im), key) for c, key in u.terms if c.im]
-    return den * d, fold(re, 0), fold(im, 0) if im else None
+    re, im = _parts(terms)
+    return den, fold(re, 0), fold(im, 0) if im else None
 
 
 def tensor_eval_all(u: TensorPoly) -> list[Scalar]:
     """Evaluate a function-backend tensor at every tuple of points, listed
-    in ``itertools.product(points, repeat=degree)`` order: ``_eval_table``,
-    one Scalar per distinct value.  Values agree with ``tensor_eval``."""
-    return list(_table_cells(_eval_table(u, 1), _scalar_cell))
+    in ``itertools.product(points, repeat=degree)`` order: ``_eval_table``
+    of its ``_integer_terms``, one Scalar per distinct value.  Values agree
+    with ``tensor_eval``."""
+    return list(_table_cells(_eval_table(u.spec, u.degree, *_integer_terms(u)), _scalar_cell))
 
 
-def _matrix_table(u: TensorPoly, den: int) -> Table:
-    """The table of the dense matrix of u / den, its rows concatenated.
+def _matrix_table(spec: AlgebraSpec, degree: int, terms: Iterable[IntTerm], den: int) -> Table:
+    """The table of the dense matrix of the terms / den, over ``degree``
+    slots, its rows concatenated.
 
     Slot 0 indexes the fastest-varying digit, so the last tensor factor
     forms the outermost Kronecker block; this matches the convention of
     representing 1 (x) f as the block-scaled identity.  Basis matrices are
-    0/1, so a term adds its coefficient, scaled to an integer over one
-    common denominator, at each cell built from one cell of each slot's
-    ``support``: cell (r, s) of slot k moves the row-major index by
-    (r * size + s) * dim^k.  The unit's cells over the slots a key leaves
-    free are expanded once per pattern of occupied slots, and each term
-    expands only its occupied slots.
+    0/1, so a term adds each integer part at each cell built from one cell
+    of each slot's ``support``: cell (r, s) of slot k moves the row-major
+    index by (r * size + s) * dim^k.  The unit's cells over the slots a key
+    leaves free are expanded once per pattern of occupied slots, and each
+    term expands only its occupied slots and adds at every sum of the two.
     """
-    dim, degree = u.spec.dim, u.degree
+    dim, unit = spec.dim, spec.unit_label()
     size = dim**degree
-    unit = u.spec.unit_label()
-    offsets = Memo(lambda at: [(r * size + s) * dim ** at[0] for r, s in u.spec.support(at[1])])
+    offsets = Memo(lambda at: [(r * size + s) * dim ** at[0] for r, s in spec.support(at[1])])
 
     def unit_cells(occupied: tuple[int, ...]) -> list[int]:
         """The cells of the unit in every slot a key leaves unoccupied."""
@@ -484,27 +517,29 @@ def _matrix_table(u: TensorPoly, den: int) -> Table:
         return at
 
     units = Memo(unit_cells)
-    d, scaled = _common_denominator(u.terms)
-    re, im = [0] * (size * size), [0] * (size * size)
-    for c, key in u.terms:
-        moves = [0]
-        for slot_label in key:
-            moves = [a + b for a in moves for b in offsets[slot_label]]
-        base = units[tuple([slot for slot, _ in key])]
-        at = [a + m for m in moves for a in base]
-        for part, out in ((c.re, re), (c.im, im)):
-            if part:
-                part = scaled(part)
-                for i in at:
-                    out[i] += part
-    return den * d, re, im if any(im) else None
+
+    def cells(part: list[tuple[int, Key]]) -> list[int]:
+        out = [0] * (size * size)
+        for c, key in part:
+            moves = [0]
+            for slot_label in key:
+                moves = [a + b for a in moves for b in offsets[slot_label]]
+            base = units[tuple([slot for slot, _ in key])]
+            for m in moves:
+                for a in base:
+                    out[a + m] += c
+        return out
+
+    re, im = _parts(terms)
+    return den, cells(re), cells(im) if im else None
 
 
 def tensor_to_matrix(u: TensorPoly) -> list[list[Scalar]]:
     """Dense matrix realization of the iterated Kronecker products:
-    ``_matrix_table`` split into rows, one Scalar per distinct value."""
+    ``_matrix_table`` of its ``_integer_terms`` split into rows, one Scalar
+    per distinct value."""
     size = u.spec.dim**u.degree
-    cells = _table_cells(_matrix_table(u, 1), _scalar_cell)
+    cells = _table_cells(_matrix_table(u.spec, u.degree, *_integer_terms(u)), _scalar_cell)
     return [list(itertools.islice(cells, size)) for _ in range(size)]
 
 

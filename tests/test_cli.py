@@ -940,29 +940,40 @@ def test_cell_past_the_digit_limit_exits_2(spec_file, capsys, doc, argv):
 
 
 def test_rendering_a_table_builds_no_fraction_or_scalar(spec_file, capsys, monkeypatch):
-    """Once the embedding has returned its integer body, eval --all and
-    matrix build no ``Fraction`` and no ``Scalar``, per cell or per distinct
-    value: the kernels sum integers and each distinct cell becomes text from
-    its integers."""
-    new, init, made, integer_embed = Fraction.__new__, Scalar.__init__, [], cli._integer_embed
+    """Once the embedding's fold has returned its integer image, eval --all,
+    eval --tuples and matrix build no ``Fraction`` and no ``Scalar``, per cell
+    or per distinct value: the kernels sum integers and each distinct cell
+    becomes text from its integers.  Once the expression is lowered, no
+    ``TensorPoly`` is built at all: the kernels read the image as it is."""
+    new, init, made, tensors = Fraction.__new__, Scalar.__init__, [], []
+    integer_image, lower_expr = cli._integer_image, cli._lower_expr
 
-    def embedded(form):
-        out = integer_embed(form)
+    def imaged(form):
+        out = integer_image(form)
         made.clear()
         return out
 
+    def lowered(*args):
+        parts = lower_expr(*args)
+        tensors.clear()
+        return parts
+
     monkeypatch.setattr(Fraction, "__new__", staticmethod(lambda cls, *a, **k: made.append(cls) or new(cls, *a, **k)))
     monkeypatch.setattr(Scalar, "__init__", lambda self, re=0, im=0: made.append(Scalar) or init(self, re, im))
-    monkeypatch.setattr(cli, "_integer_embed", embedded)
+    monkeypatch.setattr(TensorPoly, "__post_init__", lambda self: tensors.append(self))
+    monkeypatch.setattr(cli, "_integer_image", imaged)
+    monkeypatch.setattr(cli, "_lower_expr", lowered)
+    every_tuple = [",".join(t) for t in itertools.product("LR", repeat=8)]
     cases = [
         (MIXED_TWO_POINT_DOC, ["eval", "--expr", "y*d(x)@d2(x) + x*d3(y)", "--all"]),
         (MIXED_TWO_POINT_DOC, ["eval", "--expr", "y*d(x)@d2(x) + x*d3(y)", "--all", "--nonzero"]),
+        (MIXED_TWO_POINT_DOC, ["eval", "--expr", "y*d(x)@d2(x) + x*d3(y)", "--tuples", *every_tuple]),
         (MIXED_MAT3_DOC, ["matrix", "--expr", "g*d(f)@d(g)"]),
     ]
     for doc, argv in cases:
         for mode in ("json", "pretty"):
             code, out, _ = run(capsys, *argv, "--algebra", spec_file(doc), "--out", mode)
-            assert code == 0 and len(out) > 2000 and made == [], argv
+            assert code == 0 and len(out) > 2000 and made == [] and tensors == [], argv
 
 
 def test_one_parser_serves_every_call(spec_file, capsys):

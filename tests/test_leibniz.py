@@ -1,9 +1,12 @@
 import functools
 import gc
+import itertools
 import json
+import random
 import sys
 import weakref
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 
@@ -22,7 +25,7 @@ from ncdiff.frame import (
 from ncdiff.leibniz import (
     LeibnizForm,
     _collect,
-    _integer_embed,
+    _integer_image,
     _normalize,
     embed,
     enumerate_types,
@@ -37,7 +40,9 @@ from ncdiff.scalars import MINUS_ONE, ONE, Scalar
 from ncdiff.tensor import (
     TensorPoly,
     _eval_table,
+    _glue,
     _matrix_table,
+    mult_map,
     t_algebra_product,
     tensor_concat,
     tensor_eval_all,
@@ -48,6 +53,7 @@ from ncdiff.verify import (
     default_free_spec,
     odot_chain,
     random_elem,
+    random_frame_elem,
     random_leibniz_form,
     table_row,
 )
@@ -746,8 +752,10 @@ REAL_AND_COMPLEX = {
 def test_integer_embed_is_exact_across_the_real_complex_boundary(spec):
     """A form folds on ints only when every basis coefficient is real; a
     complex coefficient over real factors, and one complex factor among real
-    ones, fold on ``Scalar`` coefficients.  Either way ``_integer_embed`` is
-    ``frame_fold_embed`` times its denominator, with ``int`` parts only."""
+    ones, fold on ``Scalar`` coefficients.  Either way the image of
+    ``_integer_image``, sorted by key, is ``frame_fold_embed`` times its
+    denominator, with ``int`` parts only: ``int`` coefficients on a real
+    form, and ``Scalar``s of two ``int``s on a complex one."""
     x, y, z = (spec.symbol(s) for s in "xyz")
     i, gaussian = Scalar.of(0, 1), Scalar.of(1, Fraction(1, 2))
     forms = {
@@ -765,11 +773,15 @@ def test_integer_embed_is_exact_across_the_real_complex_boundary(spec):
     }
     for kind, ws in forms.items():
         for w in ws:
-            body, den = _integer_embed(w)
+            terms, den = _integer_image(w)
             want = [(c * Scalar(den), key) for c, key in frame_fold_embed(w).body.terms]
-            assert list(body.terms) == want and den > 1
-            assert all(type(p) is int for c, _ in body.terms for p in (c.re, c.im))
-            assert any(c.im for c, _ in body.terms) == (kind != "real")
+            got = sorted(((c if kind != "real" else Scalar(c), key) for c, key in terms), key=itemgetter(1))
+            assert got == want and den > 1
+            if kind == "real":
+                assert all(type(c) is int for c, _ in terms)
+            else:
+                assert all(type(c) is Scalar and type(c.re) is type(c.im) is int for c, _ in terms)
+                assert any(c.im for c, _ in terms)
 
 
 def test_embed_multiplies_no_fractions(monkeypatch):
@@ -1029,11 +1041,12 @@ CORE_SPECS = {
 
 @pytest.mark.parametrize("spec", CORE_SPECS.values(), ids=CORE_SPECS.keys())
 def test_integer_embed_is_embed_times_its_denominator(spec, rng):
-    """``_integer_embed(w)`` is a body over Gaussian integers and its
-    denominator, which divided out is ``embed(w).body`` term for term: random
-    forms of orders 0-3 with drawn, unit and constant coefficients, their sums
-    and zero forms.  On dense specs the realization cores fed by it, divided
-    out, are ``tensor_eval_all`` and ``tensor_to_matrix`` of ``embed(w).body``."""
+    """``_integer_image(w)`` is a list of terms over Gaussian integers and
+    its denominator, which divided out and sorted by key is ``embed(w).body``
+    term for term: random forms of orders 0-3 with drawn, unit and constant
+    coefficients, their sums and zero forms.  On dense specs the realization
+    cores fed by it, divided out, are ``tensor_eval_all`` and
+    ``tensor_to_matrix`` of ``embed(w).body``."""
     forms = []
     for order in range(4):
         monomials = []
@@ -1046,16 +1059,17 @@ def test_integer_embed_is_embed_times_its_denominator(spec, rng):
     divided = lambda d, re, im: [Scalar.of(Fraction(r, d), Fraction(i, d)) for r, i in zip(re, im or [0] * len(re))]
     dens = []
     for w in forms:
-        body, (ints, den) = embed(w).body, _integer_embed(w)
+        body, (ints, den) = embed(w).body, _integer_image(w)
         dens.append(den)
-        assert ints.degree == body.degree and den >= 1
-        assert all(type(p) is int for c, _ in ints.terms for p in (c.re, c.im))
-        assert [(c / Scalar(den), key) for c, key in ints.terms] == list(body.terms)
+        assert den >= 1
+        assert all(type(c) is int or type(c.re) is type(c.im) is int for c, _ in ints)
+        exact = [((Scalar(c) if type(c) is int else c) / Scalar(den), key) for c, key in ints]
+        assert sorted(exact, key=itemgetter(1)) == list(body.terms)
         if spec.backend == "function" and len(spec.points) ** body.degree <= 4096:
-            assert divided(*_eval_table(ints, den)) == tensor_eval_all(body)
+            assert divided(*_eval_table(spec, body.degree, ints, den)) == tensor_eval_all(body)
         if spec.backend == "matrix" and spec.dim**body.degree <= 16:
             size = spec.dim**body.degree
-            cells = divided(*_matrix_table(ints, den))
+            cells = divided(*_matrix_table(spec, body.degree, ints, den))
             assert [cells[i : i + size] for i in range(0, size * size, size)] == tensor_to_matrix(body)
     assert max(dens) > 1
 
@@ -1088,3 +1102,64 @@ def test_integer_forms_embed_with_int_coefficient_parts(spec):
         terms = embed(w).body.terms
         assert w.order == 3 and terms
         assert all(type(part) is int for c, _ in terms for part in (c.re, c.im))
+
+
+def face(u: TensorPoly, s: int) -> TensorPoly:
+    """Face s of a tensor of degree 2^n, s < n: slot j, for each j whose bit
+    s is 0, times slot j + 2^s, through ``_glue``.  The kept slots close up:
+    slot j lands on j with bit s deleted, as does its partner."""
+    low = (1 << s) - 1
+    closed = lambda j: (j >> (s + 1)) << s | (j & low)
+    halves = lambda key, bit: [(closed(j), label) for j, label in key if (j >> s & 1) == bit]
+    return _glue(u.spec, u.degree // 2, ((c, halves(key, 0), halves(key, 1)) for c, key in u.terms))
+
+
+@pytest.mark.parametrize("spec", ["free_spec", "comm_spec", "three_point", "mat_spec"])
+def test_every_face_kills_an_embedded_form(request, spec):
+    """Every face of level n sends the image of a form of order n to zero:
+    three random forms per order 1-4.  Face n - 1 is ``mult_map``.  As a
+    control, some face leaves some random frame element of levels 1-3
+    nonzero, so the faces can fail."""
+    spec, rng = request.getfixturevalue(spec), random.Random(5)
+    for order in range(1, 5):
+        for _ in range(3):
+            body = embed(random_leibniz_form(spec, order, rng)).body
+            assert not body.is_zero()
+            assert face(body, order - 1) == mult_map(body)
+            assert all(face(body, s).is_zero() for s in range(order))
+    controls = [random_frame_elem(spec, level, rng).body for level in (1, 2, 3) for _ in range(4)]
+    assert any(not face(u, s).is_zero() for u in controls for s in range(u.degree.bit_length() - 1))
+
+
+def basis_labels(spec: AlgebraSpec) -> list:
+    """The dense spec's basis labels: the unit, then the one-hot pattern of
+    every cell but the last (``_DenseElem.basis_decomposition``'s family)."""
+    unit = spec.unit_label()
+    labels = [unit] + [tuple(int(i == p) for i in range(len(unit))) for p in range(len(unit) - 1)]
+    assert all(spec.basis_elem(label).basis_decomposition() == ((ONE, label),) for label in labels)
+    return labels
+
+
+RANK_CASES = [
+    ("2-point function", AlgebraSpec.function(("L", "R"), {"x": (1, 0)}), {1: 2, 2: 4, 3: 8}),
+    ("3-point function", CORE_SPECS["func-fraction"], {1: 6, 2: 18}),
+    ("2x2 matrix", CORE_SPECS["mat2"], {1: 12, 2: 48}),
+]
+
+
+@pytest.mark.parametrize("spec, ranks", [case[1:] for case in RANK_CASES], ids=[case[0] for case in RANK_CASES])
+def test_basis_monomials_embed_with_full_rank(spec, ranks):
+    """The monomials e·d^{k1}(b1) ⊙ ... ⊙ d^{kr}(br), e a basis label and
+    each b_i a label other than the unit, over every composition of n, have
+    independent images, as many as there are monomials: the pinned exact
+    ranks of ROADMAP item 2's table."""
+    labels = basis_labels(spec)
+    elem = spec.basis_elem
+    for order, want in ranks.items():
+        vectors = [
+            flatten(embed(LeibnizForm.monomial(elem(e), [(k, elem(b)) for k, b in zip(comp, bs)])).body)
+            for comp in enumerate_types(order)
+            for e in labels
+            for bs in itertools.product(labels[1:], repeat=len(comp))
+        ]
+        assert len(vectors) == want and rank(vectors) == want

@@ -16,6 +16,7 @@ from ncdiff.parser import lower, parse
 from ncdiff.scalars import MINUS_ONE, ONE, ZERO, Scalar
 from ncdiff.tensor import (
     TensorPoly,
+    _integer_terms,
     _matrix_table,
     coboundary,
     componentwise_product,
@@ -754,7 +755,7 @@ def test_realization_kernels_add_and_multiply_no_scalars(monkeypatch):
 
 
 def slotwise_matrix_table(u):
-    """``_matrix_table(u, 1)`` by the slotwise rule: every term is expanded
+    """``_matrix_table`` of u's ``_integer_terms`` by the slotwise rule: every term is expanded
     over the support of every slot's label, the unit's included."""
     spec, size = u.spec, u.spec.dim**u.degree
     d = math.lcm(*(Fraction(p).denominator for c, _ in u.terms for p in (c.re, c.im)))
@@ -799,10 +800,11 @@ def test_matrix_table_expands_unit_slots_once_per_pattern(spec):
         body = embed(form).body
         patterns = {tuple(slot for slot, _ in key) for _, key in body.terms}
         assert len(patterns) > 1 or form.order == 0
-        assert _matrix_table(body, 1) == slotwise_matrix_table(body), expr
+        table = _matrix_table(spec, body.degree, *_integer_terms(body))
+        assert table == slotwise_matrix_table(body), expr
         if spec.dim**body.degree <= 9:
             size = spec.dim**body.degree
-            d, re, im = _matrix_table(body, 1)
+            d, re, im = table
             cells = [Scalar.of(Fraction(r, d), Fraction(i, d)) for r, i in zip(re, im or [0] * len(re))]
             assert [cells[i : i + size] for i in range(0, size * size, size)] == dense_kron(body)
 
