@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from typing import ClassVar, Iterable, Mapping, Optional, Sequence, Union
 
 from .scalars import MINUS_ONE, ONE, ZERO, Record, Scalar
@@ -339,6 +340,27 @@ class AlgElem(Record):
         """
         raise NotImplementedError
 
+    def left_row(self, label: Label) -> Decomposition:
+        """The row of this element's left multiplication at a label of
+        ``basis_decomposition``: ``self.mul(spec.basis_elem(label)).basis_decomposition()``
+        up to order, read from this element's coordinates with no product."""
+        raise NotImplementedError
+
+    def _coordinates(self) -> Iterable[Scalar]:
+        """The scalars the element stores: a polynomial's coefficients, or
+        the dense entries.  The change from them to the basis coefficients is
+        unimodular, so both have the same denominators and both are real or not."""
+        raise NotImplementedError
+
+    def denominator(self) -> int:
+        """The least common multiple of the denominators of the coordinates' parts,
+        which is that of ``basis_decomposition()``'s coefficients."""
+        return math.lcm(*(p.denominator for c in self._coordinates() for p in (c.re, c.im)))
+
+    def is_real(self) -> bool:
+        """Whether no coordinate, hence no basis coefficient, has an imaginary part."""
+        return not any(c.im for c in self._coordinates())
+
     def neg(self) -> AlgElem:
         return self.scale(MINUS_ONE)
 
@@ -409,6 +431,16 @@ class FreePoly(AlgElem):
     def basis_decomposition(self) -> Decomposition:
         return tuple((c, w) for w, c in self.terms)
 
+    def left_row(self, label: Label) -> Decomposition:
+        """g·w = Σ c_u (u + w): distinct canonical words u stay distinct
+        after w is appended (and after a commutative spec sorts them)."""
+        if self.spec.commutative:
+            return tuple([(c, tuple(sorted(u + label))) for u, c in self.terms])
+        return tuple([(c, u + label) for u, c in self.terms])
+
+    def _coordinates(self) -> Iterable[Scalar]:
+        return [c for _, c in self.terms]
+
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -469,8 +501,11 @@ class _DenseElem(AlgElem):
         for p in range(m - 1):
             c = entries[p] - base if unit[p] else entries[p]
             if not c.is_zero():
-                out.append((c, (0,) * p + (1,) + (0,) * (m - p - 1)))
+                out.append((c, _one_hot(p, m)))
         return tuple(out)
+
+    def _coordinates(self) -> Iterable[Scalar]:
+        return self.entries
 
     def grid(self) -> tuple[tuple[Scalar, ...], ...]:
         """Rows of ``spec.dim`` entries: one for a function, dim for a matrix."""
@@ -485,6 +520,11 @@ class _DenseElem(AlgElem):
             if self.spec.symbol(name) == self:
                 return name
         return "[" + "; ".join(", ".join(str(e) for e in row) for row in self.grid()) + "]"
+
+
+def _one_hot(p: int, m: int) -> Label:
+    """The label of the p-th of m dense cells alone."""
+    return (0,) * p + (1,) + (0,) * (m - p - 1)
 
 
 class FuncElem(_DenseElem):
@@ -503,6 +543,13 @@ class FuncElem(_DenseElem):
     def mul(self, other: AlgElem) -> FuncElem:
         _check_same_spec(self, other)
         return FuncElem(self.spec, tuple(a * b for a, b in zip(self.entries, other.entries)))
+
+    def left_row(self, label: Label) -> Decomposition:
+        """g·e_p = g_p·e_p, the one term at the label's point; g·1 = g."""
+        if label == self.spec.unit_label():
+            return self.basis_decomposition()
+        c = self.entries[label.index(1)]
+        return () if c.is_zero() else ((c, label),)
 
     def to_json(self) -> dict:
         return {"values": _json_list(self.entries)}
@@ -531,6 +578,24 @@ class MatElem(_DenseElem):
                     for j, y in row:
                         out[i + j] = out[i + j] + x * y
         return MatElem(self.spec, tuple(out))
+
+    def left_row(self, label: Label) -> Decomposition:
+        """g·E_ij is column i of g placed in column j; g·1 = g.  The cell
+        (n-1, n-1) is no basis label: E_{n-1,n-1} = 1 - Σ_{p<n-1} E_pp, so in
+        the last column g_{n-1,i} goes on the unit and, negated, on each E_pp."""
+        unit = self.spec.unit_label()
+        if label == unit:
+            return self.basis_decomposition()
+        n, entries = self.spec.dim, self.entries
+        i, j = divmod(label.index(1), n)
+        out, rows = [], range(n)
+        if j == n - 1:
+            base, rows = entries[(n - 1) * n + i], range(n - 1)
+            if not base.is_zero():
+                neg = -base
+                out = [(base, unit)] + [(neg, _one_hot(p * (n + 1), n * n)) for p in rows]
+        out += [(c, _one_hot(k * n + j, n * n)) for k in rows if not (c := entries[k * n + i]).is_zero()]
+        return tuple(out)
 
     def to_json(self) -> dict:
         return {"rows": list(map(_json_list, self.rows))}

@@ -202,6 +202,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_matrix(args) -> int:
+    if args.max_dim < 1:
+        raise UsageError(f"--max-dim must be at least 1, got {args.max_dim}")
     spec = _load_spec(args.algebra)
     if spec.backend != "matrix":
         raise UsageError("matrix needs a matrix-backend algebra spec")

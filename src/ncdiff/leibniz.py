@@ -60,7 +60,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 from .algebra import AlgebraMismatchError, AlgebraSpec, AlgElem
 from .frame import FrameElem, SubsetIndex, generator_monomial_eval, generator_str
 from .scalars import MINUS_ONE, ONE, ZERO, Record, Scalar
-from .tensor import IntTerm, Key, Memo, TensorPoly, _common_denominator, _d_items, _shift, left_products
+from .tensor import IntTerm, Key, Memo, TensorPoly, _d_items, _shift, left_products
 
 Factor = tuple[int, AlgElem]
 Monomial = tuple[AlgElem, tuple[Factor, ...]]  # (coefficient, factors), as a tensor's (coefficient, key)
@@ -305,9 +305,8 @@ def _integer_image(w: LeibnizForm) -> tuple[list[IntTerm], int]:
 
     def integral(a: AlgElem) -> tuple[AlgElem, int, bool]:
         """(d·a, d, whether a has a complex basis coefficient), d the lcm of their denominators."""
-        terms = a.basis_decomposition()
-        d = _common_denominator(terms)[0]
-        return a if d == 1 else a.scale(Scalar(d)), d, any(c.im for c, _ in terms)
+        d = a.denominator()
+        return a if d == 1 else a.scale(Scalar(d)), d, not a.is_real()
 
     def left_mul(out: dict, g: Memo, items: Iterable[tuple[Key, object]], at: int) -> dict:
         """out plus c·(g·key) for each (key, c) of items, g multiplying slot ``at`` (the lowest a key names)."""

@@ -234,14 +234,12 @@ def _multilinear(coeff: Scalar, fixed: list, slots: list, unit: Label) -> Iterat
 
 
 def left_products(g: AlgElem, part: Callable[[Scalar], T] = lambda c: c) -> Memo:
-    """The table label -> g·label over the basis, a ``Memo`` filled on demand, each coefficient
-    read through part: by default the ``Scalar`` itself, and ``attrgetter("re")``
-    gives a real table's ``int`` view.  A product of basis labels may leave
-    the basis (E10 E01 = E11), so it is expanded over it again."""
-    spec, unit = g.spec, g.spec.unit_label()
-    return Memo(lambda label: tuple(
-        (part(c), lp) for c, lp in (g if label == unit else g.mul(spec.basis_elem(label))).basis_decomposition()
-    ))
+    """The table label -> g·label over the basis, a ``Memo`` filled on demand
+    with g's own rows (``AlgElem.left_row``), each coefficient read through part:
+    by default the ``Scalar`` itself, and ``attrgetter("re")`` gives a real
+    table's ``int`` view."""
+    row = g.left_row
+    return Memo(lambda label: tuple([(part(c), lp) for c, lp in row(label)]))
 
 
 def tensor_collect(spec: AlgebraSpec, degree: int, terms: Iterable[Term]) -> TensorPoly:

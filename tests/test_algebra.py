@@ -1,8 +1,10 @@
 import ast
 import functools
+import itertools
 import pathlib
 import random
 from fractions import Fraction
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from ncdiff.algebra import (
     func_as_diagonal,
 )
 from ncdiff.scalars import ONE, Scalar
+from ncdiff.tensor import _common_denominator, left_products
 
 FREE = AlgebraSpec.free(("f", "g", "h"))
 COMM = AlgebraSpec.free(("f", "g", "h"), commutative=True)
@@ -255,6 +258,60 @@ def test_dense_elements_keep_order_views_and_decomposition(spec, tables):
         for c, label in x.basis_decomposition():
             rebuilt = rebuilt.add(spec.basis_elem(label).scale(c))
         assert rebuilt == x
+
+
+def _assert_rows_are_products(g, labels):
+    """Every row of g at labels is g times the label's basis element, expanded
+    over the basis again, read as ``Scalar``s through ``left_products`` and, for a
+    real g scaled by its denominator, as the ``int`` view; the denominator is
+    that of g's basis coefficients."""
+    spec = g.spec
+    by_key = lambda row: sorted((c.key(), label) for c, label in row)
+    product = lambda h, label: h.mul(spec.basis_elem(label)).basis_decomposition()
+    assert g.denominator() == _common_denominator(g.basis_decomposition())[0]
+    assert g.is_real() == all(not c.im for c, _ in g.basis_decomposition())
+    rows = left_products(g)
+    for label in labels:
+        assert by_key(g.left_row(label)) == by_key(rows[label]) == by_key(product(g, label))
+    if g.is_real():
+        h = g.scale(Scalar.of(g.denominator()))
+        assert h.denominator() == 1
+        ints = left_products(h, attrgetter("re"))
+        for label in labels:
+            assert all(type(c) is int for c, _ in ints[label])
+            assert sorted(ints[label]) == sorted((c.re, lp) for c, lp in product(h, label))
+
+
+@pytest.mark.parametrize("spec, tables", _dense_specs(), ids=["mat2", "mat3", "func2", "func3"])
+def test_dense_rows_and_denominators_match_the_product(spec, tables):
+    """The rows of each symbol and of a random sum, at every basis label (the
+    unit and the one-hot pattern of each cell but the last), equal the
+    backend product's decomposition."""
+    rng = random.Random(41)
+    rat = lambda: Scalar.of(Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 4))))
+    a, b = spec.symbol("a"), spec.symbol("b")
+    cells = len(spec.unit_label())
+    labels = [spec.unit_label(), *(tuple(int(i == p) for i in range(cells)) for p in range(cells - 1))]
+    total = a.scale(rat()).add(b.scale(rat()), a.mul(b).scale(rat()), spec.scalar(rat()))
+    for g in (a, b, total, spec.unit(), spec.zero()):
+        _assert_rows_are_products(g, labels)
+
+
+@pytest.mark.parametrize("commutative", [False, True], ids=["free", "comm"])
+def test_free_rows_and_denominators_match_the_product(commutative):
+    """Free elements of 1-3 terms with fractional, and some complex,
+    coefficients, against every label of a word of length at most 2."""
+    spec = AlgebraSpec.free(("x", "y"), commutative)
+    rng = random.Random(43)
+    words = [w for n in range(3) for w in itertools.product(spec.symbols, repeat=n)]
+    labels = [w for w in words if not commutative or list(w) == sorted(w)]
+    for _ in range(30):
+        terms = []
+        for _ in range(rng.randint(1, 3)):
+            im = Fraction(rng.randint(-2, 2), 3) if rng.random() < 0.2 else 0
+            terms.append((rng.choice(words), Scalar.of(Fraction(rng.randint(-6, 6) or 1, rng.choice((1, 2, 5))), im)))
+        g = FreePoly.of(spec, terms)
+        _assert_rows_are_products(g, labels)
 
 
 def test_dense_elements_print_rows():

@@ -614,6 +614,15 @@ def test_malformed_input_exits_2_without_traceback(spec_file, capsys, doc, argv)
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("max_dim", ["0", "-3"])
+def test_matrix_max_dim_below_one_is_a_usage_error(spec_file, capsys, tmp_path, max_dim):
+    """``--max-dim`` below 1 names the option, before the spec is read: a
+    missing spec file gives the same message."""
+    for path in (spec_file(MAT_DOC, "mat.json"), str(tmp_path / "missing.json")):
+        code, out, err = run(capsys, "matrix", "--algebra", path, "--expr", "d(f)", "--max-dim", max_dim)
+        assert (code, out, err) == (2, "", f"ncdiff: --max-dim must be at least 1, got {max_dim}\n")
+
+
 @pytest.mark.parametrize("dim", [math.isqrt(MATRIX_SPEC_CELL_CAP) + 1, cli.MATRIX_DIM_CAP + 1, 10**9])
 def test_spec_dim_above_the_cap_is_refused_when_read(spec_file, dim):
     """A matrix spec with more than ``MATRIX_SPEC_CELL_CAP`` dense cells is

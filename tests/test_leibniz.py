@@ -12,7 +12,7 @@ import pytest
 
 import ncdiff.frame
 import ncdiff.leibniz
-from ncdiff.algebra import AlgebraMismatchError, AlgebraSpec, FreePoly
+from ncdiff.algebra import AlgebraMismatchError, AlgebraSpec, FreePoly, FuncElem, MatElem
 from ncdiff.frame import (
     FrameElem,
     SubsetIndex,
@@ -1072,6 +1072,34 @@ def test_integer_embed_is_embed_times_its_denominator(spec, rng):
             cells = divided(*_matrix_table(spec, body.degree, ints, den))
             assert [cells[i : i + size] for i in range(0, size * size, size)] == tensor_to_matrix(body)
     assert max(dens) > 1
+
+
+@pytest.mark.parametrize("spec", CORE_SPECS.values(), ids=CORE_SPECS.keys())
+def test_integer_image_runs_no_backend_product(spec, rng, monkeypatch):
+    """The fold reads every factor's and coefficient's own rows and
+    denominator: while ``_integer_image`` runs, no backend ``mul`` runs, and
+    ``basis_decomposition`` runs at most once per element of the form (a dense
+    element's row at the unit is its decomposition), never on a free spec.
+    The forms have non-constant coefficients and factors, alone and summed."""
+    calls = {"mul": 0, "basis_decomposition": 0}
+    for cls in (FreePoly, FuncElem, MatElem):
+        for name in calls:
+            def counted(*args, _f=vars(cls)[name], _name=name):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(cls, name, counted)
+    forms = []
+    for order in range(1, 4):
+        comp = rng.choice(enumerate_types(order))
+        monomials = [LeibnizForm.monomial(random_elem(spec, rng), [(k, random_elem(spec, rng)) for k in comp]) for _ in range(2)]
+        forms += [*monomials, monomials[0].add(monomials[1], LeibnizForm.monomial(spec.scalar(2), monomials[1].terms[0][1]))]
+    assert all(a.unit_multiple() is None for w in forms for a, _ in w.terms[:1])
+    for w in forms:
+        calls.update(mul=0, basis_decomposition=0)
+        _integer_image(w)
+        elements = 1 + sum(1 + len(factors) for _, factors in w.terms)  # and the unit's rows
+        assert calls["mul"] == 0
+        assert calls["basis_decomposition"] <= (0 if spec.backend == "free" else elements)
 
 
 INT_SPECS = {

@@ -44,7 +44,7 @@ def invariance_comparing_all_five(fj, x, y, *, drop_first_derivative_terms=False
 
 
 def right_products(g, part=lambda c: c):
-    """``tensor.left_products`` with the factors swapped: label -> label·g."""
+    """``tensor.left_products`` with the factors swapped: label -> label·g, by the backend product."""
     return Memo(lambda label: tuple((part(c), lp) for c, lp in g.spec.basis_elem(label).mul(g).basis_decomposition()))
 
 
@@ -156,6 +156,11 @@ MUTATIONS = {
         "all",
         [(tensor, "left_products", right_products)],
         {*PRODUCT_ROWS, "image.in.kernel.of.mult"},  # mult_map glues through the same table
+    ),
+    "fold.multiplies.on.the.right": (
+        "all",
+        [(leibniz, "left_products", right_products)],  # the embedding's binding alone: the glue keeps its rows
+        {*PRODUCT_ROWS, "image.in.kernel.of.mult"},
     ),
     "move.left.flips.binomial.terms": (
         "all",
