@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from operator import mul
 from typing import ClassVar, Iterable, Mapping, Optional, Sequence, Union
 
 from .scalars import MINUS_ONE, ONE, ZERO, Record, Scalar
@@ -174,12 +175,34 @@ class _DenseSpec(AlgebraSpec):
     divmod(p, dim) for the p-th row-major matrix entry), and a label is a
     basis element's 0/1 pattern over the cells."""
 
+    elem_class: ClassVar[type[_DenseElem]]  # FuncElem or MatElem, set once they are defined
+
     def unit_label(self) -> Label:
         return self._unit_label
 
     @functools.cached_property
     def _unit_label(self) -> Label:
         return tuple(int(r == c) for r, c in self._cells)
+
+    def basis_elem(self, label: Label) -> _DenseElem:
+        return self.elem_class(self, tuple(ONE if b else ZERO for b in label))
+
+    @functools.cached_property
+    def _inner_diagonal(self) -> list[int]:
+        return [p for p, (r, c) in enumerate(self._cells[:-1]) if r == c]
+
+    def _decompose(self, entries: dict[int, Scalar]) -> Decomposition:
+        """The basis coefficients of the element with these entries (cell index ->
+        entry, absent cells zero; the dict is consumed) over the unit and the one-hot
+        pattern of each cell but the last: as E_last = 1 - Σ E_pp over the other
+        diagonal cells, the last entry goes on the unit and, negated, on each E_pp."""
+        m = len(self._cells)
+        base = entries.pop(m - 1, ZERO)
+        out = [] if base.is_zero() else [(base, self._unit_label)]
+        for p in self._inner_diagonal if out else ():
+            entries[p] = entries.get(p, ZERO) - base
+        out += [(c, (0,) * p + (1,) + (0,) * (m - p - 1)) for p in sorted(entries) if not (c := entries[p]).is_zero()]
+        return tuple(out)
 
     def support(self, label: Label) -> list[tuple[int, int]]:
         """The cells where the label's 0/1 dense matrix is 1."""
@@ -212,9 +235,6 @@ class FunctionSpec(_DenseSpec):
 
     def _symbol(self, name: str) -> FuncElem:
         return FuncElem(self, self.tables[self.symbols.index(name)])
-
-    def basis_elem(self, label: Label) -> FuncElem:
-        return FuncElem(self, tuple(ONE if b else ZERO for b in label))
 
     def point_names(self) -> tuple[str, ...]:
         return self.points
@@ -260,9 +280,6 @@ class MatrixSpec(_DenseSpec):
 
     def _symbol(self, name: str) -> MatElem:
         return MatElem(self, sum(self.tables[self.symbols.index(name)], ()))
-
-    def basis_elem(self, label: Label) -> MatElem:
-        return MatElem(self, tuple(ONE if b else ZERO for b in label))
 
     @staticmethod
     def read_json(doc: dict) -> MatrixSpec:
@@ -492,17 +509,14 @@ class _DenseElem(AlgElem):
         return ZERO, self
 
     def basis_decomposition(self) -> Decomposition:
-        # the unit pattern plus the one-hot pattern of every cell but the
-        # last, which the unit covers: a function's point indicators, or
-        # the identity and all matrix units but the bottom-right one
-        entries, unit = self.entries, self.spec.unit_label()
-        m, base = len(entries), entries[-1]
-        out = [] if base.is_zero() else [(base, unit)]
-        for p in range(m - 1):
-            c = entries[p] - base if unit[p] else entries[p]
-            if not c.is_zero():
-                out.append((c, _one_hot(p, m)))
-        return tuple(out)
+        return self.spec._decompose(dict(enumerate(self.entries)))
+
+    def left_row(self, label: Label) -> Decomposition:
+        """g·1 is g's own decomposition; g times the one-hot label of cell (i, j)
+        is the decomposition of the few entries ``_times_cell(i, j)``."""
+        if label == self.spec.unit_label():
+            return self.basis_decomposition()
+        return self.spec._decompose(self._times_cell(*self.spec._cells[label.index(1)]))
 
     def _coordinates(self) -> Iterable[Scalar]:
         return self.entries
@@ -522,11 +536,6 @@ class _DenseElem(AlgElem):
         return "[" + "; ".join(", ".join(str(e) for e in row) for row in self.grid()) + "]"
 
 
-def _one_hot(p: int, m: int) -> Label:
-    """The label of the p-th of m dense cells alone."""
-    return (0,) * p + (1,) + (0,) * (m - p - 1)
-
-
 class FuncElem(_DenseElem):
     """Function on the spec's finite point set; ``entries`` are its values."""
 
@@ -544,12 +553,9 @@ class FuncElem(_DenseElem):
         _check_same_spec(self, other)
         return FuncElem(self.spec, tuple(a * b for a, b in zip(self.entries, other.entries)))
 
-    def left_row(self, label: Label) -> Decomposition:
-        """g·e_p = g_p·e_p, the one term at the label's point; g·1 = g."""
-        if label == self.spec.unit_label():
-            return self.basis_decomposition()
-        c = self.entries[label.index(1)]
-        return () if c.is_zero() else ((c, label),)
+    def _times_cell(self, i: int, j: int) -> dict[int, Scalar]:
+        """g·e_i is g_i at point i, the cell (i, j) with j = i."""
+        return {j: self.entries[i]}
 
     def to_json(self) -> dict:
         return {"values": _json_list(self.entries)}
@@ -566,39 +572,22 @@ class MatElem(_DenseElem):
     rows = property(_DenseElem.grid)
 
     def mul(self, other: AlgElem) -> MatElem:
-        """The row-by-column product over the nonzero entries alone: the
-        embedding multiplies dense matrices by one-hot basis matrices."""
+        """The row-by-column product."""
         _check_same_spec(self, other)
         n, a, b = self.spec.dim, self.entries, other.entries
-        b_rows = [[(j, y) for j, y in enumerate(b[k : k + n]) if not y.is_zero()] for k in range(0, n * n, n)]
-        out = [ZERO] * (n * n)
-        for i in range(0, n * n, n):
-            for x, row in zip(a[i : i + n], b_rows):
-                if not x.is_zero():
-                    for j, y in row:
-                        out[i + j] = out[i + j] + x * y
-        return MatElem(self.spec, tuple(out))
+        columns = [b[j::n] for j in range(n)]
+        rows = (a[i : i + n] for i in range(0, n * n, n))
+        return MatElem(self.spec, tuple(sum(map(mul, row, col), ZERO) for row in rows for col in columns))
 
-    def left_row(self, label: Label) -> Decomposition:
-        """g·E_ij is column i of g placed in column j; g·1 = g.  The cell
-        (n-1, n-1) is no basis label: E_{n-1,n-1} = 1 - Σ_{p<n-1} E_pp, so in
-        the last column g_{n-1,i} goes on the unit and, negated, on each E_pp."""
-        unit = self.spec.unit_label()
-        if label == unit:
-            return self.basis_decomposition()
-        n, entries = self.spec.dim, self.entries
-        i, j = divmod(label.index(1), n)
-        out, rows = [], range(n)
-        if j == n - 1:
-            base, rows = entries[(n - 1) * n + i], range(n - 1)
-            if not base.is_zero():
-                neg = -base
-                out = [(base, unit)] + [(neg, _one_hot(p * (n + 1), n * n)) for p in rows]
-        out += [(c, _one_hot(k * n + j, n * n)) for k in rows if not (c := entries[k * n + i]).is_zero()]
-        return tuple(out)
+    def _times_cell(self, i: int, j: int) -> dict[int, Scalar]:
+        """g·E_ij is column i of g placed in column j."""
+        return {k + j: self.entries[k + i] for k in range(0, len(self.entries), self.spec.dim)}
 
     def to_json(self) -> dict:
         return {"rows": list(map(_json_list, self.rows))}
+
+
+FunctionSpec.elem_class, MatrixSpec.elem_class = FuncElem, MatElem
 
 
 def func_as_diagonal(a: FuncElem) -> MatElem:

@@ -125,9 +125,8 @@ def cmd_expand(args) -> int:
         lines = []
         for _, frame in frames:
             lines.append(str(frame.body))
-            if generators:
-                rows = (f"{t['coeff']} x " + " · ".join(t["product"]) for t in _generator_basis_doc(frame))
-                lines.append("\n".join(rows))
+            if generators:  # a zero form has no generator rows, and no line for them
+                lines += (f"{t['coeff']} x " + " · ".join(t["product"]) for t in _generator_basis_doc(frame))
         return "\n".join(lines)
 
     _emit(args, json_text, pretty_text)

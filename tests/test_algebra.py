@@ -9,11 +9,14 @@ from operator import attrgetter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncdiff import algebra
 from ncdiff.algebra import (
     AlgebraMismatchError,
     AlgebraSpec,
     FreePoly,
     FuncElem,
+    _DenseElem,
+    _DenseSpec,
     MatElem,
     func_as_diagonal,
 )
@@ -212,7 +215,9 @@ def test_backend_dispatch_stays_in_the_algebra_module():
 
 def _dense_specs():
     """Seeded random 2x2 and 3x3 matrix specs (the 3x3 with a complex
-    entry) and 2- and 3-point function specs, each with its tables."""
+    entry), 2- and 3-point function specs, and a 1x1 matrix and a 1-point
+    function spec, whose one cell is the last and whose basis is the unit
+    alone, each with its tables."""
     rng = random.Random(11)
     rat = lambda: Scalar.of(Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))))
     out = []
@@ -224,7 +229,14 @@ def _dense_specs():
     for points in (("L", "R"), ("p", "q", "r")):
         tables = {s: [rat() for _ in points] for s in "ab"}
         out.append((AlgebraSpec.function(points, tables), tables))
+    tables = {s: [[rat()]] for s in "ab"}
+    out.append((AlgebraSpec.matrix(1, tables), tables))
+    tables = {s: [rat()] for s in "ab"}
+    out.append((AlgebraSpec.function(("o",), tables), tables))
     return out
+
+
+DENSE_IDS = ["mat2", "mat3", "func2", "func3", "mat1", "func1"]
 
 
 def _dense_elems(spec):
@@ -235,7 +247,7 @@ def _dense_elems(spec):
     return [a, b, a.mul(b), b.mul(a), a.add(b), a.scale(half), spec.unit(), spec.zero(), *basis]
 
 
-@pytest.mark.parametrize("spec, tables", _dense_specs(), ids=["mat2", "mat3", "func2", "func3"])
+@pytest.mark.parametrize("spec, tables", _dense_specs(), ids=DENSE_IDS)
 def test_dense_elements_keep_order_views_and_decomposition(spec, tables):
     elems = _dense_elems(spec)
     if isinstance(spec.unit(), MatElem):
@@ -264,15 +276,19 @@ def _assert_rows_are_products(g, labels):
     """Every row of g at labels is g times the label's basis element, expanded
     over the basis again, read as ``Scalar``s through ``left_products`` and, for a
     real g scaled by its denominator, as the ``int`` view; the denominator is
-    that of g's basis coefficients."""
+    that of g's basis coefficients.  Rows and decompositions share one rule on
+    a dense spec, so each row is also rebuilt as an element, Σ c·basis_elem(l),
+    and compared with the product itself."""
     spec = g.spec
     by_key = lambda row: sorted((c.key(), label) for c, label in row)
     product = lambda h, label: h.mul(spec.basis_elem(label)).basis_decomposition()
+    rebuilt = lambda row: spec.zero().add(*(spec.basis_elem(label).scale(c) for c, label in row))
     assert g.denominator() == _common_denominator(g.basis_decomposition())[0]
     assert g.is_real() == all(not c.im for c, _ in g.basis_decomposition())
     rows = left_products(g)
     for label in labels:
         assert by_key(g.left_row(label)) == by_key(rows[label]) == by_key(product(g, label))
+        assert rebuilt(g.left_row(label)) == g.mul(spec.basis_elem(label))
     if g.is_real():
         h = g.scale(Scalar.of(g.denominator()))
         assert h.denominator() == 1
@@ -282,7 +298,7 @@ def _assert_rows_are_products(g, labels):
             assert sorted(ints[label]) == sorted((c.re, lp) for c, lp in product(h, label))
 
 
-@pytest.mark.parametrize("spec, tables", _dense_specs(), ids=["mat2", "mat3", "func2", "func3"])
+@pytest.mark.parametrize("spec, tables", _dense_specs(), ids=DENSE_IDS)
 def test_dense_rows_and_denominators_match_the_product(spec, tables):
     """The rows of each symbol and of a random sum, at every basis label (the
     unit and the one-hot pattern of each cell but the last), equal the
@@ -337,11 +353,10 @@ def test_traced_members_stay_in_the_class_bodies():
     assert isinstance(AlgebraSpec.__dict__["from_json"], staticmethod)
 
 
-def test_matrix_product_skips_zero_entries(monkeypatch):
+def test_matrix_product_is_the_row_by_column_product():
     """``MatElem.mul`` equals the dense row-by-column triple loop on random
-    matrices with zero, fractional and complex entries, and multiplies only
-    pairs of nonzero entries: a dense matrix times a one-hot basis matrix
-    takes n products, not n³."""
+    matrices with zero, fractional and complex entries, on a dense matrix
+    times each one-hot basis matrix, and on zero times a dense matrix and back."""
     rng = random.Random(30)
 
     def entry():
@@ -350,8 +365,6 @@ def test_matrix_product_skips_zero_entries(monkeypatch):
         part = lambda: Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3)))
         return Scalar.of(part(), part() if rng.random() < 0.4 else 0)
 
-    mul, products = Scalar.__mul__, []
-    monkeypatch.setattr(Scalar, "__mul__", lambda a, b: products.append(1) or mul(a, b))
     for n in (1, 2, 3, 4):
         spec = AlgebraSpec.matrix(n)
         one_hot = lambda p: MatElem(spec, tuple(Scalar.of(int(q == p)) for q in range(n * n)))
@@ -362,16 +375,27 @@ def test_matrix_product_skips_zero_entries(monkeypatch):
         for a, b in pairs:
             x, y = a.entries, b.entries
             want = tuple(
-                sum((mul(x[i * n + k], y[k * n + j]) for k in range(n)), Scalar.of(0)) for i in range(n) for j in range(n)
+                sum((x[i * n + k] * y[k * n + j] for k in range(n)), Scalar.of(0)) for i in range(n) for j in range(n)
             )
-            products.clear()
             assert a.mul(b).entries == want
-            nonzero = sum(
-                not x[i * n + k].is_zero() and not y[k * n + j].is_zero()
-                for i in range(n)
-                for k in range(n)
-                for j in range(n)
-            )
-            assert len(products) == nonzero
-            if b.entries.count(Scalar.of(1)) == 1 and a is dense:
-                assert nonzero == n
+
+
+def test_the_dense_basis_is_stated_once():
+    """``_DenseSpec._decompose`` is the one statement of the dense basis: the
+    dense element classes define no rows of their own, their decomposition is
+    ``_DenseElem``'s (bound in their own bodies, where the tracer looks), and
+    no code outside ``_DenseSpec`` builds a 0/1 pattern: a ``(1,)`` tuple, an
+    ``int`` of a comparison, or a name with ``one_hot`` in it."""
+    for cls in (FuncElem, MatElem):
+        assert "left_row" not in vars(cls), cls.__name__
+        assert vars(cls)["basis_decomposition"] is _DenseElem.basis_decomposition, cls.__name__
+    assert "basis_elem" in vars(_DenseSpec) and "_decompose" in vars(_DenseSpec)
+    assert all("basis_elem" not in vars(cls) for cls in (algebra.FunctionSpec, algebra.MatrixSpec))
+    tree = ast.parse(pathlib.Path(algebra.__file__).read_text(encoding="utf-8"))
+    spec_class = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_DenseSpec")
+    inside = {id(n) for n in ast.walk(spec_class)}
+    named = lambda n: "one_hot" in str(getattr(n, "id", None) or getattr(n, "name", None) or getattr(n, "attr", ""))
+    one = lambda n: isinstance(n, ast.Tuple) and ast.unparse(n) == "(1,)"
+    bit = lambda n: isinstance(n, ast.Call) and ast.unparse(n.func) == "int" and any(isinstance(a, ast.Compare) for a in n.args)
+    outside = [ast.unparse(n) for n in ast.walk(tree) if id(n) not in inside and (named(n) or one(n) or bit(n))]
+    assert not outside

@@ -664,6 +664,18 @@ def test_split_prints_each_parts_generator_basis(spec_file, capsys):
             assert whole == "".join(alone) and len(whole.splitlines()) > 2 * len(pieces)
 
 
+@pytest.mark.parametrize("split", [[], ["--split"]], ids=["whole", "split"])
+def test_a_zero_forms_generator_expansion_prints_0_alone(spec_file, capsys, split):
+    """A zero form has no generator rows: pretty output is its tensor's ``0``
+    with no blank line after it, and JSON lists no rows."""
+    expand = ["expand", "--algebra", spec_file(FREE_DOC), "--expr", "f - f", "--basis", "generators", *split]
+    code, out, _ = run(capsys, *expand, "--out", "pretty")
+    assert (code, out) == (0, "0\n")
+    code, out, _ = run(capsys, *expand)
+    docs = json.loads(out)["parts"] if split else [json.loads(out)]
+    assert code == 0 and [d["generators"] for d in docs] == [[]]
+
+
 def child(*argv, program=("-m", "ncdiff.cli"), **kwargs) -> subprocess.Popen:
     """Start ``python <program> argv``, the CLI by default, in a child process
     that imports this ncdiff."""
